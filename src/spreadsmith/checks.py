@@ -19,6 +19,7 @@ from spreadsmith.goodsets import (
     PlaneModel,
     apply_G1,
     candidate_universe,
+    candidate_values,
     canonical,
     census,
     dual,
@@ -28,12 +29,14 @@ from spreadsmith.goodsets import (
     flip_canonical,
     is_good,
     is_good_geometric,
+    pair_conditions,
 )
 from spreadsmith.parallelisms import (
     assemble_spread_family,
     build_parallelism,
     characterize,
     group_E,
+    image_key,
     is_E_invariant,
     verify_parallelism,
 )
@@ -49,7 +52,7 @@ from spreadsmith.proj_geometry import (
     point_on_plane,
     tau_line,
 )
-from spreadsmith.spreads import Geometry
+from spreadsmith.spreads import Geometry, memo
 from spreadsmith.equivalence import (
     apply_label_action,
     are_equivalent,
@@ -231,7 +234,7 @@ def check_subline_extension(geo: Geometry) -> CheckResult:
         for k in range(q - 1):
             alpha = lam.alpha(k)
             sig = space.sigma_points(alpha)
-            d_lines = {k2: set(geo._desarguesian_for(lam.alpha(k2)).lines)
+            d_lines = {k2: set(geo.desarguesian_spread(k2).lines)
                        for k2 in range(q - 1)}
             for pl in space.all_planes():
                 sec = [P for P in sig if point_on_plane(s, pl, P)]
@@ -263,7 +266,7 @@ def check_subline_extension(geo: Geometry) -> CheckResult:
                     if len(other) != q + 1:
                         return _fail(name, q, "cross section size wrong")
                     l = line_through(s, other[0], other[1])
-                    if l not in set(geo._desarguesian_for(lam.alpha(k2)).lines):
+                    if l not in geo.desarguesian_spread(k2).lines:
                         return _fail(name, q, "cross section not a spread line")
                 checked += 1
         probe = geo.line_set_L()[: 4 * (q + 1)]
@@ -348,7 +351,7 @@ def check_regulus_transversal_classification(geo: Geometry) -> CheckResult:
                     if space.is_baer_subline(l, lam.alpha(k))]
             if len(hits) != 1:
                 return _fail(name, q, f"transversal cuts {len(hits)} subgeometries")
-            if l in set(geo._desarguesian_for(lam.alpha(hits[0])).lines):
+            if l in geo.desarguesian_spread(hits[0]).lines:
                 return _fail(name, q, "transversal subline lies in its spread")
             if line_intersection(s, l, space.r_U1) is None:
                 return _fail(name, q, "transversal misses r_U1")
@@ -470,18 +473,12 @@ def check_desarguesian_property(geo: Geometry, sample: int = 50, seed: int = 3) 
 # plane sections of the shifted spread family
 
 
+@memo
 def _shift_image(geo: Geometry, a_idx: int, scalar: int, k: int) -> frozenset:
     """Image of the k-th Baer component under the composite shift map."""
-    cache = getattr(geo, "_shift_images", None)
-    if cache is None:
-        cache = {}
-        geo._shift_images = cache
-    key = (a_idx, scalar, k)
-    if key not in cache:
-        phi_l = geo.phi_lambda_map(a_idx, scalar)
-        cache[key] = frozenset(phi_l.apply_point(P)
-                               for P in geo.space.sigma_points(geo.lam.alpha(k)))
-    return cache[key]
+    phi_l = geo.phi_lambda_map(a_idx, scalar)
+    return frozenset(phi_l.apply_point(P)
+                     for P in geo.space.sigma_points(geo.lam.alpha(k)))
 
 
 def _component_subplane(geo: Geometry, a_idx: int, scalar: int, plane):
@@ -722,20 +719,13 @@ def check_section_pivot(geo: Geometry) -> CheckResult:
 # pairwise regulus / extension conditions on family lines
 
 
+@memo
 def _pair_data(geo: Geometry, l):
-    cache = getattr(geo, "_pair_data_cache", None)
-    if cache is None:
-        cache = {}
-        geo._pair_data_cache = cache
-    got = cache.get(l)
-    if got is None:
-        label = geo.label_of(l)
-        reg = geo.regulus_of(l)
-        sp = geo.spread_from_transversal(l)
-        outside = geo.extension_points(sp.lines) - geo.extension_points(reg.lines)
-        got = (label, frozenset(reg.lines), frozenset(outside))
-        cache[l] = got
-    return got
+    label = geo.label_of(l)
+    reg = geo.regulus_of(l)
+    sp = geo.spread_from_transversal(l)
+    outside = geo.extension_points(sp.lines) - geo.extension_points(reg.lines)
+    return label, frozenset(reg.lines), frozenset(outside)
 
 
 def _sampled_ordered_pairs(geo: Geometry, count: int, seed: int):
@@ -754,31 +744,15 @@ def _sampled_ordered_pairs(geo: Geometry, count: int, seed: int):
     return out
 
 
-def _ratio_form(geo, lab_i, lab_j) -> bool:
-    """u_i v_j - u_j v_i != 0 on unit-circle exponents."""
-    s = geo.spec
-    U = geo.U
-    ui, vi = U[lab_i[1]], U[lab_i[2]]
-    uj, vj = U[lab_j[1]], U[lab_j[2]]
-    return s.sub(s.mul(ui, vj), s.mul(uj, vi)) != 0
-
-
-def _twisted_form(geo, lab_i, lab_j) -> bool:
-    """a u_i (b v_j)^q - (a v_i)^q b u_j != 0 on full labels."""
-    s = geo.spec
-    U = geo.U
-    lam = geo.lam
-    alpha, beta = lam.alpha(lab_i[0]), lam.alpha(lab_j[0])
-    ui, vi = U[lab_i[1]], U[lab_i[2]]
-    uj, vj = U[lab_j[1]], U[lab_j[2]]
-    lhs = s.mul(s.mul(alpha, ui), s.frobenius(s.mul(beta, vj)))
-    rhs = s.mul(s.frobenius(s.mul(alpha, vi)), s.mul(beta, uj))
-    return lhs != rhs
-
-
 def _all_labels(geo):
     return [(a, u, v) for a in geo.lam.I
             for u in range(geo.q + 1) for v in range(geo.q + 1)]
+
+
+def _label_values(geo):
+    """The field values of every label, as is_good's pair_conditions takes them."""
+    labels = _all_labels(geo)
+    return dict(zip(labels, candidate_values(geo.lam, labels)))
 
 
 def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
@@ -789,13 +763,15 @@ def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
     and the form vanishes (the sharing is a partial matching, never the
     full pencil product)."""
     name = "regulus-pair-conditions"
+    s = geo.spec
     q = geo.q
+    vals = _label_values(geo)
     checked = 0
     for li, lj in _sampled_ordered_pairs(geo, pairs, seed):
         (lab_i, reg_i, _) = _pair_data(geo, li)
         (lab_j, reg_j, _) = _pair_data(geo, lj)
         checked += 1
-        if (lab_i == lab_j or _ratio_form(geo, lab_i, lab_j)) \
+        if (lab_i == lab_j or pair_conditions(s, vals[lab_i], vals[lab_j])[0]) \
                 and li != lj and reg_i == reg_j:
             return _fail(name, q, f"regulus collision at labels {lab_i}, {lab_j}")
     labels = _all_labels(geo)
@@ -812,7 +788,7 @@ def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
             pen_j = geo.pencil(*lab_j).punctured(geo.space.r_U1)
             regs_j = {geo.regulus_of(l).lines for l in pen_j}
             shares = bool(regs_i & regs_j)
-            if shares == _ratio_form(geo, lab_i, lab_j):
+            if shares == pair_conditions(s, vals[lab_i], vals[lab_j])[0]:
                 return _fail(name, q, f"label verdict wrong at {lab_i}, {lab_j}")
     return _ok(name, q, f"{checked} line pairs, {agg} label pairs")
 
@@ -827,6 +803,7 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
     name = "extension-disjointness-conditions"
     s = geo.spec
     q = geo.q
+    vals = _label_values(geo)
     pts_cache: dict = {}
 
     def pts(l):
@@ -840,7 +817,7 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
         (lab_i, _, outside_i) = _pair_data(geo, li)
         (lab_j, _, _) = _pair_data(geo, lj)
         checked += 1
-        if lab_i == lab_j or _twisted_form(geo, lab_i, lab_j):
+        if lab_i == lab_j or pair_conditions(s, vals[lab_i], vals[lab_j])[1]:
             if any(P in outside_i for P in pts(lj)):
                 return _fail(name, q, f"interference at labels {lab_i}, {lab_j}")
     labels = _all_labels(geo)
@@ -851,7 +828,7 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
             if lab_j == lab_i:
                 continue
             agg += 1
-            want = not _twisted_form(geo, lab_i, lab_j)
+            want = not pair_conditions(s, vals[lab_i], vals[lab_j])[1]
             found = False
             for li in pen_i:
                 (_, _, outside_i) = _pair_data(geo, li)
@@ -1193,8 +1170,7 @@ def check_group_actions(geo: Geometry, sample: int = 4, seed: int = 29) -> Check
         (0, 0, 0, s.mul(s.frobenius(c), u0))))
     p1 = build_parallelism(geo, gs)
     p2 = build_parallelism(geo, img)
-    mapped = sorted(tuple(sorted(witness.apply_line(l) for l in sp.lines))
-                    for sp in p1.spreads)
+    mapped = sorted(image_key(witness, sp.lines) for sp in p1.spreads)
     if mapped != sorted(sp.key() for sp in p2.spreads):
         return _fail(name, q, "diagonal witness does not map the parallelisms")
     if are_equivalent(geo, p1, p2) is None:
@@ -1210,9 +1186,9 @@ def check_stabilizer_order(geo: Geometry) -> CheckResult:
     grp = stabilizer_group(geo)
     if grp.order != grp.formula_order:
         return _fail(name, q, f"closure {grp.order} != formula {grp.formula_order}")
-    d_key = set(geo.desarguesian_spread().lines)
+    d_key = geo.desarguesian_spread().key()
     for psi in grp.generators:
-        if {psi.apply_line(l) for l in d_key} != d_key:
+        if image_key(psi, d_key) != d_key:
             return _fail(name, q, "generator moves the Desarguesian spread")
         if psi.apply_line(geo.space.r_U1) != geo.space.r_U1:
             return _fail(name, q, "generator moves the distinguished line")
@@ -1256,11 +1232,10 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
         cross_hits = 0
         stab_size = 0
         for psi in full.elements:
-            img0 = tuple(sorted(psi.apply_line(l) for l in probe_spread.lines))
+            img0 = image_key(psi, probe_spread.lines)
             if img0 not in own_members and img0 not in dual_members:
                 continue
-            whole = sorted(tuple(sorted(psi.apply_line(l) for l in sp.lines))
-                           for sp in pb.spreads)
+            whole = sorted(image_key(psi, sp.lines) for sp in pb.spreads)
             if whole == dual_key:
                 cross_hits += 1
             elif whole == own_key:
@@ -1275,13 +1250,13 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
     return _ok(name, q, detail)
 
 
-def check_orbit_consistency(geo: Geometry, family_limit: int = 0) -> CheckResult:
+def check_orbit_consistency(geo: Geometry) -> CheckResult:
     """Orbit sizes divide the group order, stabilizer orders multiply back,
     and family counts sum to the family size."""
     name = "orbit-consistency"
     q = geo.q
     lam = geo.lam
-    family = list(enumerate_good_sets(lam, limit=family_limit or None))
+    family = list(enumerate_good_sets(lam))
     report = classify(geo, family)
     if sum(o.family_count for o in report.orbits) != report.family_size:
         return _fail(name, q, "family counts do not sum up")
@@ -1301,39 +1276,44 @@ def _wants(*qs):
     return lambda q: q in qset
 
 
+# (name, suite, applies at q, run settings the suite takes as keywords):
+# "seed" is the sampling seed that --sample-seed overrides, "jobs" the
+# worker count.
 SUITES = [
-    ("field-automorphism", check_field_automorphism, lambda q: True),
-    ("norm-partition", check_norm_partition, lambda q: True),
-    ("lambda-classes", check_lambda_classes, lambda q: True),
-    ("baer-subgeometries", check_baer_subgeometries, lambda q: q <= 5),
-    ("subline-extension", check_subline_extension, lambda q: q <= 5),
-    ("spread-union-sections", check_spread_union, lambda q: q <= 5),
+    ("field-automorphism", check_field_automorphism, lambda q: True, ("seed",)),
+    ("norm-partition", check_norm_partition, lambda q: True, ()),
+    ("lambda-classes", check_lambda_classes, lambda q: True, ()),
+    ("baer-subgeometries", check_baer_subgeometries, lambda q: q <= 5, ()),
+    ("subline-extension", check_subline_extension, lambda q: q <= 5, ()),
+    ("spread-union-sections", check_spread_union, lambda q: q <= 5, ()),
     ("regulus-transversal-classification",
-     check_regulus_transversal_classification, _wants(3)),
-    ("pencil-line-family", check_pencils_and_line_family, lambda q: q <= 5),
-    ("transversal-spreads", check_transversal_spreads, lambda q: q <= 5),
-    ("hall-spreads", check_hall_spreads, lambda q: q <= 5),
-    ("desarguesian-regulus-property", check_desarguesian_property, lambda q: q <= 5),
-    ("shifted-spread-plane-sections", check_plane_sections, _wants(3, 5)),
-    ("shift-maps", check_shift_maps, _wants(3, 5)),
-    ("section-subplane-meet", check_subplane_meet, _wants(3, 5)),
-    ("section-pivot-point", check_section_pivot, _wants(3, 5)),
-    ("regulus-pair-conditions", check_regulus_pair_conditions, lambda q: q <= 5),
+     check_regulus_transversal_classification, _wants(3), ()),
+    ("pencil-line-family", check_pencils_and_line_family, lambda q: q <= 5, ()),
+    ("transversal-spreads", check_transversal_spreads, lambda q: q <= 5, ("seed",)),
+    ("hall-spreads", check_hall_spreads, lambda q: q <= 5, ("seed",)),
+    ("desarguesian-regulus-property",
+     check_desarguesian_property, lambda q: q <= 5, ("seed",)),
+    ("shifted-spread-plane-sections", check_plane_sections, _wants(3, 5), ()),
+    ("shift-maps", check_shift_maps, _wants(3, 5), ()),
+    ("section-subplane-meet", check_subplane_meet, _wants(3, 5), ()),
+    ("section-pivot-point", check_section_pivot, _wants(3, 5), ()),
+    ("regulus-pair-conditions", check_regulus_pair_conditions, lambda q: q <= 5, ("seed",)),
     ("extension-disjointness-conditions",
-     check_extension_disjoint_conditions, lambda q: q <= 5),
-    ("plane-model-partitions", check_plane_model_partitions, lambda q: q <= 7),
-    ("goodset-predicate-equivalence", check_predicate_equivalence, lambda q: q <= 7),
-    ("line-conic-intersections", check_intersection_tables, lambda q: q <= 7),
-    ("goodset-census", check_count_census, lambda q: True),
-    ("parallelism-roundtrip", check_parallelism_roundtrip, lambda q: q <= 5),
-    ("non-good-families-fail", check_negative_mutations, lambda q: q <= 4),
-    ("pencil-orbits", check_pencil_orbits, lambda q: q <= 5),
-    ("unitriangular-group", check_unitriangular_group, lambda q: q <= 5),
-    ("distinct-parallelisms", check_distinct_parallelisms, lambda q: q <= 5),
-    ("model-group-actions", check_group_actions, lambda q: q <= 4),
-    ("stabilizer-order", check_stabilizer_order, lambda q: q <= 5),
-    ("equivalence-search", check_equivalence_search, lambda q: q <= 4),
-    ("orbit-consistency", check_orbit_consistency, lambda q: q <= 4),
+     check_extension_disjoint_conditions, lambda q: q <= 5, ("seed",)),
+    ("plane-model-partitions", check_plane_model_partitions, lambda q: q <= 7, ()),
+    ("goodset-predicate-equivalence",
+     check_predicate_equivalence, lambda q: q <= 7, ("seed",)),
+    ("line-conic-intersections", check_intersection_tables, lambda q: q <= 7, ()),
+    ("goodset-census", check_count_census, lambda q: True, ("jobs",)),
+    ("parallelism-roundtrip", check_parallelism_roundtrip, lambda q: q <= 5, ()),
+    ("non-good-families-fail", check_negative_mutations, lambda q: q <= 4, ()),
+    ("pencil-orbits", check_pencil_orbits, lambda q: q <= 5, ("seed",)),
+    ("unitriangular-group", check_unitriangular_group, lambda q: q <= 5, ()),
+    ("distinct-parallelisms", check_distinct_parallelisms, lambda q: q <= 5, ("seed",)),
+    ("model-group-actions", check_group_actions, lambda q: q <= 4, ("seed",)),
+    ("stabilizer-order", check_stabilizer_order, lambda q: q <= 5, ()),
+    ("equivalence-search", check_equivalence_search, lambda q: q <= 4, ("seed",)),
+    ("orbit-consistency", check_orbit_consistency, lambda q: q <= 4, ()),
 ]
 
 
@@ -1341,18 +1321,10 @@ def run_selftest(geo: Geometry, jobs: int = 1,
                  sample_seed: int | None = None) -> list[CheckResult]:
     """Run every suite applicable at this q, in registry order.  A sample
     seed overrides the fixed default of every sampling suite."""
-    import inspect
-
-    q = geo.q
+    settings = {"jobs": jobs, "seed": sample_seed}
     results = []
-    for name, fn, wants in SUITES:
-        if not wants(q):
-            continue
-        kwargs = {}
-        params = inspect.signature(fn).parameters
-        if fn is check_count_census:
-            kwargs["jobs"] = jobs
-        if sample_seed is not None and "seed" in params:
-            kwargs["seed"] = sample_seed
-        results.append(fn(geo, **kwargs))
+    for name, fn, wants, params in SUITES:
+        if wants(geo.q):
+            results.append(fn(geo, **{p: settings[p] for p in params
+                                      if settings[p] is not None}))
     return results

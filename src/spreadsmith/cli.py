@@ -247,7 +247,7 @@ def cmd_classify(args) -> int:
     if geo.q > 5:
         raise UsageError("full classification is supported for q <= 5")
     lam = geo.lam
-    family = list(enumerate_good_sets(lam, limit=args.limit))
+    family = list(enumerate_good_sets(lam))
     seen = set()
     distinct = []
     for gs in family:
@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="orbit classification of all parallelisms")
     _add_field_args(p)
-    p.add_argument("--limit", type=int)
     p.add_argument("--output", help="directory for report and representatives")
     p.set_defaults(fn=cmd_classify)
 
@@ -358,6 +357,10 @@ def main(argv=None) -> int:
             and not args.file:
         ap.error("goodsets verify needs a record file")
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError("--jobs must be at least 1")
+        if getattr(args, "limit", None) is not None and args.limit < 0:
+            raise UsageError("--limit must not be negative")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

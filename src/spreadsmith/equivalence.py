@@ -18,8 +18,8 @@ import math
 from spreadsmith.field_tower import LambdaSystem
 from spreadsmith.goodsets import Candidate, GoodSet, canonical, flip_canonical, is_good
 from spreadsmith.parallelisms import Parallelism, characterize
-from spreadsmith.proj_geometry import Collineation
-from spreadsmith.spreads import Geometry
+from spreadsmith.proj_geometry import Collineation, tau_plane
+from spreadsmith.spreads import Geometry, memo
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +73,6 @@ class StabilizerGroup:
     formula_order: int | None = None
 
 
-def _induced_key(geo: Geometry, coll: Collineation):
-    tau = Collineation.from_tau(geo.spec, geo.eta)
-    return min(coll.canonical_key(), coll.then(tau).canonical_key())
-
-
 def close_group(geo: Geometry, gens) -> list[Collineation]:
     """Breadth-first closure under composition, deduplicating by induced
     action on the subgeometry.  Deterministic element order."""
@@ -104,71 +99,49 @@ def close_group(geo: Geometry, gens) -> list[Collineation]:
     return elements
 
 
+@memo
 def stabilizer_group(geo: Geometry) -> StabilizerGroup:
     """Closure of the line-stabilizer generators; the order must equal
     2 m q^2 (q^2-1) (q+1)."""
-    cached = getattr(geo, "_stab_group", None)
-    if cached is not None:
-        return cached
     gens = stabilizer_gens(geo)
     elements = close_group(geo, gens)
     q, m = geo.q, geo.spec.m
-    grp = StabilizerGroup(generators=gens, elements=elements,
-                          order=len(elements),
-                          formula_order=2 * m * q * q * (q * q - 1) * (q + 1))
-    geo._stab_group = grp
-    return grp
+    return StabilizerGroup(generators=gens, elements=elements,
+                           order=len(elements),
+                           formula_order=2 * m * q * q * (q * q - 1) * (q + 1))
 
 
+@memo
 def full_stabilizer_group(geo: Geometry) -> StabilizerGroup:
-    cached = getattr(geo, "_full_stab_group", None)
-    if cached is not None:
-        return cached
     gens = full_stabilizer_gens(geo)
     elements = close_group(geo, gens)
     q, m = geo.q, geo.spec.m
-    grp = StabilizerGroup(generators=gens, elements=elements,
-                          order=len(elements),
-                          formula_order=2 * m * q * q * (q**4 - 1) * (q + 1))
-    geo._full_stab_group = grp
-    return grp
+    return StabilizerGroup(generators=gens, elements=elements,
+                           order=len(elements),
+                           formula_order=2 * m * q * q * (q**4 - 1) * (q + 1))
 
 
 # ---------------------------------------------------------------------------
 # induced action on pencil labels
 
 
-def _pencil_label_from(geo: Geometry, P, pl) -> Candidate:
-    """Label of the pencil with base point P on r_U1 and plane pl through
-    r_U1, normalizing by the subgeometry involution when the base point
-    falls outside the I classes."""
-    s = geo.spec
-    for _ in range(2):
-        assert P[0] == 1 and P[1] == 0 and P[3] == 0, f"base point {P} not on r_U1"
-        c = P[2]
-        assert pl[0] == 0 and pl[2] == 0 and pl[3] != 0, f"plane {pl} not through r_U1"
-        cp = s.neg(s.div(pl[1], pl[3]))
-        a_idx = geo.lam.index_by_norm(s.norm(c))
-        if a_idx in geo.lam.I:
-            alpha = geo.lam.alpha(a_idx)
-            u = s.div(c, alpha)
-            v = s.div(cp, alpha)
-            return Candidate(a_idx, geo.u_index[u], geo.u_index[v])
-        # conjugate pencil: flip both labels through the involution
-        P = (1, 0, s.inv(s.frobenius(c)), 0)
-        pl = (0, s.neg(s.inv(s.frobenius(cp))), 0, 1)
-    raise AssertionError("pencil label did not normalize into the I classes")
-
-
 def label_action(geo: Geometry, psi: Collineation) -> dict[Candidate, Candidate]:
-    """How an element of the line stabilizer permutes pencil labels."""
+    """How an element of the line stabilizer permutes pencil labels.  An
+    image pencil whose base point falls outside the I classes is read off
+    through the subgeometry involution, which maps it to the same pencil
+    of the distinguished subgeometry."""
     out = {}
     for a in geo.lam.I:
         for u in range(geo.q + 1):
             for v in range(geo.q + 1):
                 P = psi.apply_point(geo.point_P(a, u))
                 pl = psi.apply_plane(geo.plane_pi(a, v))
-                out[Candidate(a, u, v)] = _pencil_label_from(geo, P, pl)
+                lab = geo.pencil_label(P, pl)
+                if lab is None:
+                    lab = geo.pencil_label(geo.tau_eta_point(P),
+                                           tau_plane(geo.spec, geo.eta, pl))
+                assert lab is not None, f"pencil {P}, {pl} not in the I classes"
+                out[Candidate(a, u, v)] = lab
     return out
 
 
@@ -177,13 +150,9 @@ def apply_label_action(lam: LambdaSystem, act: dict[Candidate, Candidate],
     return flip_canonical(lam, tuple(act[Candidate(*c)] for c in gs))
 
 
+@memo
 def _group_label_actions(geo: Geometry) -> list[dict[Candidate, Candidate]]:
-    cached = getattr(geo, "_label_actions", None)
-    if cached is None:
-        grp = stabilizer_group(geo)
-        cached = [label_action(geo, psi) for psi in grp.elements]
-        geo._label_actions = cached
-    return cached
+    return [label_action(geo, psi) for psi in stabilizer_group(geo).elements]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from spreadsmith.field_tower import LambdaSystem, lambda_for_q
+from spreadsmith.field_tower import FieldSpec, LambdaSystem, lambda_for_q
 from spreadsmith.proj_geometry import normalize
 
 
@@ -74,22 +74,35 @@ class GoodSetVerdict:
         return self.ok
 
 
+def candidate_values(lam: LambdaSystem, cands) -> list[tuple[int, int, int]]:
+    """The field values (alpha, u, v) of each candidate's labels."""
+    U = lam.spec.unit_circle()
+    return [(lam.alpha(a), U[u], U[v]) for a, u, v in cands]
+
+
+def pair_conditions(s: FieldSpec, first, second) -> tuple[bool, bool]:
+    """The two pairwise conditions of a good set on the field values
+    (a, u, v) of two candidates i, j: the unit-ratio condition
+    u_i v_j - v_i u_j != 0 and the conic-bundle condition
+    a_i u_i (a_j v_j)^q - (a_i v_i)^q a_j u_j != 0."""
+    ai, ui, vi = first
+    aj, uj, vj = second
+    lhs = s.mul(s.mul(ai, ui), s.frobenius(s.mul(aj, vj)))
+    rhs = s.mul(s.frobenius(s.mul(ai, vi)), s.mul(aj, uj))
+    return s.sub(s.mul(ui, vj), s.mul(vi, uj)) != 0, lhs != rhs
+
+
 def is_good(lam: LambdaSystem, cands) -> GoodSetVerdict:
-    """Pairwise conditions on distinct triples:
-    u_i v_j - v_i u_j != 0   and   a_i u_i (a_j v_j)^q - (a_i v_i)^q a_j u_j != 0."""
+    """Both pair_conditions hold on every pair of distinct triples."""
     cands = _validate(lam, cands)
     s = lam.spec
-    U = s.unit_circle()
-    vals = [(lam.alpha(a), U[u], U[v]) for a, u, v in cands]
+    vals = candidate_values(lam, cands)
     for i in range(len(cands)):
-        ai, ui, vi = vals[i]
         for j in range(i + 1, len(cands)):
-            aj, uj, vj = vals[j]
-            if s.sub(s.mul(ui, vj), s.mul(vi, uj)) == 0:
+            ratio, bundle = pair_conditions(s, vals[i], vals[j])
+            if not ratio:
                 return GoodSetVerdict(False, (cands[i], cands[j]), "unit-ratio")
-            lhs = s.mul(s.mul(ai, ui), s.frobenius(s.mul(aj, vj)))
-            rhs = s.mul(s.frobenius(s.mul(ai, vi)), s.mul(aj, uj))
-            if lhs == rhs:
+            if not bundle:
                 return GoodSetVerdict(False, (cands[i], cands[j]), "conic-bundle")
     return GoodSetVerdict(True)
 

@@ -28,9 +28,10 @@ from spreadsmith.proj_geometry import (
     line_points,
     line_through,
     lines_meet,
+    normalize,
     plane_through,
 )
-from spreadsmith.spreads import Geometry, Spread, SpreadReport
+from spreadsmith.spreads import Geometry, Spread, SpreadReport, memo
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,10 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
     for sp in spreads:
         for l in sp.lines:
             counts[l] = counts.get(l, 0) + 1
-    universe = geo.sigma_eta_lines()
+    universe = geo.line_index()
     uncovered = [l for l in universe if l not in counts]
     multi = sorted(l for l, c in counts.items() if c > 1)
-    stray = [l for l in counts if l not in geo._line_id]
+    stray = [l for l in counts if l not in universe]
     ok = not failures and not uncovered and not multi and not stray
     return Certificate(ok=ok, spread_failures=failures, uncovered=uncovered,
                        multiply_covered=multi,
@@ -143,39 +144,30 @@ class GroupE:
         return len(self.elements)
 
 
-def _e_element(geo: Geometry, b: int) -> Collineation:
-    s = geo.spec
-    mat = ((1, b, 0, 0),
-           (0, 1, 0, 0),
-           (0, 0, 1, s.frobenius(b)),
-           (0, 0, 0, 1))
-    return Collineation.linear(s, mat)
-
-
 def group_E(geo: Geometry) -> GroupE:
-    """All q^2 unitriangular members; the generators are the p-basis
-    powers g^0 .. g^(2m-1) of the parameter."""
+    """All q^2 unitriangular members xi_map(b, 1); the generators are the
+    p-basis powers g^0 .. g^(2m-1) of the parameter b."""
     s = geo.spec
-    elements = tuple(_e_element(geo, b) for b in range(s.order))
-    gens = tuple(_e_element(geo, s.pow(s.generator, k))
+    elements = tuple(geo.xi_map(b, 1) for b in range(s.order))
+    gens = tuple(geo.xi_map(s.pow(s.generator, k), 1)
                  for k in range(2 * s.m))
     return GroupE(elements=elements, generators=gens)
 
 
-def spread_image(geo: Geometry, sp: Spread, coll: Collineation) -> frozenset[Line]:
-    return frozenset(coll.apply_line(l) for l in sp.lines)
+def image_key(psi: Collineation, lines) -> tuple[Line, ...]:
+    """The image of a line set under a collineation, sorted like Spread.key()."""
+    return tuple(sorted(psi.apply_line(l) for l in lines))
 
 
 def is_E_invariant(geo: Geometry, par, full: bool = False) -> bool:
     """Invariance of the spread set under the unitriangular group; the
     generator check suffices by closure, the full sweep is the slow mode."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
-    keys = {frozenset(sp.lines) for sp in spreads}
+    keys = {sp.key() for sp in spreads}
     grp = group_E(geo)
     todo = grp.elements if full else grp.generators
     for psi in todo:
-        imaged = {frozenset(psi.apply_line(l) for l in key) for key in keys}
-        if imaged != keys:
+        if {image_key(psi, key) for key in keys} != keys:
             return False
     return True
 
@@ -216,56 +208,15 @@ def _ambient_directors(geo: Geometry, spread_lines) -> list[Line]:
     return directors
 
 
-def _label_of_director(geo: Geometry, director: Line) -> Candidate | None:
-    """Pencil label (alpha_idx, u_pow, v_pow) of a transversal line whose
-    point on r_U1 lies in a subgeometry of the I class; None otherwise."""
-    spec = geo.spec
-    P = line_intersection(spec, director, geo.space.r_U1)
-    if P is None or P[0] != 1 or P[1] != 0 or P[3] != 0:
-        return None
-    c = P[2]
-    if c == 0:
-        return None
-    try:
-        a_idx = geo.lam.index_by_norm(spec.norm(c))
-    except KeyError:
-        return None
-    if a_idx not in geo.lam.I:
-        return None
-    alpha = geo.lam.alpha(a_idx)
-    u = spec.div(c, alpha)
-    pl = plane_through(spec, director, geo.space.U1)
-    if pl[0] != 0 or pl[2] != 0 or pl[3] == 0:
-        return None
-    coeff = spec.neg(spec.div(pl[1], pl[3]))
-    v = spec.div(coeff, alpha)
-    ui = geo.u_index.get(u)
-    vi = geo.u_index.get(v)
-    if ui is None or vi is None:
-        return None
-    return Candidate(a_idx, ui, vi)
-
-
-def _hall_member_label(geo: Geometry, sp: Spread) -> tuple[Candidate | None, str | None]:
-    """Validate one non-Desarguesian member as a Hall spread switched on a
-    regulus through r_U1 and recover its pencil label."""
-    cache = getattr(geo, "_member_label_cache", None)
-    if cache is None:
-        cache = {}
-        geo._member_label_cache = cache
-    key = sp.key()
-    if key in cache:
-        return cache[key]
-    result = _hall_member_label_uncached(geo, sp)
-    cache[key] = result
-    return result
-
-
-def _hall_member_label_uncached(geo, sp):
+@memo
+def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | None]:
+    """Validate one non-Desarguesian member, given by its sorted lines, as
+    a Hall spread switched on a regulus through r_U1 and recover its
+    pencil label."""
     spec = geo.spec
     q = geo.q
     r_pts = set(geo.subline_points(geo.space.r_U1))
-    touching = [l for l in sp.lines
+    touching = [l for l in lines
                 if any(P in r_pts for P in geo.subline_points(l))]
     if len(touching) != q + 1:
         return None, "does not meet the distinguished line in a regulus pattern"
@@ -279,15 +230,27 @@ def _hall_member_label_uncached(geo, sp):
     if geo.space.r_U1 not in reg or not set(reg) <= d_lines:
         return None, "switched regulus misses the distinguished line"
     # the unswitched Desarguesian spread this member came from
-    source_lines = (set(sp.lines) - set(touching)) | set(reg)
+    source_lines = (set(lines) - set(touching)) | set(reg)
     if not geo.is_spread(source_lines).ok:
         return None, "unswitching does not yield a spread"
-    directors = _ambient_directors(geo, source_lines)
-    labels = [lab for d in directors
-              if (lab := _label_of_director(geo, d)) is not None]
+    labels = []
+    for d in _ambient_directors(geo, source_lines):
+        P = line_intersection(spec, d, geo.space.r_U1)
+        if P is None:
+            continue
+        lab = geo.pencil_label(P, _plane_with_r_U1(spec, d))
+        if lab is not None:
+            labels.append(lab)
     if not labels:
         return None, "no director line carries an I-class pencil label"
     return min(labels), None
+
+
+def _plane_with_r_U1(spec, l: Line):
+    """The plane spanned by r_U1 = <U1, U3> and a line meeting it: every
+    such plane is h2 X2 + h4 X4 = 0, fixed by a point of l off r_U1."""
+    R = next(r for r in l if r[1] or r[3])
+    return normalize(spec, (0, R[3], 0, spec.neg(R[1])))
 
 
 def characterize(geo: Geometry, par) -> CharacterizeResult:
@@ -304,7 +267,7 @@ def characterize(geo: Geometry, par) -> CharacterizeResult:
         return CharacterizeResult(False, reason="malformed family size")
     labels = []
     for sp in rest:
-        label, err = _hall_member_label(geo, sp)
+        label, err = _hall_member_label(geo, sp.key())
         if label is None:
             return CharacterizeResult(False, reason=f"regulus misses r_U1: {err}",
                                       labels=labels)

@@ -435,6 +435,3 @@ class AmbientSpace:
             return False
         return any(self.in_sigma(alpha, P)
                    for P in line_points(self.spec, line))
-
-    def subline_points(self, line: Line, alpha: int) -> list[Point]:
-        return [P for P in line_points(self.spec, line) if self.in_sigma(alpha, P)]

@@ -10,10 +10,11 @@ representation serves both incidence levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 from spreadsmith.field_tower import FieldSpec, LambdaSystem, lambda_for_q
+from spreadsmith.goodsets import Candidate, candidate_universe
 from spreadsmith.proj_geometry import (
     AmbientSpace,
     Collineation,
@@ -69,6 +70,25 @@ class Pencil:
         return tuple(l for l in self.lines if l != r_U1)
 
 
+def memo(fn):
+    """Cache ``fn(geo, *args)`` in the one cache dict of ``geo``, keyed by
+    the function's qualified name and its positional arguments.  Every
+    object a Geometry derives lives there, whichever module derives it, so
+    qualified names of memoised functions must be unique."""
+    name = fn.__qualname__
+
+    @wraps(fn)
+    def cached(geo, *args):
+        key = (name, *args)
+        try:
+            return geo._cache[key]
+        except KeyError:
+            got = geo._cache[key] = fn(geo, *args)
+            return got
+
+    return cached
+
+
 @dataclass
 class SpreadReport:
     ok: bool
@@ -90,18 +110,7 @@ class Geometry:
         assert self.spec.norm(self.eta) == 1
         self.U = self.spec.unit_circle()
         self.u_index = {u: i for i, u in enumerate(self.U)}
-        self._sigma_eta = None
-        self._sigma_eta_lines = None
-        self._line_id = None
-        self._subline_pts: dict[Line, tuple[Point, ...]] = {}
-        self._d_eta = None
-        self._L = None
-        self._L_label: dict[Line, tuple[int, int, int]] = {}
-        self._pencils: dict[tuple[int, int, int], Pencil] = {}
-        self._spread_cache: dict[Line, Spread] = {}
-        self._regulus_cache: dict[Line, Regulus] = {}
-        self._opposite_cache: dict[tuple[Line, ...], Regulus] = {}
-        self._hall_cache: dict[Line, Spread] = {}
+        self._cache: dict[tuple, object] = {}     # see memo
 
     @classmethod
     def from_q(cls, q: int) -> "Geometry":
@@ -110,10 +119,9 @@ class Geometry:
     # -- the distinguished subgeometry ----------------------------------------
 
     @property
+    @memo
     def sigma_eta(self) -> frozenset[Point]:
-        if self._sigma_eta is None:
-            self._sigma_eta = self.space.sigma_points(self.eta)
-        return self._sigma_eta
+        return self.space.sigma_points(self.eta)
 
     def tau_eta_point(self, P: Point) -> Point:
         return tau_point(self.spec, self.eta, P)
@@ -121,37 +129,29 @@ class Geometry:
     def tau_eta_line(self, l: Line) -> Line:
         return tau_line(self.spec, self.eta, l)
 
+    @memo
     def subline_points(self, l: Line) -> tuple[Point, ...]:
         """The q+1 points of a subgeometry line (ambient representation)."""
-        pts = self._subline_pts.get(l)
-        if pts is None:
-            sig = self.sigma_eta
-            pts = tuple(P for P in line_points(self.spec, l) if P in sig)
-            self._subline_pts[l] = pts
-        return pts
+        sig = self.sigma_eta
+        return tuple(P for P in line_points(self.spec, l) if P in sig)
 
+    @memo
     def sigma_eta_lines(self) -> list[Line]:
         """All (q^2+1)(q^2+q+1) lines of the subgeometry."""
-        if self._sigma_eta_lines is None:
-            spec = self.spec
-            pts = sorted(self.sigma_eta)
-            seen = set()
-            for i, P in enumerate(pts):
-                for Q in pts[i + 1:]:
-                    seen.add(line_through(spec, P, Q))
-            q = self.q
-            assert len(seen) == (q * q + 1) * (q * q + q + 1)
-            self._sigma_eta_lines = sorted(seen)
-            self._line_id = {l: k for k, l in enumerate(self._sigma_eta_lines)}
-        return self._sigma_eta_lines
+        spec = self.spec
+        pts = sorted(self.sigma_eta)
+        seen = set()
+        for i, P in enumerate(pts):
+            for Q in pts[i + 1:]:
+                seen.add(line_through(spec, P, Q))
+        q = self.q
+        assert len(seen) == (q * q + 1) * (q * q + q + 1)
+        return sorted(seen)
 
-    def line_id(self, l: Line) -> int:
-        if self._line_id is None:
-            self.sigma_eta_lines()
-        return self._line_id[l]
-
-    def line_ids(self, lines) -> frozenset[int]:
-        return frozenset(self.line_id(l) for l in lines)
+    @memo
+    def line_index(self) -> dict[Line, int]:
+        """Position of each subgeometry line in sigma_eta_lines()."""
+        return {l: k for k, l in enumerate(self.sigma_eta_lines())}
 
     # -- distinguished points, planes, pencils --------------------------------
 
@@ -170,11 +170,28 @@ class Geometry:
         c = s.mul(self.alpha_of(alpha_idx), self.U[v_pow % (self.q + 1)])
         return normalize(s, (0, s.neg(c), 0, 1))
 
+    @memo
+    def _pencil_coords(self) -> tuple[dict[Point, tuple[int, int]],
+                                      dict[Plane, tuple[int, int]]]:
+        """point_P and plane_pi of every I-class index, keyed for inversion."""
+        n = self.q + 1
+        points = {self.point_P(a, u): (a, u) for a in self.lam.I for u in range(n)}
+        planes = {self.plane_pi(a, v): (a, v) for a in self.lam.I for v in range(n)}
+        return points, planes
+
+    def pencil_label(self, P: Point, plane: Plane) -> Candidate | None:
+        """The label (alpha_idx, u_pow, v_pow) whose point_P is P and whose
+        plane_pi is the given plane: the inverse of those two maps, on
+        normalized coordinates.  None when no I-class label has both."""
+        points, planes = self._pencil_coords()
+        point, pl = points.get(P), planes.get(plane)
+        if point is None or pl is None or point[0] != pl[0]:
+            return None
+        return Candidate(point[0], point[1], pl[1])
+
+    @memo
     def pencil(self, alpha_idx: int, u_pow: int, v_pow: int) -> Pencil:
         key = (alpha_idx, u_pow % (self.q + 1), v_pow % (self.q + 1))
-        got = self._pencils.get(key)
-        if got is not None:
-            return got
         if alpha_idx not in self.lam.I:
             raise ValueError(f"alpha index {alpha_idx} is not in the I class")
         spec = self.spec
@@ -187,53 +204,46 @@ class Geometry:
         members = {line_through(spec, P, S) for S in section if S != P}
         assert len(members) == self.q + 1
         assert self.space.r_U1 in members
-        got = Pencil(*key, base_point=P, plane=pi, lines=tuple(sorted(members)))
-        self._pencils[key] = got
-        return got
+        return Pencil(*key, base_point=P, plane=pi, lines=tuple(sorted(members)))
 
+    @memo
     def line_set_L(self) -> tuple[Line, ...]:
-        """Union of all punctured pencils: |I| q (q+1)^2 lines."""
-        if self._L is None:
-            out = []
-            for a in self.lam.I:
-                for u in range(self.q + 1):
-                    for v in range(self.q + 1):
-                        pencil = self.pencil(a, u, v)
-                        for l in pencil.punctured(self.space.r_U1):
-                            out.append(l)
-                            self._L_label[l] = (a, u, v)
-            assert len(out) == len(set(out)) == len(self.lam.I) * self.q * (self.q + 1)**2
-            self._L = tuple(out)
-        return self._L
+        """Union of all punctured pencils: |I| q (q+1)^2 lines, q per
+        pencil, pencils in candidate order."""
+        r_U1 = self.space.r_U1
+        out = tuple(l for cand in candidate_universe(self.lam)
+                    for l in self.pencil(*cand).punctured(r_U1))
+        assert len(out) == len(set(out)) == len(self.lam.I) * self.q * (self.q + 1)**2
+        return out
 
-    def label_of(self, l: Line) -> tuple[int, int, int]:
-        self.line_set_L()
+    @memo
+    def _line_labels(self) -> dict[Line, Candidate]:
+        """The pencil label of every line of L."""
+        labels = candidate_universe(self.lam)
+        return {l: labels[i // self.q] for i, l in enumerate(self.line_set_L())}
+
+    def label_of(self, l: Line) -> Candidate:
         try:
-            return self._L_label[l]
+            return self._line_labels()[l]
         except KeyError:
             raise ValueError("line does not belong to the pencil line family") from None
 
     # -- spreads ---------------------------------------------------------------
 
+    @memo
     def desarguesian_spread(self, alpha_idx: int | None = None) -> Spread:
-        """{ <P, P^tau> : P in t1 } restricted to the subgeometry of alpha."""
+        """{ <P, P^tau> : P in t1 } restricted to the subgeometry of alpha
+        (of eta when no index is given)."""
         alpha = self.eta if alpha_idx is None else self.alpha_of(alpha_idx)
-        return self._desarguesian_for(alpha)
-
-    def _desarguesian_for(self, alpha: int) -> Spread:
-        if alpha == self.eta and self._d_eta is not None:
-            return self._d_eta
         spec = self.spec
         lines = set()
         for P in line_points(spec, self.space.t1):
             lines.add(line_through(spec, P, tau_point(spec, alpha, P)))
         assert len(lines) == self.q**2 + 1
-        sp = Spread(lines=tuple(lines), alpha=alpha, tag="desarguesian",
-                    transversal=self.space.t1)
-        if alpha == self.eta:
-            self._d_eta = sp
-        return sp
+        return Spread(lines=tuple(lines), alpha=alpha, tag="desarguesian",
+                      transversal=self.space.t1)
 
+    @memo
     def spread_from_transversal(self, l: Line) -> Spread:
         """The Desarguesian spread with director lines l, l^tau.
 
@@ -242,15 +252,13 @@ class Geometry:
         and its conjugate is fixed, hence in the subgeometry.  Violations
         are still reported distinctly, and the skewness assertion guards
         the derivation."""
-        got = self._spread_cache.get(l)
-        if got is not None:
-            return got
         spec = self.spec
         lt = self.tau_eta_line(l)
         if lt == l:
             raise ValueError("transversal is self-conjugate")
         pts = line_points(spec, l)
-        if any(P in self.sigma_eta for P in pts):
+        sig = self.sigma_eta
+        if any(P in sig for P in pts):
             raise ValueError("transversal meets the subgeometry")
         if lines_meet(spec, l, lt):
             raise ValueError("transversal and its conjugate are not skew")
@@ -258,23 +266,19 @@ class Geometry:
         assert len(lines) == self.q**2 + 1
         got = Spread(lines=tuple(lines), alpha=self.eta, tag="desarguesian",
                      transversal=l)
-        self._spread_cache[l] = got
-        self._spread_cache[lt] = got
+        # the conjugate transversal induces the same spread; memo files l
+        self._cache["Geometry.spread_from_transversal", lt] = got
         return got
 
+    @memo
     def regulus_of(self, l: Line) -> Regulus:
         """D_eta intersect S_l, a regulus through r_U1 when l is a pencil line."""
-        got = self._regulus_cache.get(l)
-        if got is not None:
-            return got
         self.label_of(l)  # membership check
         common = set(self.desarguesian_spread().lines) & set(
             self.spread_from_transversal(l).lines)
         assert len(common) == self.q + 1
         assert self.space.r_U1 in common
-        got = Regulus(lines=tuple(common))
-        self._regulus_cache[l] = got
-        return got
+        return Regulus(lines=tuple(common))
 
     def transversals_of(self, lines) -> list[Line]:
         """All subgeometry lines meeting each of the given pairwise skew
@@ -289,28 +293,21 @@ class Geometry:
                     found.add(cand)
         return sorted(found)
 
+    @memo
     def opposite_regulus(self, reg: Regulus) -> Regulus:
-        got = self._opposite_cache.get(reg.lines)
-        if got is None:
-            opp = self.transversals_of(reg.lines)
-            assert len(opp) == self.q + 1
-            got = Regulus(lines=tuple(opp))
-            self._opposite_cache[reg.lines] = got
-        return got
+        opp = self.transversals_of(reg.lines)
+        assert len(opp) == self.q + 1
+        return Regulus(lines=tuple(opp))
 
+    @memo
     def hall_spread(self, l: Line) -> Spread:
         """Switch the regulus of S_l shared with D_eta for its opposite."""
-        got = self._hall_cache.get(l)
-        if got is not None:
-            return got
         reg = self.regulus_of(l)
         sl = self.spread_from_transversal(l)
         opp = self.opposite_regulus(reg)
         lines = (set(sl.lines) - set(reg.lines)) | set(opp.lines)
-        got = Spread(lines=tuple(lines), alpha=self.eta, tag="hall",
-                     transversal=l, switched=reg.lines)
-        self._hall_cache[l] = got
-        return got
+        return Spread(lines=tuple(lines), alpha=self.eta, tag="hall",
+                      transversal=l, switched=reg.lines)
 
     def is_spread(self, lines) -> SpreadReport:
         """Verdict: q^2+1 subgeometry lines, pairwise disjoint, covering

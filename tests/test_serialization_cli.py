@@ -222,3 +222,23 @@ def test_cli_explicit_field_parts(capsys):
     capsys.readouterr()
     assert run_cli("field-info", "--q", "3", "--p", "3") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("goodsets", "enumerate", "--q", "3", "--limit", "-1"),
+    ("goodsets", "enumerate", "--q", "3", "--jobs", "0"),
+    ("goodsets", "count", "--q", "3", "--jobs", "-5"),
+    ("selftest", "--q", "3", "--jobs", "0"),
+])
+def test_cli_rejects_negative_limit_and_jobs(argv, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_cli_classify_has_no_limit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("classify", "--q", "3", "--limit", "3")
+    assert exc.value.code == 2
+    assert "--limit" in capsys.readouterr().err

@@ -4,6 +4,7 @@ over the spread union and the shifted spread family."""
 import pytest
 
 from spreadsmith import checks
+from spreadsmith.goodsets import candidate_universe
 from spreadsmith.proj_geometry import line_points, lines_meet
 from spreadsmith.spreads import geometry_for_q
 
@@ -177,3 +178,14 @@ def test_suite_subplane_meet_q3():
 def test_suite_section_pivot_q3():
     r = checks.check_section_pivot(geometry_for_q(3))
     assert r.ok, r.detail
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_pencil_label_inverts_point_and_plane(q):
+    geo = geometry_for_q(q)
+    for cand in candidate_universe(geo.lam):
+        a, u, v = cand
+        assert geo.pencil_label(geo.point_P(a, u), geo.plane_pi(a, v)) == cand
+    for a in set(range(q - 1)) - set(geo.lam.I):
+        assert geo.pencil_label(geo.point_P(a, 0), geo.plane_pi(a, 0)) is None
+    assert geo.pencil_label(geo.space.U3, geo.plane_pi(geo.lam.I[0], 0)) is None
