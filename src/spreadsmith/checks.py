@@ -27,6 +27,7 @@ from spreadsmith.goodsets import (
     enumerate_good_sets_parallel,
     fixed_plane_good_set,
     flip_canonical,
+    intersection_profile,
     is_good,
     is_good_geometric,
     pair_conditions,
@@ -48,6 +49,7 @@ from spreadsmith.proj_geometry import (
     line_points,
     line_through,
     lines_meet,
+    normalize,
     point_on_line,
     point_on_plane,
     tau_line,
@@ -633,7 +635,6 @@ def check_subplane_meet(geo: Geometry) -> CheckResult:
     s = geo.spec
     q = geo.q
     lam = geo.lam
-    from spreadsmith.proj_geometry import normalize
     trace_zero = [x for x in range(s.order) if s.add(x, s.frobenius(x)) == 0]
     cases = degenerate = 0
     for a_idx in lam.I:
@@ -744,14 +745,9 @@ def _sampled_ordered_pairs(geo: Geometry, count: int, seed: int):
     return out
 
 
-def _all_labels(geo):
-    return [(a, u, v) for a in geo.lam.I
-            for u in range(geo.q + 1) for v in range(geo.q + 1)]
-
-
 def _label_values(geo):
     """The field values of every label, as is_good's pair_conditions takes them."""
-    labels = _all_labels(geo)
+    labels = candidate_universe(geo.lam)
     return dict(zip(labels, candidate_values(geo.lam, labels)))
 
 
@@ -774,7 +770,7 @@ def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
         if (lab_i == lab_j or pair_conditions(s, vals[lab_i], vals[lab_j])[0]) \
                 and li != lj and reg_i == reg_j:
             return _fail(name, q, f"regulus collision at labels {lab_i}, {lab_j}")
-    labels = _all_labels(geo)
+    labels = candidate_universe(geo.lam)
     agg = 0
     for lab_i in labels:
         pen_i = geo.pencil(*lab_i).punctured(geo.space.r_U1)
@@ -820,7 +816,7 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
         if lab_i == lab_j or pair_conditions(s, vals[lab_i], vals[lab_j])[1]:
             if any(P in outside_i for P in pts(lj)):
                 return _fail(name, q, f"interference at labels {lab_i}, {lab_j}")
-    labels = _all_labels(geo)
+    labels = candidate_universe(geo.lam)
     agg = 0
     for lab_i in labels:
         pen_i = geo.pencil(*lab_i).punctured(geo.space.r_U1)
@@ -908,8 +904,6 @@ def check_intersection_tables(geo: Geometry) -> CheckResult:
     i1, i2 = len(lam.I1), len(lam.I2)
     for c in geo.U:
         for b in geo.U:
-            prof = {}
-            from spreadsmith.goodsets import intersection_profile
             prof = intersection_profile(lam, c, b)
             for (a_idx, b_idx), cnt in prof.items():
                 if a_idx != b_idx:
@@ -1043,8 +1037,7 @@ def check_pencil_orbits(geo: Geometry, sample: int = 6, seed: int = 17) -> Check
     q = geo.q
     rng = random.Random(seed)
     E = group_E(geo)
-    labels = [(a, u, v) for a in geo.lam.I
-              for u in range(q + 1) for v in range(q + 1)]
+    labels = candidate_universe(geo.lam)
     for a, u, v in rng.sample(labels, min(sample, len(labels))):
         pen = geo.pencil(a, u, v)
         punct = set(pen.punctured(geo.space.r_U1))

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
-deterministic for a fixed configuration: repeated runs and different
-worker counts produce identical bytes.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Output is deterministic for a fixed configuration: repeated runs and
+different worker counts produce identical bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from spreadsmith.field_tower import (
     prime_power,
 )
 from spreadsmith.goodsets import (
-    canonical,
     census,
     enumerate_good_sets,
     enumerate_good_sets_parallel,
@@ -80,11 +79,21 @@ def _field_from_args(args) -> FieldSpec:
     return spec
 
 
+def _open_input(path):
+    try:
+        return open(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _geometry_from_args(args) -> Geometry:
     spec = _field_from_args(args)
     if getattr(args, "lambda_file", None):
-        with open(args.lambda_file) as fh:
-            lam = lambda_from_obj(spec, json.load(fh))
+        with _open_input(args.lambda_file) as fh:
+            try:
+                lam = lambda_from_obj(spec, json.load(fh))
+            except (ValueError, KeyError) as exc:
+                raise UsageError(f"{args.lambda_file}: malformed Lambda file: {exc}") from None
     else:
         lam = build_lambda(spec, build_partition(spec))
     return Geometry(lam)
@@ -177,7 +186,7 @@ def cmd_goodsets(args) -> int:
         return 0
     # verify FILE
     bad = 0
-    with open(args.file) as fh:
+    with _open_input(args.file) as fh:
         for lineno, row in enumerate(fh, 1):
             if not row.strip():
                 continue
@@ -199,9 +208,14 @@ def cmd_goodsets(args) -> int:
 def cmd_parallelism(args) -> int:
     if args.subcmd == "build":
         geo = _geometry_from_args(args)
-        with open(args.file) as fh:
-            first = next(line for line in fh if line.strip())
-        gs = parse_goodset_record(geo.lam, first)
+        with _open_input(args.file) as fh:
+            first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise UsageError(f"{args.file} holds no good-set record")
+        try:
+            gs = parse_goodset_record(geo.lam, first)
+        except (ValueError, KeyError) as exc:
+            raise UsageError(f"{args.file}: malformed record: {exc}") from None
         verdict = is_good(geo.lam, gs)
         if not verdict.ok:
             print(f"not a good set: pair {verdict.witness} fails the "
@@ -215,7 +229,12 @@ def cmd_parallelism(args) -> int:
               f"{cert.line_count} lines, certificate "
               f"{'pass' if cert.ok else 'FAIL'}, checksum {cert.checksum[:16]}..")
         return 0 if cert.ok else VERIFY_ERROR
-    header, geo, spreads, stored = read_parallelism_file(args.file)
+    try:
+        header, geo, spreads, stored = read_parallelism_file(args.file)
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.file}: {exc.strerror}") from None
+    except (ValueError, KeyError) as exc:
+        raise UsageError(f"{args.file}: malformed parallelism file: {exc}") from None
     if args.subcmd == "verify":
         cert = verify_parallelism(geo, spreads)
         ok = cert.ok

@@ -11,7 +11,7 @@ is what the reference order 2 m q^2 (q^2-1) (q+1) speaks about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import math
 
@@ -84,18 +84,13 @@ def close_group(geo: Geometry, gens) -> list[Collineation]:
 
     seen = {key(ident)}
     elements = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                n = e.then(g)
-                k = key(n)
-                if k not in seen:
-                    seen.add(k)
-                    elements.append(n)
-                    new.append(n)
-        frontier = new
+    for e in elements:
+        for g in gens:
+            n = e.then(g)
+            k = key(n)
+            if k not in seen:
+                seen.add(k)
+                elements.append(n)
     return elements
 
 
@@ -131,11 +126,12 @@ def label_action(geo: Geometry, psi: Collineation) -> dict[Candidate, Candidate]
     through the subgeometry involution, which maps it to the same pencil
     of the distinguished subgeometry."""
     out = {}
+    n = geo.q + 1
     for a in geo.lam.I:
-        for u in range(geo.q + 1):
-            for v in range(geo.q + 1):
-                P = psi.apply_point(geo.point_P(a, u))
-                pl = psi.apply_plane(geo.plane_pi(a, v))
+        planes = [psi.apply_plane(geo.plane_pi(a, v)) for v in range(n)]
+        for u in range(n):
+            P = psi.apply_point(geo.point_P(a, u))
+            for v, pl in enumerate(planes):
                 lab = geo.pencil_label(P, pl)
                 if lab is None:
                     lab = geo.pencil_label(geo.tau_eta_point(P),
@@ -151,8 +147,25 @@ def apply_label_action(lam: LambdaSystem, act: dict[Candidate, Candidate],
 
 
 @memo
-def _group_label_actions(geo: Geometry) -> list[dict[Candidate, Candidate]]:
-    return [label_action(geo, psi) for psi in stabilizer_group(geo).elements]
+def _generator_label_actions(geo: Geometry) -> list[tuple[Collineation, dict]]:
+    return [(psi, label_action(geo, psi)) for psi in stabilizer_gens(geo)]
+
+
+def orbit_of(geo: Geometry, gs) -> dict[GoodSet, Collineation]:
+    """The orbit of a good set under the line stabilizer, by breadth-first
+    search over the label actions of its generators: each flip-canonical
+    image mapped to a collineation carrying the parallelism of gs onto its
+    parallelism."""
+    start = flip_canonical(geo.lam, gs)
+    witness = {start: Collineation.identity(geo.spec)}
+    queue = [start]
+    for x in queue:
+        for psi, act in _generator_label_actions(geo):
+            y = apply_label_action(geo.lam, act, x)
+            if y not in witness:
+                witness[y] = witness[x].then(psi)
+                queue.append(y)
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +201,7 @@ def are_equivalent(geo: Geometry, p1, p2) -> Collineation | None:
     the other; sound and complete for the constructed family."""
     g1 = _as_canonical_goodset(geo, p1)
     g2 = _as_canonical_goodset(geo, p2)
-    grp = stabilizer_group(geo)
-    for psi, act in zip(grp.elements, _group_label_actions(geo)):
-        if apply_label_action(geo.lam, act, g1) == g2:
-            return psi
-    return None
+    return orbit_of(geo, g1).get(g2)
 
 
 @dataclass
@@ -238,17 +247,15 @@ def classify(geo: Geometry, family) -> OrbitReport:
     or good sets) under the line stabilizer.  The family must be closed
     under the group action; orbits are reported with exact sizes and
     stabilizer orders from the orbit-stabilizer relation."""
-    lam = geo.lam
     keys = [_as_canonical_goodset(geo, obj) for obj in family]
     family_keys = set(keys)
     grp = stabilizer_group(geo)
-    actions = _group_label_actions(geo)
     remaining = dict.fromkeys(sorted(family_keys))
     orbits = []
     for gs in remaining:
         if remaining[gs] is not None:
             continue
-        orbit = {apply_label_action(lam, act, gs) for act in actions}
+        orbit = orbit_of(geo, gs).keys()
         if not orbit <= family_keys:
             raise ValueError("family is not closed under the stabilizer action")
         for member in orbit:

@@ -230,11 +230,15 @@ class Geometry:
 
     # -- spreads ---------------------------------------------------------------
 
-    @memo
     def desarguesian_spread(self, alpha_idx: int | None = None) -> Spread:
         """{ <P, P^tau> : P in t1 } restricted to the subgeometry of alpha
         (of eta when no index is given)."""
-        alpha = self.eta if alpha_idx is None else self.alpha_of(alpha_idx)
+        return self._desarguesian_spread(
+            self.lam.eta_index if alpha_idx is None else alpha_idx)
+
+    @memo
+    def _desarguesian_spread(self, alpha_idx: int) -> Spread:
+        alpha = self.alpha_of(alpha_idx)
         spec = self.spec
         lines = set()
         for P in line_points(spec, self.space.t1):

@@ -13,6 +13,7 @@ from spreadsmith.equivalence import (
     full_stabilizer_group,
     label_action,
     lower_bound_formulas,
+    orbit_of,
     stabilizer_gens,
     stabilizer_group,
 )
@@ -25,7 +26,7 @@ from spreadsmith.goodsets import (
     fixed_plane_good_set,
     flip_canonical,
 )
-from spreadsmith.parallelisms import build_parallelism
+from spreadsmith.parallelisms import build_parallelism, image_key
 from spreadsmith.spreads import geometry_for_q
 
 
@@ -100,11 +101,37 @@ def test_classification_q3():
     lam = geo.lam
     B = flip_canonical(lam, fixed_plane_good_set(lam, lam.I[0], 0))
     Bd = flip_canonical(lam, dual(fixed_plane_good_set(lam, lam.I[0], 0)))
-    grp = stabilizer_group(geo)
-    from spreadsmith.equivalence import _group_label_actions
-    orbit_of_B = {apply_label_action(lam, act, B)
-                  for act in _group_label_actions(geo)}
-    assert Bd not in orbit_of_B
+    assert Bd not in orbit_of(geo, B)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_orbit_of_matches_full_group_sweep(q):
+    # reference: the images of a family member under every element of the
+    # closed group, which is the same set for every member of that orbit
+    geo = geometry_for_q(q)
+    lam = geo.lam
+    actions = [label_action(geo, psi) for psi in stabilizer_group(geo).elements]
+    family = {flip_canonical(lam, gs) for gs in enumerate_good_sets(lam)}
+    while family:
+        swept = {apply_label_action(lam, act, min(family)) for act in actions}
+        for gs in swept:
+            assert orbit_of(geo, gs).keys() == swept
+        family -= swept
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_are_equivalent_witness_maps_spreads(q):
+    rng = random.Random(q)
+    geo = geometry_for_q(q)
+    family = sorted({flip_canonical(geo.lam, gs)
+                     for gs in enumerate_good_sets(geo.lam)})
+    for _ in range(6):
+        g1 = rng.choice(family)
+        g2 = rng.choice(sorted(orbit_of(geo, g1)))
+        w = are_equivalent(geo, g1, g2)
+        p1, p2 = build_parallelism(geo, g1), build_parallelism(geo, g2)
+        assert (sorted(image_key(w, sp.lines) for sp in p1.spreads)
+                == sorted(sp.key() for sp in p2.spreads))
 
 
 def test_classification_q4():

@@ -229,12 +229,34 @@ def test_cli_explicit_field_parts(capsys):
     ("goodsets", "enumerate", "--q", "3", "--jobs", "0"),
     ("goodsets", "count", "--q", "3", "--jobs", "-5"),
     ("selftest", "--q", "3", "--jobs", "0"),
+    ("parallelism", "verify", "no-such-dir/par.jsonl"),
+    ("parallelism", "characterize", "no-such-dir/par.jsonl"),
+    ("parallelism", "build", "no-such-dir/rec.jsonl", "--q", "3"),
+    ("goodsets", "verify", "no-such-dir/rec.jsonl", "--q", "3"),
+    ("field-info", "--q", "3", "--lambda", "no-such-dir/lambda.json"),
 ])
 def test_cli_rejects_negative_limit_and_jobs(argv, capsys):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    foreign = tmp_path / "foreign.jsonl"
+    foreign.write_text(json.dumps({"q": 3}) + "\n")
+    for argv in (("parallelism", "build", str(empty), "--q", "3"),
+                 ("parallelism", "build", str(foreign), "--q", "3"),
+                 ("parallelism", "verify", str(empty)),
+                 ("parallelism", "verify", str(foreign)),
+                 ("parallelism", "characterize", str(foreign)),
+                 ("field-info", "--q", "3", "--lambda", str(foreign))):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_cli_classify_has_no_limit(capsys):

@@ -16,6 +16,7 @@ def test_desarguesian_spread_counts():
         assert len(d.lines) == q * q + 1
         assert geo.is_spread(d.lines).ok
         assert len(geo.extension_points(d.lines)) == (q * q + 1) ** 2
+        assert geo.desarguesian_spread(geo.lam.eta_index) is d
 
 
 def test_subgeometry_line_universe():
