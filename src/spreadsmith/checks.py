@@ -24,7 +24,6 @@ from spreadsmith.goodsets import (
     census,
     dual,
     enumerate_good_sets,
-    enumerate_good_sets_parallel,
     fixed_plane_good_set,
     flip_canonical,
     intersection_profile,
@@ -957,8 +956,7 @@ def check_count_census(geo: Geometry, jobs: int = 1) -> CheckResult:
                 return _fail(name, q, "enumeration emitted a non-good set")
         if jobs > 1:
             # worker count must not change the stream (or this output)
-            par = enumerate_good_sets_parallel(q, jobs=jobs)
-            if par != run1:
+            if list(enumerate_good_sets(lam, jobs=jobs)) != run1:
                 return _fail(name, q, f"{jobs}-worker stream differs from serial")
     for k, v in cen.formulas.items():
         detail += f", {k}={v}{'(match)' if cen.oracle_matches.get(k) else '(differs)'}"

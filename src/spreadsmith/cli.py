@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+141 when the reader closes stdout early (as after `| head`), the status a
+shell reports for a filter that SIGPIPE stops.
 Output is deterministic for a fixed configuration: repeated runs and
 different worker counts produce identical bytes.
 """
@@ -9,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from spreadsmith.checks import run_selftest
@@ -23,7 +27,6 @@ from spreadsmith.field_tower import (
 from spreadsmith.goodsets import (
     census,
     enumerate_good_sets,
-    enumerate_good_sets_parallel,
     flip_canonical,
     is_good,
 )
@@ -47,6 +50,7 @@ from spreadsmith.spreads import Geometry
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -81,9 +85,18 @@ def _field_from_args(args) -> FieldSpec:
 
 def _open_input(path):
     try:
-        return open(path)
+        return open(path, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _input_lines(path):
+    """The lines of a text input file; one that is not UTF-8 is an input error."""
+    with _open_input(path) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise UsageError(f"{path}: not a UTF-8 text file") from None
 
 
 def _geometry_from_args(args) -> Geometry:
@@ -99,11 +112,16 @@ def _geometry_from_args(args) -> Geometry:
     return Geometry(lam)
 
 
-def _emit(args, text: str):
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text + ("\n" if not text.endswith("\n") else ""))
-    else:
-        print(text)
+def _emit(args, lines):
+    """Write each line to --output or stdout as soon as it is produced; no
+    line at all writes a single newline."""
+    with (open(args.output, "w") if args.output else nullcontext(sys.stdout)) as out:
+        empty = True
+        for line in lines:
+            out.write(line + "\n")
+            empty = False
+        if empty:
+            out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +147,7 @@ def cmd_field_info(args) -> int:
                   "I1": len(lam.I1), "I2": len(lam.I2)},
     }
     if args.format == "json":
-        _emit(args, dumps(obj))
+        _emit(args, [dumps(obj)])
     else:
         lines = [
             f"GF({spec.q}^2) over GF({spec.q}), q = {spec.p}^{spec.m}",
@@ -142,7 +160,7 @@ def cmd_field_info(args) -> int:
             f"partition: t = {lam.partition.t}, units = {list(lam.partition.units_part)}, "
             f"A = {list(lam.partition.A)}, A^-1 = {list(lam.partition.A_inv)}",
         ]
-        _emit(args, "\n".join(lines))
+        _emit(args, lines)
     return 0
 
 
@@ -162,7 +180,7 @@ def cmd_goodsets(args) -> int:
             "even_q_formula_conflict": cen.formula_conflict,
         }
         if args.format == "json":
-            _emit(args, dumps(obj))
+            _emit(args, [dumps(obj)])
         else:
             out = [f"good sets (q={cen.q}, filter={obj['filter']}): {cen.oracle}"]
             for k, v in sorted(cen.formulas.items()):
@@ -171,36 +189,29 @@ def cmd_goodsets(args) -> int:
             if cen.formula_conflict:
                 out.append("  note: the two printed even-q closed forms conflict "
                            "with each other")
-            _emit(args, "\n".join(out))
+            _emit(args, out)
         return 0
     if args.subcmd == "enumerate":
-        if args.jobs > 1:
-            sets = enumerate_good_sets_parallel(
-                geo.q, exclude_norm_minus_one=exclude, jobs=args.jobs,
-                limit=args.limit)
-        else:
-            sets = enumerate_good_sets(lam, exclude_norm_minus_one=exclude,
-                                       limit=args.limit)
-        rows = [goodset_record(lam, gs) for gs in sets]
-        _emit(args, "\n".join(rows) if rows else "")
+        sets = enumerate_good_sets(lam, exclude_norm_minus_one=exclude,
+                                   limit=args.limit, jobs=args.jobs)
+        _emit(args, (goodset_record(lam, gs) for gs in sets))
         return 0
     # verify FILE
     bad = 0
-    with _open_input(args.file) as fh:
-        for lineno, row in enumerate(fh, 1):
-            if not row.strip():
-                continue
-            try:
-                gs = parse_goodset_record(lam, row)
-                verdict = is_good(lam, gs)
-            except (ValueError, KeyError) as exc:
-                print(f"line {lineno}: malformed record: {exc}")
-                bad += 1
-                continue
-            if not verdict.ok:
-                print(f"line {lineno}: not a good set; pair {verdict.witness} "
-                      f"fails the {verdict.condition} condition")
-                bad += 1
+    for lineno, row in enumerate(_input_lines(args.file), 1):
+        if not row.strip():
+            continue
+        try:
+            gs = parse_goodset_record(lam, row)
+            verdict = is_good(lam, gs)
+        except (ValueError, KeyError) as exc:
+            print(f"line {lineno}: malformed record: {exc}")
+            bad += 1
+            continue
+        if not verdict.ok:
+            print(f"line {lineno}: not a good set; pair {verdict.witness} "
+                  f"fails the {verdict.condition} condition")
+            bad += 1
     print(f"verified: {'all records good' if not bad else f'{bad} bad record(s)'}")
     return VERIFY_ERROR if bad else 0
 
@@ -208,8 +219,7 @@ def cmd_goodsets(args) -> int:
 def cmd_parallelism(args) -> int:
     if args.subcmd == "build":
         geo = _geometry_from_args(args)
-        with _open_input(args.file) as fh:
-            first = next((line for line in fh if line.strip()), None)
+        first = next((line for line in _input_lines(args.file) if line.strip()), None)
         if first is None:
             raise UsageError(f"{args.file} holds no good-set record")
         try:
@@ -380,10 +390,17 @@ def main(argv=None) -> int:
             raise UsageError("--jobs must be at least 1")
         if getattr(args, "limit", None) is not None and args.limit < 0:
             raise UsageError("--limit must not be negative")
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is still buffered to /dev/null so
+        # that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -11,12 +11,14 @@ w = g^(q-1).  Good sets are stored as sorted candidate tuples.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from spreadsmith.field_tower import FieldSpec, LambdaSystem, lambda_for_q
+from spreadsmith.field_tower import FieldSpec, LambdaSystem
 from spreadsmith.proj_geometry import normalize
 
 
@@ -233,67 +235,58 @@ def _slot_tables(lam: LambdaSystem, exclude_norm_minus_one: bool):
     return slots
 
 
-def enumerate_good_sets(lam: LambdaSystem, exclude_norm_minus_one: bool = False,
-                        limit: int | None = None,
-                        first_choice: int | None = None) -> Iterator[GoodSet]:
+def _search(slots) -> Iterator[GoodSet]:
     """Deterministic backtracking, one slot per line class in increasing
-    order, candidates in lexicographic (alpha_idx, u_pow, v_pow) order;
-    pruning keeps one image point per line (slot shape) and one per conic
-    bundle (bitmask).  ``first_choice`` restricts the slot-0 candidate to a
-    single index, which is the parallel work partition."""
-    n = lam.spec.q + 1
-    slots = _slot_tables(lam, exclude_norm_minus_one)
+    order, candidates in table order; pruning keeps one image point per line
+    (slot shape) and one per conic bundle (bitmask)."""
+    n = len(slots)
     chosen: list[Candidate] = []
-    emitted = 0
 
     def rec(slot: int, used_mask: int):
-        nonlocal emitted
-        if limit is not None and emitted >= limit:
-            return
         if slot == n:
-            emitted += 1
             yield canonical(chosen)
             return
-        options = slots[slot]
-        if slot == 0 and first_choice is not None:
-            options = options[first_choice:first_choice + 1]
-        for cand, b in options:
+        for cand, b in slots[slot]:
             if not used_mask >> b & 1:
                 chosen.append(cand)
                 yield from rec(slot + 1, used_mask | 1 << b)
                 chosen.pop()
-                if limit is not None and emitted >= limit:
-                    return
 
-    yield from rec(0, 0)
+    return rec(0, 0)
 
 
-def _worker_enumerate(args) -> list[GoodSet]:
-    q, exclude, first_choice = args
-    lam = lambda_for_q(q)
-    return list(enumerate_good_sets(lam, exclude_norm_minus_one=exclude,
-                                    first_choice=first_choice))
+def _search_part(slots, limit: int | None) -> list[GoodSet]:
+    return list(itertools.islice(_search(slots), limit))
 
 
-def enumerate_good_sets_parallel(q: int, exclude_norm_minus_one: bool = False,
-                                 jobs: int = 1,
-                                 limit: int | None = None) -> list[GoodSet]:
-    """Partition the search by the slot-0 candidate and merge the worker
-    streams in slot order; the result is identical to the serial stream
-    for any worker count."""
-    lam = lambda_for_q(q)
+def _merged(pool, parts, jobs: int) -> Iterator[GoodSet]:
+    """The sets of every part, part by part, with at most ``jobs`` parts
+    in the pool at a time."""
+    parts = iter(parts)
+    pending = deque(pool.apply_async(_search_part, part)
+                    for part in itertools.islice(parts, jobs))
+    while pending:
+        done = pending.popleft().get()
+        pending.extend(pool.apply_async(_search_part, part)
+                       for part in itertools.islice(parts, 1))
+        yield from done
+
+
+def enumerate_good_sets(lam: LambdaSystem, exclude_norm_minus_one: bool = False,
+                        limit: int | None = None, jobs: int = 1) -> Iterator[GoodSet]:
+    """The good sets in slot order, at most ``limit`` of them.  With
+    ``jobs > 1``, part k is the same search with slot 0 cut to its k-th
+    candidate; each worker returns at most ``limit`` sets of its part, and
+    the parts are merged in slot-0 order, so the stream is the serial one
+    for any worker count.  The pool ends with the stream."""
+    slots = _slot_tables(lam, exclude_norm_minus_one)
     if jobs <= 1:
-        return list(enumerate_good_sets(lam, exclude_norm_minus_one, limit=limit))
-    width = len(_slot_tables(lam, exclude_norm_minus_one)[0])
-    tasks = [(q, exclude_norm_minus_one, k) for k in range(width)]
-    out: list[GoodSet] = []
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(_worker_enumerate, tasks):
-            out.extend(chunk)
-            if limit is not None and len(out) >= limit:
-                break
-    return out[:limit] if limit is not None else out
+        yield from itertools.islice(_search(slots), limit)
+        return
+    import multiprocessing
+    parts = [([[first]] + slots[1:], limit) for first in slots[0]]
+    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+        yield from itertools.islice(_merged(pool, parts, jobs), limit)
 
 
 def count_good_sets(lam: LambdaSystem, exclude_norm_minus_one: bool = False) -> int:

@@ -222,7 +222,7 @@ def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | No
         return None, "does not meet the distinguished line in a regulus pattern"
     try:
         reg = geo.transversals_of(touching)
-    except AssertionError:
+    except (AssertionError, ValueError):
         reg = []
     if len(reg) != q + 1:
         return None, "lines through the distinguished line admit no opposite regulus"

@@ -21,7 +21,6 @@ from spreadsmith.goodsets import (
     count_good_sets,
     dual,
     enumerate_good_sets,
-    enumerate_good_sets_parallel,
     epsilon,
     epsilon_inverse,
     fixed_plane_good_set,
@@ -195,8 +194,16 @@ def test_parallel_enumeration_matches_serial():
     for q, jobs in ((3, 2), (4, 3)):
         lam = lambda_for_q(q)
         serial = list(enumerate_good_sets(lam))
-        assert enumerate_good_sets_parallel(q, jobs=jobs) == serial
-        assert enumerate_good_sets_parallel(q, jobs=1) == serial
+        assert list(enumerate_good_sets(lam, jobs=jobs)) == serial
+        assert list(enumerate_good_sets(lam, jobs=1)) == serial
+
+
+def test_parallel_enumeration_stops_at_the_limit():
+    # each worker returns at most `limit` sets of its part, so this ends
+    # quickly although a slot-0 part at q = 7 holds millions of sets
+    lam = lambda_for_q(7)
+    serial = list(itertools.islice(enumerate_good_sets(lam), 50))
+    assert list(enumerate_good_sets(lam, limit=50, jobs=2)) == serial
 
 
 def test_exclusion_filter():

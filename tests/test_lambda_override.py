@@ -2,6 +2,10 @@
 norm-representative list is replaced by another valid choice, and the
 label-level invariants (counts, covers, recoveries) do not move."""
 
+import json
+
+from spreadsmith.checks import check_count_census
+from spreadsmith.cli import main
 from spreadsmith.field_tower import build_lambda, build_partition, field_for_q, lambda_for_q
 from spreadsmith.goodsets import (
     count_good_sets,
@@ -10,6 +14,7 @@ from spreadsmith.goodsets import (
     flip_canonical,
 )
 from spreadsmith.parallelisms import build_parallelism, characterize, verify_parallelism
+from spreadsmith.serialization import lambda_from_obj, lambda_to_obj
 from spreadsmith.spreads import Geometry
 
 
@@ -43,3 +48,25 @@ def test_pipeline_under_override():
         assert res.ok and res.good_set == flip_canonical(lam, gs)
         # enumeration agrees with the mask count under the override too
         assert len(list(enumerate_good_sets(lam))) == count_good_sets(lam)
+
+
+def test_parallel_enumeration_searches_the_given_lambda(tmp_path, capsys):
+    # the reversed q = 3 list moves the I class, so a worker that rebuilt
+    # the default Lambda would write other records
+    obj = lambda_to_obj(lambda_for_q(3))
+    obj["elements"].reverse()
+    lam_file = tmp_path / "lambda.json"
+    lam_file.write_text(json.dumps(obj))
+    outs = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"enum_j{jobs}.jsonl"
+        assert main(["goodsets", "enumerate", "--q", "3", "--lambda", str(lam_file),
+                     "--jobs", jobs, "--output", str(path)]) == 0
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    assert main(["goodsets", "verify", str(path), "--q", "3",
+                 "--lambda", str(lam_file)]) == 0
+    assert "all records good" in capsys.readouterr().out
+    geo = Geometry(lambda_from_obj(field_for_q(3), obj))
+    assert geo.lam.I != lambda_for_q(3).I
+    assert check_count_census(geo, jobs=2).ok

@@ -196,6 +196,17 @@ def test_characterize_failure_reasons():
     res = characterize(geo, family)
     assert not res.ok and res.reason == "recovered set not good"
 
+    # a Hall member whose second line meeting r_U1 is a copy of the first:
+    # the transversal search then meets two equal lines
+    r_pts = set(geo.subline_points(geo.space.r_U1))
+    hall = spreads[0]
+    touching = [l for l in hall.lines if r_pts & set(geo.subline_points(l))]
+    tampered = [touching[0] if l == touching[1] else l for l in hall.lines]
+    mutated = spreads[:]
+    mutated[0] = Spread(lines=tuple(tampered), alpha=hall.alpha, tag="hall")
+    res = characterize(geo, mutated)
+    assert not res.ok
+
 
 def test_checksum_fingerprints_the_line_multiset():
     geo = geometry_for_q(3)

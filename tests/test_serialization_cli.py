@@ -2,9 +2,15 @@
 detection, exit codes and byte-level determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import spreadsmith
 from spreadsmith.cli import main
 from spreadsmith.field_tower import field_for_q, lambda_for_q
 from spreadsmith.goodsets import enumerate_good_sets, fixed_plane_good_set
@@ -108,6 +114,32 @@ def test_cli_goodsets_filter_and_limit(tmp_path, capsys):
     assert run_cli("goodsets", "enumerate", "--q", "4", "--limit", "7",
                    "--output", str(out)) == 0
     assert len(out.read_text().splitlines()) == 7
+
+
+def test_cli_enumerate_memory_does_not_grow_with_the_output(tmp_path):
+    # 20 000 records are about 5 MB of output; the stream holds one at a time
+    out = tmp_path / "enum.jsonl"
+    tracemalloc.start()
+    try:
+        assert run_cli("goodsets", "enumerate", "--q", "5", "--limit", "20000",
+                       "--output", str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_text().splitlines()) == 20000
+    assert peak < 2 * 2**20
+
+
+def test_cli_closed_stdout_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadsmith.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "spreadsmith.cli", "goodsets", "enumerate", "--q", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_cli_parallelism_build_rejects_non_good(tmp_path, capsys):
@@ -247,7 +279,11 @@ def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
     empty.write_text("\n")
     foreign = tmp_path / "foreign.jsonl"
     foreign.write_text(json.dumps({"q": 3}) + "\n")
+    binary = tmp_path / "binary.jsonl"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
     for argv in (("parallelism", "build", str(empty), "--q", "3"),
+                 ("parallelism", "build", str(binary), "--q", "3"),
+                 ("goodsets", "verify", str(binary), "--q", "3"),
                  ("parallelism", "build", str(foreign), "--q", "3"),
                  ("parallelism", "verify", str(empty)),
                  ("parallelism", "verify", str(foreign)),
