@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from spreadsmith.checks import run_selftest
-from spreadsmith.equivalence import classify, stabilizer_group
+from spreadsmith.equivalence import classify, stabilizer_order
 from spreadsmith.field_tower import (
     FieldSpec,
     build_lambda,
@@ -232,7 +232,7 @@ def cmd_parallelism(args) -> int:
                   f"{verdict.condition} condition")
             return VERIFY_ERROR
         par = build_parallelism(geo, gs)
-        cert = verify_parallelism(geo, par)
+        cert = par.certificate
         out = args.output or f"parallelism_q{geo.q}.jsonl"
         write_parallelism_file(out, geo, par, cert)
         print(f"wrote {out}: {len(par.spreads)} spreads, "
@@ -276,15 +276,7 @@ def cmd_classify(args) -> int:
     if geo.q > 5:
         raise UsageError("full classification is supported for q <= 5")
     lam = geo.lam
-    family = list(enumerate_good_sets(lam))
-    seen = set()
-    distinct = []
-    for gs in family:
-        key = flip_canonical(lam, gs)
-        if key not in seen:
-            seen.add(key)
-            distinct.append(key)
-    report = classify(geo, distinct)
+    report = classify(geo, {flip_canonical(lam, gs) for gs in enumerate_good_sets(lam)})
     refs = None
     if args.output:
         outdir = Path(args.output)
@@ -292,13 +284,11 @@ def cmd_classify(args) -> int:
         refs = []
         for i, orbit in enumerate(report.orbits):
             par = build_parallelism(geo, orbit.representative)
-            cert = verify_parallelism(geo, par)
             ref = f"orbit_{i}.jsonl"
-            write_parallelism_file(outdir / ref, geo, par, cert)
+            write_parallelism_file(outdir / ref, geo, par, par.certificate)
             refs.append(ref)
     obj = orbit_report_to_obj(report, lam, refs)
-    grp = stabilizer_group(geo)
-    obj["group_order_formula"] = grp.formula_order
+    obj["group_order_formula"] = stabilizer_order(geo)
     text = dumps(obj)
     if args.output:
         (Path(args.output) / "report.json").write_text(text + "\n")

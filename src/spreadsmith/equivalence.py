@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 import math
 
 from spreadsmith.field_tower import LambdaSystem
@@ -94,16 +95,19 @@ def close_group(geo: Geometry, gens) -> list[Collineation]:
     return elements
 
 
+def stabilizer_order(geo: Geometry) -> int:
+    """The order 2 m q^2 (q^2-1) (q+1) of the line stabilizer."""
+    return 2 * geo.spec.m * geo.q**2 * (geo.q**2 - 1) * (geo.q + 1)
+
+
 @memo
 def stabilizer_group(geo: Geometry) -> StabilizerGroup:
-    """Closure of the line-stabilizer generators; the order must equal
-    2 m q^2 (q^2-1) (q+1)."""
+    """Closure of the line-stabilizer generators; its order must equal
+    stabilizer_order."""
     gens = stabilizer_gens(geo)
     elements = close_group(geo, gens)
-    q, m = geo.q, geo.spec.m
     return StabilizerGroup(generators=gens, elements=elements,
-                           order=len(elements),
-                           formula_order=2 * m * q * q * (q * q - 1) * (q + 1))
+                           order=len(elements), formula_order=stabilizer_order(geo))
 
 
 @memo
@@ -147,25 +151,29 @@ def apply_label_action(lam: LambdaSystem, act: dict[Candidate, Candidate],
 
 
 @memo
-def _generator_label_actions(geo: Geometry) -> list[tuple[Collineation, dict]]:
-    return [(psi, label_action(geo, psi)) for psi in stabilizer_gens(geo)]
+def label_group(geo: Geometry) -> list[dict[Candidate, Candidate]]:
+    """The line-stabilizer generators as permutations of the candidate flip
+    classes, each class named by its flip-canonical candidate."""
+    acts = [label_action(geo, psi) for psi in stabilizer_gens(geo)]
+    cls = {c: flip_canonical(geo.lam, (c,))[0] for c in acts[0]}
+    return [{c: cls[img] for c, img in act.items() if cls[c] == c} for act in acts]
 
 
-def orbit_of(geo: Geometry, gs) -> dict[GoodSet, Collineation]:
+def orbit_of(geo: Geometry, gs) -> dict[GoodSet, tuple[GoodSet, int] | None]:
     """The orbit of a good set under the line stabilizer, by breadth-first
-    search over the label actions of its generators: each flip-canonical
-    image mapped to a collineation carrying the parallelism of gs onto its
-    parallelism."""
+    search over the label group: each flip-canonical image mapped to the
+    member it was first reached from and the index of the generator that
+    reached it, the start to None."""
     start = flip_canonical(geo.lam, gs)
-    witness = {start: Collineation.identity(geo.spec)}
+    parent = {start: None}
     queue = [start]
     for x in queue:
-        for psi, act in _generator_label_actions(geo):
-            y = apply_label_action(geo.lam, act, x)
-            if y not in witness:
-                witness[y] = witness[x].then(psi)
+        for i, perm in enumerate(label_group(geo)):
+            y = tuple(sorted(perm[c] for c in x))
+            if y not in parent:
+                parent[y] = (x, i)
                 queue.append(y)
-    return witness
+    return parent
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +209,15 @@ def are_equivalent(geo: Geometry, p1, p2) -> Collineation | None:
     the other; sound and complete for the constructed family."""
     g1 = _as_canonical_goodset(geo, p1)
     g2 = _as_canonical_goodset(geo, p2)
-    return orbit_of(geo, g1).get(g2)
+    parent = orbit_of(geo, g1)
+    if g2 not in parent:
+        return None
+    gens = stabilizer_gens(geo)
+    path = []
+    while parent[g2] is not None:
+        g2, i = parent[g2]
+        path.append(gens[i])
+    return reduce(Collineation.then, reversed(path), Collineation.identity(geo.spec))
 
 
 @dataclass
@@ -247,9 +263,8 @@ def classify(geo: Geometry, family) -> OrbitReport:
     or good sets) under the line stabilizer.  The family must be closed
     under the group action; orbits are reported with exact sizes and
     stabilizer orders from the orbit-stabilizer relation."""
-    keys = [_as_canonical_goodset(geo, obj) for obj in family]
-    family_keys = set(keys)
-    grp = stabilizer_group(geo)
+    family_keys = {_as_canonical_goodset(geo, obj) for obj in family}
+    order = stabilizer_order(geo)
     remaining = dict.fromkeys(sorted(family_keys))
     orbits = []
     for gs in remaining:
@@ -261,11 +276,11 @@ def classify(geo: Geometry, family) -> OrbitReport:
         for member in orbit:
             remaining[member] = True
         size = len(orbit)
-        assert grp.order % size == 0
+        assert order % size == 0
         orbits.append(Orbit(representative=min(orbit), size=size,
-                            stabilizer_order=grp.order // size,
+                            stabilizer_order=order // size,
                             family_count=len(orbit & family_keys)))
     orbits.sort(key=lambda o: o.representative)
-    return OrbitReport(group_order=grp.order, family_size=len(family_keys),
+    return OrbitReport(group_order=order, family_size=len(family_keys),
                        orbits=orbits,
                        bounds=lower_bound_formulas(geo.q, geo.spec.m))

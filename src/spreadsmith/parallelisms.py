@@ -39,6 +39,7 @@ class Parallelism:
     spreads: tuple[Spread, ...]
     desarguesian_index: int
     source: GoodSet | None = None
+    certificate: Certificate | None = field(default=None, compare=False, repr=False)
 
     def key(self):
         return tuple(sorted(sp.key() for sp in self.spreads))
@@ -86,13 +87,11 @@ def build_parallelism(geo: Geometry, gs) -> Parallelism:
         raise ValueError(
             f"not a good set: pair {verdict.witness} fails the "
             f"{verdict.condition} condition")
-    family = assemble_spread_family(geo, gs)
-    par = Parallelism(spreads=tuple(family),
-                      desarguesian_index=len(family) - 1,
-                      source=canonical(gs))
-    cert = verify_parallelism(geo, par)
+    family = tuple(assemble_spread_family(geo, gs))
+    cert = verify_parallelism(geo, family)
     assert cert.ok, f"construction from a good set must verify: {cert.reason()}"
-    return par
+    return Parallelism(spreads=family, desarguesian_index=len(family) - 1,
+                       source=canonical(gs), certificate=cert)
 
 
 def family_checksum(geo: Geometry, spreads) -> str:

@@ -41,12 +41,22 @@ def field_spec_to_obj(spec: FieldSpec) -> dict:
     }
 
 
+def _decode(spec: FieldSpec, vec, gfq: bool = False) -> int:
+    """An element of GF(q^2) from exactly 2m ints in 0..p-1, or with gfq a
+    GF(q) code from exactly m of them; anything else is a ValueError."""
+    width = spec.m if gfq else 2 * spec.m
+    if (not isinstance(vec, list) or len(vec) != width
+            or not all(type(c) is int and 0 <= c < spec.p for c in vec)):
+        raise ValueError(f"{vec!r} is not {width} coefficients in 0..{spec.p - 1}")
+    return spec._gfq_code(vec) if gfq else spec.elem_from_vec(vec)
+
+
 def field_spec_from_obj(obj: dict) -> FieldSpec:
     p, m = obj["p"], obj["m"]
     probe = FieldSpec(p, m, modulus_q=tuple(obj["modulus_q"]))
-    mod2 = tuple(probe._gfq_code(v) for v in obj["modulus_q2"])
+    mod2 = tuple(_decode(probe, v, gfq=True) for v in obj["modulus_q2"])
     spec = FieldSpec(p, m, modulus_q=tuple(obj["modulus_q"]), modulus_q2=mod2)
-    gen = spec.elem_from_vec(obj["generator"])
+    gen = _decode(spec, obj["generator"])
     if gen != spec.generator:
         spec = FieldSpec(p, m, modulus_q=tuple(obj["modulus_q"]),
                          modulus_q2=mod2, generator=gen)
@@ -65,7 +75,7 @@ def lambda_to_obj(lam: LambdaSystem) -> dict:
 
 
 def lambda_from_obj(spec: FieldSpec, obj: dict) -> LambdaSystem:
-    codes = tuple(spec.elem_from_vec(v) for v in obj["elements"])
+    codes = tuple(_decode(spec, v) for v in obj["elements"])
     return build_lambda(spec, build_partition(spec), override=codes)
 
 
@@ -110,7 +120,9 @@ def _point_to_obj(spec: FieldSpec, P: Point) -> list:
 
 
 def _point_from_obj(spec: FieldSpec, obj) -> Point:
-    return tuple(spec.elem_from_vec(v) for v in obj)
+    if not isinstance(obj, list) or len(obj) != 4:
+        raise ValueError(f"{obj!r} is not a point of four coordinates")
+    return tuple(_decode(spec, v) for v in obj)
 
 
 def _line_to_obj(spec: FieldSpec, l: Line) -> list:
@@ -118,6 +130,8 @@ def _line_to_obj(spec: FieldSpec, l: Line) -> list:
 
 
 def _line_from_obj(spec: FieldSpec, obj) -> Line:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError(f"{obj!r} is not a line of two points")
     return line_through(spec, _point_from_obj(spec, obj[0]),
                         _point_from_obj(spec, obj[1]))
 

@@ -191,9 +191,10 @@ class Geometry:
 
     @memo
     def pencil(self, alpha_idx: int, u_pow: int, v_pow: int) -> Pencil:
-        key = (alpha_idx, u_pow % (self.q + 1), v_pow % (self.q + 1))
         if alpha_idx not in self.lam.I:
             raise ValueError(f"alpha index {alpha_idx} is not in the I class")
+        if not (0 <= u_pow <= self.q and 0 <= v_pow <= self.q):
+            raise ValueError(f"unit exponents {u_pow}, {v_pow} are not in 0..{self.q}")
         spec = self.spec
         alpha = self.alpha_of(alpha_idx)
         P = self.point_P(alpha_idx, u_pow)
@@ -204,7 +205,8 @@ class Geometry:
         members = {line_through(spec, P, S) for S in section if S != P}
         assert len(members) == self.q + 1
         assert self.space.r_U1 in members
-        return Pencil(*key, base_point=P, plane=pi, lines=tuple(sorted(members)))
+        return Pencil(alpha_idx, u_pow, v_pow, base_point=P, plane=pi,
+                      lines=tuple(sorted(members)))
 
     @memo
     def line_set_L(self) -> tuple[Line, ...]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from spreadsmith import equivalence
 from spreadsmith.equivalence import (
     apply_label_action,
     are_equivalent,
@@ -17,6 +18,7 @@ from spreadsmith.equivalence import (
     stabilizer_gens,
     stabilizer_group,
 )
+from spreadsmith.field_tower import lambda_for_q
 from spreadsmith.goodsets import (
     G1Element,
     apply_G1,
@@ -27,7 +29,7 @@ from spreadsmith.goodsets import (
     flip_canonical,
 )
 from spreadsmith.parallelisms import build_parallelism, image_key
-from spreadsmith.spreads import geometry_for_q
+from spreadsmith.spreads import Geometry, geometry_for_q
 
 
 def test_stabilizer_orders_match_formula():
@@ -144,6 +146,37 @@ def test_classification_q4():
     for o in rep.orbits:
         assert o.size * o.stabilizer_order == rep.group_order
     assert sum(o.family_count for o in rep.orbits) == 120
+
+
+def test_classification_q5():
+    geo = geometry_for_q(5)
+    rep = classify(geo, {flip_canonical(geo.lam, gs)
+                         for gs in enumerate_good_sets(geo.lam)})
+    assert (rep.orbit_count, rep.family_size, rep.group_order) == (187, 8820, 7200)
+    census = {}
+    for o in rep.orbits:
+        census[o.size] = census.get(o.size, 0) + 1
+    assert census == {3: 2, 6: 6, 12: 4, 18: 17, 36: 82, 72: 76}
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_classify_and_are_equivalent_close_no_group(q, monkeypatch):
+    # the orbits run on the label group and take |G| from the formula: on a
+    # fresh Geometry, with no closed group cached, neither path closes one
+    def refuse(*args):
+        raise AssertionError("close_group called")
+
+    monkeypatch.setattr(equivalence, "close_group", refuse)
+    geo = Geometry(lambda_for_q(q))
+    family = list(enumerate_good_sets(geo.lam))
+    rep = classify(geo, family)
+    assert rep.group_order == {3: 576, 4: 4800}[q]
+    g1 = flip_canonical(geo.lam, family[0])
+    g2 = max(orbit_of(geo, g1))
+    w = are_equivalent(geo, g1, g2)
+    p1, p2 = build_parallelism(geo, g1), build_parallelism(geo, g2)
+    assert (sorted(image_key(w, sp.lines) for sp in p1.spreads)
+            == sorted(sp.key() for sp in p2.spreads))
 
 
 def test_classify_rejects_non_closed_family():

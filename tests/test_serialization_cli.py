@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import spreadsmith
+from spreadsmith import cli, parallelisms
 from spreadsmith.cli import main
 from spreadsmith.field_tower import field_for_q, lambda_for_q
 from spreadsmith.goodsets import enumerate_good_sets, fixed_plane_good_set
@@ -207,6 +208,19 @@ def test_cli_classify_q3(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_cli_classify_verifies_each_representative_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(geo, par):
+        calls.append(1)
+        return verify_parallelism(geo, par)
+
+    monkeypatch.setattr(parallelisms, "verify_parallelism", counting)
+    monkeypatch.setattr(cli, "verify_parallelism", counting)
+    assert run_cli("classify", "--q", "3", "--output", str(tmp_path / "cls")) == 0
+    assert len(calls) == 2      # one per orbit, inside build_parallelism
+
+
 def test_cli_classify_determinism(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -274,6 +288,25 @@ def test_cli_rejects_negative_limit_and_jobs(argv, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def _tampered_coordinates(tmp_path):
+    """q = 3 parallelism files whose first spread record has its first
+    coordinate replaced by [2, 4] or [7, 0] (coefficients >= p) or by
+    [1, 0, 0] (three coefficients where 2m = 2)."""
+    geo = geometry_for_q(3)
+    par = build_parallelism(geo, fixed_plane_good_set(geo.lam, geo.lam.I[0], 0))
+    good = tmp_path / "par.jsonl"
+    write_parallelism_file(good, geo, par, verify_parallelism(geo, par))
+    rows = good.read_text().splitlines()
+    paths = []
+    for i, coeffs in enumerate(([2, 4], [7, 0], [1, 0, 0])):
+        spread = json.loads(rows[1])
+        spread["lines"][0][0][0] = coeffs
+        path = tmp_path / f"tampered_{i}.jsonl"
+        path.write_text("\n".join([rows[0], json.dumps(spread), *rows[2:]]) + "\n")
+        paths.append(str(path))
+    return paths
+
+
 def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")
@@ -281,7 +314,10 @@ def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
     foreign.write_text(json.dumps({"q": 3}) + "\n")
     binary = tmp_path / "binary.jsonl"
     binary.write_bytes(b"\xff\xfe\x00\x81")
-    for argv in (("parallelism", "build", str(empty), "--q", "3"),
+    tampered = _tampered_coordinates(tmp_path)
+    for argv in (*[("parallelism", sub, path) for path in tampered
+                   for sub in ("verify", "characterize")],
+                 ("parallelism", "build", str(empty), "--q", "3"),
                  ("parallelism", "build", str(binary), "--q", "3"),
                  ("goodsets", "verify", str(binary), "--q", "3"),
                  ("parallelism", "build", str(foreign), "--q", "3"),

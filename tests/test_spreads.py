@@ -38,6 +38,15 @@ def test_pencil_contents():
         geo.pencil(geo.lam.eta_index, 0, 0)
 
 
+@pytest.mark.parametrize("u, v", [(5, 0), (0, 5), (-1, 0), (0, -1)])
+def test_pencil_rejects_exponents_outside_0_to_q(u, v):
+    # an exponent that only agrees with 0..q modulo q+1 names the same pencil
+    # and must not get a second cache entry
+    geo = geometry_for_q(4)
+    with pytest.raises(ValueError, match="0..4"):
+        geo.pencil(geo.lam.I[0], u, v)
+
+
 def test_line_family_sizes():
     assert len(geometry_for_q(3).line_set_L()) == 1 * 3 * 16
     assert len(geometry_for_q(4).line_set_L()) == 1 * 4 * 25
