@@ -19,7 +19,7 @@ import math
 from spreadsmith.field_tower import LambdaSystem
 from spreadsmith.goodsets import Candidate, GoodSet, canonical, flip_canonical, is_good
 from spreadsmith.parallelisms import Parallelism, characterize
-from spreadsmith.proj_geometry import Collineation, tau_plane
+from spreadsmith.proj_geometry import Collineation, normalize, tau_plane
 from spreadsmith.spreads import Geometry, memo
 
 
@@ -77,11 +77,17 @@ class StabilizerGroup:
 def close_group(geo: Geometry, gens) -> list[Collineation]:
     """Breadth-first closure under composition, deduplicating by induced
     action on the subgeometry.  Deterministic element order."""
-    tau = Collineation.from_tau(geo.spec, geo.eta)
-    ident = Collineation.identity(geo.spec)
+    spec = geo.spec
+    m, norm, f = spec.m, spec.norm(geo.eta), spec.frobenius
+    ident = Collineation.identity(spec)
 
     def key(c):
-        return min(c.canonical_key(), c.then(tau).canonical_key())
+        # c then tau_eta: the q-Frobenius of c's matrix with its row pairs
+        # swapped and the moved-down pair scaled by N(eta)
+        a, b, c2, d = c.matrix
+        twin = [f(x) for x in c2 + d] + [spec.mul(norm, f(x)) for x in a + b]
+        return min(c.canonical_key(),
+                   ((c.twist + m) % (2 * m),) + normalize(spec, twin))
 
     seen = {key(ident)}
     elements = [ident]

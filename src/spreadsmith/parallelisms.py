@@ -23,13 +23,13 @@ from spreadsmith.goodsets import (
 from spreadsmith.proj_geometry import (
     Collineation,
     Line,
+    klein_bilinear,
+    klein_transversals,
+    line_from_plucker,
     line_intersection,
-    line_plane_meet,
-    line_points,
-    line_through,
-    lines_meet,
+    line_through,  # noqa: F401  kept as a module name: perfbench's tracing tests rebind it
     normalize,
-    plane_through,
+    plucker,
 )
 from spreadsmith.spreads import Geometry, Spread, SpreadReport, memo
 
@@ -96,13 +96,10 @@ def build_parallelism(geo: Geometry, gs) -> Parallelism:
 
 def family_checksum(geo: Geometry, spreads) -> str:
     """SHA-256 over the canonical serialization of the sorted line multiset."""
-    blobs = []
-    for sp in spreads:
-        for l in sp.lines:
-            blobs.append(",".join(
-                "".join(map(str, geo.spec.elem_vec(x))) for row in l for x in row))
-    digest = hashlib.sha256("|".join(sorted(blobs)).encode()).hexdigest()
-    return digest
+    digits = ["".join(map(str, geo.spec.elem_vec(x))) for x in geo.spec.elements()]
+    blobs = [",".join(digits[x] for row in l for x in row)
+             for sp in spreads for l in sp.lines]
+    return hashlib.sha256("|".join(sorted(blobs)).encode()).hexdigest()
 
 
 def verify_parallelism(geo: Geometry, par) -> Certificate:
@@ -114,18 +111,23 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
         rep = geo.is_spread(sp.lines)
         if not rep.ok:
             failures.append((i, rep))
-    counts: dict[Line, int] = {}
+    index, universe = geo.line_index(), geo.sigma_eta_lines()
+    counts = [0] * len(universe)
+    strays: dict[Line, int] = {}
     for sp in spreads:
         for l in sp.lines:
-            counts[l] = counts.get(l, 0) + 1
-    universe = geo.line_index()
-    uncovered = [l for l in universe if l not in counts]
-    multi = sorted(l for l, c in counts.items() if c > 1)
-    stray = [l for l in counts if l not in universe]
-    ok = not failures and not uncovered and not multi and not stray
+            k = index.get(l)
+            if k is None:
+                strays[l] = strays.get(l, 0) + 1
+            else:
+                counts[k] += 1
+    uncovered = [universe[k] for k, c in enumerate(counts) if not c]
+    multi = sorted([universe[k] for k, c in enumerate(counts) if c > 1]
+                   + [l for l, c in strays.items() if c > 1])
+    ok = not failures and not uncovered and not multi and not strays
     return Certificate(ok=ok, spread_failures=failures, uncovered=uncovered,
                        multiply_covered=multi,
-                       line_count=sum(counts.values()),
+                       line_count=sum(counts) + sum(strays.values()),
                        checksum=family_checksum(geo, spreads))
 
 
@@ -160,15 +162,20 @@ def image_key(psi: Collineation, lines) -> tuple[Line, ...]:
 
 def is_E_invariant(geo: Geometry, par, full: bool = False) -> bool:
     """Invariance of the spread set under the unitriangular group; the
-    generator check suffices by closure, the full sweep is the slow mode."""
+    generator check suffices by closure, the full sweep is the slow mode.
+    Spreads of subgeometry lines are mapped as sorted line ids, by the
+    permutation each element induces on the subgeometry."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
     keys = {sp.key() for sp in spreads}
     grp = group_E(geo)
     todo = grp.elements if full else grp.generators
-    for psi in todo:
-        if {image_key(psi, key) for key in keys} != keys:
-            return False
-    return True
+    index = geo.line_index()
+    if all(l in index for key in keys for l in key):
+        keys = {tuple(index[l] for l in key) for key in keys}
+        perms = (geo.line_permutation(psi) for psi in todo)
+        return all({tuple(sorted(perm[k] for k in key)) for key in keys} == keys
+                   for perm in perms)
+    return all({image_key(psi, key) for key in keys} == keys for psi in todo)
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +194,19 @@ class CharacterizeResult:
 
 
 def _ambient_directors(geo: Geometry, spread_lines) -> list[Line]:
-    """The two transversal (director) lines of a Desarguesian spread given
-    by its extended lines: common transversals of three of them, filtered
-    against two more, then verified against all."""
+    """The transversal (director) lines of a Desarguesian spread given by
+    its extended lines, on the Klein quadric: the transversals of its first
+    three lines and a fourth outside their regulus, kept when they meet
+    every line of the spread."""
     spec = geo.spec
-    lines = sorted(spread_lines)
-    l1, l2, l3, l4, l5 = lines[0], lines[1], lines[2], lines[3], lines[4]
-    cands = []
-    for X in line_points(spec, l1):
-        pl = plane_through(spec, l2, X)
-        Z = line_plane_meet(spec, l3, pl)
-        if Z is None or Z == X:
-            continue
-        cand = line_through(spec, X, Z)
-        if lines_meet(spec, cand, l4) and lines_meet(spec, cand, l5):
-            cands.append(cand)
-    directors = [c for c in dict.fromkeys(cands)
-                 if all(lines_meet(spec, c, l) for l in lines)]
-    return directors
+    coords = [plucker(spec, l) for l in sorted(spread_lines)]
+    found = []
+    for u in coords[3:]:
+        found = klein_transversals(spec, coords[:3] + [u])
+        if found:
+            break
+    return sorted(line_from_plucker(spec, t) for t in found
+                  if all(klein_bilinear(spec, t, u) == 0 for u in coords))
 
 
 @memo
@@ -214,9 +216,8 @@ def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | No
     pencil label."""
     spec = geo.spec
     q = geo.q
-    r_pts = set(geo.subline_points(geo.space.r_U1))
-    touching = [l for l in lines
-                if any(P in r_pts for P in geo.subline_points(l))]
+    r_ids = set(geo.subline_ids(geo.space.r_U1))
+    touching = [l for l in lines if not r_ids.isdisjoint(geo.subline_ids(l))]
     if len(touching) != q + 1:
         return None, "does not meet the distinguished line in a regulus pattern"
     try:

@@ -162,6 +162,28 @@ def line_intersection(spec: FieldSpec, l1: Line, l2: Line) -> Point | None:
     return normalize(spec, pt)
 
 
+def echelon_pairs(order: int):
+    """Every 2x4 matrix in reduced row echelon form over a field whose
+    element codes are 0..order-1, with 0 the zero and 1 the one: the lines
+    of PG(3, order), each as the pair of its rows."""
+    for i in range(4):
+        for j in range(i + 1, 4):
+            free1 = [c for c in range(4) if c > i and c != j]
+            free2 = [c for c in range(4) if c > j]
+            for vals1 in product(range(order), repeat=len(free1)):
+                r1 = [0, 0, 0, 0]
+                r1[i] = 1
+                for c, v in zip(free1, vals1):
+                    r1[c] = v
+                r1 = tuple(r1)
+                for vals2 in product(range(order), repeat=len(free2)):
+                    r2 = [0, 0, 0, 0]
+                    r2[j] = 1
+                    for c, v in zip(free2, vals2):
+                        r2[c] = v
+                    yield r1, tuple(r2)
+
+
 # ---------------------------------------------------------------------------
 # Plucker coordinates and the Klein quadric X1 X6 - X2 X5 + X3 X4 = 0
 
@@ -184,6 +206,34 @@ def klein_bilinear(spec: FieldSpec, t, u) -> int:
     acc = spec.add(spec.mul(t[0], u[5]), spec.mul(t[5], u[0]))
     acc = spec.sub(acc, spec.add(spec.mul(t[1], u[4]), spec.mul(t[4], u[1])))
     return spec.add(acc, spec.add(spec.mul(t[2], u[3]), spec.mul(t[3], u[2])))
+
+
+def klein_transversals(spec: FieldSpec, coords) -> list[tuple[int, ...]]:
+    """Plucker vectors of the lines meeting four lines, given by theirs.
+    The vectors orthogonal to all four under the polarized Klein form make
+    up a projective line when the four lie in no common regulus, and the
+    transversals are its points on the quadric: the roots (x:y) of
+    x^2 Q(a) + x y B(a, b) + y^2 Q(b) for a basis a, b.  Empty when the
+    orthogonal space is not a line."""
+    rows = [(u[5], spec.neg(u[4]), u[3], u[2], spec.neg(u[1]), u[0]) for u in coords]
+    red = rref(spec, rows)
+    if len(red) != 4:
+        return []
+    pivots = [next(i for i, x in enumerate(r) if x) for r in red]
+    basis = []
+    for free in (i for i in range(6) if i not in pivots):
+        t = [0] * 6
+        t[free] = 1
+        for r, piv in zip(red, pivots):
+            t[piv] = spec.neg(r[free])
+        basis.append(tuple(t))
+    a, b = basis
+    qa, qb, bab = klein_form(spec, a), klein_form(spec, b), klein_bilinear(spec, a, b)
+    out = [a] if qa == 0 else []
+    for x in spec.elements():
+        if spec.add(spec.mul(x, spec.add(spec.mul(x, qa), bab)), qb) == 0:
+            out.append(tuple(spec.add(spec.mul(x, ai), bi) for ai, bi in zip(a, b)))
+    return out
 
 
 def line_from_plucker(spec: FieldSpec, t) -> Line:
@@ -383,24 +433,7 @@ class AmbientSpace:
     def all_lines(self) -> list[Line]:
         """Every line of PG(3,q^2), generated directly in RREF form."""
         if self._all_lines is None:
-            Q = self.spec.order
-            lines = []
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    free1 = [c for c in range(4) if c > i and c != j]
-                    free2 = [c for c in range(4) if c > j]
-                    for vals1 in product(range(Q), repeat=len(free1)):
-                        r1 = [0, 0, 0, 0]
-                        r1[i] = 1
-                        for c, v in zip(free1, vals1):
-                            r1[c] = v
-                        for vals2 in product(range(Q), repeat=len(free2)):
-                            r2 = [0, 0, 0, 0]
-                            r2[j] = 1
-                            for c, v in zip(free2, vals2):
-                                r2[c] = v
-                            lines.append((tuple(r1), tuple(r2)))
-            self._all_lines = sorted(lines)
+            self._all_lines = sorted(echelon_pairs(self.spec.order))
         return self._all_lines
 
     # -- Baer subgeometries --------------------------------------------------

@@ -41,25 +41,43 @@ def field_spec_to_obj(spec: FieldSpec) -> dict:
     }
 
 
+def _member(obj, key: str, kind: type):
+    """obj[key] for a JSON object obj, required to be of the JSON type kind
+    (int excludes booleans); any other shape is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object holding {key!r}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} is not a JSON {kind.__name__}")
+    return value
+
+
+def _coefficients(vec, width: int, p: int) -> list[int]:
+    """Exactly width ints in 0..p-1; anything else is a ValueError."""
+    if (not isinstance(vec, list) or len(vec) != width
+            or not all(type(c) is int and 0 <= c < p for c in vec)):
+        raise ValueError(f"{vec!r} is not {width} coefficients in 0..{p - 1}")
+    return vec
+
+
 def _decode(spec: FieldSpec, vec, gfq: bool = False) -> int:
     """An element of GF(q^2) from exactly 2m ints in 0..p-1, or with gfq a
     GF(q) code from exactly m of them; anything else is a ValueError."""
-    width = spec.m if gfq else 2 * spec.m
-    if (not isinstance(vec, list) or len(vec) != width
-            or not all(type(c) is int and 0 <= c < spec.p for c in vec)):
-        raise ValueError(f"{vec!r} is not {width} coefficients in 0..{spec.p - 1}")
+    _coefficients(vec, spec.m if gfq else 2 * spec.m, spec.p)
     return spec._gfq_code(vec) if gfq else spec.elem_from_vec(vec)
 
 
 def field_spec_from_obj(obj: dict) -> FieldSpec:
-    p, m = obj["p"], obj["m"]
-    probe = FieldSpec(p, m, modulus_q=tuple(obj["modulus_q"]))
-    mod2 = tuple(_decode(probe, v, gfq=True) for v in obj["modulus_q2"])
-    spec = FieldSpec(p, m, modulus_q=tuple(obj["modulus_q"]), modulus_q2=mod2)
+    p, m = _member(obj, "p", int), _member(obj, "m", int)
+    if not (p >= 2 and 1 <= m <= 4 and 3 <= p**m <= 16):
+        raise ValueError(f"field order {p}^{m} is outside the supported range 3..16")
+    mod_q = tuple(_coefficients(_member(obj, "modulus_q", list), m + 1, p))
+    probe = FieldSpec(p, m, modulus_q=mod_q)
+    mod2 = tuple(_decode(probe, v, gfq=True) for v in _member(obj, "modulus_q2", list))
+    spec = FieldSpec(p, m, modulus_q=mod_q, modulus_q2=mod2)
     gen = _decode(spec, obj["generator"])
     if gen != spec.generator:
-        spec = FieldSpec(p, m, modulus_q=tuple(obj["modulus_q"]),
-                         modulus_q2=mod2, generator=gen)
+        spec = FieldSpec(p, m, modulus_q=mod_q, modulus_q2=mod2, generator=gen)
     return spec
 
 
@@ -75,7 +93,7 @@ def lambda_to_obj(lam: LambdaSystem) -> dict:
 
 
 def lambda_from_obj(spec: FieldSpec, obj: dict) -> LambdaSystem:
-    codes = tuple(_decode(spec, v) for v in obj["elements"])
+    codes = tuple(_decode(spec, v) for v in _member(obj, "elements", list))
     return build_lambda(spec, build_partition(spec), override=codes)
 
 
@@ -172,7 +190,8 @@ def read_parallelism_file(path):
     """Returns (header dict, Geometry, list of Spread, certificate dict)."""
     with open(path) as fh:
         rows = [json.loads(line) for line in fh if line.strip()]
-    if not rows or rows[0].get("format") != FORMAT_NAME:
+    if not rows or not all(isinstance(row, dict) for row in rows) \
+            or rows[0].get("format") != FORMAT_NAME:
         raise ValueError("not a parallelism file")
     header = rows[0]
     spec = field_spec_from_obj(header["field"])
@@ -183,7 +202,7 @@ def read_parallelism_file(path):
     for row in rows[1:]:
         kind = row.get("type")
         if kind == "spread":
-            lines = tuple(_line_from_obj(spec, l) for l in row["lines"])
+            lines = tuple(_line_from_obj(spec, l) for l in _member(row, "lines", list))
             spreads.append(Spread(lines=lines, alpha=geo.eta, tag=row.get("tag", "unknown")))
         elif kind == "certificate":
             cert = row

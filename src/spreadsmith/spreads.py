@@ -5,7 +5,9 @@ and their opposites, and Hall spreads obtained by regulus switching.
 Lines of the distinguished Baer subgeometry are always stored as their
 ambient extensions in PG(3,q^2): the ambient line is stable under the
 involution and meets the subgeometry in q+1 points, and this single
-representation serves both incidence levels.
+representation serves both incidence levels.  The subgeometry's points and
+lines are numbered once (SubgeometryIndex); spreads hold the index's own
+line objects, and spread, cover and incidence checks on them run on ids.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from spreadsmith.proj_geometry import (
     Line,
     Plane,
     Point,
+    echelon_pairs,
     line_points,
     line_through,
     lines_meet,
@@ -97,6 +100,19 @@ class SpreadReport:
     multiply_covered: Point | None = None
 
 
+class SubgeometryIndex:
+    """The points and lines of the distinguished subgeometry, each numbered
+    by its position in sorted order, and the point ids on every line."""
+
+    def __init__(self, points: list[Point], point_id: dict[Point, int],
+                 lines: list[Line], line_point_ids: list[tuple[int, ...]]):
+        self.points = points
+        self.point_id = point_id
+        self.lines = lines
+        self.line_id = {l: k for k, l in enumerate(lines)}
+        self.line_point_ids = line_point_ids
+
+
 class Geometry:
     """Shared context: field tower, Lambda system, ambient space and the
     cached spread/pencil apparatus of the distinguished subgeometry."""
@@ -130,28 +146,115 @@ class Geometry:
         return tau_line(self.spec, self.eta, l)
 
     @memo
-    def subline_points(self, l: Line) -> tuple[Point, ...]:
-        """The q+1 points of a subgeometry line (ambient representation)."""
-        sig = self.sigma_eta
-        return tuple(P for P in line_points(self.spec, l) if P in sig)
+    def _index(self) -> SubgeometryIndex:
+        """Number the subgeometry.  Its points are v(X) = (X, eta X^q) for
+        nonzero X = (x, y) in GF(q^2)^2 = GF(q)^4 up to GF(q)* scaling, and
+        its lines are the images under the GF(q)-linear map v of the
+        2-dimensional GF(q)-subspaces <X, Y>, enumerated in RREF.
 
-    @memo
+        The ambient line of <X, Y> is {(aX + bY, eta (a X^q + b Y^q))}.  When
+        X, Y span GF(q^2)^2 it is the graph Z -> eta M Z of the linear map
+        with M X = X^q and M Y = Y^q, whose RREF rows are (e_i, eta M e_i).
+        Otherwise Y is in GF(q^2) X and the line is <(X, 0), (0, X^q)>."""
+        spec, q, Q = self.spec, self.q, self.spec.order
+        mul, add, sub, f, eta = spec.mul, spec.add, spec.sub, spec.frobenius, self.eta
+
+        points = sorted(self.sigma_eta)
+        point_id = {P: k for k, P in enumerate(points)}
+        # the point id of every nonzero X = (x, y), coded x Q + y
+        pid = [-1] * (Q * Q)
+        for code in range(1, Q * Q):
+            if pid[code] < 0:
+                x, y = divmod(code, Q)
+                k = point_id[normalize(spec, (x, y, mul(eta, f(x)), mul(eta, f(y))))]
+                for c in range(1, q):
+                    pid[mul(c, x) * Q + mul(c, y)] = k
+        scaled = [[mul(t, z) for t in range(q)] for z in range(Q)]
+        shifted = [[add(z, w) for w in range(Q)] for z in range(Q)]
+        found = []
+        for r1, r2 in echelon_pairs(q):
+            # GF(q)^4 coordinates (a0, a1, b0, b1) are (a0 + a1 w, b0 + b1 w)
+            x1, y1 = r1[0] + q * r1[1], r1[2] + q * r1[3]
+            x2, y2 = r2[0] + q * r2[1], r2[2] + q * r2[3]
+            ax, ay = shifted[x1], shifted[y1]
+            ids = [pid[ax[a] * Q + ay[b]] for a, b in zip(scaled[x2], scaled[y2])]
+            ids.append(pid[x2 * Q + y2])
+            det = sub(mul(x1, y2), mul(x2, y1))
+            if det:
+                d = spec.div(eta, det)
+                x1q, y1q, x2q, y2q = f(x1), f(y1), f(x2), f(y2)
+                line = ((1, 0, mul(d, sub(mul(y2, x1q), mul(y1, x2q))),
+                         mul(d, sub(mul(y2, y1q), mul(y1, y2q)))),
+                        (0, 1, mul(d, sub(mul(x1, x2q), mul(x2, x1q))),
+                         mul(d, sub(mul(x1, y2q), mul(x2, y1q)))))
+            else:
+                line = (normalize(spec, (x1, y1, 0, 0)), normalize(spec, (0, 0, f(x1), f(y1))))
+            found.append((line, tuple(ids)))
+        found.sort()
+        index = SubgeometryIndex(points, point_id, [l for l, _ in found],
+                                 [ids for _, ids in found])
+        assert len(index.line_id) == (q * q + 1) * (q * q + q + 1)
+        return index
+
     def sigma_eta_lines(self) -> list[Line]:
-        """All (q^2+1)(q^2+q+1) lines of the subgeometry."""
-        spec = self.spec
-        pts = sorted(self.sigma_eta)
-        seen = set()
-        for i, P in enumerate(pts):
-            for Q in pts[i + 1:]:
-                seen.add(line_through(spec, P, Q))
-        q = self.q
-        assert len(seen) == (q * q + 1) * (q * q + q + 1)
-        return sorted(seen)
+        """All (q^2+1)(q^2+q+1) lines of the subgeometry, sorted."""
+        return self._index().lines
 
-    @memo
     def line_index(self) -> dict[Line, int]:
         """Position of each subgeometry line in sigma_eta_lines()."""
-        return {l: k for k, l in enumerate(self.sigma_eta_lines())}
+        return self._index().line_id
+
+    def intern(self, l: Line) -> Line:
+        """The index's own object for a subgeometry line, so that every
+        spread holds one shared copy of each line."""
+        index = self._index()
+        return index.lines[index.line_id[l]]
+
+    def subline_ids(self, l: Line) -> tuple[int, ...]:
+        """The ids of the subgeometry points on a line: q+1 of them on a
+        subgeometry line, read from the index, and at most one elsewhere."""
+        index = self._index()
+        k = index.line_id.get(l)
+        if k is not None:
+            return index.line_point_ids[k]
+        return tuple(index.point_id[P] for P in line_points(self.spec, l)
+                     if P in index.point_id)
+
+    def subline_points(self, l: Line) -> tuple[Point, ...]:
+        """The subgeometry points of a line, in line_points order: its
+        second RREF row first, then the others by their coordinate in that
+        row's pivot column."""
+        s = l[1]
+        j = next(c for c, x in enumerate(s) if x)
+        points = self._index().points
+        return tuple(sorted((points[p] for p in self.subline_ids(l)),
+                            key=lambda P: -1 if P == s else P[j]))
+
+    @memo
+    def _line_by_pair(self) -> dict[int, int]:
+        """The id of each line keyed by its two smallest point ids a < b,
+        as a n + b for n points."""
+        index = self._index()
+        n = len(index.points)
+        out = {}
+        for k, ids in enumerate(index.line_point_ids):
+            a, b = sorted(ids)[:2]
+            out[a * n + b] = k
+        return out
+
+    @memo
+    def line_permutation(self, psi: Collineation) -> list[int]:
+        """The image of every line id under a collineation that maps the
+        subgeometry onto itself, computed on point ids."""
+        index = self._index()
+        perm = [index.point_id[psi.apply_point(P)] for P in index.points]
+        by_pair = self._line_by_pair()
+        n = len(perm)
+        out = []
+        for ids in index.line_point_ids:
+            a, b = sorted([perm[p] for p in ids])[:2]
+            out.append(by_pair[a * n + b])
+        return out
 
     # -- distinguished points, planes, pencils --------------------------------
 
@@ -246,6 +349,8 @@ class Geometry:
         for P in line_points(spec, self.space.t1):
             lines.add(line_through(spec, P, tau_point(spec, alpha, P)))
         assert len(lines) == self.q**2 + 1
+        if alpha == self.eta:
+            lines = map(self.intern, lines)
         return Spread(lines=tuple(lines), alpha=alpha, tag="desarguesian",
                       transversal=self.space.t1)
 
@@ -268,7 +373,7 @@ class Geometry:
             raise ValueError("transversal meets the subgeometry")
         if lines_meet(spec, l, lt):
             raise ValueError("transversal and its conjugate are not skew")
-        lines = {line_through(spec, Q, self.tau_eta_point(Q)) for Q in pts}
+        lines = {self.intern(line_through(spec, Q, self.tau_eta_point(Q))) for Q in pts}
         assert len(lines) == self.q**2 + 1
         got = Spread(lines=tuple(lines), alpha=self.eta, tag="desarguesian",
                      transversal=l)
@@ -288,16 +393,28 @@ class Geometry:
 
     def transversals_of(self, lines) -> list[Line]:
         """All subgeometry lines meeting each of the given pairwise skew
-        subgeometry lines; direct incidence search."""
+        lines: each line through a point of the first and a point of the
+        second that meets every other given line, which for a subgeometry
+        line means sharing a point id with it."""
         spec = self.spec
+        index = self._index()
         first, second, *rest = list(lines)
+
+        def meets(r):
+            k = index.line_id.get(r)
+            if k is None:
+                return lambda c: lines_meet(spec, index.lines[c], r)
+            ids = set(index.line_point_ids[k])
+            return lambda c: not ids.isdisjoint(index.line_point_ids[c])
+
+        tests = [meets(r) for r in rest]
         found = set()
         for X in self.subline_points(first):
             for Y in self.subline_points(second):
-                cand = line_through(spec, X, Y)
-                if all(lines_meet(spec, cand, r) for r in rest):
+                cand = index.line_id[line_through(spec, X, Y)]
+                if all(test(cand) for test in tests):
                     found.add(cand)
-        return sorted(found)
+        return [index.lines[k] for k in sorted(found)]
 
     @memo
     def opposite_regulus(self, reg: Regulus) -> Regulus:
@@ -322,6 +439,19 @@ class Geometry:
         q = self.q
         if len(lines) != q * q + 1:
             return SpreadReport(False, f"expected {q*q+1} lines, got {len(lines)}")
+        index = self._index()
+        covered = set()
+        for l in lines:
+            k = index.line_id.get(l)
+            if k is None:
+                break
+            covered.update(index.line_point_ids[k])
+        else:
+            # q^2+1 sublines of q+1 points cover all (q+1)(q^2+1) points
+            # exactly when they are pairwise disjoint
+            if len(covered) == len(index.points):
+                return SpreadReport(True)
+        # name the first failure
         counts: dict[Point, int] = {}
         for l in lines:
             if self.tau_eta_line(l) != l:

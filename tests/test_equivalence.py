@@ -29,7 +29,36 @@ from spreadsmith.goodsets import (
     flip_canonical,
 )
 from spreadsmith.parallelisms import build_parallelism, image_key
+from spreadsmith.proj_geometry import Collineation
 from spreadsmith.spreads import Geometry, geometry_for_q
+
+
+def test_close_group_composes_each_product_once(monkeypatch):
+    """The closure keys each element's twin under the subgeometry involution
+    without composing it, so it calls Collineation.then once per product,
+    and its element list is the one the composing key gave."""
+    geo = geometry_for_q(3)
+    gens = stabilizer_gens(geo)
+    tau = Collineation.from_tau(geo.spec, geo.eta)
+
+    def key(c):
+        return min(c.canonical_key(), c.then(tau).canonical_key())
+
+    composed = [Collineation.identity(geo.spec)]
+    seen = {key(composed[0])}
+    for e in composed:
+        for g in gens:
+            n = e.then(g)
+            if key(n) not in seen:
+                seen.add(key(n))
+                composed.append(n)
+    calls = []
+    then = Collineation.then
+    monkeypatch.setattr(Collineation, "then",
+                        lambda self, other: calls.append(1) or then(self, other))
+    elements = equivalence.close_group(geo, gens)
+    assert elements == composed and len(elements) == 576
+    assert len(calls) == len(elements) * len(gens)
 
 
 def test_stabilizer_orders_match_formula():

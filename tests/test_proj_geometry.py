@@ -11,6 +11,7 @@ from spreadsmith.proj_geometry import (
     Collineation,
     klein_bilinear,
     klein_form,
+    klein_transversals,
     line_from_plucker,
     line_in_plane,
     line_intersection,
@@ -147,6 +148,28 @@ def test_klein_bilinear_detects_meeting():
                 continue
             meets = lines_meet(s, l1, l2)
             assert (klein_bilinear(s, plucker(s, l1), plucker(s, l2)) == 0) == meets
+
+
+def test_klein_transversals_match_a_full_search():
+    s = field_for_q(3)
+    lines = AmbientSpace(s).all_lines()
+    rng = random.Random(4)
+    seen = 0
+    for _ in range(12):
+        four = rng.sample(lines, 4)
+        coords = [plucker(s, l) for l in four]
+        if any(klein_bilinear(s, a, b) == 0 for i, a in enumerate(coords)
+               for b in coords[i + 1:]):
+            continue
+        seen, skew = seen + 1, four
+        full = [l for l in lines if all(lines_meet(s, l, m) for m in four)]
+        got = sorted(line_from_plucker(s, t) for t in klein_transversals(s, coords))
+        assert got == full
+    assert seen >= 5
+    # four lines of one regulus: the orthogonal vectors form a plane, not a line
+    transversals = [l for l in lines if all(lines_meet(s, l, m) for m in skew[:3])]
+    regulus = [l for l in lines if all(lines_meet(s, l, t) for t in transversals[:3])]
+    assert klein_transversals(s, [plucker(s, l) for l in regulus[:4]]) == []
 
 
 def test_tau_involution_and_fixed_points():

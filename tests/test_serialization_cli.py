@@ -1,11 +1,14 @@
 """File formats and the command-line front end: round trips, tamper
 detection, exit codes and byte-level determinism."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ import spreadsmith
 from spreadsmith import cli, parallelisms
 from spreadsmith.cli import main
 from spreadsmith.field_tower import field_for_q, lambda_for_q
-from spreadsmith.goodsets import enumerate_good_sets, fixed_plane_good_set
+from spreadsmith.goodsets import enumerate_good_sets, fixed_plane_good_set, flip_canonical
 from spreadsmith.parallelisms import build_parallelism, verify_parallelism
 from spreadsmith.serialization import (
     field_spec_from_obj,
@@ -307,6 +310,30 @@ def _tampered_coordinates(tmp_path):
     return paths
 
 
+def _tampered_shapes(tmp_path):
+    """q = 3 parallelism files with a value of the wrong JSON type: a
+    spread's "lines", the header Lambda's "elements" and the header
+    field's "p"."""
+    geo = geometry_for_q(3)
+    par = build_parallelism(geo, fixed_plane_good_set(geo.lam, geo.lam.I[0], 0))
+    good = tmp_path / "par.jsonl"
+    write_parallelism_file(good, geo, par, verify_parallelism(geo, par))
+    rows = [json.loads(row) for row in good.read_text().splitlines()]
+    paths = []
+    for i, (row, keys, value) in enumerate(((1, ("lines",), 5),
+                                            (0, ("lambda", "elements"), 5),
+                                            (0, ("field", "p"), "3"))):
+        changed = json.loads(json.dumps(rows))
+        obj = changed[row]
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+        path = tmp_path / f"shape_{i}.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in changed) + "\n")
+        paths.append(str(path))
+    return paths
+
+
 def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")
@@ -314,7 +341,7 @@ def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
     foreign.write_text(json.dumps({"q": 3}) + "\n")
     binary = tmp_path / "binary.jsonl"
     binary.write_bytes(b"\xff\xfe\x00\x81")
-    tampered = _tampered_coordinates(tmp_path)
+    tampered = _tampered_coordinates(tmp_path) + _tampered_shapes(tmp_path)
     for argv in (*[("parallelism", sub, path) for path in tampered
                    for sub in ("verify", "characterize")],
                  ("parallelism", "build", str(empty), "--q", "3"),
@@ -329,6 +356,34 @@ def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+# sha256 of the `parallelism build` file for a seeded good set, as written
+# before the subgeometry lines were indexed
+ROUND_TRIP_FILES = {
+    8: "ece3420da83d3d3ae594c029859a36e96883571eb2ea3ac263872cd7d155797f",
+    9: "16c71aec3beb7e69293191c75cdf09b9b65775deb3574a044f6b7257818b78b6",
+}
+
+
+@pytest.mark.parametrize("q", sorted(ROUND_TRIP_FILES))
+def test_cli_round_trip_keeps_the_file_bytes(q, tmp_path, capsys):
+    """build -> verify -> characterize at q = 8 (m = 3) and q = 9.  The
+    certificate checksum is the same for every valid parallelism at one q,
+    so the file itself is pinned."""
+    lam = lambda_for_q(q)
+    gs = random.Random(q).choice(list(islice(enumerate_good_sets(lam), 1000)))
+    record = tmp_path / "record.jsonl"
+    record.write_text(goodset_record(lam, gs) + "\n")
+    par = tmp_path / "par.jsonl"
+    assert run_cli("parallelism", "build", str(record), "--q", str(q),
+                   "--output", str(par)) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(par.read_bytes()).hexdigest() == ROUND_TRIP_FILES[q]
+    assert run_cli("parallelism", "verify", str(par)) == 0
+    assert capsys.readouterr().out.endswith("verdict: pass\n")
+    assert run_cli("parallelism", "characterize", str(par)) == 0
+    assert capsys.readouterr().out == goodset_record(lam, flip_canonical(lam, gs)) + "\n"
 
 
 def test_cli_classify_has_no_limit(capsys):

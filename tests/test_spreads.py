@@ -5,8 +5,9 @@ import pytest
 
 from spreadsmith import checks
 from spreadsmith.goodsets import candidate_universe
-from spreadsmith.proj_geometry import line_points, lines_meet
-from spreadsmith.spreads import geometry_for_q
+from spreadsmith.parallelisms import group_E
+from spreadsmith.proj_geometry import line_points, lines_meet, rref
+from spreadsmith.spreads import SpreadReport, geometry_for_q
 
 
 def test_desarguesian_spread_counts():
@@ -23,6 +24,107 @@ def test_subgeometry_line_universe():
     for q in (3, 4, 5):
         geo = geometry_for_q(q)
         assert len(geo.sigma_eta_lines()) == (q * q + 1) * (q * q + q + 1)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_sigma_eta_lines_match_the_pairwise_sweep(q):
+    """The generated index against the O(N^2) sweep it replaced: the RREF
+    line through every pair of subgeometry points, and each line's points
+    filtered from its q^2+1 ambient points."""
+    geo = geometry_for_q(q)
+    spec, sig = geo.spec, geo.sigma_eta
+    pts = sorted(sig)
+    sweep = sorted({rref(spec, [P, Q]) for i, P in enumerate(pts) for Q in pts[i + 1:]})
+    assert geo.sigma_eta_lines() == sweep
+    assert geo.line_index() == {l: k for k, l in enumerate(sweep)}
+    for l in sweep:
+        on_line = tuple(P for P in line_points(spec, l) if P in sig)
+        assert geo.subline_points(l) == on_line
+        assert geo.intern(l) is geo.sigma_eta_lines()[geo.line_index()[l]]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_line_permutation_matches_apply_line(q):
+    geo = geometry_for_q(q)
+    index = geo.line_index()
+    for psi in group_E(geo).generators:
+        assert geo.line_permutation(psi) == [index[psi.apply_line(l)]
+                                             for l in geo.sigma_eta_lines()]
+
+
+def test_transversals_of_match_a_full_search():
+    """Transversals found on point ids against every subgeometry line that
+    meets the given lines, also when one given line is not in the index."""
+    geo = geometry_for_q(4)
+    spec, sigma = geo.spec, geo.sigma_eta_lines()
+    d = sorted(geo.desarguesian_spread().lines)
+    foreign = next(l for l in geo.line_set_L() if not lines_meet(spec, l, d[0])
+                   and not lines_meet(spec, l, d[5]))
+    for lines in ([d[0], d[5], d[9]], [d[0], d[5], d[9], d[11]], [d[0], d[5], foreign]):
+        full = [l for l in sigma if all(lines_meet(spec, l, r) for r in lines)]
+        got = geo.transversals_of(lines)
+        assert got == full
+        assert all(t is geo.intern(t) for t in got)
+
+
+def test_spreads_hold_the_index_lines():
+    geo = geometry_for_q(4)
+    l = geo.line_set_L()[7]
+    spreads = (geo.desarguesian_spread(), geo.spread_from_transversal(l), geo.hall_spread(l))
+    lines = [m for sp in spreads for m in sp.lines]
+    lines += geo.regulus_of(l).lines + geo.opposite_regulus(geo.regulus_of(l)).lines
+    assert all(m is geo.intern(m) for m in lines)
+
+
+def _is_spread_by_point_count(geo, lines) -> SpreadReport:
+    """The verdict counted point by point on the ambient lines, as it was
+    computed before the index."""
+    q, spec, sig = geo.q, geo.spec, geo.sigma_eta
+    lines = list(lines)
+    if len(lines) != q * q + 1:
+        return SpreadReport(False, f"expected {q*q+1} lines, got {len(lines)}")
+    counts = {}
+    for l in lines:
+        if geo.tau_eta_line(l) != l:
+            return SpreadReport(False, "line is not stable under the involution")
+        pts = [P for P in line_points(spec, l) if P in sig]
+        if len(pts) != q + 1:
+            return SpreadReport(False, "line does not meet the subgeometry in a subline")
+        for P in pts:
+            counts[P] = counts.get(P, 0) + 1
+    for P, c in counts.items():
+        if c > 1:
+            return SpreadReport(False, "point covered more than once", multiply_covered=P)
+    for P in sig:
+        if P not in counts:
+            return SpreadReport(False, "point not covered", uncovered=P)
+    return SpreadReport(True)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_is_spread_reports_match_the_point_count(q):
+    geo = geometry_for_q(q)
+    d = list(geo.desarguesian_spread().lines)
+    pencil_line = geo.line_set_L()[0]           # meets the subgeometry in one point
+    skew = geo.space.t1                         # misses it, and is not tau-stable
+    assert pencil_line not in geo.line_index() and skew not in geo.line_index()
+    other = next(l for l in geo.sigma_eta_lines() if l not in d)
+    cases = {
+        "line outside": d[:-1] + [pencil_line],
+        "unstable line": [skew] + d[1:],
+        "overlap": d[:-1] + [other],
+        "repeat": d[:-1] + [d[0]],
+        "short": d[:-1],
+        "spread": d,
+        "hall": list(geo.hall_spread(pencil_line).lines),
+    }
+    reports = {name: geo.is_spread(lines) for name, lines in cases.items()}
+    for name, lines in cases.items():
+        assert reports[name] == _is_spread_by_point_count(geo, lines), name
+    assert reports["line outside"].reason == "line is not stable under the involution"
+    assert reports["unstable line"].reason == "line is not stable under the involution"
+    assert reports["overlap"].reason == "point covered more than once"
+    assert reports["spread"].ok and reports["hall"].ok
 
 
 def test_pencil_contents():
