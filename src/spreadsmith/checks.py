@@ -36,7 +36,6 @@ from spreadsmith.parallelisms import (
     build_parallelism,
     characterize,
     group_E,
-    image_key,
     is_E_invariant,
     verify_parallelism,
 )
@@ -82,6 +81,17 @@ def _fail(name, q, detail):
 
 def _ok(name, q, detail=""):
     return CheckResult(name, q, True, detail)
+
+
+def _spread_ids(geo: Geometry, spreads) -> list[tuple[int, ...]]:
+    """Each spread as its line ids, sorted like its lines, the list sorted."""
+    index = geo.line_index()
+    return sorted(tuple(index[l] for l in sp.lines) for sp in spreads)
+
+
+def _images(geo: Geometry, psi: Collineation, keys) -> list[tuple[int, ...]]:
+    """The images under psi of spreads given as _spread_ids gives them."""
+    return sorted(tuple(sorted(geo.line_images(psi, key))) for key in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +592,15 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
     s = geo.spec
     q = geo.q
     lam = geo.lam
+    r_key = [geo.line_index()[geo.space.r_U1]]
+    [d_key] = _spread_ids(geo, [geo.desarguesian_spread()])
     for a_idx in lam.I:
         phi = geo.phi_map(a_idx)
-        sig = geo.sigma_eta
-        if {phi.apply_point(P) for P in sig} != sig:
+        try:
+            geo.point_permutation(phi)
+        except KeyError:
             return _fail(name, q, "mixing map moves the distinguished subgeometry")
-        if phi.apply_line(geo.space.r_U1) != geo.space.r_U1:
+        if geo.line_images(phi, r_key) != r_key:
             return _fail(name, q, "mixing map moves r_U1")
         l0 = geo.l_lambda(a_idx, 0)
         if phi.apply_line(geo.space.t1) != l0:
@@ -610,9 +623,8 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
             if xi.apply_line(l0) != geo.l_lambda(a_idx, scalar):
                 return _fail(name, q, "shift misplaces the line family")
             phi_l = geo.phi_lambda_map(a_idx, scalar)
-            img = {phi_l.apply_line(l) for l in geo.desarguesian_spread().lines}
             sp = geo.spread_from_transversal(geo.l_lambda(a_idx, scalar))
-            if img != set(sp.lines):
+            if _images(geo, phi_l, [d_key]) != _spread_ids(geo, [sp]):
                 return _fail(name, q, "composite map misses the shifted spread")
             ext = geo.extension_points(sp.lines)
             union = set(line_points(s, geo.l_lambda(a_idx, scalar)))
@@ -1055,7 +1067,6 @@ def check_unitriangular_group(geo: Geometry) -> CheckResult:
     E = group_E(geo)
     if E.order != q * q:
         return _fail(name, q, f"order {E.order} != q^2")
-    ident = Collineation.identity(s)
     for psi in E.elements:
         power = psi
         for _ in range(s.p - 1):
@@ -1161,8 +1172,7 @@ def check_group_actions(geo: Geometry, sample: int = 4, seed: int = 29) -> Check
         (0, 0, 0, s.mul(s.frobenius(c), u0))))
     p1 = build_parallelism(geo, gs)
     p2 = build_parallelism(geo, img)
-    mapped = sorted(image_key(witness, sp.lines) for sp in p1.spreads)
-    if mapped != sorted(sp.key() for sp in p2.spreads):
+    if _images(geo, witness, _spread_ids(geo, p1.spreads)) != _spread_ids(geo, p2.spreads):
         return _fail(name, q, "diagonal witness does not map the parallelisms")
     if are_equivalent(geo, p1, p2) is None:
         return _fail(name, q, "diagonal images not detected as equivalent")
@@ -1177,11 +1187,12 @@ def check_stabilizer_order(geo: Geometry) -> CheckResult:
     grp = stabilizer_group(geo)
     if grp.order != grp.formula_order:
         return _fail(name, q, f"closure {grp.order} != formula {grp.formula_order}")
-    d_key = geo.desarguesian_spread().key()
+    [d_key] = _spread_ids(geo, [geo.desarguesian_spread()])
+    r_key = [geo.line_index()[geo.space.r_U1]]
     for psi in grp.generators:
-        if image_key(psi, d_key) != d_key:
+        if _images(geo, psi, [d_key]) != [d_key]:
             return _fail(name, q, "generator moves the Desarguesian spread")
-        if psi.apply_line(geo.space.r_U1) != geo.space.r_U1:
+        if geo.line_images(psi, r_key) != r_key:
             return _fail(name, q, "generator moves the distinguished line")
     return _ok(name, q, f"order {grp.order}")
 
@@ -1214,24 +1225,23 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
         # stabilizes it also fixes the distinguished line
         full = full_stabilizer_group(geo)
         pb = build_parallelism(geo, B)
-        pd = build_parallelism(geo, Bd)
-        own_key = sorted(sp.key() for sp in pb.spreads)
-        dual_key = sorted(sp.key() for sp in pd.spreads)
-        own_members = set(map(tuple, own_key))
-        dual_members = set(map(tuple, dual_key))
-        probe_spread = pb.spreads[0]
+        own_key = _spread_ids(geo, pb.spreads)
+        dual_key = _spread_ids(geo, build_parallelism(geo, Bd).spreads)
+        members = set(own_key) | set(dual_key)
+        # two Hall members: every element fixes the Desarguesian one
+        probe = _spread_ids(geo, pb.spreads[:2])
+        r_key = [geo.line_index()[geo.space.r_U1]]
         cross_hits = 0
         stab_size = 0
         for psi in full.elements:
-            img0 = image_key(psi, probe_spread.lines)
-            if img0 not in own_members and img0 not in dual_members:
+            if not members.issuperset(_images(geo, psi, probe)):
                 continue
-            whole = sorted(image_key(psi, sp.lines) for sp in pb.spreads)
+            whole = _images(geo, psi, own_key)
             if whole == dual_key:
                 cross_hits += 1
             elif whole == own_key:
                 stab_size += 1
-                if psi.apply_line(geo.space.r_U1) != geo.space.r_U1:
+                if geo.line_images(psi, r_key) != r_key:
                     return _fail(name, q,
                                  "a parallelism stabilizer element moves r_U1")
         if cross_hits:

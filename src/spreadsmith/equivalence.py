@@ -4,9 +4,10 @@ constructed parallelisms, and orbit classification of small families.
 
 Collineations are stored as ambient semilinear maps of PG(3,q^2); two maps
 inducing the same action on the subgeometry differ by the subgeometry
-involution, so group elements are deduplicated by the minimum of the two
-canonical keys.  Group orders therefore count induced collineations, which
-is what the reference order 2 m q^2 (q^2-1) (q+1) speaks about.
+involution, so group elements are deduplicated by the permutation they
+induce on the subgeometry's point ids.  Group orders therefore count
+induced collineations, which is what the reference order
+2 m q^2 (q^2-1) (q+1) speaks about.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from spreadsmith.field_tower import LambdaSystem
 from spreadsmith.goodsets import Candidate, GoodSet, canonical, flip_canonical, is_good
 from spreadsmith.parallelisms import Parallelism, characterize
-from spreadsmith.proj_geometry import Collineation, normalize, tau_plane
+from spreadsmith.proj_geometry import Collineation, tau_plane
 from spreadsmith.spreads import Geometry, memo
 
 
@@ -70,33 +71,31 @@ def full_stabilizer_gens(geo: Geometry) -> list[Collineation]:
 class StabilizerGroup:
     generators: list[Collineation]
     elements: list[Collineation]          # one ambient representative per induced map
-    order: int
-    formula_order: int | None = None
+    formula_order: int
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
 
 def close_group(geo: Geometry, gens) -> list[Collineation]:
-    """Breadth-first closure under composition, deduplicating by induced
-    action on the subgeometry.  Deterministic element order."""
-    spec = geo.spec
-    m, norm, f = spec.m, spec.norm(geo.eta), spec.frobenius
-    ident = Collineation.identity(spec)
-
-    def key(c):
-        # c then tau_eta: the q-Frobenius of c's matrix with its row pairs
-        # swapped and the moved-down pair scaled by N(eta)
-        a, b, c2, d = c.matrix
-        twin = [f(x) for x in c2 + d] + [spec.mul(norm, f(x)) for x in a + b]
-        return min(c.canonical_key(),
-                   ((c.twist + m) % (2 * m),) + normalize(spec, twin))
-
-    seen = {key(ident)}
+    """Breadth-first closure under composition, deduplicating by the
+    permutation each element induces on the subgeometry points: products
+    are composed as permutations, and only a new one is composed as a
+    collineation, with its permutation filed for Geometry.point_permutation.
+    Deterministic element order."""
+    ident = Collineation.identity(geo.spec)
     elements = [ident]
+    seen = {geo.point_permutation(ident)}
+    moves = [geo.point_permutation(g) for g in gens]
     for e in elements:
-        for g in gens:
-            n = e.then(g)
-            k = key(n)
-            if k not in seen:
-                seen.add(k)
+        perm = geo.point_permutation(e)
+        for g, move in zip(gens, moves):
+            image = tuple(map(move.__getitem__, perm))
+            if image not in seen:
+                seen.add(image)
+                n = e.then(g)
+                Geometry.point_permutation.put(geo, n, value=image)
                 elements.append(n)
     return elements
 
@@ -111,19 +110,14 @@ def stabilizer_group(geo: Geometry) -> StabilizerGroup:
     """Closure of the line-stabilizer generators; its order must equal
     stabilizer_order."""
     gens = stabilizer_gens(geo)
-    elements = close_group(geo, gens)
-    return StabilizerGroup(generators=gens, elements=elements,
-                           order=len(elements), formula_order=stabilizer_order(geo))
+    return StabilizerGroup(gens, close_group(geo, gens), stabilizer_order(geo))
 
 
 @memo
 def full_stabilizer_group(geo: Geometry) -> StabilizerGroup:
+    """The full spread stabilizer: q^2+1 times the line stabilizer."""
     gens = full_stabilizer_gens(geo)
-    elements = close_group(geo, gens)
-    q, m = geo.q, geo.spec.m
-    return StabilizerGroup(generators=gens, elements=elements,
-                           order=len(elements),
-                           formula_order=2 * m * q * q * (q**4 - 1) * (q + 1))
+    return StabilizerGroup(gens, close_group(geo, gens), stabilizer_order(geo) * (geo.q**2 + 1))
 
 
 # ---------------------------------------------------------------------------

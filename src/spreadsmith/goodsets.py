@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from spreadsmith.field_tower import FieldSpec, LambdaSystem
-from spreadsmith.proj_geometry import normalize
 
 
 class Candidate(NamedTuple):
@@ -123,21 +122,6 @@ def epsilon(lam: LambdaSystem, cands) -> tuple[PlanePoint, ...]:
                  for a, u, v in (Candidate(*c) for c in cands))
 
 
-def epsilon_inverse(lam: LambdaSystem, pts) -> GoodSet:
-    s = lam.spec
-    U = s.unit_circle()
-    uidx = {u: i for i, u in enumerate(U)}
-    out = []
-    for pt in pts:
-        x1, x2, x3 = normalize(s, pt)
-        if x1 != 1:
-            raise ValueError(f"point {pt} is not in the model point set")
-        a = lam.index_by_norm(s.norm(x2))
-        alpha = lam.alpha(a)
-        out.append(Candidate(a, uidx[s.div(x2, alpha)], uidx[s.div(x3, alpha)]))
-    return canonical(out)
-
-
 class PlaneModel:
     """The point set Z, the vertical line family s_c and the conic bundles
     C_b of the plane PG(2,q^2), restricted to what the label calculus needs."""
@@ -152,12 +136,6 @@ class PlaneModel:
         alpha = self.lam.alpha(alpha_idx)
         return frozenset((1, s.mul(alpha, u), s.mul(alpha, v))
                          for u in self.U for v in self.U)
-
-    def Z(self) -> frozenset[PlanePoint]:
-        out: set[PlanePoint] = set()
-        for a in self.lam.I:
-            out |= self.Z_alpha(a)
-        return frozenset(out)
 
     def on_line(self, c: int, pt: PlanePoint) -> bool:
         """s_c : X2 = c X3."""

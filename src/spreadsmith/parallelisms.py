@@ -155,27 +155,21 @@ def group_E(geo: Geometry) -> GroupE:
     return GroupE(elements=elements, generators=gens)
 
 
-def image_key(psi: Collineation, lines) -> tuple[Line, ...]:
-    """The image of a line set under a collineation, sorted like Spread.key()."""
-    return tuple(sorted(psi.apply_line(l) for l in lines))
-
-
 def is_E_invariant(geo: Geometry, par, full: bool = False) -> bool:
     """Invariance of the spread set under the unitriangular group; the
     generator check suffices by closure, the full sweep is the slow mode.
-    Spreads of subgeometry lines are mapped as sorted line ids, by the
-    permutation each element induces on the subgeometry."""
+    Spreads are mapped as sorted line ids, by the permutation each element
+    induces on the subgeometry.  E maps the subgeometry onto itself, so a
+    set holding a line outside it is not a set of its spreads and is
+    reported as not invariant."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
-    keys = {sp.key() for sp in spreads}
+    keys = {tuple(map(geo.line_index().get, sp.lines)) for sp in spreads}
+    if any(None in key for key in keys):
+        return False
     grp = group_E(geo)
-    todo = grp.elements if full else grp.generators
-    index = geo.line_index()
-    if all(l in index for key in keys for l in key):
-        keys = {tuple(index[l] for l in key) for key in keys}
-        perms = (geo.line_permutation(psi) for psi in todo)
-        return all({tuple(sorted(perm[k] for k in key)) for key in keys} == keys
-                   for perm in perms)
-    return all({image_key(psi, key) for key in keys} == keys for psi in todo)
+    return all({tuple(sorted(perm[k] for k in key)) for key in keys} == keys
+               for perm in map(geo.line_permutation,
+                               grp.elements if full else grp.generators))
 
 
 # ---------------------------------------------------------------------------

@@ -352,10 +352,10 @@ class Collineation:
         """The collineation 'apply self first, then other'."""
         s = self.spec
         t = other.twist
-        twisted = tuple(tuple(_iter_frob(s, x, t) for x in row) for row in self.matrix)
-        mat = tuple(tuple(_dot(s, other.matrix[i],
-                               tuple(twisted[k][j] for k in range(4)))
-                          for j in range(4)) for i in range(4))
+        cols = list(zip(*self.matrix))
+        if t:
+            cols = [tuple(_iter_frob(s, x, t) for x in col) for col in cols]
+        mat = tuple(tuple(_dot(s, row, col) for col in cols) for row in other.matrix)
         return Collineation(s, mat, self.twist + other.twist)
 
     def inverse(self) -> "Collineation":

@@ -112,15 +112,14 @@ def goodset_record(lam: LambdaSystem, gs) -> str:
 def parse_goodset_record(lam: LambdaSystem, text: str) -> GoodSet:
     obj = json.loads(text)
     q = lam.spec.q
-    if obj.get("q") != q:
-        raise ValueError(f"record is for q={obj.get('q')}, expected q={q}")
+    if _member(obj, "q", int) != q:
+        raise ValueError(f"record is for q={obj['q']}, expected q={q}")
     want_idx = [lam.spec.dlog(x) for x in lam.lam]
-    if obj.get("lambda_idx") != want_idx:
+    if _member(obj, "lambda_idx", list) != want_idx:
         raise ValueError("record was written against a different Lambda")
-    entries = obj["entries"]
     cands = []
-    for e in entries:
-        c = Candidate(int(e["alpha_idx"]), int(e["u_pow"]), int(e["v_pow"]))
+    for e in _member(obj, "entries", list):
+        c = Candidate(*(_member(e, key, int) for key in ("alpha_idx", "u_pow", "v_pow")))
         if c.alpha_idx not in lam.I:
             raise ValueError(f"alpha index {c.alpha_idx} is not in the I class")
         if not (0 <= c.u_pow <= q and 0 <= c.v_pow <= q):
@@ -187,27 +186,30 @@ def write_parallelism_file(path, geo: Geometry, par: Parallelism,
 
 
 def read_parallelism_file(path):
-    """Returns (header dict, Geometry, list of Spread, certificate dict)."""
+    """Returns (header dict, Geometry, list of Spread, certificate dict).
+    Rows are decoded one at a time, and each subgeometry line is replaced
+    by the index's own object, so the file's lines are held once."""
     with open(path) as fh:
-        rows = [json.loads(line) for line in fh if line.strip()]
-    if not rows or not all(isinstance(row, dict) for row in rows) \
-            or rows[0].get("format") != FORMAT_NAME:
-        raise ValueError("not a parallelism file")
-    header = rows[0]
-    spec = field_spec_from_obj(header["field"])
-    lam = lambda_from_obj(spec, header["lambda"])
-    geo = Geometry(lam)
-    spreads = []
-    cert = None
-    for row in rows[1:]:
-        kind = row.get("type")
-        if kind == "spread":
-            lines = tuple(_line_from_obj(spec, l) for l in _member(row, "lines", list))
-            spreads.append(Spread(lines=lines, alpha=geo.eta, tag=row.get("tag", "unknown")))
-        elif kind == "certificate":
-            cert = row
-        else:
-            raise ValueError(f"unknown record type {kind!r}")
+        rows = (json.loads(line) for line in fh if line.strip())
+        header = next(rows, None)
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+            raise ValueError("not a parallelism file")
+        spec = field_spec_from_obj(header["field"])
+        if _member(header, "q", int) != spec.q:
+            raise ValueError(f"header q={header['q']} is not the field order {spec.p}^{spec.m}")
+        geo = Geometry(lambda_from_obj(spec, header["lambda"]))
+        spreads = []
+        cert = None
+        for row in rows:
+            kind = _member(row, "type", str)
+            if kind == "spread":
+                lines = tuple(geo.intern(_line_from_obj(spec, l))
+                              for l in _member(row, "lines", list))
+                spreads.append(Spread(lines=lines, alpha=geo.eta, tag=row.get("tag", "unknown")))
+            elif kind == "certificate":
+                cert = row
+            else:
+                raise ValueError(f"unknown record type {kind!r}")
     return header, geo, spreads, cert
 
 

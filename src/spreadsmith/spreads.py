@@ -77,7 +77,8 @@ def memo(fn):
     """Cache ``fn(geo, *args)`` in the one cache dict of ``geo``, keyed by
     the function's qualified name and its positional arguments.  Every
     object a Geometry derives lives there, whichever module derives it, so
-    qualified names of memoised functions must be unique."""
+    qualified names of memoised functions must be unique.  ``cached.put(geo,
+    *args, value=v)`` files a value a caller derived more cheaply."""
     name = fn.__qualname__
 
     @wraps(fn)
@@ -89,6 +90,10 @@ def memo(fn):
             got = geo._cache[key] = fn(geo, *args)
             return got
 
+    def put(geo, *args, value):
+        geo._cache[(name, *args)] = value
+
+    cached.put = put
     return cached
 
 
@@ -125,7 +130,6 @@ class Geometry:
         self.eta = lam.eta
         assert self.spec.norm(self.eta) == 1
         self.U = self.spec.unit_circle()
-        self.u_index = {u: i for i, u in enumerate(self.U)}
         self._cache: dict[tuple, object] = {}     # see memo
 
     @classmethod
@@ -206,9 +210,10 @@ class Geometry:
 
     def intern(self, l: Line) -> Line:
         """The index's own object for a subgeometry line, so that every
-        spread holds one shared copy of each line."""
+        spread holds one shared copy of each line; any other line as given."""
         index = self._index()
-        return index.lines[index.line_id[l]]
+        k = index.line_id.get(l)
+        return l if k is None else index.lines[k]
 
     def subline_ids(self, l: Line) -> tuple[int, ...]:
         """The ids of the subgeometry points on a line: q+1 of them on a
@@ -243,18 +248,33 @@ class Geometry:
         return out
 
     @memo
-    def line_permutation(self, psi: Collineation) -> list[int]:
-        """The image of every line id under a collineation that maps the
-        subgeometry onto itself, computed on point ids."""
+    def point_permutation(self, psi: Collineation) -> tuple[int, ...]:
+        """The image id of every subgeometry point under a collineation that
+        maps the subgeometry onto itself (a KeyError for any other): the one
+        place a collineation acts on it.  A collineation fixing the
+        subgeometry pointwise is 1 or tau_eta, so this permutation is
+        exactly the action psi induces."""
         index = self._index()
-        perm = [index.point_id[psi.apply_point(P)] for P in index.points]
+        return tuple(index.point_id[psi.apply_point(P)] for P in index.points)
+
+    def line_images(self, psi: Collineation, ids) -> list[int]:
+        """The id of the image of each given line id under psi: the line
+        whose two smallest point ids are the two smallest images of the
+        given line's point ids."""
+        perm = self.point_permutation(psi)
+        line_point_ids = self._index().line_point_ids
         by_pair = self._line_by_pair()
         n = len(perm)
         out = []
-        for ids in index.line_point_ids:
-            a, b = sorted([perm[p] for p in ids])[:2]
+        for k in ids:
+            a, b = sorted([perm[p] for p in line_point_ids[k]])[:2]
             out.append(by_pair[a * n + b])
         return out
+
+    @memo
+    def line_permutation(self, psi: Collineation) -> list[int]:
+        """The image of every line id under psi."""
+        return self.line_images(psi, range(len(self._index().lines)))
 
     # -- distinguished points, planes, pencils --------------------------------
 

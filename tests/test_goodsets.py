@@ -22,7 +22,6 @@ from spreadsmith.goodsets import (
     dual,
     enumerate_good_sets,
     epsilon,
-    epsilon_inverse,
     fixed_plane_good_set,
     fixed_point_good_set,
     flip_canonical,
@@ -30,6 +29,7 @@ from spreadsmith.goodsets import (
     is_good,
     is_good_geometric,
 )
+from spreadsmith.proj_geometry import normalize
 
 # computed by exhaustive search over the raw pairwise conditions (q <= 5)
 # and by the assignment-count method (all); the two agree where both run
@@ -125,11 +125,32 @@ def test_ratio_violation_detected():
     assert set(verdict.witness) == {Candidate(a, 0, 0), Candidate(a, 1, 1)}
 
 
+def model_points(model):
+    """The point set Z of the plane model: the union of its Z_alpha."""
+    return frozenset().union(*(model.Z_alpha(a) for a in model.lam.I))
+
+
+def epsilon_inverse(lam, pts):
+    """The labels of model points (1, alpha u, alpha v), read back through
+    the norm class of alpha u and the unit-circle positions of u and v."""
+    s = lam.spec
+    uidx = {u: i for i, u in enumerate(s.unit_circle())}
+    out = []
+    for pt in pts:
+        x1, x2, x3 = normalize(s, pt)
+        if x1 != 1:
+            raise ValueError(f"point {pt} is not in the model point set")
+        a = lam.index_by_norm(s.norm(x2))
+        alpha = lam.alpha(a)
+        out.append(Candidate(a, uidx[s.div(x2, alpha)], uidx[s.div(x3, alpha)]))
+    return canonical(out)
+
+
 def test_epsilon_injective_and_in_model():
     for q in (3, 4):
         lam = lambda_for_q(q)
         model = PlaneModel(lam)
-        Z = model.Z()
+        Z = model_points(model)
         univ = candidate_universe(lam)
         pts = epsilon(lam, univ[: len(univ)])
         assert len(set(pts)) == len(univ)

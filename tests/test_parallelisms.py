@@ -122,6 +122,20 @@ def test_all_parallelisms_E_invariant_q3():
     assert is_E_invariant(geo, par, full=True)
 
 
+def test_a_line_outside_the_subgeometry_is_not_E_invariant():
+    # t1 is fixed by every element of E, so the ambient images of this
+    # family are the family itself; t1 is not a subgeometry line, though
+    geo = geometry_for_q(3)
+    E = group_E(geo)
+    t1 = geo.space.t1
+    assert all(psi.apply_line(t1) == t1 for psi in E.elements)
+    assert t1 not in geo.line_index()
+    par = build_parallelism(geo, next(enumerate_good_sets(geo.lam)))
+    family = [*par.spreads, Spread(lines=(t1,), alpha=geo.eta)]
+    assert not is_E_invariant(geo, family)
+    assert not is_E_invariant(geo, family, full=True)
+
+
 def test_characterize_round_trip():
     for q in (3, 4):
         geo = geometry_for_q(q)

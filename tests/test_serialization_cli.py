@@ -71,6 +71,8 @@ def test_parallelism_file_round_trip(tmp_path):
     assert header["q"] == 3
     assert len(spreads) == 13
     assert {sp.key() for sp in spreads} == {sp.key() for sp in par.spreads}
+    # the decoded lines are the index's own objects, not second copies
+    assert all(l is geo2.intern(l) for sp in spreads for l in sp.lines)
     cert2 = verify_parallelism(geo2, spreads)
     assert cert2.ok and cert2.checksum == stored["checksum"]
 
@@ -158,6 +160,15 @@ def test_cli_parallelism_build_rejects_non_good(tmp_path, capsys):
     assert "not a good set" in out and "unit-ratio" in out
 
 
+def _malformed_records():
+    """q = 3 good-set records of the wrong shape: not an object, "entries"
+    not a list, and an entry that is not an object."""
+    lam = lambda_for_q(3)
+    good = json.loads(goodset_record(lam, fixed_plane_good_set(lam, lam.I[0], 0)))
+    return [json.dumps([1]), json.dumps({**good, "entries": 5}),
+            json.dumps({**good, "entries": [5]})]
+
+
 def test_cli_goodsets_verify(tmp_path, capsys):
     lam = lambda_for_q(3)
     good = goodset_record(lam, fixed_plane_good_set(lam, lam.I[0], 0))
@@ -165,10 +176,12 @@ def test_cli_goodsets_verify(tmp_path, capsys):
     bad_rec["entries"][1]["v_pow"] = bad_rec["entries"][0]["v_pow"]
     bad_rec["entries"][1]["u_pow"] = bad_rec["entries"][0]["u_pow"]
     path = tmp_path / "mixed.jsonl"
-    path.write_text(good + "\n" + json.dumps(bad_rec) + "\n")
+    path.write_text("\n".join([good, json.dumps(bad_rec), *_malformed_records()]) + "\n")
     assert run_cli("goodsets", "verify", str(path), "--q", "3") == 1
     out = capsys.readouterr().out
     assert "line 2" in out
+    for lineno in (3, 4, 5):
+        assert f"line {lineno}: malformed record" in out
 
 
 def test_cli_parallelism_round_trip(tmp_path, capsys):
@@ -313,7 +326,7 @@ def _tampered_coordinates(tmp_path):
 def _tampered_shapes(tmp_path):
     """q = 3 parallelism files with a value of the wrong JSON type: a
     spread's "lines", the header Lambda's "elements" and the header
-    field's "p"."""
+    field's "p"; and one whose header "q" is not the field's p^m."""
     geo = geometry_for_q(3)
     par = build_parallelism(geo, fixed_plane_good_set(geo.lam, geo.lam.I[0], 0))
     good = tmp_path / "par.jsonl"
@@ -322,7 +335,8 @@ def _tampered_shapes(tmp_path):
     paths = []
     for i, (row, keys, value) in enumerate(((1, ("lines",), 5),
                                             (0, ("lambda", "elements"), 5),
-                                            (0, ("field", "p"), "3"))):
+                                            (0, ("field", "p"), "3"),
+                                            (0, ("q",), 4))):
         changed = json.loads(json.dumps(rows))
         obj = changed[row]
         for key in keys[:-1]:
@@ -342,8 +356,13 @@ def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
     binary = tmp_path / "binary.jsonl"
     binary.write_bytes(b"\xff\xfe\x00\x81")
     tampered = _tampered_coordinates(tmp_path) + _tampered_shapes(tmp_path)
+    records = []
+    for i, text in enumerate(_malformed_records()):
+        records.append(tmp_path / f"record_{i}.jsonl")
+        records[-1].write_text(text + "\n")
     for argv in (*[("parallelism", sub, path) for path in tampered
                    for sub in ("verify", "characterize")],
+                 *[("parallelism", "build", str(path), "--q", "3") for path in records],
                  ("parallelism", "build", str(empty), "--q", "3"),
                  ("parallelism", "build", str(binary), "--q", "3"),
                  ("goodsets", "verify", str(binary), "--q", "3"),

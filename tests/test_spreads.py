@@ -1,9 +1,12 @@
 """Spreads, pencils, reguli and Hall switching, plus the structural suites
 over the spread union and the shifted spread family."""
 
+import random
+
 import pytest
 
 from spreadsmith import checks
+from spreadsmith.equivalence import full_stabilizer_gens, full_stabilizer_group
 from spreadsmith.goodsets import candidate_universe
 from spreadsmith.parallelisms import group_E
 from spreadsmith.proj_geometry import line_points, lines_meet, rref
@@ -45,9 +48,16 @@ def test_sigma_eta_lines_match_the_pairwise_sweep(q):
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_line_permutation_matches_apply_line(q):
+    """The id action against apply_line for the E generators, the spread
+    stabilizer generators (full_stabilizer_gens extends stabilizer_gens)
+    and, at q = 3, a seeded sample of the full closure, whose permutations
+    the closure composed rather than computed."""
     geo = geometry_for_q(q)
     index = geo.line_index()
-    for psi in group_E(geo).generators:
+    moves = [*group_E(geo).generators, *full_stabilizer_gens(geo)]
+    if q == 3:
+        moves += random.Random(q).sample(full_stabilizer_group(geo).elements, 50)
+    for psi in moves:
         assert geo.line_permutation(psi) == [index[psi.apply_line(l)]
                                              for l in geo.sigma_eta_lines()]
 
