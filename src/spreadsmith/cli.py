@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 141 when the reader closes stdout early (as after `| head`), the status a
-shell reports for a filter that SIGPIPE stops.
+shell reports for a filter that SIGPIPE stops, and 143 after SIGTERM, which
+ends the command through its cleanup (a worker pool terminates its workers).
 Output is deterministic for a fixed configuration: repeated runs and
 different worker counts produce identical bytes.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -36,6 +38,7 @@ from spreadsmith.parallelisms import (
     verify_parallelism,
 )
 from spreadsmith.serialization import (
+    certificate_record,
     dumps,
     field_spec_to_obj,
     goodset_record,
@@ -55,6 +58,10 @@ BROKEN_PIPE = 141
 
 class UsageError(Exception):
     pass
+
+
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def _field_from_args(args) -> FieldSpec:
@@ -250,9 +257,11 @@ def cmd_parallelism(args) -> int:
         ok = cert.ok
         msgs = [f"spreads: {len(spreads)}", f"lines covered: {cert.line_count}",
                 f"checksum: {cert.checksum[:16]}.."]
-        if stored and stored.get("checksum") not in (None, cert.checksum):
-            ok = False
-            msgs.append("checksum mismatch against the stored certificate")
+        if stored is not None:
+            for key, value in certificate_record(len(spreads), cert).items():
+                if stored[key] != value:
+                    ok = False
+                    msgs.append(f"{key} mismatch against the stored certificate")
         if not cert.ok:
             msgs.append(f"failure: {cert.reason()}")
             if cert.uncovered:
@@ -375,6 +384,7 @@ def main(argv=None) -> int:
     if getattr(args, "subcmd", None) == "verify" and args.command == "goodsets" \
             and not args.file:
         ap.error("goodsets verify needs a record file")
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise UsageError("--jobs must be at least 1")
@@ -391,6 +401,8 @@ def main(argv=None) -> int:
         # that the flush at exit does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

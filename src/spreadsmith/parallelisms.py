@@ -26,9 +26,7 @@ from spreadsmith.proj_geometry import (
     klein_bilinear,
     klein_transversals,
     line_from_plucker,
-    line_intersection,
     line_through,  # noqa: F401  kept as a module name: perfbench's tracing tests rebind it
-    normalize,
     plucker,
 )
 from spreadsmith.spreads import Geometry, Spread, SpreadReport, memo
@@ -208,7 +206,6 @@ def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | No
     """Validate one non-Desarguesian member, given by its sorted lines, as
     a Hall spread switched on a regulus through r_U1 and recover its
     pencil label."""
-    spec = geo.spec
     q = geo.q
     r_ids = set(geo.subline_ids(geo.space.r_U1))
     touching = [l for l in lines if not r_ids.isdisjoint(geo.subline_ids(l))]
@@ -227,24 +224,11 @@ def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | No
     source_lines = (set(lines) - set(touching)) | set(reg)
     if not geo.is_spread(source_lines).ok:
         return None, "unswitching does not yield a spread"
-    labels = []
-    for d in _ambient_directors(geo, source_lines):
-        P = line_intersection(spec, d, geo.space.r_U1)
-        if P is None:
-            continue
-        lab = geo.pencil_label(P, _plane_with_r_U1(spec, d))
-        if lab is not None:
-            labels.append(lab)
+    labels = [lab for lab in map(geo.pencil_label_of, _ambient_directors(geo, source_lines))
+              if lab is not None]
     if not labels:
         return None, "no director line carries an I-class pencil label"
     return min(labels), None
-
-
-def _plane_with_r_U1(spec, l: Line):
-    """The plane spanned by r_U1 = <U1, U3> and a line meeting it: every
-    such plane is h2 X2 + h4 X4 = 0, fixed by a point of l off r_U1."""
-    R = next(r for r in l if r[1] or r[3])
-    return normalize(spec, (0, R[3], 0, spec.neg(R[1])))
 
 
 def characterize(geo: Geometry, par) -> CharacterizeResult:

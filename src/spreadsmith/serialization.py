@@ -21,6 +21,9 @@ from spreadsmith.spreads import Geometry, Spread
 
 FORMAT_NAME = "pg3q-parallelism"
 FORMAT_VERSION = 1
+# the JSON type of each member of the certificate record
+CERTIFICATE_MEMBERS = (("ok", bool), ("spread_count", int), ("line_count", int),
+                       ("checksum", str))
 
 
 def dumps(obj: Any) -> str:
@@ -174,15 +177,15 @@ def write_parallelism_file(path, geo: Geometry, par: Parallelism,
             "tag": sp.tag,
             "lines": [_line_to_obj(spec, l) for l in sp.lines],
         }))
-    lines_out.append(dumps({
-        "type": "certificate",
-        "ok": cert.ok,
-        "spread_count": len(par.spreads),
-        "line_count": cert.line_count,
-        "checksum": cert.checksum,
-    }))
+    lines_out.append(dumps(certificate_record(len(par.spreads), cert)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines_out) + "\n")
+
+
+def certificate_record(spread_count: int, cert: Certificate) -> dict:
+    """The certificate row of a parallelism file of spread_count spreads."""
+    return {"type": "certificate", "ok": cert.ok, "spread_count": spread_count,
+            "line_count": cert.line_count, "checksum": cert.checksum}
 
 
 def read_parallelism_file(path):
@@ -207,6 +210,10 @@ def read_parallelism_file(path):
                               for l in _member(row, "lines", list))
                 spreads.append(Spread(lines=lines, alpha=geo.eta, tag=row.get("tag", "unknown")))
             elif kind == "certificate":
+                if cert is not None:
+                    raise ValueError("more than one certificate record")
+                for key, json_type in CERTIFICATE_MEMBERS:
+                    _member(row, key, json_type)
                 cert = row
             else:
                 raise ValueError(f"unknown record type {kind!r}")

@@ -8,6 +8,11 @@ involution and meets the subgeometry in q+1 points, and this single
 representation serves both incidence levels.  The subgeometry's points and
 lines are numbered once (SubgeometryIndex); spreads hold the index's own
 line objects, and spread, cover and incidence checks on them run on ids.
+
+A pencil is written down from the closed form of its Baer subplane section,
+and the label of a pencil line is read off the line itself: its point on
+r_U1 and its plane through r_U1.  No table over the whole pencil line
+family is needed.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ from spreadsmith.proj_geometry import (
     Point,
     echelon_pairs,
     line_points,
+    line_intersection,
     line_through,
     lines_meet,
     normalize,
-    point_on_plane,
     tau_line,
     tau_point,
 )
@@ -312,24 +317,46 @@ class Geometry:
             return None
         return Candidate(point[0], point[1], pl[1])
 
+    def pencil_label_of(self, l: Line) -> Candidate | None:
+        """The label whose point_P is the point where l meets r_U1 and whose
+        plane_pi is the plane <l, r_U1>.  None when l is r_U1 or misses it,
+        or when no I-class label has both."""
+        spec, r_U1 = self.spec, self.space.r_U1
+        if l == r_U1:
+            return None
+        P = line_intersection(spec, l, r_U1)
+        if P is None:
+            return None
+        # every plane through r_U1 = <U1, U3> is h2 X2 + h4 X4 = 0, fixed by
+        # a point of l off r_U1
+        R = next(r for r in l if r[1] or r[3])
+        return self.pencil_label(P, normalize(spec, (0, R[3], 0, spec.neg(R[1]))))
+
+    def _pencil_line(self, alpha_idx: int, u_pow: int, v_pow: int, s: int) -> Line:
+        """The line through point_P and (x, 1, c x^q, c), x = s w (see pencil)."""
+        spec = self.spec
+        c = spec.mul(self.alpha_of(alpha_idx), self.U[v_pow])
+        x = s if u_pow != v_pow else spec.mul(s, spec.generator)
+        return line_through(spec, self.point_P(alpha_idx, u_pow),
+                            (x, 1, spec.mul(c, spec.frobenius(x)), c))
+
     @memo
     def pencil(self, alpha_idx: int, u_pow: int, v_pow: int) -> Pencil:
+        """The q+1 lines through point_P(a, u) in plane_pi(a, v), X4 = c X2
+        with c = alpha v, that carry Baer sublines of the subgeometry of
+        alpha.  Off r_U1 the plane meets it in the points (x, 1, c x^q, c),
+        and two lie on one line through point_P exactly when (x - x')^(q-1)
+        = u/v.  So x = s w, s in GF(q), gives each other line once, with
+        w = 1 when u != v and w the generator (outside GF(q)) when u = v."""
         if alpha_idx not in self.lam.I:
             raise ValueError(f"alpha index {alpha_idx} is not in the I class")
         if not (0 <= u_pow <= self.q and 0 <= v_pow <= self.q):
             raise ValueError(f"unit exponents {u_pow}, {v_pow} are not in 0..{self.q}")
-        spec = self.spec
-        alpha = self.alpha_of(alpha_idx)
-        P = self.point_P(alpha_idx, u_pow)
-        pi = self.plane_pi(alpha_idx, v_pow)
-        section = [S for S in self.space.sigma_points(alpha)
-                   if point_on_plane(spec, pi, S)]
-        assert len(section) == self.q**2 + self.q + 1, "plane section must be a Baer subplane"
-        members = {line_through(spec, P, S) for S in section if S != P}
+        members = {self.space.r_U1, *(self._pencil_line(alpha_idx, u_pow, v_pow, s)
+                                      for s in range(self.q))}
         assert len(members) == self.q + 1
-        assert self.space.r_U1 in members
-        return Pencil(alpha_idx, u_pow, v_pow, base_point=P, plane=pi,
-                      lines=tuple(sorted(members)))
+        return Pencil(alpha_idx, u_pow, v_pow, base_point=self.point_P(alpha_idx, u_pow),
+                      plane=self.plane_pi(alpha_idx, v_pow), lines=tuple(sorted(members)))
 
     @memo
     def line_set_L(self) -> tuple[Line, ...]:
@@ -341,17 +368,13 @@ class Geometry:
         assert len(out) == len(set(out)) == len(self.lam.I) * self.q * (self.q + 1)**2
         return out
 
-    @memo
-    def _line_labels(self) -> dict[Line, Candidate]:
-        """The pencil label of every line of L."""
-        labels = candidate_universe(self.lam)
-        return {l: labels[i // self.q] for i, l in enumerate(self.line_set_L())}
-
     def label_of(self, l: Line) -> Candidate:
-        try:
-            return self._line_labels()[l]
-        except KeyError:
-            raise ValueError("line does not belong to the pencil line family") from None
+        """The label of the punctured pencil that holds l, read off where l
+        meets r_U1 and the plane it spans with r_U1."""
+        lab = self.pencil_label_of(l)
+        if lab is None or l not in self.pencil(*lab).lines:
+            raise ValueError("line does not belong to the pencil line family")
+        return lab
 
     # -- spreads ---------------------------------------------------------------
 
@@ -492,21 +515,13 @@ class Geometry:
 
     # -- the distinguished transversal family of one pencil -------------------
 
-    def l_lambda(self, alpha_idx: int, scalar: int, xtilde: int | None = None) -> Line:
+    def l_lambda(self, alpha_idx: int, scalar: int) -> Line:
         """The pencil line through (1,0,alpha,0) inside the plane X4 = alpha X2
         determined by the subfield scalar; scalar 0 gives the line through
         (0,1,0,alpha)."""
-        spec = self.spec
-        if not spec.in_subfield(scalar):
+        if not self.spec.in_subfield(scalar):
             raise ValueError("scalar must lie in the subfield")
-        if xtilde is None:
-            xtilde = spec.generator
-        if spec.in_subfield(xtilde):
-            raise ValueError("xtilde must lie outside the subfield")
-        alpha = self.alpha_of(alpha_idx)
-        x = spec.mul(scalar, xtilde)
-        second = (x, 1, spec.mul(alpha, spec.frobenius(x)), alpha)
-        return line_through(spec, (1, 0, alpha, 0), second)
+        return self._pencil_line(alpha_idx, 0, 0, scalar)
 
     def phi_map(self, alpha_idx: int) -> Collineation:
         """Linear map sending t1, t2 to the scalar-0 pencil line and its
@@ -532,9 +547,8 @@ class Geometry:
                (0, 0, 0, 1))
         return Collineation.linear(spec, mat)
 
-    def phi_lambda_map(self, alpha_idx: int, scalar: int,
-                       xtilde: int | None = None) -> Collineation:
-        return self.phi_map(alpha_idx).then(self.xi_map(scalar, xtilde))
+    def phi_lambda_map(self, alpha_idx: int, scalar: int) -> Collineation:
+        return self.phi_map(alpha_idx).then(self.xi_map(scalar))
 
     # -- misc helpers ----------------------------------------------------------
 

@@ -1,6 +1,9 @@
 """Field tower: arithmetic, the unit circle, the norm partition and the
 Lambda system.  Oracles here are exhaustive scans of the small fields,
-independent of the table-driven fast paths they check."""
+independent of the table-driven fast paths they check; the field axioms
+are sampled with a generator seeded by q."""
+
+import random
 
 import pytest
 
@@ -12,6 +15,9 @@ from spreadsmith.field_tower import (
     lambda_for_q,
     prime_power,
 )
+
+# every supported field order
+ALL_Q = (3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def test_prime_power_decomposition():
@@ -25,7 +31,7 @@ def test_prime_power_decomposition():
 
 
 def test_frobenius_fixes_subfield_and_is_involution():
-    for q in (3, 4, 5, 7, 8, 9):
+    for q in ALL_Q:
         s = field_for_q(q)
         for c in range(s.q):
             assert s.frobenius(c) == c
@@ -34,7 +40,7 @@ def test_frobenius_fixes_subfield_and_is_involution():
 
 
 def test_norm_into_subfield_and_multiplicative():
-    for q in (3, 4, 5, 7):
+    for q in ALL_Q:
         s = field_for_q(q)
         assert s.norm(1) == 1
         for c in range(s.q):
@@ -43,6 +49,29 @@ def test_norm_into_subfield_and_multiplicative():
             assert s.in_subfield(s.norm(x))
             for y in (1, 2, s.generator, s.order - 1):
                 assert s.norm(s.mul(x, y)) == s.mul(s.norm(x), s.norm(y))
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_field_axioms_on_seeded_samples(q):
+    """Associativity, commutativity, distributivity, inverses, the Frobenius
+    x -> x^q as a field automorphism and the norm x^(q+1) as a
+    multiplicative map, on 300 seeded triples of GF(q^2)."""
+    s = field_for_q(q)
+    add, mul, f = s.add, s.mul, s.frobenius
+    rng = random.Random(q)
+    for _ in range(300):
+        x, y, z = (rng.randrange(s.order) for _ in range(3))
+        assert add(add(x, y), z) == add(x, add(y, z))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert add(x, y) == add(y, x) and mul(x, y) == mul(y, x)
+        assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+        assert add(x, s.neg(x)) == 0 and add(s.sub(x, y), y) == x
+        if x:
+            assert mul(x, s.inv(x)) == 1 and mul(s.div(y, x), x) == y
+        assert f(x) == s.pow(x, q)
+        assert f(add(x, y)) == add(f(x), f(y)) and f(mul(x, y)) == mul(f(x), f(y))
+        assert s.norm(x) == mul(x, f(x))
+        assert s.norm(mul(x, y)) == mul(s.norm(x), s.norm(y))
 
 
 def test_generator_norm_lands_in_subfield_by_direct_power():
@@ -57,7 +86,7 @@ def test_generator_norm_lands_in_subfield_by_direct_power():
 
 
 def test_unit_circle_matches_exhaustive_scan():
-    for q in (3, 4, 5, 7):
+    for q in ALL_Q:
         s = field_for_q(q)
         scan = sorted(x for x in range(1, s.order) if s.pow(x, q + 1) == 1)
         circle = s.unit_circle()
@@ -155,10 +184,12 @@ def test_lambda_override():
 
 
 def test_element_codecs_round_trip():
-    for q in (4, 9):
+    for q in ALL_Q:
         s = field_for_q(q)
         for x in range(s.order):
-            assert s.elem_from_vec(list(s.elem_vec(x))) == x
+            vec = s.elem_vec(x)
+            assert len(vec) == 2 * s.m and all(0 <= c < s.p for c in vec)
+            assert s.elem_from_vec(list(vec)) == x
             a0, a1 = s.coeffs(x)
             assert s.from_coeffs(a0, a1) == x
             assert s.in_subfield(x) == (a1 == 0) == (s.frobenius(x) == x)
@@ -176,6 +207,6 @@ def test_modulus_choices_are_deterministic_and_irreducible():
 
 
 def test_generator_order_is_full():
-    for q in (3, 4, 5, 7, 8, 9):
+    for q in ALL_Q:
         s = field_for_q(q)
         assert s.mul_order(s.generator) == s.order - 1

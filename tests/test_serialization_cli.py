@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import islice
 from pathlib import Path
@@ -19,7 +21,12 @@ from spreadsmith.cli import main
 from spreadsmith.field_tower import field_for_q, lambda_for_q
 from spreadsmith.goodsets import enumerate_good_sets, fixed_plane_good_set, flip_canonical
 from spreadsmith.parallelisms import build_parallelism, verify_parallelism
+from spreadsmith.proj_geometry import line_through, normalize
 from spreadsmith.serialization import (
+    _line_from_obj,
+    _line_to_obj,
+    _point_from_obj,
+    _point_to_obj,
     field_spec_from_obj,
     field_spec_to_obj,
     goodset_record,
@@ -32,8 +39,12 @@ from spreadsmith.serialization import (
 from spreadsmith.spreads import geometry_for_q
 
 
+# every supported field order
+ALL_Q = (3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
 def test_field_spec_round_trip():
-    for q in (3, 4, 9):
+    for q in ALL_Q:
         spec = field_for_q(q)
         back = field_spec_from_obj(field_spec_to_obj(spec))
         assert (back.p, back.m) == (spec.p, spec.m)
@@ -43,15 +54,38 @@ def test_field_spec_round_trip():
 
 
 def test_lambda_round_trip():
-    lam = lambda_for_q(5)
-    back = lambda_from_obj(lam.spec, lambda_to_obj(lam))
-    assert back.lam == lam.lam and back.I == lam.I
+    for q in ALL_Q:
+        lam = lambda_for_q(q)
+        back = lambda_from_obj(lam.spec, lambda_to_obj(lam))
+        assert back.lam == lam.lam and back.I == lam.I
+
+
+def test_point_and_line_codecs_round_trip():
+    """Seeded points and the lines through pairs of them, through the
+    parallelism file's coordinate codec."""
+    for q in ALL_Q:
+        spec = field_for_q(q)
+        rng = random.Random(q)
+        points = set()
+        while len(points) < 50:
+            vec = [rng.randrange(spec.order) for _ in range(4)]
+            if any(vec):
+                points.add(normalize(spec, vec))
+        points = sorted(points)
+        for P in points:
+            assert _point_from_obj(spec, json.loads(json.dumps(_point_to_obj(spec, P)))) == P
+        for P, R in zip(points, points[1:]):
+            l = line_through(spec, P, R)
+            assert _line_from_obj(spec, json.loads(json.dumps(_line_to_obj(spec, l)))) == l
 
 
 def test_goodset_record_round_trip():
+    for q in ALL_Q:
+        lam = lambda_for_q(q)
+        for gs in enumerate_good_sets(lam, limit=5):
+            assert parse_goodset_record(lam, goodset_record(lam, gs)) == gs
     lam = lambda_for_q(4)
-    for gs in enumerate_good_sets(lam, limit=5):
-        assert parse_goodset_record(lam, goodset_record(lam, gs)) == gs
+    gs = next(enumerate_good_sets(lam))
     with pytest.raises(ValueError, match="q="):
         parse_goodset_record(lambda_for_q(3), goodset_record(lam, gs))
     rec = json.loads(goodset_record(lam, gs))
@@ -146,6 +180,47 @@ def test_cli_closed_stdout_exits_quietly():
     err = child.stderr.read()
     assert child.wait(timeout=120) == 141
     assert err == b""
+
+
+def _alive(pid: int) -> bool:
+    """A process that exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_cli_sigterm_ends_the_pool_workers():
+    """SIGTERM to `goodsets enumerate --jobs 2` while its spawn workers search
+    exits 143 and leaves no worker or resource tracker behind."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadsmith.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "spreadsmith.cli", "goodsets", "enumerate", "--q", "7",
+         "--jobs", "2", "--output", os.devnull],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+    children: set[int] = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(children) < 3 and time.monotonic() < deadline:
+            for task in Path(f"/proc/{child.pid}/task").glob("*/children"):
+                children.update(map(int, task.read_text().split()))
+            time.sleep(0.05)
+        assert len(children) >= 3, "the pool's workers and tracker did not start"
+        time.sleep(0.5)
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=30) == 143
+        assert b"Traceback" not in child.stderr.read()
+        deadline = time.monotonic() + 10
+        while any(map(_alive, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in children if _alive(pid)]
+    finally:
+        for pid in [child.pid, *children]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        child.wait()
 
 
 def test_cli_parallelism_build_rejects_non_good(tmp_path, capsys):
@@ -323,29 +398,53 @@ def _tampered_coordinates(tmp_path):
     return paths
 
 
-def _tampered_shapes(tmp_path):
-    """q = 3 parallelism files with a value of the wrong JSON type: a
-    spread's "lines", the header Lambda's "elements" and the header
-    field's "p"; and one whose header "q" is not the field's p^m."""
+def _changed_rows(tmp_path, name, *changes):
+    """A q = 3 parallelism file with each (row, key path, value) of changes
+    set; rows are counted from the header, and row -1 is the certificate."""
     geo = geometry_for_q(3)
     par = build_parallelism(geo, fixed_plane_good_set(geo.lam, geo.lam.I[0], 0))
     good = tmp_path / "par.jsonl"
     write_parallelism_file(good, geo, par, verify_parallelism(geo, par))
     rows = [json.loads(row) for row in good.read_text().splitlines()]
-    paths = []
-    for i, (row, keys, value) in enumerate(((1, ("lines",), 5),
-                                            (0, ("lambda", "elements"), 5),
-                                            (0, ("field", "p"), "3"),
-                                            (0, ("q",), 4))):
-        changed = json.loads(json.dumps(rows))
-        obj = changed[row]
+    for row, keys, value in changes:
+        obj = rows[row]
         for key in keys[:-1]:
             obj = obj[key]
         obj[keys[-1]] = value
-        path = tmp_path / f"shape_{i}.jsonl"
-        path.write_text("\n".join(json.dumps(r) for r in changed) + "\n")
-        paths.append(str(path))
-    return paths
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    return str(path), rows
+
+
+def _tampered_shapes(tmp_path):
+    """q = 3 parallelism files with a value of the wrong JSON type: a
+    spread's "lines", the header Lambda's "elements", the header field's
+    "p" and each member of the certificate; one whose header "q" is not the
+    field's p^m; and one with a second certificate record."""
+    paths = []
+    for i, change in enumerate(((1, ("lines",), 5),
+                                (0, ("lambda", "elements"), 5),
+                                (0, ("field", "p"), "3"),
+                                (0, ("q",), 4),
+                                (-1, ("checksum",), 5),
+                                (-1, ("ok",), "yes"),
+                                (-1, ("ok",), 1),
+                                (-1, ("spread_count",), "13"),
+                                (-1, ("line_count",), True))):
+        paths.append(_changed_rows(tmp_path, f"shape_{i}", change)[0])
+    path, rows = _changed_rows(tmp_path, "two_certificates")
+    Path(path).write_text("\n".join(json.dumps(r) for r in rows + rows[-1:]) + "\n")
+    return paths + [path]
+
+
+@pytest.mark.parametrize("key, value", [("ok", False), ("spread_count", 3),
+                                        ("line_count", 3), ("checksum", "0" * 64)])
+def test_cli_verify_compares_the_stored_certificate(key, value, tmp_path, capsys):
+    path, _ = _changed_rows(tmp_path, "certificate", (-1, (key,), value))
+    assert run_cli("parallelism", "verify", path) == 1
+    out = capsys.readouterr().out
+    assert f"{key} mismatch against the stored certificate" in out
+    assert out.endswith("verdict: FAIL\n") and out.count("mismatch") == 1
 
 
 def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):

@@ -9,7 +9,13 @@ from spreadsmith import checks
 from spreadsmith.equivalence import full_stabilizer_gens, full_stabilizer_group
 from spreadsmith.goodsets import candidate_universe
 from spreadsmith.parallelisms import group_E
-from spreadsmith.proj_geometry import line_points, lines_meet, rref
+from spreadsmith.proj_geometry import (
+    line_points,
+    line_through,
+    lines_meet,
+    point_on_plane,
+    rref,
+)
 from spreadsmith.spreads import SpreadReport, geometry_for_q
 
 
@@ -109,6 +115,38 @@ def _is_spread_by_point_count(geo, lines) -> SpreadReport:
         if P not in counts:
             return SpreadReport(False, "point not covered", uncovered=P)
     return SpreadReport(True)
+
+
+def _pencil_by_section_scan(geo, a, u, v):
+    """The pencil's lines as they were computed before the closed form: the
+    line through point_P and each other point of the Baer subplane that
+    plane_pi cuts from the subgeometry of alpha."""
+    spec = geo.spec
+    P, pi = geo.point_P(a, u), geo.plane_pi(a, v)
+    section = [S for S in geo.space.sigma_points(geo.alpha_of(a))
+               if point_on_plane(spec, pi, S)]
+    assert len(section) == geo.q**2 + geo.q + 1
+    return tuple(sorted({line_through(spec, P, S) for S in section if S != P}))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_pencils_and_labels_match_the_section_scan(q):
+    geo = geometry_for_q(q)
+    r_U1 = geo.space.r_U1
+    table = {}
+    for lab in candidate_universe(geo.lam):
+        pen = geo.pencil(*lab)
+        assert pen.lines == _pencil_by_section_scan(geo, *lab)
+        table.update((l, lab) for l in pen.punctured(r_U1))
+    assert {l: geo.label_of(l) for l in table} == table
+
+
+def test_label_of_rejects_lines_outside_the_family():
+    geo = geometry_for_q(3)
+    space = geo.space
+    for l in (space.r_U1, space.t1, space.t2, *geo.sigma_eta_lines()):
+        with pytest.raises(ValueError, match="does not belong to the pencil line family"):
+            geo.label_of(l)
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -238,8 +276,8 @@ def test_scalar_line_family_is_one_punctured_pencil():
         family = {geo.l_lambda(a, scalar) for scalar in range(q)}
         pen = set(geo.pencil(a, 0, 0).punctured(geo.space.r_U1))
         assert family == pen
-    with pytest.raises(ValueError):
-        geometry_for_q(3).l_lambda(geometry_for_q(3).lam.I[0], 0, xtilde=1)
+    with pytest.raises(ValueError, match="subfield"):
+        geometry_for_q(3).l_lambda(geometry_for_q(3).lam.I[0], 3)
 
 
 # structural suites (exhaustive at q=3, case splits at q in {3,5})
