@@ -42,7 +42,6 @@ from spreadsmith.parallelisms import (
 from spreadsmith.proj_geometry import (
     Collineation,
     line_in_plane,
-    line_intersection,
     line_plane_meet,
     line_points,
     line_through,
@@ -92,6 +91,11 @@ def _spread_ids(geo: Geometry, spreads) -> list[tuple[int, ...]]:
 def _images(geo: Geometry, psi: Collineation, keys) -> list[tuple[int, ...]]:
     """The images under psi of spreads given as _spread_ids gives them."""
     return sorted(tuple(sorted(geo.line_images(psi, key))) for key in keys)
+
+
+def _plane_section(geo: Geometry, points, plane) -> set:
+    """The given points that lie on the plane."""
+    return {P for P in points if point_on_plane(geo.spec, plane, P)}
 
 
 # ---------------------------------------------------------------------------
@@ -240,54 +244,35 @@ def check_subline_extension(geo: Geometry) -> CheckResult:
     q = s.q
     lam = geo.lam
     space = geo.space
-    checked = 0
+    # (component, plane) pairs whose section is a subplane: all of them at
+    # q = 3, the distinguished planes otherwise
     if q == 3:
-        for k in range(q - 1):
-            alpha = lam.alpha(k)
-            sig = space.sigma_points(alpha)
-            d_lines = {k2: set(geo.desarguesian_spread(k2).lines)
-                       for k2 in range(q - 1)}
-            for pl in space.all_planes():
-                sec = [P for P in sig if point_on_plane(s, pl, P)]
-                if len(sec) != q * q + q + 1:
-                    continue
-                checked += 1
-                for k2 in range(q - 1):
-                    if k2 == k:
-                        continue
-                    other = [P for P in space.sigma_points(lam.alpha(k2))
-                             if point_on_plane(s, pl, P)]
-                    if len(other) != q + 1:
-                        return _fail(name, q, "cross section size wrong")
-                    l = line_through(s, other[0], other[1])
-                    if any(not point_on_line(s, l, P) for P in other):
-                        return _fail(name, q, "cross section not collinear")
-                    if l not in d_lines[k2]:
-                        return _fail(name, q, "cross section not a spread line")
+        pairs = [(k, pl) for k in range(q - 1) for pl in space.all_planes()
+                 if len(_plane_section(geo, space.sigma_points(lam.alpha(k)), pl))
+                 == q * q + q + 1]
         probe = geo.line_set_L()
     else:
-        for a in lam.I:
-            for v in (0, 1):
-                pl = geo.plane_pi(a, v)
-                for k2 in range(q - 1):
-                    if k2 == a:
-                        continue
-                    other = [P for P in space.sigma_points(lam.alpha(k2))
-                             if point_on_plane(s, pl, P)]
-                    if len(other) != q + 1:
-                        return _fail(name, q, "cross section size wrong")
-                    l = line_through(s, other[0], other[1])
-                    if l not in geo.desarguesian_spread(k2).lines:
-                        return _fail(name, q, "cross section not a spread line")
-                checked += 1
+        pairs = [(a, geo.plane_pi(a, v)) for a in lam.I for v in (0, 1)]
         probe = geo.line_set_L()[: 4 * (q + 1)]
+    for k, pl in pairs:
+        for k2 in range(q - 1):
+            if k2 == k:
+                continue
+            other = _plane_section(geo, space.sigma_points(lam.alpha(k2)), pl)
+            if len(other) != q + 1:
+                return _fail(name, q, "cross section size wrong")
+            l = line_through(s, *sorted(other)[:2])
+            if any(not point_on_line(s, l, P) for P in other):
+                return _fail(name, q, "cross section not collinear")
+            if l not in geo.desarguesian_spread(k2).lines:
+                return _fail(name, q, "cross section not a spread line")
     for l in probe:
         k = geo.label_of(l)[0]
         for k2 in range(q - 1):
             if k2 != k and any(P in space.sigma_points(lam.alpha(k2))
                                for P in line_points(s, l)):
                 return _fail(name, q, "pencil line meets a second subgeometry")
-    return _ok(name, q, f"{checked} subplane sections, {len(probe)} lines")
+    return _ok(name, q, f"{len(pairs)} subplane sections, {len(probe)} lines")
 
 
 def check_spread_union(geo: Geometry) -> CheckResult:
@@ -309,7 +294,7 @@ def check_spread_union(geo: Geometry) -> CheckResult:
     t2_pts = set(line_points(s, space.t2))
     sizes_seen = set()
     for pl in space.all_planes():
-        sec = {P for P in ext if point_on_plane(s, pl, P)}
+        sec = _plane_section(geo, ext, pl)
         if len(sec) not in (q * q + 1, 2 * q * q + 1):
             return _fail(name, q, f"plane section of size {len(sec)}")
         sizes_seen.add(len(sec))
@@ -323,8 +308,7 @@ def check_spread_union(geo: Geometry) -> CheckResult:
                 for cand in (t1_pts & sec, t2_pts & sec))
             if not residue_ok:
                 for k in range(q - 1):
-                    cut = {P for P in space.sigma_points(lam.alpha(k))
-                           if point_on_plane(s, pl, P)}
+                    cut = _plane_section(geo, space.sigma_points(lam.alpha(k)), pl)
                     if len(cut) == q * q + q + 1 and sec == lpts | cut:
                         residue_ok = True
                         break
@@ -349,10 +333,14 @@ def check_regulus_transversal_classification(geo: Geometry) -> CheckResult:
     reguli = geo.reguli_through_r_U1()
     if len(reguli) != q * q + q:
         return _fail(name, q, f"{len(reguli)} reguli through the line")
-    all_lines = space.all_lines()
+    index = geo.line_index()
+    ambient = [l for l in space.all_lines() if l not in index]
     for reg in reguli[:4]:
-        transversals = [l for l in all_lines
-                        if all(lines_meet(s, l, r) for r in reg.lines)]
+        # a transversal meets r_U1 by meeting every line of the regulus
+        if space.r_U1 not in reg.lines:
+            return _fail(name, q, "regulus misses r_U1")
+        transversals = geo.transversals_of(reg.lines) + [
+            l for l in ambient if all(lines_meet(s, l, r) for r in reg.lines)]
         if len(transversals) != q * q + 1:
             return _fail(name, q, f"{len(transversals)} ambient transversals")
         for l in transversals:
@@ -364,8 +352,6 @@ def check_regulus_transversal_classification(geo: Geometry) -> CheckResult:
                 return _fail(name, q, f"transversal cuts {len(hits)} subgeometries")
             if l in geo.desarguesian_spread(hits[0]).lines:
                 return _fail(name, q, "transversal subline lies in its spread")
-            if line_intersection(s, l, space.r_U1) is None:
-                return _fail(name, q, "transversal misses r_U1")
     return _ok(name, q, f"{len(reguli)} reguli, 4 fully classified")
 
 
@@ -432,7 +418,6 @@ def check_hall_spreads(geo: Geometry, sample: int = 30, seed: int = 1) -> CheckR
     Desarguesian one, differing from its source in 2(q+1) lines; the
     opposite of the opposite is the regulus and incidences are exact."""
     name = "hall-spreads"
-    s = geo.spec
     q = geo.q
     rng = random.Random(seed)
     L = list(geo.line_set_L())
@@ -444,10 +429,9 @@ def check_hall_spreads(geo: Geometry, sample: int = 30, seed: int = 1) -> CheckR
         if geo.opposite_regulus(opp) != reg:
             return _fail(name, q, "double opposite is not the identity")
         for a in reg.lines:
-            for b in opp.lines:
-                pt = line_intersection(s, a, b)
-                if pt is None or pt not in geo.sigma_eta:
-                    return _fail(name, q, "regulus/opposite incidence broken")
+            ids = set(geo.subline_ids(a))
+            if any(len(ids.intersection(geo.subline_ids(b))) != 1 for b in opp.lines):
+                return _fail(name, q, "regulus/opposite incidence broken")
         h = geo.hall_spread(l)
         rep = geo.is_spread(h.lines)
         if not rep.ok:
@@ -464,7 +448,6 @@ def check_desarguesian_property(geo: Geometry, sample: int = 50, seed: int = 3) 
     """External subgeometry lines meet the spread in a regulus: the q+1
     spread lines they touch admit a full set of common transversals."""
     name = "desarguesian-regulus-property"
-    s = geo.spec
     q = geo.q
     rng = random.Random(seed)
     d = geo.desarguesian_spread()
@@ -472,7 +455,8 @@ def check_desarguesian_property(geo: Geometry, sample: int = 50, seed: int = 3) 
     universe = [l for l in geo.sigma_eta_lines() if l not in d_set]
     probe = rng.sample(universe, min(sample, len(universe)))
     for l in probe:
-        touched = [m for m in d.lines if lines_meet(s, m, l)]
+        ids = set(geo.subline_ids(l))
+        touched = [m for m in d.lines if not ids.isdisjoint(geo.subline_ids(m))]
         if len(touched) != q + 1:
             return _fail(name, q, f"external line meets {len(touched)} spread lines")
         if len(geo.transversals_of(touched)) != q + 1:
@@ -495,15 +479,23 @@ def _shift_image(geo: Geometry, a_idx: int, scalar: int, k: int) -> frozenset:
 def _component_subplane(geo: Geometry, a_idx: int, scalar: int, plane):
     """The unique shifted component cutting the plane in a Baer subplane,
     as (component index, point set); None if there is not exactly one."""
-    s = geo.spec
     q = geo.q
     matches = []
     for k in range(q - 1):
-        img = _shift_image(geo, a_idx, scalar, k)
-        cut = {P for P in img if point_on_plane(s, plane, P)}
+        cut = _plane_section(geo, _shift_image(geo, a_idx, scalar, k), plane)
         if len(cut) == q * q + q + 1:
             matches.append((k, cut))
     return matches[0] if len(matches) == 1 else None
+
+
+def _pivot_point(geo: Geometry, a_idx: int, b_idx: int, v_pow: int):
+    """The predicted pivot (1, 0, beta^q alpha v^q / alpha^q, 0) of a
+    shifted spread of alpha against the plane pi(beta, v)."""
+    s = geo.spec
+    alpha, beta = geo.lam.alpha(a_idx), geo.lam.alpha(b_idx)
+    c = s.mul(s.div(s.mul(s.frobenius(beta), alpha), s.frobenius(alpha)),
+              s.frobenius(geo.U[v_pow]))
+    return (1, 0, c, 0)
 
 
 def _section_cases(geo: Geometry, a_idx: int):
@@ -585,9 +577,9 @@ def check_plane_sections(geo: Geometry) -> CheckResult:
 def check_shift_maps(geo: Geometry) -> CheckResult:
     """The maps behind the shifted spreads: the mixing map fixes the
     distinguished subgeometry and r_U1 and carries the transversal pair to
-    the scalar-0 line pair; the unitriangular shift fixes r_U1 pointwise,
-    every component and every distinguished plane, and translates the
-    line family; their composite carries the Desarguesian spread over."""
+    the scalar-0 line pair; the unitriangular shift translates the line
+    family (it lies in E, whose fixed objects unitriangular-group checks);
+    their composite carries the Desarguesian spread over."""
     name = "shift-maps"
     s = geo.spec
     q = geo.q
@@ -608,30 +600,17 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
         if phi.apply_line(geo.space.t2) != geo.tau_eta_line(l0):
             return _fail(name, q, "mixing map misses the conjugate line")
         for scalar in range(q):
-            xi = geo.xi_map(scalar)
-            for P in line_points(s, geo.space.r_U1):
-                if xi.apply_point(P) != P:
-                    return _fail(name, q, "shift moves a point of r_U1")
-            for k in list(range(q - 1))[:3]:
-                comp = geo.space.sigma_points(lam.alpha(k))
-                if {xi.apply_point(P) for P in comp} != comp:
-                    return _fail(name, q, "shift moves a component")
-            for v_pow in range(q + 1):
-                pl = geo.plane_pi(a_idx, v_pow)
-                if xi.apply_plane(pl) != pl:
-                    return _fail(name, q, "shift moves a distinguished plane")
-            if xi.apply_line(l0) != geo.l_lambda(a_idx, scalar):
+            l_lam = geo.l_lambda(a_idx, scalar)
+            if geo.xi_map(scalar).apply_line(l0) != l_lam:
                 return _fail(name, q, "shift misplaces the line family")
             phi_l = geo.phi_lambda_map(a_idx, scalar)
-            sp = geo.spread_from_transversal(geo.l_lambda(a_idx, scalar))
+            sp = geo.spread_from_transversal(l_lam)
             if _images(geo, phi_l, [d_key]) != _spread_ids(geo, [sp]):
                 return _fail(name, q, "composite map misses the shifted spread")
-            ext = geo.extension_points(sp.lines)
-            union = set(line_points(s, geo.l_lambda(a_idx, scalar)))
-            union |= set(line_points(s, geo.tau_eta_line(geo.l_lambda(a_idx, scalar))))
+            union = set(line_points(s, l_lam)) | set(line_points(s, geo.tau_eta_line(l_lam)))
             for k in range(q - 1):
                 union |= _shift_image(geo, a_idx, scalar, k)
-            if ext != union:
+            if geo.extension_points(sp.lines) != union:
                 return _fail(name, q, "extension union is not components plus directors")
     return _ok(name, q, "all shift and component cases")
 
@@ -661,12 +640,8 @@ def check_subplane_meet(geo: Geometry) -> CheckResult:
             if found is None:
                 return _fail(name, q, "missing section subplane")
             _, sigma_cut = found
-            own = {P for P in geo.space.sigma_points(beta)
-                   if point_on_plane(s, pl, P)}
-            shared = sigma_cut & own
-            pivot_c = s.mul(s.div(s.mul(s.frobenius(beta), alpha),
-                                  s.frobenius(alpha)), s.frobenius(v))
-            pivot = (1, 0, pivot_c, 0)
+            shared = sigma_cut & _plane_section(geo, geo.space.sigma_points(beta), pl)
+            pivot = _pivot_point(geo, a_idx, b_idx, v_pow)
             bv = s.mul(beta, v)
             xi = geo.xi_map(scalar)
             subline = set()
@@ -699,28 +674,19 @@ def check_section_pivot(geo: Geometry) -> CheckResult:
     lam = geo.lam
     cases = 0
     for a_idx in lam.I:
-        alpha = lam.alpha(a_idx)
         for scalar in range(q):
             l_lam = geo.l_lambda(a_idx, scalar)
-            sp = geo.spread_from_transversal(l_lam)
-            reg = geo.regulus_of(l_lam)
-            diff = (geo.extension_points(sp.lines)
-                    - geo.extension_points(reg.lines))
+            diff = _pair_data(geo, l_lam)[2]
             for b_idx in lam.I:
-                beta = lam.alpha(b_idx)
                 for v_pow in range(q + 1):
-                    v = geo.U[v_pow]
-                    pivot_c = s.mul(s.div(s.mul(s.frobenius(beta), alpha),
-                                          s.frobenius(alpha)), s.frobenius(v))
-                    pivot = (1, 0, pivot_c, 0)
+                    pivot = _pivot_point(geo, a_idx, b_idx, v_pow)
                     for u_pow in range(q + 1):
-                        pen = geo.pencil(b_idx, u_pow, v_pow)
-                        for l in pen.punctured(geo.space.r_U1):
+                        for l in geo.pencil(b_idx, u_pow, v_pow).punctured(geo.space.r_U1):
                             if l == l_lam:
                                 continue
                             cases += 1
                             pts = line_points(s, l)
-                            if any(P in diff for P in pts) and pivot not in pts:
+                            if not diff.isdisjoint(pts) and pivot not in pts:
                                 return _fail(
                                     name, q,
                                     f"line misses the pivot at {(a_idx, scalar, b_idx, v_pow)}")
@@ -733,11 +699,13 @@ def check_section_pivot(geo: Geometry) -> CheckResult:
 
 @memo
 def _pair_data(geo: Geometry, l):
+    """A family line's label, its regulus, the points of its spread's
+    extension outside the regulus (ext(S_l) - ext(regulus)), its points."""
     label = geo.label_of(l)
     reg = geo.regulus_of(l)
     sp = geo.spread_from_transversal(l)
     outside = geo.extension_points(sp.lines) - geo.extension_points(reg.lines)
-    return label, frozenset(reg.lines), frozenset(outside)
+    return label, frozenset(reg.lines), frozenset(outside), line_points(geo.spec, l)
 
 
 def _sampled_ordered_pairs(geo: Geometry, count: int, seed: int):
@@ -775,8 +743,8 @@ def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
     vals = _label_values(geo)
     checked = 0
     for li, lj in _sampled_ordered_pairs(geo, pairs, seed):
-        (lab_i, reg_i, _) = _pair_data(geo, li)
-        (lab_j, reg_j, _) = _pair_data(geo, lj)
+        (lab_i, reg_i, _, _) = _pair_data(geo, li)
+        (lab_j, reg_j, _, _) = _pair_data(geo, lj)
         checked += 1
         if (lab_i == lab_j or pair_conditions(s, vals[lab_i], vals[lab_j])[0]) \
                 and li != lj and reg_i == reg_j:
@@ -811,21 +779,13 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
     s = geo.spec
     q = geo.q
     vals = _label_values(geo)
-    pts_cache: dict = {}
-
-    def pts(l):
-        got = pts_cache.get(l)
-        if got is None:
-            got = pts_cache[l] = line_points(s, l)
-        return got
-
     checked = 0
     for li, lj in _sampled_ordered_pairs(geo, pairs, seed):
-        (lab_i, _, outside_i) = _pair_data(geo, li)
-        (lab_j, _, _) = _pair_data(geo, lj)
+        (lab_i, _, outside_i, _) = _pair_data(geo, li)
+        (lab_j, _, _, points_j) = _pair_data(geo, lj)
         checked += 1
         if lab_i == lab_j or pair_conditions(s, vals[lab_i], vals[lab_j])[1]:
-            if any(P in outside_i for P in pts(lj)):
+            if not outside_i.isdisjoint(points_j):
                 return _fail(name, q, f"interference at labels {lab_i}, {lab_j}")
     labels = candidate_universe(geo.lam)
     agg = 0
@@ -836,15 +796,9 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
                 continue
             agg += 1
             want = not pair_conditions(s, vals[lab_i], vals[lab_j])[1]
-            found = False
-            for li in pen_i:
-                (_, _, outside_i) = _pair_data(geo, li)
-                for lj in geo.pencil(*lab_j).punctured(geo.space.r_U1):
-                    if any(P in outside_i for P in pts(lj)):
-                        found = True
-                        break
-                if found:
-                    break
+            pen_j = geo.pencil(*lab_j).punctured(geo.space.r_U1)
+            found = any(not _pair_data(geo, li)[2].isdisjoint(_pair_data(geo, lj)[3])
+                        for li in pen_i for lj in pen_j)
             if found != want:
                 return _fail(name, q, f"label verdict wrong at {lab_i}, {lab_j}")
     return _ok(name, q, f"{checked} line pairs, {agg} label pairs")
@@ -1089,7 +1043,7 @@ def check_unitriangular_group(geo: Geometry) -> CheckResult:
             sig = geo.space.sigma_points(geo.lam.alpha(k))
             if {psi.apply_point(P) for P in sig} != sig:
                 return _fail(name, q, "component moved")
-        for a in geo.lam.I[:1]:
+        for a in geo.lam.I:
             for v_pow in range(q + 1):
                 pl = geo.plane_pi(a, v_pow)
                 if psi.apply_plane(pl) != pl:

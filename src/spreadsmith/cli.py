@@ -64,6 +64,17 @@ def _exit_on_sigterm(signum, frame):
     raise SystemExit(128 + signum)
 
 
+def _codes(option: str, text: str | None) -> tuple[int, ...] | None:
+    """The integers of a comma-separated field option, None when it is unset."""
+    if not text:
+        return None
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise UsageError(f"{option} {text!r} is not a comma-separated list of "
+                         "integers") from None
+
+
 def _field_from_args(args) -> FieldSpec:
     if args.q is not None:
         if args.p is not None or args.m is not None:
@@ -74,20 +85,20 @@ def _field_from_args(args) -> FieldSpec:
             raise UsageError(str(exc)) from None
     elif args.p is not None:
         p, m = args.p, args.m if args.m is not None else 1
+        if m < 1:
+            raise UsageError(f"--m {m} is not a positive extension degree")
+        if m > 4:   # no p^m with m > 4 lies in 3..16, and p**m could take long
+            raise UsageError(f"q = {p}^{m} out of the supported range 3..16")
     else:
         raise UsageError("a field order is required (--q or --p/--m)")
     q = p**m
     if not 3 <= q <= 16:
         raise UsageError(f"q = {q} out of the supported range 3..16")
-    mod_q = tuple(int(c) for c in args.modulus_q.split(",")) if args.modulus_q else None
     try:
-        spec = FieldSpec(p, m, modulus_q=mod_q)
-        if args.modulus_q2:
-            parts = [int(c) for c in args.modulus_q2.split(",")]
-            spec = FieldSpec(p, m, modulus_q=mod_q, modulus_q2=tuple(parts))
+        return FieldSpec(p, m, modulus_q=_codes("--modulus-q", args.modulus_q),
+                         modulus_q2=_codes("--modulus-q2", args.modulus_q2))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return spec
 
 
 def _open_input(path):

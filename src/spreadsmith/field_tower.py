@@ -135,12 +135,17 @@ class FieldSpec:
                  generator=None):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
+        if m < 1:
+            raise ValueError(f"m = {m} is not a positive extension degree")
         self.p = p
         self.m = m
         self.q = q = p**m
         self.order = Q = q * q
 
         self.modulus_q = tuple(modulus_q) if modulus_q else _smallest_irreducible(p, m)
+        if not all(0 <= c < p for c in self.modulus_q):
+            raise ValueError(f"modulus_q {list(self.modulus_q)} has a coefficient "
+                             f"outside 0..{p - 1}")
         if len(self.modulus_q) != m + 1 or self.modulus_q[-1] != 1:
             raise ValueError("modulus_q must be monic of degree m")
         if not _poly_is_irreducible(self.modulus_q, p):
@@ -149,6 +154,9 @@ class FieldSpec:
         self._build_subfield_tables()
 
         if modulus_q2 is not None:
+            if len(modulus_q2) != 3 or not all(0 <= c < q for c in modulus_q2):
+                raise ValueError(f"modulus_q2 {list(modulus_q2)} is not 3 codes "
+                                 f"in 0..{q - 1}")
             c0, c1, lead = modulus_q2
             if lead != 1 or not self._q2_candidate_irreducible(c0, c1):
                 raise ValueError("modulus_q2 must be monic irreducible over GF(q)")

@@ -253,16 +253,21 @@ def _merged(pool, parts, jobs: int) -> Iterator[GoodSet]:
 def enumerate_good_sets(lam: LambdaSystem, exclude_norm_minus_one: bool = False,
                         limit: int | None = None, jobs: int = 1) -> Iterator[GoodSet]:
     """The good sets in slot order, at most ``limit`` of them.  With
-    ``jobs > 1``, part k is the same search with slot 0 cut to its k-th
-    candidate; each worker returns at most ``limit`` sets of its part, and
-    the parts are merged in slot-0 order, so the stream is the serial one
-    for any worker count.  The pool ends with the stream."""
+    ``jobs > 1``, each part is the same search with the first three slots
+    cut to one choice each, taken lazily in product order and skipped when
+    two choices share a bundle (such a part holds no set).  Each worker
+    returns at most ``limit`` sets of its part, and the parts are merged in
+    that order, so the stream is the serial one for any worker count.  A
+    part is small: at q = 7 at most 33 792 of the 283 262 976 sets.  The
+    pool ends with the stream."""
     slots = _slot_tables(lam, exclude_norm_minus_one)
     if jobs <= 1:
         yield from itertools.islice(_search(slots), limit)
         return
     import multiprocessing
-    parts = [([[first]] + slots[1:], limit) for first in slots[0]]
+    parts = (([[c] for c in prefix] + slots[3:], limit)
+             for prefix in itertools.product(*slots[:3])
+             if len({b for _, b in prefix}) == 3)
     with multiprocessing.get_context("spawn").Pool(jobs) as pool:
         yield from itertools.islice(_merged(pool, parts, jobs), limit)
 

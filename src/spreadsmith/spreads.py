@@ -319,10 +319,13 @@ class Geometry:
 
     def pencil_label_of(self, l: Line) -> Candidate | None:
         """The label whose point_P is the point where l meets r_U1 and whose
-        plane_pi is the plane <l, r_U1>.  None when l is r_U1 or misses it,
-        or when no I-class label has both."""
+        plane_pi is the plane <l, r_U1>.  None when l is a subgeometry line
+        (r_U1 among them), when it misses r_U1, or when no I-class label has
+        both.  A subgeometry line meets r_U1 only in a subgeometry point
+        (1, 0, c, 0), c of norm 1, and no point_P is one: no I-class alpha
+        has norm 1."""
         spec, r_U1 = self.spec, self.space.r_U1
-        if l == r_U1:
+        if l in self._index().line_id:
             return None
         P = line_intersection(spec, l, r_U1)
         if P is None:
@@ -560,18 +563,17 @@ class Geometry:
         return out
 
     def reguli_through_r_U1(self) -> list[Regulus]:
-        """All reguli of D_eta containing r_U1, by brute force over triples."""
+        """All reguli of D_eta containing r_U1, by brute force over triples:
+        the spread lines sharing a point id with every transversal of one."""
         d = self.desarguesian_spread()
-        others = [l for l in d.lines if l != self.space.r_U1]
+        r_U1 = self.space.r_U1
+        others = [l for l in d.lines if l != r_U1]
         found = set()
         for i, l2 in enumerate(others):
             for l3 in others[i + 1:]:
-                trip = [self.space.r_U1, l2, l3]
-                transversals = self.transversals_of(trip)
-                reg = tuple(sorted(l for l in d.lines
-                                   if all(lines_meet(self.spec, l, t)
-                                          for t in transversals)))
-                found.add(reg)
+                meets = [set(self.subline_ids(t)) for t in self.transversals_of([r_U1, l2, l3])]
+                found.add(tuple(l for l in d.lines
+                                if all(not t.isdisjoint(self.subline_ids(l)) for t in meets)))
         return [Regulus(lines=r) for r in sorted(found)]
 
 

@@ -4,8 +4,14 @@ structural fact by direct computation; any failure message names it."""
 
 import pytest
 
-from spreadsmith.checks import run_selftest
-from spreadsmith.spreads import geometry_for_q
+from spreadsmith import checks, proj_geometry, spreads
+from spreadsmith.checks import (
+    check_desarguesian_property,
+    check_hall_spreads,
+    check_regulus_transversal_classification,
+    run_selftest,
+)
+from spreadsmith.spreads import Geometry, geometry_for_q
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
@@ -29,3 +35,29 @@ def test_sample_seed_override_threads_through():
     seeded = run_selftest(geo, sample_seed=999)
     assert [r.name for r in base] == [r.name for r in seeded]
     assert all(r.ok for r in seeded)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_subgeometry_lines_meet_on_shared_point_ids(q, monkeypatch):
+    """Two subgeometry lines meet exactly when they share a point id, so no
+    suite and no regulus search row-reduces such a pair: here lines_meet and
+    line_intersection raise when both of their lines are subgeometry lines."""
+    geo = Geometry.from_q(q)
+    index = geo.line_index()
+
+    def ambient_only(fn):
+        def guarded(spec, l1, l2):
+            if l1 in index and l2 in index:
+                raise AssertionError(f"{fn.__name__} called on two subgeometry lines")
+            return fn(spec, l1, l2)
+        return guarded
+
+    for module in (checks, spreads):
+        for fn in (proj_geometry.lines_meet, proj_geometry.line_intersection):
+            monkeypatch.setattr(module, fn.__name__, ambient_only(fn), raising=False)
+    assert len(geo.reguli_through_r_U1()) == q * q + q
+    assert not any(map(geo.pencil_label_of, geo.sigma_eta_lines()))
+    for suite in (check_hall_spreads, check_desarguesian_property,
+                  check_regulus_transversal_classification):
+        result = suite(geo)
+        assert result.ok, result.line()

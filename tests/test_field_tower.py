@@ -206,6 +206,20 @@ def test_modulus_choices_are_deterministic_and_irreducible():
         FieldSpec(4, 1)                           # p not prime
 
 
+@pytest.mark.parametrize("p, m, parts", [
+    (2, 2, {"modulus_q": (3, 1, 1)}),       # x^2 + x + 1 with its constant as 3
+    (3, 1, {"modulus_q": (-2, 1)}),
+    (3, 1, {"modulus_q2": (4, 0, 1)}),      # a code outside GF(3)
+    (2, 2, {"modulus_q2": (9, 9, 1)}),
+    (3, 1, {"modulus_q2": (1, 0)}),
+    (3, 0, {}),
+    (3, -1, {}),
+])
+def test_field_spec_rejects_coefficients_out_of_range(p, m, parts):
+    with pytest.raises(ValueError):
+        FieldSpec(p, m, **parts)
+
+
 def test_generator_order_is_full():
     for q in ALL_Q:
         s = field_for_q(q)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import select
 import signal
 import subprocess
 import sys
@@ -182,6 +183,39 @@ def test_cli_closed_stdout_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_cli_closed_stdout_ends_the_parallel_stream():
+    """`goodsets enumerate --q 7 --jobs 2 | head -c 100` ends quickly with
+    status 141: each worker part is small, so the first records arrive at
+    once and the pool ends with the stream."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadsmith.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "spreadsmith.cli", "goodsets", "enumerate", "--q", "7",
+         "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    children: set[int] = set()
+
+    def collect_children():
+        for task in Path(f"/proc/{child.pid}/task").glob("*/children"):
+            children.update(map(int, task.read_text().split()))
+
+    try:
+        ready, _, _ = select.select([child.stdout], [], [], 60)
+        assert ready, "no record within 60 s"
+        assert len(child.stdout.read(100)) == 100
+        collect_children()
+        child.stdout.close()
+        assert child.wait(timeout=60) == 141
+        assert b"Traceback" not in child.stderr.read()
+    finally:
+        if _alive(child.pid):
+            collect_children()
+        for pid in [child.pid, *children]:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        child.wait()
+
+
 def _alive(pid: int) -> bool:
     """A process that exists and is not a zombie."""
     try:
@@ -326,12 +360,26 @@ def test_cli_selftest_q3(capsys):
     assert "suites passed" in out and "FAIL" not in out
 
 
+# sha256 of the `selftest` stdout: every suite's name, verdict and detail
+SELFTEST_SHA256 = {
+    3: "0d73d70c7d6a2df7f226aefe4b296be41d2f2ebf5e110fc19706b2771a57becb",
+    4: "3f3a3e25943ac9cd010c9723ecf4e5fa4a0ae8cfe36f56f32d69961b55367b5b",
+}
+
+
 def test_cli_selftest_output_identical_across_jobs(capsys):
     assert run_cli("selftest", "--q", "3", "--jobs", "1") == 0
     out1 = capsys.readouterr().out
     assert run_cli("selftest", "--q", "3", "--jobs", "2") == 0
     out2 = capsys.readouterr().out
     assert out1 == out2
+    assert hashlib.sha256(out1.encode()).hexdigest() == SELFTEST_SHA256[3]
+
+
+def test_cli_selftest_output_is_pinned_at_q4(capsys):
+    assert run_cli("selftest", "--q", "4") == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SHA256[4]
 
 
 def test_cli_lambda_override(tmp_path, capsys):
@@ -371,12 +419,21 @@ def test_cli_explicit_field_parts(capsys):
     ("parallelism", "build", "no-such-dir/rec.jsonl", "--q", "3"),
     ("goodsets", "verify", "no-such-dir/rec.jsonl", "--q", "3"),
     ("field-info", "--q", "3", "--lambda", "no-such-dir/lambda.json"),
+    ("field-info", "--q", "3", "--modulus-q", "a,b"),
+    ("field-info", "--q", "3", "--modulus-q2", "1,x,1"),
+    ("field-info", "--q", "4", "--modulus-q2", "9,9,1"),
+    ("field-info", "--q", "3", "--modulus-q2", "4,0,1"),
+    ("field-info", "--q", "3", "--modulus-q2", "1,0"),
+    ("field-info", "--q", "4", "--modulus-q", "3,1,1"),
+    ("field-info", "--p", "3", "--m", "-1"),
+    ("field-info", "--p", "2", "--m", "1000000"),
 ])
 def test_cli_rejects_negative_limit_and_jobs(argv, capsys):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def _tampered_coordinates(tmp_path):
