@@ -26,6 +26,7 @@ from spreadsmith.goodsets import (
     enumerate_good_sets,
     fixed_plane_good_set,
     flip_canonical,
+    flip_classes,
     intersection_profile,
     is_good,
     is_good_geometric,
@@ -1057,7 +1058,6 @@ def check_distinct_parallelisms(geo: Geometry, sample: int = 24, seed: int = 23)
     name = "distinct-parallelisms"
     q = geo.q
     lam = geo.lam
-    s = geo.spec
     rng = random.Random(seed)
     if q % 2 == 0:
         family = list(enumerate_good_sets(lam))
@@ -1072,24 +1072,16 @@ def check_distinct_parallelisms(geo: Geometry, sample: int = 24, seed: int = 23)
             return _fail(name, q, f"collision between {keys[key]} and {gs}")
         keys[key] = gs
     detail = f"{len(family)} norm-filtered good sets pairwise distinct"
-    if q % 2 and any(lam.norm_of(a) == s.minus_one() for a in lam.I):
-        gs = next(iter(enumerate_good_sets(lam, limit=1)))
-        n = q + 1
-        flipped = []
-        changed = False
-        for c in gs:
-            if lam.norm_of(c.alpha_idx) == s.minus_one() and not changed:
-                flipped.append(Candidate(c.alpha_idx, (c.u_pow + n // 2) % n,
-                                         (c.v_pow + n // 2) % n))
-                changed = True
-            else:
-                flipped.append(c)
-        if changed:
-            k1 = build_parallelism(geo, gs).key()
-            k2 = build_parallelism(geo, canonical(flipped)).key()
-            if k1 != k2:
-                return _fail(name, q, "flip-conjugate labels changed the parallelism")
-            detail += "; flip-conjugate collapse confirmed"
+    classes = flip_classes(lam)
+    gs = next(iter(enumerate_good_sets(lam, limit=1)))
+    partners = [(c, d) for c in gs for d in classes if d != c and classes[d] == classes[c]]
+    if partners:
+        c, d = partners[0]
+        k1 = build_parallelism(geo, gs).key()
+        k2 = build_parallelism(geo, canonical(d if x == c else x for x in gs)).key()
+        if k1 != k2:
+            return _fail(name, q, "flip-conjugate labels changed the parallelism")
+        detail += "; flip-conjugate collapse confirmed"
     return _ok(name, q, detail)
 
 
@@ -1164,8 +1156,7 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
     for _ in range(trials):
         gs = rng.choice(sets)
         psi = rng.choice(grp.elements)
-        act = label_action(geo, psi)
-        moved = apply_label_action(lam, act, gs)
+        moved = apply_label_action(label_action(geo, psi), flip_canonical(lam, gs))
         if are_equivalent(geo, canonical(gs), moved) is None:
             return _fail(name, q, "search missed a constructed equivalence")
     B = fixed_plane_good_set(lam, lam.I[0], 0)

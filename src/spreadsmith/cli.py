@@ -215,10 +215,11 @@ def cmd_goodsets(args) -> int:
         _emit(args, (goodset_record(lam, gs) for gs in sets))
         return 0
     # verify FILE
-    bad = 0
+    bad = records = 0
     for lineno, row in enumerate(_input_lines(args.file), 1):
         if not row.strip():
             continue
+        records += 1
         try:
             gs = parse_goodset_record(lam, row)
             verdict = is_good(lam, gs)
@@ -230,6 +231,8 @@ def cmd_goodsets(args) -> int:
             print(f"line {lineno}: not a good set; pair {verdict.witness} "
                   f"fails the {verdict.condition} condition")
             bad += 1
+    if not records:
+        raise UsageError(f"{args.file} holds no good-set record")
     print(f"verified: {'all records good' if not bad else f'{bad} bad record(s)'}")
     return VERIFY_ERROR if bad else 0
 
@@ -242,9 +245,9 @@ def cmd_parallelism(args) -> int:
             raise UsageError(f"{args.file} holds no good-set record")
         try:
             gs = parse_goodset_record(geo.lam, first)
+            verdict = is_good(geo.lam, gs)
         except (ValueError, KeyError) as exc:
             raise UsageError(f"{args.file}: malformed record: {exc}") from None
-        verdict = is_good(geo.lam, gs)
         if not verdict.ok:
             print(f"not a good set: pair {verdict.witness} fails the "
                   f"{verdict.condition} condition")

@@ -8,6 +8,11 @@ involution, so group elements are deduplicated by the permutation they
 induce on the subgeometry's point ids.  Group orders therefore count
 induced collineations, which is what the reference order
 2 m q^2 (q^2-1) (q+1) speaks about.
+
+The searches act on the candidate flip classes of goodsets.flip_classes:
+label_action makes a collineation a permutation of their representatives,
+and orbit_of, are_equivalent and classify carry flip-canonical good sets
+along the generators' permutations with apply_label_action.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from fractions import Fraction
 from functools import reduce
 import math
 
-from spreadsmith.field_tower import LambdaSystem
-from spreadsmith.goodsets import Candidate, GoodSet, canonical, flip_canonical, is_good
+from spreadsmith.goodsets import (Candidate, GoodSet, canonical, flip_canonical,
+                                  flip_classes, is_good)
 from spreadsmith.parallelisms import Parallelism, characterize
 from spreadsmith.proj_geometry import Collineation, tau_plane
 from spreadsmith.spreads import Geometry, memo
@@ -125,10 +130,11 @@ def full_stabilizer_group(geo: Geometry) -> StabilizerGroup:
 
 
 def label_action(geo: Geometry, psi: Collineation) -> dict[Candidate, Candidate]:
-    """How an element of the line stabilizer permutes pencil labels.  An
-    image pencil whose base point falls outside the I classes is read off
-    through the subgeometry involution, which maps it to the same pencil
-    of the distinguished subgeometry."""
+    """How an element of the line stabilizer permutes the representatives
+    of the candidate flip classes.  An image pencil whose base point falls
+    outside the I classes is read off through the subgeometry involution,
+    which maps it to the same pencil of the distinguished subgeometry."""
+    classes = flip_classes(geo.lam)
     out = {}
     n = geo.q + 1
     for a in geo.lam.I:
@@ -136,27 +142,28 @@ def label_action(geo: Geometry, psi: Collineation) -> dict[Candidate, Candidate]
         for u in range(n):
             P = psi.apply_point(geo.point_P(a, u))
             for v, pl in enumerate(planes):
+                rep = Candidate(a, u, v)
+                if classes[rep] != rep:
+                    continue
                 lab = geo.pencil_label(P, pl)
                 if lab is None:
                     lab = geo.pencil_label(geo.tau_eta_point(P),
                                            tau_plane(geo.spec, geo.eta, pl))
                 assert lab is not None, f"pencil {P}, {pl} not in the I classes"
-                out[Candidate(a, u, v)] = lab
+                out[rep] = classes[lab]
     return out
 
 
-def apply_label_action(lam: LambdaSystem, act: dict[Candidate, Candidate],
-                       gs) -> GoodSet:
-    return flip_canonical(lam, tuple(act[Candidate(*c)] for c in gs))
+def apply_label_action(perm: dict[Candidate, Candidate], gs: GoodSet) -> GoodSet:
+    """The image of a flip-canonical good set under a label action."""
+    return tuple(sorted(map(perm.__getitem__, gs)))
 
 
 @memo
 def label_group(geo: Geometry) -> list[dict[Candidate, Candidate]]:
     """The line-stabilizer generators as permutations of the candidate flip
-    classes, each class named by its flip-canonical candidate."""
-    acts = [label_action(geo, psi) for psi in stabilizer_gens(geo)]
-    cls = {c: flip_canonical(geo.lam, (c,))[0] for c in acts[0]}
-    return [{c: cls[img] for c, img in act.items() if cls[c] == c} for act in acts]
+    classes."""
+    return [label_action(geo, psi) for psi in stabilizer_gens(geo)]
 
 
 def orbit_of(geo: Geometry, gs) -> dict[GoodSet, tuple[GoodSet, int] | None]:
@@ -169,7 +176,7 @@ def orbit_of(geo: Geometry, gs) -> dict[GoodSet, tuple[GoodSet, int] | None]:
     queue = [start]
     for x in queue:
         for i, perm in enumerate(label_group(geo)):
-            y = tuple(sorted(perm[c] for c in x))
+            y = apply_label_action(perm, x)
             if y not in parent:
                 parent[y] = (x, i)
                 queue.append(y)
@@ -262,25 +269,23 @@ def classify(geo: Geometry, family) -> OrbitReport:
     """Orbit partition of a family of parallelisms (given as parallelisms
     or good sets) under the line stabilizer.  The family must be closed
     under the group action; orbits are reported with exact sizes and
-    stabilizer orders from the orbit-stabilizer relation."""
+    stabilizer orders from the orbit-stabilizer relation, each represented
+    by its least member and in the order of those."""
     family_keys = {_as_canonical_goodset(geo, obj) for obj in family}
     order = stabilizer_order(geo)
-    remaining = dict.fromkeys(sorted(family_keys))
+    seen = set()
     orbits = []
-    for gs in remaining:
-        if remaining[gs] is not None:
+    for gs in sorted(family_keys):
+        if gs in seen:
             continue
         orbit = orbit_of(geo, gs).keys()
         if not orbit <= family_keys:
             raise ValueError("family is not closed under the stabilizer action")
-        for member in orbit:
-            remaining[member] = True
+        seen.update(orbit)
         size = len(orbit)
         assert order % size == 0
-        orbits.append(Orbit(representative=min(orbit), size=size,
-                            stabilizer_order=order // size,
-                            family_count=len(orbit & family_keys)))
-    orbits.sort(key=lambda o: o.representative)
+        orbits.append(Orbit(representative=gs, size=size, stabilizer_order=order // size,
+                            family_count=size))
     return OrbitReport(group_order=order, family_size=len(family_keys),
                        orbits=orbits,
                        bounds=lower_bound_formulas(geo.q, geo.spec.m))

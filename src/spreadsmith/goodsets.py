@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from spreadsmith.field_tower import FieldSpec, LambdaSystem
@@ -430,24 +431,23 @@ def apply_G1(lam: LambdaSystem, gs, g: G1Element) -> GoodSet:
     return result
 
 
+@lru_cache(maxsize=None)
+def flip_classes(lam: LambdaSystem) -> dict[Candidate, Candidate]:
+    """Every candidate mapped to the least member of its flip class, in one
+    table per Lambda system that all callers share.  For odd q, the
+    substitution (u, v) -> (-u, -v), a shift of both exponents by (q+1)/2,
+    on a candidate whose alpha has norm -1 replaces its pencil by the
+    conjugate under the subgeometry involution and leaves the assembled
+    spread family unchanged; every other class has one member."""
+    n = lam.spec.q + 1
+    classes = {}
+    for c in candidate_universe(lam):
+        a, u, v = c
+        h = n // 2 if n % 2 == 0 and lam.norm_of(a) == lam.spec.minus_one() else 0
+        classes[c] = min(c, Candidate(a, (u + h) % n, (v + h) % n))
+    return classes
+
+
 def flip_canonical(lam: LambdaSystem, gs) -> GoodSet:
-    """Canonical representative under the substitution (u, v) -> (-u, -v) on
-    candidates whose alpha has norm -1; such a substitution replaces each
-    pencil by its conjugate under the subgeometry involution and leaves the
-    assembled spread family unchanged."""
-    s = lam.spec
-    q = s.q
-    if q % 2 == 0:
-        return canonical(gs)
-    n = q + 1
-    half = n // 2
-    minus1 = s.minus_one()
-    out = []
-    for cand in (Candidate(*c) for c in gs):
-        if lam.norm_of(cand.alpha_idx) == minus1:
-            flipped = Candidate(cand.alpha_idx, (cand.u_pow + half) % n,
-                                (cand.v_pow + half) % n)
-            out.append(min(cand, flipped))
-        else:
-            out.append(cand)
-    return canonical(out)
+    """The sorted flip-class representatives of the candidates of gs."""
+    return tuple(sorted(map(flip_classes(lam).__getitem__, gs)))

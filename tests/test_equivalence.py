@@ -27,6 +27,7 @@ from spreadsmith.goodsets import (
     enumerate_good_sets,
     fixed_plane_good_set,
     flip_canonical,
+    flip_classes,
 )
 from spreadsmith.parallelisms import build_parallelism
 from spreadsmith.proj_geometry import Collineation
@@ -95,8 +96,19 @@ def test_label_action_matches_spread_action():
             spread_keys = sorted(tuple(sorted(psi.apply_line(l) for l in sp.lines))
                                  for sp in par.spreads)
             act = label_action(geo, psi)
-            par2 = build_parallelism(geo, apply_label_action(lam, act, gs))
+            par2 = build_parallelism(geo, apply_label_action(act, flip_canonical(lam, gs)))
             assert spread_keys == sorted(sp.key() for sp in par2.spreads)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_label_actions_permute_the_flip_classes(q):
+    # one image per flip class, and each generator's images are the classes
+    geo = geometry_for_q(q)
+    reps = set(flip_classes(geo.lam).values())
+    for psi in stabilizer_gens(geo):
+        act = label_action(geo, psi)
+        assert act.keys() == reps
+        assert set(act.values()) == reps
 
 
 def test_are_equivalent_basics():
@@ -144,7 +156,7 @@ def test_orbit_of_matches_full_group_sweep(q):
     actions = [label_action(geo, psi) for psi in stabilizer_group(geo).elements]
     family = {flip_canonical(lam, gs) for gs in enumerate_good_sets(lam)}
     while family:
-        swept = {apply_label_action(lam, act, min(family)) for act in actions}
+        swept = {apply_label_action(act, min(family)) for act in actions}
         for gs in swept:
             assert orbit_of(geo, gs).keys() == swept
         family -= swept

@@ -25,6 +25,7 @@ from spreadsmith.goodsets import (
     fixed_plane_good_set,
     fixed_point_good_set,
     flip_canonical,
+    flip_classes,
     intersection_profile,
     is_good,
     is_good_geometric,
@@ -259,3 +260,20 @@ def test_apply_G1_and_flip_canonical():
     # flips land on the lexicographically smaller conjugate and are idempotent
     fc = flip_canonical(lam, gs)
     assert flip_canonical(lam, fc) == fc
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_COUNTS))
+def test_flip_classes_match_the_norm_arithmetic(q):
+    """Reference: for odd q, a candidate whose alpha has norm -1 shares its
+    class with the shift of both exponents by (q+1)/2, and the class is named
+    by the lesser of the two; every other candidate is a class of its own."""
+    lam = lambda_for_q(q)
+    n = q + 1
+    want = {}
+    for c in candidate_universe(lam):
+        a, u, v = c
+        if q % 2 and lam.norm_of(a) == lam.spec.minus_one():
+            want[c] = min(c, Candidate(a, (u + n // 2) % n, (v + n // 2) % n))
+        else:
+            want[c] = c
+    assert flip_classes(lam) == want

@@ -176,11 +176,17 @@ def test_cli_closed_stdout_exits_quietly():
     child = subprocess.Popen(
         [sys.executable, "-m", "spreadsmith.cli", "goodsets", "enumerate", "--q", "5"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert len(child.stdout.read(100)) == 100
-    child.stdout.close()
-    err = child.stderr.read()
-    assert child.wait(timeout=120) == 141
-    assert err == b""
+    try:
+        ready, _, _ = select.select([child.stdout], [], [], 60)
+        assert ready, "no record within 60 s"
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.communicate(timeout=60)[1]
+        assert child.returncode == 141
+        assert err == b""
+    finally:
+        child.kill()
+        child.wait()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
@@ -367,6 +373,21 @@ SELFTEST_SHA256 = {
 }
 
 
+# sha256 of the `classify` stdout: the orbit report
+CLASSIFY_SHA256 = {
+    3: "012276909ab292a03203499988c2ac96e9d257afb5869daa54f10d1dee1d6e59",
+    4: "4632984a5616848a42cd211be2c5e3ca4c0d16fda3111d57f4cbd92f40bce300",
+    5: "f53da4ba250ab1626adf4bbee39f8bfae6cfb023e3fef4ece032643cb1563d67",
+}
+
+
+@pytest.mark.parametrize("q", sorted(CLASSIFY_SHA256))
+def test_cli_classify_output_is_pinned(q, capsys):
+    assert run_cli("classify", "--q", str(q)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[q]
+
+
 def test_cli_selftest_output_identical_across_jobs(capsys):
     assert run_cli("selftest", "--q", "3", "--jobs", "1") == 0
     out1 = capsys.readouterr().out
@@ -505,32 +526,51 @@ def test_cli_verify_compares_the_stored_certificate(key, value, tmp_path, capsys
 
 
 def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("\n")
-    foreign = tmp_path / "foreign.jsonl"
-    foreign.write_text(json.dumps({"q": 3}) + "\n")
+    """Every subcommand that reads a file exits 2 with one `error:` line
+    and no traceback on a missing, empty, non-UTF-8, directory, malformed,
+    wrong-shape or out-of-range file.  In `goodsets verify` a record that
+    does not parse is a failed record instead (exit 1, see
+    test_cli_goodsets_verify), so only files that hold no record are
+    rejected there."""
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
     binary = tmp_path / "binary.jsonl"
     binary.write_bytes(b"\xff\xfe\x00\x81")
-    tampered = _tampered_coordinates(tmp_path) + _tampered_shapes(tmp_path)
-    records = []
-    for i, text in enumerate(_malformed_records()):
-        records.append(tmp_path / f"record_{i}.jsonl")
-        records[-1].write_text(text + "\n")
-    for argv in (*[("parallelism", sub, path) for path in tampered
-                   for sub in ("verify", "characterize")],
-                 *[("parallelism", "build", str(path), "--q", "3") for path in records],
-                 ("parallelism", "build", str(empty), "--q", "3"),
-                 ("parallelism", "build", str(binary), "--q", "3"),
-                 ("goodsets", "verify", str(binary), "--q", "3"),
-                 ("parallelism", "build", str(foreign), "--q", "3"),
-                 ("parallelism", "verify", str(empty)),
-                 ("parallelism", "verify", str(foreign)),
-                 ("parallelism", "characterize", str(foreign)),
-                 ("field-info", "--q", "3", "--lambda", str(foreign))):
-        assert run_cli(*argv) == 2
+    unreadable = [str(tmp_path / "missing.jsonl"), write("empty.jsonl", ""),
+                  write("blank.jsonl", "\n"), str(binary), str(tmp_path)]
+    malformed = unreadable + [write("malformed.jsonl", "{"),
+                              write("foreign.jsonl", json.dumps({"q": 3}))]
+    lam = lambda_for_q(3)
+    good = json.loads(goodset_record(lam, fixed_plane_good_set(lam, lam.I[0], 0)))
+    entries = good["entries"]
+    # wrong shape (also too few entries, and a repeated one), then out of range
+    records = [write(f"record_{i}.jsonl", text) for i, text in enumerate((
+        *_malformed_records(),
+        json.dumps({**good, "entries": entries[:2]}),
+        json.dumps({**good, "entries": [entries[0], *entries[:3]]}),
+        json.dumps({**good, "entries": [{**entries[0], "alpha_idx": 9}, *entries[1:]]}),
+        json.dumps({**good, "entries": [{**entries[0], "u_pow": 4}, *entries[1:]]}),
+        json.dumps({**good, "q": 5})))]
+    parallelisms = _tampered_coordinates(tmp_path) + _tampered_shapes(tmp_path)
+    # wrong shape, then coefficients out of range and too few elements
+    lambdas = [write(f"lambda_{i}.json", json.dumps(obj)) for i, obj in enumerate((
+        [1], {"elements": 5}, {"elements": [[1, 0], "x"]},
+        {"elements": [[7, 0], [1, 0]]}, {"elements": [[1, 0]]}))]
+    rows = [*[("goodsets", "verify", path, "--q", "3") for path in unreadable],
+            *[("parallelism", "build", path, "--q", "3") for path in malformed + records],
+            *[("parallelism", sub, path) for path in malformed + parallelisms
+              for sub in ("verify", "characterize")],
+            *[(*command, "--q", "3", "--lambda", path) for path in malformed + lambdas
+              for command in (("field-info",), ("goodsets", "count"), ("classify",),
+                              ("selftest",))]]
+    for argv in rows:
+        assert run_cli(*argv) == 2, argv
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == "", argv
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
+        assert "Traceback" not in captured.err
 
 
 # sha256 of the `parallelism build` file for a seeded good set, as written
