@@ -11,7 +11,7 @@ q = 4 the 120 parallelisms split into 6 orbits.
 import time
 
 from spreadsmith.equivalence import are_equivalent, classify, stabilizer_group
-from spreadsmith.goodsets import dual, enumerate_good_sets, fixed_plane_good_set
+from spreadsmith.goodsets import count_good_sets, dual, fixed_plane_good_set
 from spreadsmith.spreads import geometry_for_q
 
 for q in (3, 4):
@@ -19,11 +19,10 @@ for q in (3, 4):
     lam = geo.lam
     t0 = time.time()
     grp = stabilizer_group(geo)
-    family = list(enumerate_good_sets(lam))
-    rep = classify(geo, family)
+    rep = classify(geo)
     elapsed = time.time() - t0
     print(f"=== q = {q}: group order {grp.order} "
-          f"(formula {grp.formula_order}), {len(family)} good sets, "
+          f"(formula {grp.formula_order}), {count_good_sets(lam)} good sets, "
           f"{rep.family_size} distinct parallelisms")
     for i, orbit in enumerate(rep.orbits):
         print(f"  orbit {i}: size {orbit.size:>3}  stabilizer "

@@ -1120,7 +1120,7 @@ def check_group_actions(geo: Geometry, sample: int = 4, seed: int = 29) -> Check
     p2 = build_parallelism(geo, img)
     if _images(geo, witness, _spread_ids(geo, p1.spreads)) != _spread_ids(geo, p2.spreads):
         return _fail(name, q, "diagonal witness does not map the parallelisms")
-    if are_equivalent(geo, p1, p2) is None:
+    if are_equivalent(geo, gs, img) is None:
         return _fail(name, q, "diagonal images not detected as equivalent")
     return _ok(name, q, f"{len(probe)} sets, diagonal witness verified")
 
@@ -1157,7 +1157,7 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
         gs = rng.choice(sets)
         psi = rng.choice(grp.elements)
         moved = apply_label_action(label_action(geo, psi), flip_canonical(lam, gs))
-        if are_equivalent(geo, canonical(gs), moved) is None:
+        if are_equivalent(geo, gs, moved) is None:
             return _fail(name, q, "search missed a constructed equivalence")
     B = fixed_plane_good_set(lam, lam.I[0], 0)
     Bd = dual(B)
@@ -1201,9 +1201,7 @@ def check_orbit_consistency(geo: Geometry) -> CheckResult:
     and family counts sum to the family size."""
     name = "orbit-consistency"
     q = geo.q
-    lam = geo.lam
-    family = list(enumerate_good_sets(lam))
-    report = classify(geo, family)
+    report = classify(geo)
     if sum(o.family_count for o in report.orbits) != report.family_size:
         return _fail(name, q, "family counts do not sum up")
     for o in report.orbits:

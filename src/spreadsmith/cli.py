@@ -15,7 +15,7 @@ import json
 import os
 import signal
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from spreadsmith.checks import run_selftest
@@ -26,12 +26,7 @@ from spreadsmith.field_tower import (
     build_partition,
     prime_power,
 )
-from spreadsmith.goodsets import (
-    census,
-    enumerate_good_sets,
-    flip_canonical,
-    is_good,
-)
+from spreadsmith.goodsets import census, enumerate_good_sets, is_good
 from spreadsmith.parallelisms import (
     build_parallelism,
     characterize,
@@ -117,6 +112,15 @@ def _input_lines(path):
             raise UsageError(f"{path}: not a UTF-8 text file") from None
 
 
+@contextmanager
+def _writing(path):
+    """A failure to create or write the output path is an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _geometry_from_args(args) -> Geometry:
     spec = _field_from_args(args)
     if getattr(args, "lambda_file", None):
@@ -133,7 +137,11 @@ def _geometry_from_args(args) -> Geometry:
 def _emit(args, lines):
     """Write each line to --output or stdout as soon as it is produced; no
     line at all writes a single newline."""
-    with (open(args.output, "w") if args.output else nullcontext(sys.stdout)) as out:
+    target = nullcontext(sys.stdout)
+    if args.output:
+        with _writing(args.output):
+            target = open(args.output, "w")
+    with target as out:
         empty = True
         for line in lines:
             out.write(line + "\n")
@@ -215,25 +223,33 @@ def cmd_goodsets(args) -> int:
         _emit(args, (goodset_record(lam, gs) for gs in sets))
         return 0
     # verify FILE
-    bad = records = 0
-    for lineno, row in enumerate(_input_lines(args.file), 1):
-        if not row.strip():
-            continue
-        records += 1
-        try:
-            gs = parse_goodset_record(lam, row)
+    if args.output and Path(args.output).resolve() == Path(args.file).resolve():
+        raise UsageError(f"--output {args.output} would overwrite the records it verifies")
+    bad = 0
+
+    def report():
+        nonlocal bad
+        records = 0
+        for lineno, row in enumerate(_input_lines(args.file), 1):
+            if not row.strip():
+                continue
+            records += 1
+            try:
+                gs = parse_goodset_record(lam, row)
+            except (ValueError, KeyError) as exc:
+                bad += 1
+                yield f"line {lineno}: malformed record: {exc}"
+                continue
             verdict = is_good(lam, gs)
-        except (ValueError, KeyError) as exc:
-            print(f"line {lineno}: malformed record: {exc}")
-            bad += 1
-            continue
-        if not verdict.ok:
-            print(f"line {lineno}: not a good set; pair {verdict.witness} "
-                  f"fails the {verdict.condition} condition")
-            bad += 1
-    if not records:
-        raise UsageError(f"{args.file} holds no good-set record")
-    print(f"verified: {'all records good' if not bad else f'{bad} bad record(s)'}")
+            if not verdict.ok:
+                bad += 1
+                yield (f"line {lineno}: not a good set; pair {verdict.witness} "
+                       f"fails the {verdict.condition} condition")
+        if not records:
+            raise UsageError(f"{args.file} holds no good-set record")
+        yield f"verified: {'all records good' if not bad else f'{bad} bad record(s)'}"
+
+    _emit(args, report())
     return VERIFY_ERROR if bad else 0
 
 
@@ -245,9 +261,9 @@ def cmd_parallelism(args) -> int:
             raise UsageError(f"{args.file} holds no good-set record")
         try:
             gs = parse_goodset_record(geo.lam, first)
-            verdict = is_good(geo.lam, gs)
         except (ValueError, KeyError) as exc:
             raise UsageError(f"{args.file}: malformed record: {exc}") from None
+        verdict = is_good(geo.lam, gs)
         if not verdict.ok:
             print(f"not a good set: pair {verdict.witness} fails the "
                   f"{verdict.condition} condition")
@@ -255,7 +271,8 @@ def cmd_parallelism(args) -> int:
         par = build_parallelism(geo, gs)
         cert = par.certificate
         out = args.output or f"parallelism_q{geo.q}.jsonl"
-        write_parallelism_file(out, geo, par, cert)
+        with _writing(out):
+            write_parallelism_file(out, geo, par, cert)
         print(f"wrote {out}: {len(par.spreads)} spreads, "
               f"{cert.line_count} lines, certificate "
               f"{'pass' if cert.ok else 'FAIL'}, checksum {cert.checksum[:16]}..")
@@ -298,26 +315,22 @@ def cmd_classify(args) -> int:
     geo = _geometry_from_args(args)
     if geo.q > 5:
         raise UsageError("full classification is supported for q <= 5")
-    lam = geo.lam
-    report = classify(geo, {flip_canonical(lam, gs) for gs in enumerate_good_sets(lam)})
-    refs = None
-    if args.output:
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        refs = []
-        for i, orbit in enumerate(report.orbits):
-            par = build_parallelism(geo, orbit.representative)
-            ref = f"orbit_{i}.jsonl"
-            write_parallelism_file(outdir / ref, geo, par, par.certificate)
-            refs.append(ref)
-    obj = orbit_report_to_obj(report, lam, refs)
+    report = classify(geo)
+    refs = [f"orbit_{i}.jsonl" for i in range(report.orbit_count)] if args.output else None
+    obj = orbit_report_to_obj(report, geo.lam, refs)
     obj["group_order_formula"] = stabilizer_order(geo)
     text = dumps(obj)
-    if args.output:
-        (Path(args.output) / "report.json").write_text(text + "\n")
-        print(f"wrote {args.output}/report.json with {report.orbit_count} orbits")
-    else:
+    if not args.output:
         print(text)
+        return 0
+    outdir = Path(args.output)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        for ref, orbit in zip(refs, report.orbits):
+            par = build_parallelism(geo, orbit.representative)
+            write_parallelism_file(outdir / ref, geo, par, par.certificate)
+        (outdir / "report.json").write_text(text + "\n")
+    print(f"wrote {args.output}/report.json with {report.orbit_count} orbits")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Collineations of the distinguished Baer subgeometry that stabilize the
 Desarguesian spread and its distinguished line, equivalence testing of the
-constructed parallelisms, and orbit classification of small families.
+constructed parallelisms, and their orbit classification.
 
 Collineations are stored as ambient semilinear maps of PG(3,q^2); two maps
 inducing the same action on the subgeometry differ by the subgeometry
@@ -22,9 +22,8 @@ from fractions import Fraction
 from functools import reduce
 import math
 
-from spreadsmith.goodsets import (Candidate, GoodSet, canonical, flip_canonical,
+from spreadsmith.goodsets import (Candidate, GoodSet, enumerate_good_sets, flip_canonical,
                                   flip_classes, is_good)
-from spreadsmith.parallelisms import Parallelism, characterize
 from spreadsmith.proj_geometry import Collineation, tau_plane
 from spreadsmith.spreads import Geometry, memo
 
@@ -187,36 +186,16 @@ def orbit_of(geo: Geometry, gs) -> dict[GoodSet, tuple[GoodSet, int] | None]:
 # equivalence and classification
 
 
-def _as_canonical_goodset(geo: Geometry, obj) -> GoodSet:
-    """Accept a Parallelism of the constructed family, a raw spread list,
-    or a good set; reject anything outside the family the search is sound
-    for."""
-    from spreadsmith.spreads import Spread
-
-    if not isinstance(obj, Parallelism) and any(isinstance(x, Spread) for x in obj):
-        obj = Parallelism(spreads=tuple(obj), desarguesian_index=-1)
-    if isinstance(obj, Parallelism):
-        if obj.source is not None:
-            gs = obj.source
-        else:
-            res = characterize(geo, obj)
-            if not res.ok:
-                raise ValueError(f"parallelism outside the searched family: {res.reason}")
-            gs = res.good_set
-    else:
-        gs = canonical(obj)
-        verdict = is_good(geo.lam, gs)
-        if not verdict.ok:
+def are_equivalent(geo: Geometry, gs1, gs2) -> Collineation | None:
+    """Search the line stabilizer for a witness mapping the parallelism of
+    one good set to that of the other; sound and complete for the
+    parallelisms built from good sets.  A set that is not good is a
+    ValueError."""
+    for gs in (gs1, gs2):
+        if not is_good(geo.lam, gs):
             raise ValueError("label set is not a good set")
-    return flip_canonical(geo.lam, gs)
-
-
-def are_equivalent(geo: Geometry, p1, p2) -> Collineation | None:
-    """Search the line stabilizer for a witness mapping one parallelism to
-    the other; sound and complete for the constructed family."""
-    g1 = _as_canonical_goodset(geo, p1)
-    g2 = _as_canonical_goodset(geo, p2)
-    parent = orbit_of(geo, g1)
+    parent = orbit_of(geo, gs1)
+    g2 = flip_canonical(geo.lam, gs2)
     if g2 not in parent:
         return None
     gens = stabilizer_gens(geo)
@@ -265,13 +244,13 @@ def lower_bound_formulas(q: int, m: int) -> dict[str, Fraction]:
     return out
 
 
-def classify(geo: Geometry, family) -> OrbitReport:
-    """Orbit partition of a family of parallelisms (given as parallelisms
-    or good sets) under the line stabilizer.  The family must be closed
-    under the group action; orbits are reported with exact sizes and
-    stabilizer orders from the orbit-stabilizer relation, each represented
-    by its least member and in the order of those."""
-    family_keys = {_as_canonical_goodset(geo, obj) for obj in family}
+def classify(geo: Geometry) -> OrbitReport:
+    """Orbit partition of the parallelisms built from good sets under the
+    line stabilizer: the flip classes of the enumerated good sets, good by
+    construction.  Orbits are reported with exact sizes and stabilizer
+    orders from the orbit-stabilizer relation, each represented by its
+    least member and in the order of those."""
+    family_keys = {flip_canonical(geo.lam, gs) for gs in enumerate_good_sets(geo.lam)}
     order = stabilizer_order(geo)
     seen = set()
     orbits = []
@@ -280,7 +259,8 @@ def classify(geo: Geometry, family) -> OrbitReport:
             continue
         orbit = orbit_of(geo, gs).keys()
         if not orbit <= family_keys:
-            raise ValueError("family is not closed under the stabilizer action")
+            raise AssertionError("an orbit leaves the good sets: the label "
+                                 "actions do not map good sets to good sets")
         seen.update(orbit)
         size = len(orbit)
         assert order % size == 0

@@ -51,18 +51,27 @@ def _filtered_I(lam: LambdaSystem, exclude_norm_minus_one: bool) -> tuple[int, .
     return tuple(a for a in lam.I if lam.norm_of(a) != minus1)
 
 
-def _validate(lam: LambdaSystem, cands) -> GoodSet:
+def candidate(lam: LambdaSystem, a: int, u: int, v: int) -> Candidate:
+    """The candidate rule, the one place that states it: the alpha index
+    lies in the I class and both unit exponents in 0..q.  Anything else is a
+    ValueError."""
     q = lam.spec.q
-    cands = [Candidate(*c) for c in cands]
+    if a not in lam.I:
+        raise ValueError(f"alpha index {a} is not in the I class")
+    if not (0 <= u <= q and 0 <= v <= q):
+        raise ValueError(f"unit exponents {u}, {v} are not in 0..{q}")
+    return Candidate(a, u, v)
+
+
+def validate(lam: LambdaSystem, cands) -> GoodSet:
+    """q+1 distinct candidates, each by the candidate rule, in the given
+    order."""
+    q = lam.spec.q
+    cands = [candidate(lam, *c) for c in cands]
     if len(cands) != q + 1:
         raise ValueError(f"a good set needs exactly {q + 1} candidates, got {len(cands)}")
     if len(set(cands)) != len(cands):
         raise ValueError("duplicate candidate triples")
-    for c in cands:
-        if c.alpha_idx not in lam.I:
-            raise ValueError(f"alpha index {c.alpha_idx} not in the I class")
-        if not (0 <= c.u_pow <= q and 0 <= c.v_pow <= q):
-            raise ValueError("unit exponents out of range")
     return tuple(cands)
 
 
@@ -96,7 +105,7 @@ def pair_conditions(s: FieldSpec, first, second) -> tuple[bool, bool]:
 
 def is_good(lam: LambdaSystem, cands) -> GoodSetVerdict:
     """Both pair_conditions hold on every pair of distinct triples."""
-    cands = _validate(lam, cands)
+    cands = validate(lam, cands)
     s = lam.spec
     vals = candidate_values(lam, cands)
     for i in range(len(cands)):
@@ -154,7 +163,7 @@ class PlaneModel:
 
 def is_good_geometric(lam: LambdaSystem, cands) -> bool:
     """Every line s_c and every conic bundle C_b meets the image exactly once."""
-    cands = _validate(lam, cands)
+    cands = validate(lam, cands)
     model = PlaneModel(lam)
     pts = epsilon(lam, cands)
     for c in model.U:
@@ -385,10 +394,7 @@ def census(lam: LambdaSystem, exclude_norm_minus_one: bool = False) -> CountCens
 def fixed_plane_good_set(lam: LambdaSystem, alpha_idx: int, v_pow: int = 0) -> GoodSet:
     """All q+1 base points on r_U1 paired with one fixed plane: the switched
     lines all lie in that plane."""
-    q = lam.spec.q
-    if alpha_idx not in lam.I:
-        raise ValueError("alpha index must lie in the I class")
-    return canonical(Candidate(alpha_idx, u, v_pow) for u in range(q + 1))
+    return canonical(candidate(lam, alpha_idx, u, v_pow) for u in range(lam.spec.q + 1))
 
 
 def fixed_point_good_set(lam: LambdaSystem, alpha_idx: int, u_pow: int = 0) -> GoodSet:

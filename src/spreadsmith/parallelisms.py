@@ -153,21 +153,19 @@ def group_E(geo: Geometry) -> GroupE:
     return GroupE(elements=elements, generators=gens)
 
 
-def is_E_invariant(geo: Geometry, par, full: bool = False) -> bool:
-    """Invariance of the spread set under the unitriangular group; the
-    generator check suffices by closure, the full sweep is the slow mode.
-    Spreads are mapped as sorted line ids, by the permutation each element
-    induces on the subgeometry.  E maps the subgeometry onto itself, so a
-    set holding a line outside it is not a set of its spreads and is
-    reported as not invariant."""
+def is_E_invariant(geo: Geometry, par) -> bool:
+    """Invariance of the spread set under the unitriangular group, checked
+    on its 2m generators, which suffices by closure.  Spreads are mapped as
+    sorted line ids, by the permutation each generator induces on the
+    subgeometry.  E maps the subgeometry onto itself, so a set holding a
+    line outside it is not a set of its spreads and is reported as not
+    invariant."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
     keys = {tuple(map(geo.line_index().get, sp.lines)) for sp in spreads}
     if any(None in key for key in keys):
         return False
-    grp = group_E(geo)
     return all({tuple(sorted(perm[k] for k in key)) for key in keys} == keys
-               for perm in map(geo.line_permutation,
-                               grp.elements if full else grp.generators))
+               for perm in map(geo.line_permutation, group_E(geo).generators))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 from typing import Any
 
 from spreadsmith.field_tower import FieldSpec, LambdaSystem, build_lambda, build_partition
-from spreadsmith.goodsets import Candidate, GoodSet, canonical
+from spreadsmith.goodsets import GoodSet, canonical, validate
 from spreadsmith.parallelisms import Certificate, Parallelism
 from spreadsmith.proj_geometry import Line, Point, line_through
 from spreadsmith.spreads import Geometry, Spread
@@ -120,15 +120,9 @@ def parse_goodset_record(lam: LambdaSystem, text: str) -> GoodSet:
     want_idx = [lam.spec.dlog(x) for x in lam.lam]
     if _member(obj, "lambda_idx", list) != want_idx:
         raise ValueError("record was written against a different Lambda")
-    cands = []
-    for e in _member(obj, "entries", list):
-        c = Candidate(*(_member(e, key, int) for key in ("alpha_idx", "u_pow", "v_pow")))
-        if c.alpha_idx not in lam.I:
-            raise ValueError(f"alpha index {c.alpha_idx} is not in the I class")
-        if not (0 <= c.u_pow <= q and 0 <= c.v_pow <= q):
-            raise ValueError("unit exponent out of range")
-        cands.append(c)
-    return canonical(cands)
+    entries = ([_member(e, key, int) for key in ("alpha_idx", "u_pow", "v_pow")]
+               for e in _member(obj, "entries", list))
+    return canonical(validate(lam, entries))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 from spreadsmith.field_tower import FieldSpec, LambdaSystem, lambda_for_q
-from spreadsmith.goodsets import Candidate, candidate_universe
+from spreadsmith.goodsets import Candidate, candidate, candidate_universe
 from spreadsmith.proj_geometry import (
     AmbientSpace,
     Collineation,
@@ -351,10 +351,7 @@ class Geometry:
         and two lie on one line through point_P exactly when (x - x')^(q-1)
         = u/v.  So x = s w, s in GF(q), gives each other line once, with
         w = 1 when u != v and w the generator (outside GF(q)) when u = v."""
-        if alpha_idx not in self.lam.I:
-            raise ValueError(f"alpha index {alpha_idx} is not in the I class")
-        if not (0 <= u_pow <= self.q and 0 <= v_pow <= self.q):
-            raise ValueError(f"unit exponents {u_pow}, {v_pow} are not in 0..{self.q}")
+        candidate(self.lam, alpha_idx, u_pow, v_pow)
         members = {self.space.r_U1, *(self._pencil_line(alpha_idx, u_pow, v_pow, s)
                                       for s in range(self.q))}
         assert len(members) == self.q + 1

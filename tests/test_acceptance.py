@@ -301,7 +301,7 @@ def test_criterion_09_classification():
     frozen = {3: [2, 2], 4: [5, 5, 5, 5, 50, 50]}
     for q, sizes in frozen.items():
         geo = geometry_for_q(q)
-        rep = classify(geo, list(enumerate_good_sets(geo.lam)))
+        rep = classify(geo)
         assert sorted(o.size for o in rep.orbits) == sizes
         for o in rep.orbits:
             assert o.size * o.stabilizer_order == rep.group_order

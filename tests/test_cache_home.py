@@ -23,7 +23,7 @@ def test_geometry_attributes_stay_those_of_init():
     par = build_parallelism(geo, family[0])
     assert verify_parallelism(geo, par).ok
     assert characterize(geo, par.spreads).ok
-    classify(geo, family)
+    classify(geo)
     assert all(r.ok for r in run_selftest(geo))
     assert set(vars(geo)) == init_attrs
 

@@ -20,6 +20,7 @@ from spreadsmith.equivalence import (
 )
 from spreadsmith.field_tower import lambda_for_q
 from spreadsmith.goodsets import (
+    Candidate,
     G1Element,
     apply_G1,
     canonical,
@@ -115,8 +116,7 @@ def test_are_equivalent_basics():
     geo = geometry_for_q(3)
     lam = geo.lam
     B = fixed_plane_good_set(lam, lam.I[0], 0)
-    pb = build_parallelism(geo, B)
-    w = are_equivalent(geo, pb, pb)
+    w = are_equivalent(geo, B, B)
     assert w is not None
     # the diagonal group image is equivalent
     img = apply_G1(lam, B, G1Element(2, 1))
@@ -126,16 +126,19 @@ def test_are_equivalent_basics():
 
 
 def test_are_equivalent_rejects_out_of_family():
+    # q+1 valid candidates on one line class fail the unit-ratio condition
     geo = geometry_for_q(3)
-    bad = [geo.desarguesian_spread()] * 13
-    with pytest.raises(ValueError):
-        are_equivalent(geo, bad, bad)
+    lam = geo.lam
+    bad = [Candidate(lam.I[0], u, u) for u in range(4)]
+    good = fixed_plane_good_set(lam, lam.I[0], 0)
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="not a good set"):
+            are_equivalent(geo, *pair)
 
 
 def test_classification_q3():
     geo = geometry_for_q(3)
-    family = list(enumerate_good_sets(geo.lam))
-    rep = classify(geo, family)
+    rep = classify(geo)
     assert rep.orbit_count == 2
     assert sorted(o.size for o in rep.orbits) == [2, 2]
     assert all(o.stabilizer_order == 288 for o in rep.orbits)
@@ -180,8 +183,7 @@ def test_are_equivalent_witness_maps_spreads(q):
 
 def test_classification_q4():
     geo = geometry_for_q(4)
-    family = list(enumerate_good_sets(geo.lam))
-    rep = classify(geo, family)
+    rep = classify(geo)
     assert rep.family_size == 120
     assert rep.orbit_count == 6
     assert sorted(o.size for o in rep.orbits) == [5, 5, 5, 5, 50, 50]
@@ -192,8 +194,7 @@ def test_classification_q4():
 
 def test_classification_q5():
     geo = geometry_for_q(5)
-    rep = classify(geo, {flip_canonical(geo.lam, gs)
-                         for gs in enumerate_good_sets(geo.lam)})
+    rep = classify(geo)
     assert (rep.orbit_count, rep.family_size, rep.group_order) == (187, 8820, 7200)
     census = {}
     for o in rep.orbits:
@@ -210,10 +211,9 @@ def test_classify_and_are_equivalent_close_no_group(q, monkeypatch):
 
     monkeypatch.setattr(equivalence, "close_group", refuse)
     geo = Geometry(lambda_for_q(q))
-    family = list(enumerate_good_sets(geo.lam))
-    rep = classify(geo, family)
+    rep = classify(geo)
     assert rep.group_order == {3: 576, 4: 4800}[q]
-    g1 = flip_canonical(geo.lam, family[0])
+    g1 = flip_canonical(geo.lam, next(enumerate_good_sets(geo.lam)))
     g2 = max(orbit_of(geo, g1))
     w = are_equivalent(geo, g1, g2)
     p1, p2 = build_parallelism(geo, g1), build_parallelism(geo, g2)
@@ -222,11 +222,14 @@ def test_classify_and_are_equivalent_close_no_group(q, monkeypatch):
             == sorted(sp.key() for sp in p2.spreads))
 
 
-def test_classify_rejects_non_closed_family():
+def test_classify_rejects_non_closed_family(monkeypatch):
+    # the label actions map good sets to good sets, so an orbit that leaves
+    # the enumerated family is a fault in them, not in the caller's input
     geo = geometry_for_q(4)
     family = list(enumerate_good_sets(geo.lam, limit=3))
-    with pytest.raises(ValueError):
-        classify(geo, family)
+    monkeypatch.setattr(equivalence, "enumerate_good_sets", lambda lam: iter(family))
+    with pytest.raises(AssertionError, match="label actions"):
+        classify(geo)
 
 
 def test_lower_bound_formulas():

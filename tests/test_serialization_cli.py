@@ -299,6 +299,24 @@ def test_cli_goodsets_verify(tmp_path, capsys):
         assert f"line {lineno}: malformed record" in out
 
 
+def test_cli_goodsets_verify_writes_its_report_to_output(tmp_path, capsys):
+    # the report goes to --output in place of stdout; the status is the same
+    lam = lambda_for_q(3)
+    good = goodset_record(lam, fixed_plane_good_set(lam, lam.I[0], 0))
+    for name, text, status in (("good", good, 0),
+                               ("mixed", f"{good}\n{{\n{good[:-1]}", 1)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text + "\n")
+        assert run_cli("goodsets", "verify", str(path), "--q", "3") == status
+        stdout = capsys.readouterr().out
+        report = tmp_path / f"{name}.txt"
+        assert run_cli("goodsets", "verify", str(path), "--q", "3",
+                       "--output", str(report)) == status
+        assert capsys.readouterr().out == ""
+        assert report.read_text() == stdout and stdout.startswith(
+            "verified" if status == 0 else "line 2: malformed record")
+
+
 def test_cli_parallelism_round_trip(tmp_path, capsys):
     lam = lambda_for_q(3)
     gs_file = tmp_path / "gs.jsonl"
@@ -370,6 +388,7 @@ def test_cli_selftest_q3(capsys):
 SELFTEST_SHA256 = {
     3: "0d73d70c7d6a2df7f226aefe4b296be41d2f2ebf5e110fc19706b2771a57becb",
     4: "3f3a3e25943ac9cd010c9723ecf4e5fa4a0ae8cfe36f56f32d69961b55367b5b",
+    5: "d0ad6ed5ab99151498b2de19acf414d946052247ca12d6c15b1947267cbb1e81",
 }
 
 
@@ -388,6 +407,17 @@ def test_cli_classify_output_is_pinned(q, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_SHA256[q]
 
 
+def test_cli_classify_output_directory_is_pinned_at_q4(tmp_path, capsys):
+    # the sha256 of the directory's `sha256sum *` listing: the report and
+    # the six representative parallelism files
+    assert run_cli("classify", "--q", "4", "--output", str(tmp_path)) == 0
+    capsys.readouterr()
+    listing = "".join(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n"
+                      for f in sorted(tmp_path.iterdir()))
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "05dde8b3c948f22b701a662a3ec5e2c39d06f3927d025d63f06794a30ffa8e63")
+
+
 def test_cli_selftest_output_identical_across_jobs(capsys):
     assert run_cli("selftest", "--q", "3", "--jobs", "1") == 0
     out1 = capsys.readouterr().out
@@ -397,10 +427,11 @@ def test_cli_selftest_output_identical_across_jobs(capsys):
     assert hashlib.sha256(out1.encode()).hexdigest() == SELFTEST_SHA256[3]
 
 
-def test_cli_selftest_output_is_pinned_at_q4(capsys):
-    assert run_cli("selftest", "--q", "4") == 0
+@pytest.mark.parametrize("q", [4, 5])
+def test_cli_selftest_output_is_pinned(q, capsys):
+    assert run_cli("selftest", "--q", str(q)) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SHA256[4]
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SHA256[q]
 
 
 def test_cli_lambda_override(tmp_path, capsys):
@@ -528,7 +559,8 @@ def test_cli_verify_compares_the_stored_certificate(key, value, tmp_path, capsys
 def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
     """Every subcommand that reads a file exits 2 with one `error:` line
     and no traceback on a missing, empty, non-UTF-8, directory, malformed,
-    wrong-shape or out-of-range file.  In `goodsets verify` a record that
+    wrong-shape or out-of-range file, and so does every subcommand that
+    writes one on an --output it cannot create.  In `goodsets verify` a record that
     does not parse is a failed record instead (exit 1, see
     test_cli_goodsets_verify), so only files that hold no record are
     rejected there."""
@@ -558,7 +590,19 @@ def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
     lambdas = [write(f"lambda_{i}.json", json.dumps(obj)) for i, obj in enumerate((
         [1], {"elements": 5}, {"elements": [[1, 0], "x"]},
         {"elements": [[7, 0], [1, 0]]}, {"elements": [[1, 0]]}))]
-    rows = [*[("goodsets", "verify", path, "--q", "3") for path in unreadable],
+    # outputs that cannot be written: under a missing directory, a
+    # directory, under a regular file; classify writes a directory, so a
+    # regular file in its place; the input file of verify itself
+    record = write("record.jsonl", json.dumps(good))
+    unwritable = [str(tmp_path / "missing" / "out"), str(tmp_path), f"{record}/out"]
+    writers = [("field-info", "--q", "3"), ("goodsets", "count", "--q", "3"),
+               ("goodsets", "enumerate", "--q", "3"),
+               ("goodsets", "verify", record, "--q", "3"),
+               ("parallelism", "build", record, "--q", "3")]
+    rows = [*[(*command, "--output", path) for command in writers for path in unwritable],
+            *[("classify", "--q", "3", "--output", path) for path in (record, f"{record}/out")],
+            ("goodsets", "verify", record, "--q", "3", "--output", record),
+            *[("goodsets", "verify", path, "--q", "3") for path in unreadable],
             *[("parallelism", "build", path, "--q", "3") for path in malformed + records],
             *[("parallelism", sub, path) for path in malformed + parallelisms
               for sub in ("verify", "characterize")],
@@ -571,6 +615,7 @@ def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
         assert captured.out == "", argv
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
         assert "Traceback" not in captured.err
+    assert json.loads(Path(record).read_text()) == good
 
 
 # sha256 of the `parallelism build` file for a seeded good set, as written
