@@ -899,10 +899,10 @@ def check_intersection_tables(geo: Geometry) -> CheckResult:
     return _ok(name, q, f"all {(q + 1) ** 2} (c,b) cells")
 
 
-def check_count_census(geo: Geometry, jobs: int = 1) -> CheckResult:
+def check_count_census(geo: Geometry) -> CheckResult:
     """Enumeration agrees with the mask count, is duplicate-free, emits
-    only good sets, and is deterministic (repeat runs and worker counts
-    give identical streams).  Closed-form agreement is reported as data."""
+    only good sets, and is deterministic (two runs give identical streams).
+    Closed-form agreement is reported as data."""
     name = "goodset-census"
     q = geo.q
     lam = geo.lam
@@ -921,10 +921,6 @@ def check_count_census(geo: Geometry, jobs: int = 1) -> CheckResult:
         for gs in probe:
             if not is_good(lam, gs).ok:
                 return _fail(name, q, "enumeration emitted a non-good set")
-        if jobs > 1:
-            # worker count must not change the stream (or this output)
-            if list(enumerate_good_sets(lam, jobs=jobs)) != run1:
-                return _fail(name, q, f"{jobs}-worker stream differs from serial")
     for k, v in cen.formulas.items():
         detail += f", {k}={v}{'(match)' if cen.oracle_matches.get(k) else '(differs)'}"
     if cen.formula_conflict:
@@ -1220,55 +1216,52 @@ def _wants(*qs):
     return lambda q: q in qset
 
 
-# (name, suite, applies at q, run settings the suite takes as keywords):
-# "seed" is the sampling seed that --sample-seed overrides, "jobs" the
-# worker count.
+# (name, suite, applies at q, whether the suite samples with a seed that
+# --sample-seed overrides)
 SUITES = [
-    ("field-automorphism", check_field_automorphism, lambda q: True, ("seed",)),
-    ("norm-partition", check_norm_partition, lambda q: True, ()),
-    ("lambda-classes", check_lambda_classes, lambda q: True, ()),
-    ("baer-subgeometries", check_baer_subgeometries, lambda q: q <= 5, ()),
-    ("subline-extension", check_subline_extension, lambda q: q <= 5, ()),
-    ("spread-union-sections", check_spread_union, lambda q: q <= 5, ()),
+    ("field-automorphism", check_field_automorphism, lambda q: True, True),
+    ("norm-partition", check_norm_partition, lambda q: True, False),
+    ("lambda-classes", check_lambda_classes, lambda q: True, False),
+    ("baer-subgeometries", check_baer_subgeometries, lambda q: q <= 5, False),
+    ("subline-extension", check_subline_extension, lambda q: q <= 5, False),
+    ("spread-union-sections", check_spread_union, lambda q: q <= 5, False),
     ("regulus-transversal-classification",
-     check_regulus_transversal_classification, _wants(3), ()),
-    ("pencil-line-family", check_pencils_and_line_family, lambda q: q <= 5, ()),
-    ("transversal-spreads", check_transversal_spreads, lambda q: q <= 5, ("seed",)),
-    ("hall-spreads", check_hall_spreads, lambda q: q <= 5, ("seed",)),
+     check_regulus_transversal_classification, _wants(3), False),
+    ("pencil-line-family", check_pencils_and_line_family, lambda q: q <= 5, False),
+    ("transversal-spreads", check_transversal_spreads, lambda q: q <= 5, True),
+    ("hall-spreads", check_hall_spreads, lambda q: q <= 5, True),
     ("desarguesian-regulus-property",
-     check_desarguesian_property, lambda q: q <= 5, ("seed",)),
-    ("shifted-spread-plane-sections", check_plane_sections, _wants(3, 5), ()),
-    ("shift-maps", check_shift_maps, _wants(3, 5), ()),
-    ("section-subplane-meet", check_subplane_meet, _wants(3, 5), ()),
-    ("section-pivot-point", check_section_pivot, _wants(3, 5), ()),
-    ("regulus-pair-conditions", check_regulus_pair_conditions, lambda q: q <= 5, ("seed",)),
+     check_desarguesian_property, lambda q: q <= 5, True),
+    ("shifted-spread-plane-sections", check_plane_sections, _wants(3, 5), False),
+    ("shift-maps", check_shift_maps, _wants(3, 5), False),
+    ("section-subplane-meet", check_subplane_meet, _wants(3, 5), False),
+    ("section-pivot-point", check_section_pivot, _wants(3, 5), False),
+    ("regulus-pair-conditions", check_regulus_pair_conditions, lambda q: q <= 5, True),
     ("extension-disjointness-conditions",
-     check_extension_disjoint_conditions, lambda q: q <= 5, ("seed",)),
-    ("plane-model-partitions", check_plane_model_partitions, lambda q: q <= 7, ()),
+     check_extension_disjoint_conditions, lambda q: q <= 5, True),
+    ("plane-model-partitions", check_plane_model_partitions, lambda q: q <= 7, False),
     ("goodset-predicate-equivalence",
-     check_predicate_equivalence, lambda q: q <= 7, ("seed",)),
-    ("line-conic-intersections", check_intersection_tables, lambda q: q <= 7, ()),
-    ("goodset-census", check_count_census, lambda q: True, ("jobs",)),
-    ("parallelism-roundtrip", check_parallelism_roundtrip, lambda q: q <= 5, ()),
-    ("non-good-families-fail", check_negative_mutations, lambda q: q <= 4, ()),
-    ("pencil-orbits", check_pencil_orbits, lambda q: q <= 5, ("seed",)),
-    ("unitriangular-group", check_unitriangular_group, lambda q: q <= 5, ()),
-    ("distinct-parallelisms", check_distinct_parallelisms, lambda q: q <= 5, ("seed",)),
-    ("model-group-actions", check_group_actions, lambda q: q <= 4, ("seed",)),
-    ("stabilizer-order", check_stabilizer_order, lambda q: q <= 5, ()),
-    ("equivalence-search", check_equivalence_search, lambda q: q <= 4, ("seed",)),
-    ("orbit-consistency", check_orbit_consistency, lambda q: q <= 4, ()),
+     check_predicate_equivalence, lambda q: q <= 7, True),
+    ("line-conic-intersections", check_intersection_tables, lambda q: q <= 7, False),
+    ("goodset-census", check_count_census, lambda q: True, False),
+    ("parallelism-roundtrip", check_parallelism_roundtrip, lambda q: q <= 5, False),
+    ("non-good-families-fail", check_negative_mutations, lambda q: q <= 4, False),
+    ("pencil-orbits", check_pencil_orbits, lambda q: q <= 5, True),
+    ("unitriangular-group", check_unitriangular_group, lambda q: q <= 5, False),
+    ("distinct-parallelisms", check_distinct_parallelisms, lambda q: q <= 5, True),
+    ("model-group-actions", check_group_actions, lambda q: q <= 4, True),
+    ("stabilizer-order", check_stabilizer_order, lambda q: q <= 5, False),
+    ("equivalence-search", check_equivalence_search, lambda q: q <= 4, True),
+    ("orbit-consistency", check_orbit_consistency, lambda q: q <= 4, False),
 ]
 
 
-def run_selftest(geo: Geometry, jobs: int = 1,
-                 sample_seed: int | None = None) -> list[CheckResult]:
+def run_selftest(geo: Geometry, sample_seed: int | None = None) -> list[CheckResult]:
     """Run every suite applicable at this q, in registry order.  A sample
     seed overrides the fixed default of every sampling suite."""
-    settings = {"jobs": jobs, "seed": sample_seed}
     results = []
-    for name, fn, wants, params in SUITES:
+    for name, fn, wants, sampled in SUITES:
         if wants(geo.q):
-            results.append(fn(geo, **{p: settings[p] for p in params
-                                      if settings[p] is not None}))
+            seeded = sampled and sample_seed is not None
+            results.append(fn(geo, seed=sample_seed) if seeded else fn(geo))
     return results

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 141 when the reader closes stdout early (as after `| head`), the status a
 shell reports for a filter that SIGPIPE stops, and 143 after SIGTERM, which
-ends the command through its cleanup (a worker pool terminates its workers).
-Output is deterministic for a fixed configuration: repeated runs and
-different worker counts produce identical bytes.
+ends the command through its cleanup (what is written so far reaches
+--output).  Output is deterministic for a fixed configuration: repeated runs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def cmd_goodsets(args) -> int:
         return 0
     if args.subcmd == "enumerate":
         sets = enumerate_good_sets(lam, exclude_norm_minus_one=exclude,
-                                   limit=args.limit, jobs=args.jobs)
+                                   limit=args.limit)
         _emit(args, (goodset_record(lam, gs) for gs in sets))
         return 0
     # verify FILE
@@ -336,7 +336,7 @@ def cmd_classify(args) -> int:
 
 def cmd_selftest(args) -> int:
     geo = _geometry_from_args(args)
-    results = run_selftest(geo, jobs=args.jobs, sample_seed=args.sample_seed)
+    results = run_selftest(geo, sample_seed=args.sample_seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "pass" if r.ok else "FAIL"
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", help="record file for 'verify'")
     _add_field_args(p)
     p.add_argument("--filter", choices=("all", "no-norm-minus-one"), default="all")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--limit", type=int)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--output")
@@ -398,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run every verification suite for this q")
     _add_field_args(p)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--sample-seed", type=int,
                    help="seed for the sampling suites (defaults are fixed)")
     p.set_defaults(fn=cmd_selftest)
@@ -413,8 +411,6 @@ def main(argv=None) -> int:
         ap.error("goodsets verify needs a record file")
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError("--jobs must be at least 1")
         if getattr(args, "limit", None) is not None and args.limit < 0:
             raise UsageError("--limit must not be negative")
         status = args.fn(args)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -243,43 +242,11 @@ def _search(slots) -> Iterator[GoodSet]:
     return rec(0, 0)
 
 
-def _search_part(slots, limit: int | None) -> list[GoodSet]:
-    return list(itertools.islice(_search(slots), limit))
-
-
-def _merged(pool, parts, jobs: int) -> Iterator[GoodSet]:
-    """The sets of every part, part by part, with at most ``jobs`` parts
-    in the pool at a time."""
-    parts = iter(parts)
-    pending = deque(pool.apply_async(_search_part, part)
-                    for part in itertools.islice(parts, jobs))
-    while pending:
-        done = pending.popleft().get()
-        pending.extend(pool.apply_async(_search_part, part)
-                       for part in itertools.islice(parts, 1))
-        yield from done
-
-
 def enumerate_good_sets(lam: LambdaSystem, exclude_norm_minus_one: bool = False,
-                        limit: int | None = None, jobs: int = 1) -> Iterator[GoodSet]:
-    """The good sets in slot order, at most ``limit`` of them.  With
-    ``jobs > 1``, each part is the same search with the first three slots
-    cut to one choice each, taken lazily in product order and skipped when
-    two choices share a bundle (such a part holds no set).  Each worker
-    returns at most ``limit`` sets of its part, and the parts are merged in
-    that order, so the stream is the serial one for any worker count.  A
-    part is small: at q = 7 at most 33 792 of the 283 262 976 sets.  The
-    pool ends with the stream."""
+                        limit: int | None = None) -> Iterator[GoodSet]:
+    """The good sets in slot order, at most ``limit`` of them."""
     slots = _slot_tables(lam, exclude_norm_minus_one)
-    if jobs <= 1:
-        yield from itertools.islice(_search(slots), limit)
-        return
-    import multiprocessing
-    parts = (([[c] for c in prefix] + slots[3:], limit)
-             for prefix in itertools.product(*slots[:3])
-             if len({b for _, b in prefix}) == 3)
-    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-        yield from itertools.islice(_merged(pool, parts, jobs), limit)
+    yield from itertools.islice(_search(slots), limit)
 
 
 def count_good_sets(lam: LambdaSystem, exclude_norm_minus_one: bool = False) -> int:

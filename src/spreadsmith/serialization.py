@@ -11,6 +11,7 @@ and use fixed separators so identical inputs give identical bytes.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Any
 
 from spreadsmith.field_tower import FieldSpec, LambdaSystem, build_lambda, build_partition
@@ -104,12 +105,17 @@ def lambda_from_obj(spec: FieldSpec, obj: dict) -> LambdaSystem:
 # good sets (JSON lines)
 
 
+@lru_cache(maxsize=None)
+def _lambda_idx(lam: LambdaSystem) -> tuple[int, ...]:
+    """The discrete logarithms of the Lambda elements that every good-set
+    record carries, computed once per Lambda system."""
+    return tuple(lam.spec.dlog(x) for x in lam.lam)
+
+
 def goodset_record(lam: LambdaSystem, gs) -> str:
-    spec = lam.spec
-    lam_idx = [spec.dlog(x) for x in lam.lam]
     entries = [{"alpha_idx": c.alpha_idx, "u_pow": c.u_pow, "v_pow": c.v_pow}
                for c in canonical(gs)]
-    return dumps({"q": spec.q, "lambda_idx": lam_idx, "entries": entries})
+    return dumps({"q": lam.spec.q, "lambda_idx": _lambda_idx(lam), "entries": entries})
 
 
 def parse_goodset_record(lam: LambdaSystem, text: str) -> GoodSet:
@@ -117,8 +123,7 @@ def parse_goodset_record(lam: LambdaSystem, text: str) -> GoodSet:
     q = lam.spec.q
     if _member(obj, "q", int) != q:
         raise ValueError(f"record is for q={obj['q']}, expected q={q}")
-    want_idx = [lam.spec.dlog(x) for x in lam.lam]
-    if _member(obj, "lambda_idx", list) != want_idx:
+    if tuple(_member(obj, "lambda_idx", list)) != _lambda_idx(lam):
         raise ValueError("record was written against a different Lambda")
     entries = ([_member(e, key, int) for key in ("alpha_idx", "u_pow", "v_pow")]
                for e in _member(obj, "entries", list))

@@ -45,7 +45,6 @@ class Spread:
     lines: tuple[Line, ...]
     alpha: int
     tag: str = "unknown"            # desarguesian | hall | unknown
-    transversal: Line | None = None
     switched: tuple[Line, ...] | None = None
 
     def __post_init__(self):
@@ -394,8 +393,7 @@ class Geometry:
         assert len(lines) == self.q**2 + 1
         if alpha == self.eta:
             lines = map(self.intern, lines)
-        return Spread(lines=tuple(lines), alpha=alpha, tag="desarguesian",
-                      transversal=self.space.t1)
+        return Spread(lines=tuple(lines), alpha=alpha, tag="desarguesian")
 
     @memo
     def spread_from_transversal(self, l: Line) -> Spread:
@@ -418,9 +416,10 @@ class Geometry:
             raise ValueError("transversal and its conjugate are not skew")
         lines = {self.intern(line_through(spec, Q, self.tau_eta_point(Q))) for Q in pts}
         assert len(lines) == self.q**2 + 1
-        got = Spread(lines=tuple(lines), alpha=self.eta, tag="desarguesian",
-                     transversal=l)
-        # the conjugate transversal induces the same spread; memo files l
+        got = Spread(lines=tuple(lines), alpha=self.eta, tag="desarguesian")
+        # the conjugate transversal induces the same spread; file it under
+        # l^tau too, by its plain memo key (a traced run wraps this method,
+        # and the wrapper has no `put`)
         self._cache["Geometry.spread_from_transversal", lt] = got
         return got
 
@@ -473,7 +472,7 @@ class Geometry:
         opp = self.opposite_regulus(reg)
         lines = (set(sl.lines) - set(reg.lines)) | set(opp.lines)
         return Spread(lines=tuple(lines), alpha=self.eta, tag="hall",
-                      transversal=l, switched=reg.lines)
+                      switched=reg.lines)
 
     def is_spread(self, lines) -> SpreadReport:
         """Verdict: q^2+1 subgeometry lines, pairwise disjoint, covering

@@ -22,13 +22,6 @@ def test_all_applicable_suites_pass(q):
     assert not failed, "\n".join(failed)
 
 
-def test_selftest_output_independent_of_worker_count():
-    geo = geometry_for_q(3)
-    lines1 = [r.line() for r in run_selftest(geo, jobs=1)]
-    lines2 = [r.line() for r in run_selftest(geo, jobs=2)]
-    assert lines1 == lines2
-
-
 def test_sample_seed_override_threads_through():
     geo = geometry_for_q(3)
     base = run_selftest(geo)

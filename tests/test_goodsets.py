@@ -212,22 +212,6 @@ def test_intersection_profile_cases():
         intersection_profile(lam5, 1, s5.generator)
 
 
-def test_parallel_enumeration_matches_serial():
-    for q, jobs in ((3, 2), (4, 3)):
-        lam = lambda_for_q(q)
-        serial = list(enumerate_good_sets(lam))
-        assert list(enumerate_good_sets(lam, jobs=jobs)) == serial
-        assert list(enumerate_good_sets(lam, jobs=1)) == serial
-
-
-def test_parallel_enumeration_stops_at_the_limit():
-    # each worker returns at most `limit` sets of its part, so this ends
-    # quickly although a slot-0 part at q = 7 holds millions of sets
-    lam = lambda_for_q(7)
-    serial = list(itertools.islice(enumerate_good_sets(lam), 50))
-    assert list(enumerate_good_sets(lam, limit=50, jobs=2)) == serial
-
-
 def test_exclusion_filter():
     lam5 = lambda_for_q(5)
     s5 = lam5.spec
