@@ -8,8 +8,6 @@ into 2 orbits: the one-plane family and its dual one-point family.  At
 q = 4 the 120 parallelisms split into 6 orbits.
 """
 
-import time
-
 from spreadsmith.equivalence import are_equivalent, classify, stabilizer_group
 from spreadsmith.goodsets import count_good_sets, dual, fixed_plane_good_set
 from spreadsmith.spreads import geometry_for_q
@@ -17,10 +15,8 @@ from spreadsmith.spreads import geometry_for_q
 for q in (3, 4):
     geo = geometry_for_q(q)
     lam = geo.lam
-    t0 = time.time()
     grp = stabilizer_group(geo)
     rep = classify(geo)
-    elapsed = time.time() - t0
     print(f"=== q = {q}: group order {grp.order} "
           f"(formula {grp.formula_order}), {count_good_sets(lam)} good sets, "
           f"{rep.family_size} distinct parallelisms")
@@ -31,7 +27,6 @@ for q in (3, 4):
     for name, bound in rep.bounds.items():
         print(f"  reference lower bound {name} = {bound} "
               f"<= {rep.orbit_count} orbits")
-    print(f"  ({elapsed:.1f}s)")
     print()
 
 # the classical example and its dual are inequivalent

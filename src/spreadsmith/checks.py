@@ -208,18 +208,16 @@ def check_baer_subgeometries(geo: Geometry) -> CheckResult:
     name = "baer-subgeometries"
     s = geo.spec
     q = s.q
-    lam = geo.lam
     space = geo.space
     for k in range(q - 1):
-        alpha = lam.alpha(k)
-        sig = space.sigma_points(alpha)
+        sig = geo.component(k)
         if len(sig) != (q + 1) * (q * q + 1):
             return _fail(name, q, f"wrong subgeometry size at index {k}")
         for P in line_points(s, space.t1) + line_points(s, space.t2):
             if P in sig:
                 return _fail(name, q, "transversal line meets a subgeometry")
     for k1, k2 in combinations(range(q - 1), 2):
-        if space.sigma_points(lam.alpha(k1)) & space.sigma_points(lam.alpha(k2)):
+        if geo.component(k1) & geo.component(k2):
             return _fail(name, q, f"subgeometries {k1},{k2} intersect")
     if q == 3:
         eta = geo.eta
@@ -249,7 +247,7 @@ def check_subline_extension(geo: Geometry) -> CheckResult:
     # q = 3, the distinguished planes otherwise
     if q == 3:
         pairs = [(k, pl) for k in range(q - 1) for pl in space.all_planes()
-                 if len(_plane_section(geo, space.sigma_points(lam.alpha(k)), pl))
+                 if len(_plane_section(geo, geo.component(k), pl))
                  == q * q + q + 1]
         probe = geo.line_set_L()
     else:
@@ -259,7 +257,7 @@ def check_subline_extension(geo: Geometry) -> CheckResult:
         for k2 in range(q - 1):
             if k2 == k:
                 continue
-            other = _plane_section(geo, space.sigma_points(lam.alpha(k2)), pl)
+            other = _plane_section(geo, geo.component(k2), pl)
             if len(other) != q + 1:
                 return _fail(name, q, "cross section size wrong")
             l = line_through(s, *sorted(other)[:2])
@@ -270,7 +268,7 @@ def check_subline_extension(geo: Geometry) -> CheckResult:
     for l in probe:
         k = geo.label_of(l)[0]
         for k2 in range(q - 1):
-            if k2 != k and any(P in space.sigma_points(lam.alpha(k2))
+            if k2 != k and any(P in geo.component(k2)
                                for P in line_points(s, l)):
                 return _fail(name, q, "pencil line meets a second subgeometry")
     return _ok(name, q, f"{len(pairs)} subplane sections, {len(probe)} lines")
@@ -289,7 +287,6 @@ def check_spread_union(geo: Geometry) -> CheckResult:
         return _fail(name, q, f"extension union has {len(ext)} points")
     if q != 3:
         return _ok(name, q, "union size (plane sections exhaustive at q=3)")
-    lam = geo.lam
     space = geo.space
     t1_pts = set(line_points(s, space.t1))
     t2_pts = set(line_points(s, space.t2))
@@ -309,7 +306,7 @@ def check_spread_union(geo: Geometry) -> CheckResult:
                 for cand in (t1_pts & sec, t2_pts & sec))
             if not residue_ok:
                 for k in range(q - 1):
-                    cut = _plane_section(geo, space.sigma_points(lam.alpha(k)), pl)
+                    cut = _plane_section(geo, geo.component(k), pl)
                     if len(cut) == q * q + q + 1 and sec == lpts | cut:
                         residue_ok = True
                         break
@@ -474,7 +471,7 @@ def _shift_image(geo: Geometry, a_idx: int, scalar: int, k: int) -> frozenset:
     """Image of the k-th Baer component under the composite shift map."""
     phi_l = geo.phi_lambda_map(a_idx, scalar)
     return frozenset(phi_l.apply_point(P)
-                     for P in geo.space.sigma_points(geo.lam.alpha(k)))
+                     for P in geo.component(k))
 
 
 def _component_subplane(geo: Geometry, a_idx: int, scalar: int, plane):
@@ -641,7 +638,7 @@ def check_subplane_meet(geo: Geometry) -> CheckResult:
             if found is None:
                 return _fail(name, q, "missing section subplane")
             _, sigma_cut = found
-            shared = sigma_cut & _plane_section(geo, geo.space.sigma_points(beta), pl)
+            shared = sigma_cut & _plane_section(geo, geo.component(b_idx), pl)
             pivot = _pivot_point(geo, a_idx, b_idx, v_pow)
             bv = s.mul(beta, v)
             xi = geo.xi_map(scalar)
@@ -1037,7 +1034,7 @@ def check_unitriangular_group(geo: Geometry) -> CheckResult:
         if psi.apply_line(geo.space.t2) != geo.space.t2:
             return _fail(name, q, "t2 moved")
         for k in range(q - 1):
-            sig = geo.space.sigma_points(geo.lam.alpha(k))
+            sig = geo.component(k)
             if {psi.apply_point(P) for P in sig} != sig:
                 return _fail(name, q, "component moved")
         for a in geo.lam.I:

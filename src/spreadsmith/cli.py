@@ -263,12 +263,11 @@ def cmd_parallelism(args) -> int:
             gs = parse_goodset_record(geo.lam, first)
         except (ValueError, KeyError) as exc:
             raise UsageError(f"{args.file}: malformed record: {exc}") from None
-        verdict = is_good(geo.lam, gs)
-        if not verdict.ok:
-            print(f"not a good set: pair {verdict.witness} fails the "
-                  f"{verdict.condition} condition")
+        try:
+            par = build_parallelism(geo, gs)
+        except ValueError as exc:
+            print(exc)
             return VERIFY_ERROR
-        par = build_parallelism(geo, gs)
         cert = par.certificate
         out = args.output or f"parallelism_q{geo.q}.jsonl"
         with _writing(out):

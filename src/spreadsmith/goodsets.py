@@ -276,8 +276,7 @@ def count_good_sets(lam: LambdaSystem, exclude_norm_minus_one: bool = False) -> 
 # ---------------------------------------------------------------------------
 # closed-form reference values
 
-FORMULA_VARIANTS = ("all_even", "all_even_simplified", "all_odd",
-                    "exclude_minus_one_odd")
+FORMULA_VARIANTS = ("all_even", "all_odd", "exclude_minus_one_odd")
 
 
 def count_formula(q: int, variant: str) -> int:
@@ -287,12 +286,6 @@ def count_formula(q: int, variant: str) -> int:
     disagree and the census report must flag that."""
     if variant not in FORMULA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "all_even_simplified":
-        frac = count_formula_even_simplified(q)
-        if frac.denominator != 1:
-            raise ValueError("the simplified even-q form is not an integer; "
-                             "use count_formula_even_simplified")
-        return int(frac)
     if variant == "all_even":
         if q % 2:
             raise ValueError("even-q formula requested for odd q")

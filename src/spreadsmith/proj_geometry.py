@@ -14,7 +14,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from spreadsmith.field_tower import FieldSpec
@@ -344,7 +343,7 @@ class Collineation:
     def apply_plane(self, plane: Plane) -> Plane:
         s = self.spec
         h = self._twist_vec(plane)
-        inv = _collineation_inverse_matrix(self)
+        inv = _matrix_inverse(s, self.matrix)
         return normalize(s, tuple(
             _dot(s, tuple(inv[i][j] for i in range(4)), h) for j in range(4)))
 
@@ -360,7 +359,7 @@ class Collineation:
 
     def inverse(self) -> "Collineation":
         s = self.spec
-        inv = _collineation_inverse_matrix(self)
+        inv = _matrix_inverse(s, self.matrix)
         t = (-self.twist) % (2 * s.m)
         mat = tuple(tuple(_iter_frob(s, x, t) for x in row) for row in inv)
         return Collineation(s, mat, t)
@@ -388,18 +387,15 @@ def _iter_frob(spec, x, t):
     return x
 
 
-@lru_cache(maxsize=65536)
-def _collineation_inverse_matrix(coll: Collineation):
-    return _matrix_inverse(coll.spec, coll.matrix)
-
-
 # ---------------------------------------------------------------------------
-# the ambient space with its cached Baer apparatus
+# the ambient space with its Baer apparatus
 
 
 class AmbientSpace:
-    """PG(3,q^2) with cached point/line enumerations and Baer subgeometry
-    machinery.  All cached structures are immutable once built."""
+    """PG(3,q^2) with its coordinate frame and the point, plane and line
+    enumerations and Baer subgeometries derived from it.  It holds only its
+    constants: every method derives its answer afresh, and a Geometry
+    memoises what it reuses."""
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
@@ -410,53 +406,38 @@ class AmbientSpace:
         self.t1 = line_through(spec, self.U1, self.U2)
         self.t2 = line_through(spec, self.U3, self.U4)
         self.r_U1 = line_through(spec, self.U1, self.U3)
-        self._sigma_cache: dict[int, frozenset[Point]] = {}
-        self._all_points = None
-        self._all_planes = None
-        self._all_lines = None
 
     def all_points(self) -> list[Point]:
-        if self._all_points is None:
-            spec = self.spec
-            pts = set()
-            for vec in product(range(spec.order), repeat=4):
-                if any(vec):
-                    pts.add(normalize(spec, vec))
-            self._all_points = sorted(pts)
-        return self._all_points
+        spec = self.spec
+        pts = set()
+        for vec in product(range(spec.order), repeat=4):
+            if any(vec):
+                pts.add(normalize(spec, vec))
+        return sorted(pts)
 
     def all_planes(self) -> list[Plane]:
-        if self._all_planes is None:
-            self._all_planes = list(self.all_points())
-        return self._all_planes
+        return self.all_points()
 
     def all_lines(self) -> list[Line]:
         """Every line of PG(3,q^2), generated directly in RREF form."""
-        if self._all_lines is None:
-            self._all_lines = sorted(echelon_pairs(self.spec.order))
-        return self._all_lines
+        return sorted(echelon_pairs(self.spec.order))
 
     # -- Baer subgeometries --------------------------------------------------
 
     def sigma_points(self, alpha: int) -> frozenset[Point]:
         """Fixed points of tau_alpha: the (q+1)(q^2+1) points
-        (x, y, a x^q, a y^q).  Keyed by norm(alpha)."""
+        (x, y, a x^q, a y^q).  They depend on norm(alpha) only."""
         spec = self.spec
-        key = spec.norm(alpha)
-        cached = self._sigma_cache.get(key)
-        if cached is None:
-            f = spec.frobenius
-            # (x, y) up to GF(q)* scaling: coset representatives g^0..g^q
-            reps = [spec.pow(spec.generator, k) for k in range(spec.q + 1)]
-            pairs = [(r, 0) for r in reps]
-            pairs += [(x, r) for r in reps for x in range(spec.order)]
-            pts = frozenset(normalize(spec, (
-                x, y, spec.mul(alpha, f(x)), spec.mul(alpha, f(y))))
-                for x, y in pairs)
-            assert len(pts) == (spec.q + 1) * (spec.q**2 + 1)
-            cached = pts
-            self._sigma_cache[key] = cached
-        return cached
+        f = spec.frobenius
+        # (x, y) up to GF(q)* scaling: coset representatives g^0..g^q
+        reps = [spec.pow(spec.generator, k) for k in range(spec.q + 1)]
+        pairs = [(r, 0) for r in reps]
+        pairs += [(x, r) for r in reps for x in range(spec.order)]
+        pts = frozenset(normalize(spec, (
+            x, y, spec.mul(alpha, f(x)), spec.mul(alpha, f(y))))
+            for x, y in pairs)
+        assert len(pts) == (spec.q + 1) * (spec.q**2 + 1)
+        return pts
 
     def in_sigma(self, alpha: int, P: Point) -> bool:
         return tau_point(self.spec, alpha, P) == P

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Any
 
 from spreadsmith.field_tower import FieldSpec, LambdaSystem, build_lambda, build_partition
-from spreadsmith.goodsets import GoodSet, canonical, validate
+from spreadsmith.goodsets import Candidate, GoodSet, canonical, validate
 from spreadsmith.parallelisms import Certificate, Parallelism
 from spreadsmith.proj_geometry import Line, Point, line_through
 from spreadsmith.spreads import Geometry, Spread
@@ -112,10 +112,15 @@ def _lambda_idx(lam: LambdaSystem) -> tuple[int, ...]:
     return tuple(lam.spec.dlog(x) for x in lam.lam)
 
 
+def _entries(cands) -> list[dict]:
+    """Candidates as the JSON objects of records, files and reports, keyed
+    by the Candidate field names that parse_goodset_record reads."""
+    return [{"alpha_idx": a, "u_pow": u, "v_pow": v} for a, u, v in cands]
+
+
 def goodset_record(lam: LambdaSystem, gs) -> str:
-    entries = [{"alpha_idx": c.alpha_idx, "u_pow": c.u_pow, "v_pow": c.v_pow}
-               for c in canonical(gs)]
-    return dumps({"q": lam.spec.q, "lambda_idx": _lambda_idx(lam), "entries": entries})
+    return dumps({"q": lam.spec.q, "lambda_idx": _lambda_idx(lam),
+                  "entries": _entries(canonical(gs))})
 
 
 def parse_goodset_record(lam: LambdaSystem, text: str) -> GoodSet:
@@ -125,7 +130,7 @@ def parse_goodset_record(lam: LambdaSystem, text: str) -> GoodSet:
         raise ValueError(f"record is for q={obj['q']}, expected q={q}")
     if tuple(_member(obj, "lambda_idx", list)) != _lambda_idx(lam):
         raise ValueError("record was written against a different Lambda")
-    entries = ([_member(e, key, int) for key in ("alpha_idx", "u_pow", "v_pow")]
+    entries = ([_member(e, key, int) for key in Candidate._fields]
                for e in _member(obj, "entries", list))
     return canonical(validate(lam, entries))
 
@@ -165,9 +170,7 @@ def write_parallelism_file(path, geo: Geometry, par: Parallelism,
         "q": spec.q,
         "field": field_spec_to_obj(spec),
         "lambda": lambda_to_obj(geo.lam),
-        "source": ([{"alpha_idx": c.alpha_idx, "u_pow": c.u_pow,
-                     "v_pow": c.v_pow} for c in par.source]
-                   if par.source else None),
+        "source": _entries(par.source) if par.source else None,
     }
     lines_out.append(dumps(header))
     for sp in par.spreads:
@@ -227,8 +230,7 @@ def orbit_report_to_obj(report, lam: LambdaSystem, file_refs=None) -> dict:
     orbits = []
     for i, o in enumerate(report.orbits):
         entry = {
-            "representative": [{"alpha_idx": c.alpha_idx, "u_pow": c.u_pow,
-                                "v_pow": c.v_pow} for c in o.representative],
+            "representative": _entries(o.representative),
             "orbit_size": o.size,
             "stabilizer_order": o.stabilizer_order,
             "family_count": o.family_count,

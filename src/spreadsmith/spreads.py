@@ -17,6 +17,7 @@ family is needed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -142,10 +143,15 @@ class Geometry:
 
     # -- the distinguished subgeometry ----------------------------------------
 
-    @property
     @memo
+    def component(self, alpha_idx: int) -> frozenset[Point]:
+        """The points of the Baer subgeometry fixed by tau_alpha, alpha the
+        Lambda element of the given index."""
+        return self.space.sigma_points(self.alpha_of(alpha_idx))
+
+    @property
     def sigma_eta(self) -> frozenset[Point]:
-        return self.space.sigma_points(self.eta)
+        return self.component(self.lam.eta_index)
 
     def tau_eta_point(self, P: Point) -> Point:
         return tau_point(self.spec, self.eta, P)
@@ -416,12 +422,7 @@ class Geometry:
             raise ValueError("transversal and its conjugate are not skew")
         lines = {self.intern(line_through(spec, Q, self.tau_eta_point(Q))) for Q in pts}
         assert len(lines) == self.q**2 + 1
-        got = Spread(lines=tuple(lines), alpha=self.eta, tag="desarguesian")
-        # the conjugate transversal induces the same spread; file it under
-        # l^tau too, by its plain memo key (a traced run wraps this method,
-        # and the wrapper has no `put`)
-        self._cache["Geometry.spread_from_transversal", lt] = got
-        return got
+        return Spread(lines=tuple(lines), alpha=self.eta, tag="desarguesian")
 
     @memo
     def regulus_of(self, l: Line) -> Regulus:
@@ -484,33 +485,20 @@ class Geometry:
         index = self._index()
         covered = set()
         for l in lines:
+            # a tau-stable line meets the subgeometry in a subline, so the
+            # index holds exactly the stable lines
             k = index.line_id.get(l)
             if k is None:
-                break
-            covered.update(index.line_point_ids[k])
-        else:
-            # q^2+1 sublines of q+1 points cover all (q+1)(q^2+1) points
-            # exactly when they are pairwise disjoint
-            if len(covered) == len(index.points):
-                return SpreadReport(True)
-        # name the first failure
-        counts: dict[Point, int] = {}
-        for l in lines:
-            if self.tau_eta_line(l) != l:
                 return SpreadReport(False, "line is not stable under the involution")
-            pts = self.subline_points(l)
-            if len(pts) != q + 1:
-                return SpreadReport(False, "line does not meet the subgeometry in a subline")
-            for P in pts:
-                counts[P] = counts.get(P, 0) + 1
-        for P, c in counts.items():
-            if c > 1:
-                return SpreadReport(False, "point covered more than once",
-                                    multiply_covered=P)
-        for P in self.sigma_eta:
-            if P not in counts:
-                return SpreadReport(False, "point not covered", uncovered=P)
-        return SpreadReport(True)
+            covered.update(index.line_point_ids[k])
+        # q^2+1 sublines of q+1 points cover all (q+1)(q^2+1) points exactly
+        # when they are pairwise disjoint; otherwise name the first point, in
+        # line order, that two of them share
+        if len(covered) == len(index.points):
+            return SpreadReport(True)
+        counts = Counter(P for l in lines for P in self.subline_points(l))
+        return SpreadReport(False, "point covered more than once",
+                            multiply_covered=next(P for P, c in counts.items() if c > 1))
 
     # -- the distinguished transversal family of one pencil -------------------
 

@@ -233,7 +233,7 @@ def test_criterion_06_subplane_meet_exact_count_as_stated():
                 found = _component_subplane(geo, a_idx, scalar,
                                             geo.plane_pi(b_idx, v_pow))
                 _, sigma_cut = found
-                own = {P for P in geo.space.sigma_points(lam.alpha(b_idx))
+                own = {P for P in geo.component(b_idx)
                        if point_on_plane(s, geo.plane_pi(b_idx, v_pow), P)}
                 bv = s.mul(lam.alpha(b_idx), geo.U[v_pow])
                 pivot_on_subline = s.in_subfield(s.div(bv, alpha))

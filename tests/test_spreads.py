@@ -123,7 +123,7 @@ def _pencil_by_section_scan(geo, a, u, v):
     plane_pi cuts from the subgeometry of alpha."""
     spec = geo.spec
     P, pi = geo.point_P(a, u), geo.plane_pi(a, v)
-    section = [S for S in geo.space.sigma_points(geo.alpha_of(a))
+    section = [S for S in geo.component(a)
                if point_on_plane(spec, pi, S)]
     assert len(section) == geo.q**2 + geo.q + 1
     return tuple(sorted({line_through(spec, P, S) for S in section if S != P}))
@@ -233,6 +233,17 @@ def test_transversal_of_t1_rebuilds_desarguesian():
         geo = geometry_for_q(q)
         assert geo.spread_from_transversal(geo.space.t1).key() == \
             geo.desarguesian_spread().key()
+
+
+def test_conjugate_transversal_derives_its_own_spread():
+    # the memo holds what each call derived, so the spread of l^tau is
+    # built from l^tau and must come out equal to the spread of l
+    geo = geometry_for_q(5)
+    l = geo.line_set_L()[0]
+    sp = geo.spread_from_transversal(l)
+    conj = geo.spread_from_transversal(geo.tau_eta_line(l))
+    assert conj is not sp
+    assert conj.key() == sp.key()
 
 
 def test_regulus_membership_requires_family_line():
