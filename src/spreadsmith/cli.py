@@ -18,8 +18,6 @@ import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-from spreadsmith.checks import run_selftest
-from spreadsmith.equivalence import classify, stabilizer_order
 from spreadsmith.field_tower import (
     FieldSpec,
     build_lambda,
@@ -311,6 +309,10 @@ def cmd_parallelism(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    # imported here, like checks in cmd_selftest: a command that does not
+    # classify pays nothing for it
+    from spreadsmith.equivalence import classify, stabilizer_order
+
     geo = _geometry_from_args(args)
     if geo.q > 5:
         raise UsageError("full classification is supported for q <= 5")
@@ -334,6 +336,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from spreadsmith.checks import run_selftest
+
     geo = _geometry_from_args(args)
     results = run_selftest(geo, sample_seed=args.sample_seed)
     width = max(len(r.name) for r in results)

@@ -14,7 +14,7 @@ immutable after construction and safe to share between threads/processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 
@@ -119,6 +119,21 @@ def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")
 
 
+@dataclass(frozen=True, slots=True)
+class FieldTables:
+    """The arithmetic of GF(q^2) as flat, read-only tables over element
+    codes: a + b is ``add[a * order + b]``, a * b is ``mul[a * order + b]``,
+    -a is ``neg[a]``, 1/a is ``inv[a]`` (``inv[0]`` is 0 and means nothing),
+    a^q is ``frob[a]`` and a^p is ``frob_p[a]``."""
+    order: int
+    mul: tuple[int, ...]
+    add: tuple[int, ...]
+    neg: tuple[int, ...]
+    inv: tuple[int, ...]
+    frob: tuple[int, ...]
+    frob_p: tuple[int, ...]
+
+
 class FieldSpec:
     """The tower GF(q) < GF(q^2) with table-driven exact arithmetic.
 
@@ -129,6 +144,7 @@ class FieldSpec:
     modulus_q : monic irreducible of degree m over GF(p) (constant first)
     modulus_q2 : monic irreducible (c0, c1, 1) over GF(q), as GF(q) codes
     generator : code of the chosen generator of GF(q^2)*
+    tables : the FieldTables every scalar method reads
     """
 
     def __init__(self, p: int, m: int, modulus_q=None, modulus_q2=None,
@@ -215,6 +231,7 @@ class FieldSpec:
         mul = [0] * (Q * Q)
         add = [0] * (Q * Q)
         neg = [0] * Q
+        inv = [0] * Q
         for a in range(Q):
             a0, a1 = a % q, a // q
             neg[a] = qn[a0] + q * qn[a1]
@@ -226,10 +243,18 @@ class FieldSpec:
                 t2 = qm[a1][b1]
                 r0 = qa[qm[a0][b0]][qn[qm[t2][c0]]]
                 r1 = qa[qa[qm[a0][b1]][qm[a1][b0]]][qn[qm[t2][c1]]]
-                mul[arow + b] = r0 + q * r1
-        self._mul = mul
-        self._add = add
-        self._neg = neg
+                mul[arow + b] = r = r0 + q * r1
+                if r == 1:
+                    inv[a] = b
+        # the Frobenius tables follow once the logarithms exist (_build_logs)
+        self._tables = FieldTables(Q, tuple(mul), tuple(add), tuple(neg), tuple(inv),
+                                   frob=(), frob_p=())
+
+    @property
+    def tables(self) -> FieldTables:
+        """The flat arithmetic tables of GF(q^2), for kernels that index
+        them directly instead of calling the scalar methods."""
+        return self._tables
 
     def _find_generator(self):
         target = self.order - 1
@@ -266,14 +291,15 @@ class FieldSpec:
         for k in range(Q - 1):
             exp[k] = x
             log[x] = k
-            x = self._mul[x * Q + g]
+            x = self.mul(x, g)
         assert x == 1
         self._exp = exp
         self._log = log
         q = self.q
-        self._frob = [self.pow(x, q) if x else 0 for x in range(Q)]
-        self._frob_p = [self.pow(x, self.p) if x else 0 for x in range(Q)]
-        self._norm = [self.mul(x, self._frob[x]) for x in range(Q)]
+        frob = tuple(self.pow(x, q) if x else 0 for x in range(Q))
+        frob_p = tuple(self.pow(x, self.p) if x else 0 for x in range(Q))
+        self._tables = replace(self._tables, frob=frob, frob_p=frob_p)
+        self._norm = [self.mul(x, frob[x]) for x in range(Q)]
 
     # -- element codecs ------------------------------------------------------
 
@@ -310,22 +336,22 @@ class FieldSpec:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        return self._add[a * self.order + b]
+        return self._tables.add[a * self.order + b]
 
     def sub(self, a, b):
-        return self._add[a * self.order + self._neg[b]]
+        t = self._tables
+        return t.add[a * self.order + t.neg[b]]
 
     def neg(self, a):
-        return self._neg[a]
+        return self._tables.neg[a]
 
     def mul(self, a, b):
-        return self._mul[a * self.order + b]
+        return self._tables.mul[a * self.order + b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        n = self.order - 1
-        return self._exp[(n - self._log[a]) % n]
+        return self._tables.inv[a]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -346,8 +372,8 @@ class FieldSpec:
         e %= self.order - 1
         while e:
             if e & 1:
-                r = self._mul[r * self.order + b]
-            b = self._mul[b * self.order + b]
+                r = self.mul(r, b)
+            b = self.mul(b, b)
             e >>= 1
         return r
 
@@ -363,11 +389,11 @@ class FieldSpec:
 
     def frobenius(self, x):
         """x -> x^q, the involutory automorphism fixing GF(q)."""
-        return self._frob[x]
+        return self._tables.frob[x]
 
     def frobenius_p(self, x):
         """x -> x^p, generating the full automorphism group of GF(q^2)."""
-        return self._frob_p[x]
+        return self._tables.frob_p[x]
 
     def norm(self, x):
         """x -> x^(q+1) in GF(q)."""
@@ -392,7 +418,7 @@ class FieldSpec:
     # -- distinguished subsets ----------------------------------------------
 
     def minus_one(self):
-        return self._neg[1]
+        return self._tables.neg[1]
 
     def unit_circle(self) -> tuple[int, ...]:
         """The q+1 solutions of x^(q+1) = 1, as successive powers of g^(q-1)."""

@@ -9,6 +9,10 @@ Conventions
   matrix; the rows are themselves canonical points on the line.
 * Matrices act on the left on column vectors; a semilinear collineation
   applies a power of the p-Frobenius first, then the matrix.
+* The hot kernels (normalize, rref, line_through, line_points, tau_point,
+  plucker, the Klein forms and the collineation action) index the flat
+  ``FieldSpec.tables`` directly; c * x is ``mul[c * order + x]``, so a
+  kernel that scales a row by c computes ``c * order`` once.
 """
 
 from __future__ import annotations
@@ -29,13 +33,17 @@ def normalize(spec: FieldSpec, vec) -> tuple[int, ...]:
         if c:
             if c == 1:
                 return tuple(vec)
-            inv = spec.inv(c)
-            return tuple(spec.mul(inv, x) for x in vec)
+            t = spec.tables
+            k = t.inv[c] * t.order
+            mul = t.mul
+            return tuple([mul[k + x] for x in vec])
     raise ValueError("zero vector has no projective normalization")
 
 
 def rref(spec: FieldSpec, rows) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form over GF(q^2); zero rows dropped."""
+    t = spec.tables
+    n, mul, add, neg, inv = t.order, t.mul, t.add, t.neg, t.inv
     mat = [list(r) for r in rows]
     ncols = len(mat[0])
     pivot_row = 0
@@ -48,14 +56,17 @@ def rref(spec: FieldSpec, rows) -> tuple[tuple[int, ...], ...]:
         if pr is None:
             continue
         mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]
-        inv = spec.inv(mat[pivot_row][col])
-        if inv != 1:
-            mat[pivot_row] = [spec.mul(inv, x) for x in mat[pivot_row]]
+        prow = mat[pivot_row]
+        c = prow[col]
+        if c != 1:
+            k = inv[c] * n
+            prow = mat[pivot_row] = [mul[k + x] for x in prow]
         for r in range(len(mat)):
-            if r != pivot_row and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [spec.sub(x, spec.mul(c, y))
-                          for x, y in zip(mat[r], mat[pivot_row])]
+            c = mat[r][col]
+            if c and r != pivot_row:
+                # row r minus c times the pivot row
+                k = neg[c] * n
+                mat[r] = [add[x * n + mul[k + y]] for x, y in zip(mat[r], prow)]
         pivot_row += 1
         if pivot_row == len(mat):
             break
@@ -63,19 +74,60 @@ def rref(spec: FieldSpec, rows) -> tuple[tuple[int, ...], ...]:
 
 
 def line_through(spec: FieldSpec, P: Point, Q: Point) -> Line:
-    rows = rref(spec, [P, Q])
-    if len(rows) != 2:
+    """The line through two points: the RREF of the 2x4 matrix with rows P
+    and Q, by the one elimination that a 2x4 matrix needs."""
+    for i in range(4):
+        if P[i] or Q[i]:
+            break
+    else:
         raise ValueError(f"points {P} and {Q} do not span a line")
-    return rows
+    t = spec.tables
+    n, mul, add, neg, inv = t.order, t.mul, t.add, t.neg, t.inv
+    # first pivot in column i: scale its row to 1 there, clear it in the other
+    r, s = (P, Q) if P[i] else (Q, P)
+    r0, r1, r2, r3 = r
+    s0, s1, s2, s3 = s
+    c = r[i]
+    if c != 1:
+        k = inv[c] * n
+        r0, r1, r2, r3 = mul[k + r0], mul[k + r1], mul[k + r2], mul[k + r3]
+    c = s[i]
+    if c:
+        k = neg[c] * n
+        s0, s1, s2, s3 = (add[s0 * n + mul[k + r0]], add[s1 * n + mul[k + r1]],
+                          add[s2 * n + mul[k + r2]], add[s3 * n + mul[k + r3]])
+    # second pivot in the first later column where the other row is nonzero
+    s = (s0, s1, s2, s3)
+    for j in range(i + 1, 4):
+        if s[j]:
+            break
+    else:
+        raise ValueError(f"points {P} and {Q} do not span a line")
+    c = s[j]
+    if c != 1:
+        k = inv[c] * n
+        s0, s1, s2, s3 = s = (mul[k + s0], mul[k + s1], mul[k + s2], mul[k + s3])
+    r = (r0, r1, r2, r3)
+    c = r[j]
+    if c:
+        k = neg[c] * n
+        r = (add[r0 * n + mul[k + s0]], add[r1 * n + mul[k + s1]],
+             add[r2 * n + mul[k + s2]], add[r3 * n + mul[k + s3]])
+    return r, s
 
 
 def line_points(spec: FieldSpec, line: Line) -> list[Point]:
     """The q^2+1 points of a line, in a deterministic order."""
     r, s = line
+    t = spec.tables
+    n, mul, add = t.order, t.mul, t.add
+    # r + x s for every x, with x s read from the row x * n of mul
+    r0, r1, r2, r3 = r[0] * n, r[1] * n, r[2] * n, r[3] * n
+    s0, s1, s2, s3 = s
     pts = [normalize(spec, s)]
-    for t in range(spec.order):
-        pts.append(normalize(spec, tuple(spec.add(a, spec.mul(t, b))
-                                         for a, b in zip(r, s))))
+    for k in range(0, n * n, n):
+        pts.append(normalize(spec, (add[r0 + mul[k + s0]], add[r1 + mul[k + s1]],
+                                    add[r2 + mul[k + s2]], add[r3 + mul[k + s3]])))
     return pts
 
 
@@ -187,24 +239,35 @@ def echelon_pairs(order: int):
 # Plucker coordinates and the Klein quadric X1 X6 - X2 X5 + X3 X4 = 0
 
 
+_MINORS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
 def plucker(spec: FieldSpec, line: Line) -> tuple[int, ...]:
     r, s = line
-    def minor(i, j):
-        return spec.sub(spec.mul(r[i], s[j]), spec.mul(r[j], s[i]))
-    return normalize(spec, (minor(0, 1), minor(0, 2), minor(0, 3),
-                            minor(1, 2), minor(1, 3), minor(2, 3)))
+    t = spec.tables
+    n, mul, add, neg = t.order, t.mul, t.add, t.neg
+    rows = [a * n for a in r]
+    # the minor r_i s_j - r_j s_i of each column pair
+    return normalize(spec, tuple([add[mul[rows[i] + s[j]] * n + neg[mul[rows[j] + s[i]]]]
+                                  for i, j in _MINORS]))
 
 
 def klein_form(spec: FieldSpec, t) -> int:
-    return spec.add(spec.sub(spec.mul(t[0], t[5]), spec.mul(t[1], t[4])),
-                    spec.mul(t[2], t[3]))
+    """X1 X6 - X2 X5 + X3 X4."""
+    tb = spec.tables
+    n, mul, add, neg = tb.order, tb.mul, tb.add, tb.neg
+    acc = add[mul[t[0] * n + t[5]] * n + neg[mul[t[1] * n + t[4]]]]
+    return add[acc * n + mul[t[2] * n + t[3]]]
 
 
 def klein_bilinear(spec: FieldSpec, t, u) -> int:
     """Polarized Klein form; vanishes exactly when the two lines meet."""
-    acc = spec.add(spec.mul(t[0], u[5]), spec.mul(t[5], u[0]))
-    acc = spec.sub(acc, spec.add(spec.mul(t[1], u[4]), spec.mul(t[4], u[1])))
-    return spec.add(acc, spec.add(spec.mul(t[2], u[3]), spec.mul(t[3], u[2])))
+    tb = spec.tables
+    n, mul, add, neg = tb.order, tb.mul, tb.add, tb.neg
+    plus = add[mul[t[0] * n + u[5]] * n + mul[t[5] * n + u[0]]]
+    minus = add[mul[t[1] * n + u[4]] * n + mul[t[4] * n + u[1]]]
+    last = add[mul[t[2] * n + u[3]] * n + mul[t[3] * n + u[2]]]
+    return add[add[plus * n + neg[minus]] * n + last]
 
 
 def klein_transversals(spec: FieldSpec, coords) -> list[tuple[int, ...]]:
@@ -259,10 +322,10 @@ def line_from_plucker(spec: FieldSpec, t) -> Line:
 def tau_point(spec: FieldSpec, alpha: int, P: Point) -> Point:
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    n = spec.norm(alpha)
-    f = spec.frobenius
-    return normalize(spec, (f(P[2]), f(P[3]),
-                            spec.mul(n, f(P[0])), spec.mul(n, f(P[1]))))
+    t = spec.tables
+    f, mul = t.frob, t.mul
+    k = spec.norm(alpha) * t.order
+    return normalize(spec, (f[P[2]], f[P[3]], mul[k + f[P[0]]], mul[k + f[P[1]]]))
 
 
 def tau_line(spec: FieldSpec, alpha: int, line: Line) -> Line:
@@ -321,20 +384,16 @@ class Collineation:
         return Collineation(spec, Collineation.identity(spec).matrix, power)
 
     def _twist_vec(self, vec):
-        s = self.spec
-        t = self.twist
-        if t == 0:
-            return vec
-        out = vec
-        for _ in range(t):
-            out = tuple(s.frobenius_p(x) for x in out)
-        return out
+        frob_p = self.spec.tables.frob_p
+        for _ in range(self.twist):
+            vec = [frob_p[x] for x in vec]
+        return vec
 
     def apply_point(self, P: Point) -> Point:
         s = self.spec
+        t = s.tables
         x = self._twist_vec(P)
-        return normalize(s, tuple(
-            _dot(s, row, x) for row in self.matrix))
+        return normalize(s, tuple([_dot(t, row, x) for row in self.matrix]))
 
     def apply_line(self, line: Line) -> Line:
         return line_through(self.spec, self.apply_point(line[0]),
@@ -345,7 +404,7 @@ class Collineation:
         h = self._twist_vec(plane)
         inv = _matrix_inverse(s, self.matrix)
         return normalize(s, tuple(
-            _dot(s, tuple(inv[i][j] for i in range(4)), h) for j in range(4)))
+            _dot(s.tables, tuple(inv[i][j] for i in range(4)), h) for j in range(4)))
 
     def then(self, other: "Collineation") -> "Collineation":
         """The collineation 'apply self first, then other'."""
@@ -354,7 +413,7 @@ class Collineation:
         cols = list(zip(*self.matrix))
         if t:
             cols = [tuple(_iter_frob(s, x, t) for x in col) for col in cols]
-        mat = tuple(tuple(_dot(s, row, col) for col in cols) for row in other.matrix)
+        mat = tuple(tuple(_dot(s.tables, row, col) for col in cols) for row in other.matrix)
         return Collineation(s, mat, self.twist + other.twist)
 
     def inverse(self) -> "Collineation":
@@ -373,17 +432,19 @@ class Collineation:
         return self.canonical_key() == Collineation.identity(self.spec).canonical_key()
 
 
-def _dot(spec, row, vec):
+def _dot(tables, row, vec):
+    n, mul, add = tables.order, tables.mul, tables.add
     acc = 0
     for a, b in zip(row, vec):
         if a and b:
-            acc = spec.add(acc, spec.mul(a, b))
+            acc = add[acc * n + mul[a * n + b]]
     return acc
 
 
 def _iter_frob(spec, x, t):
+    frob_p = spec.tables.frob_p
     for _ in range(t % (2 * spec.m)):
-        x = spec.frobenius_p(x)
+        x = frob_p[x]
     return x
 
 

@@ -171,7 +171,9 @@ class Geometry:
         with M X = X^q and M Y = Y^q, whose RREF rows are (e_i, eta M e_i).
         Otherwise Y is in GF(q^2) X and the line is <(X, 0), (0, X^q)>."""
         spec, q, Q = self.spec, self.q, self.spec.order
-        mul, add, sub, f, eta = spec.mul, spec.add, spec.sub, spec.frobenius, self.eta
+        t = spec.tables
+        mul, add, neg, f = t.mul, t.add, t.neg, t.frob
+        eta_row = self.eta * Q        # eta * z is mul[eta_row + z]
 
         points = sorted(self.sigma_eta)
         point_id = {P: k for k, P in enumerate(points)}
@@ -180,11 +182,11 @@ class Geometry:
         for code in range(1, Q * Q):
             if pid[code] < 0:
                 x, y = divmod(code, Q)
-                k = point_id[normalize(spec, (x, y, mul(eta, f(x)), mul(eta, f(y))))]
-                for c in range(1, q):
-                    pid[mul(c, x) * Q + mul(c, y)] = k
-        scaled = [[mul(t, z) for t in range(q)] for z in range(Q)]
-        shifted = [[add(z, w) for w in range(Q)] for z in range(Q)]
+                k = point_id[normalize(spec, (x, y, mul[eta_row + f[x]], mul[eta_row + f[y]]))]
+                for c in range(Q, q * Q, Q):
+                    pid[mul[c + x] * Q + mul[c + y]] = k
+        scaled = [[mul[z * Q + c] for c in range(q)] for z in range(Q)]
+        shifted = [add[z * Q:(z + 1) * Q] for z in range(Q)]
         found = []
         for r1, r2 in echelon_pairs(q):
             # GF(q)^4 coordinates (a0, a1, b0, b1) are (a0 + a1 w, b0 + b1 w)
@@ -193,16 +195,18 @@ class Geometry:
             ax, ay = shifted[x1], shifted[y1]
             ids = [pid[ax[a] * Q + ay[b]] for a, b in zip(scaled[x2], scaled[y2])]
             ids.append(pid[x2 * Q + y2])
-            det = sub(mul(x1, y2), mul(x2, y1))
+            # rows scaled by x1, y1, x2, y2, as offsets into mul
+            x1r, y1r, x2r, y2r = x1 * Q, y1 * Q, x2 * Q, y2 * Q
+            det = add[mul[x1r + y2] * Q + neg[mul[x2r + y1]]]
             if det:
-                d = spec.div(eta, det)
-                x1q, y1q, x2q, y2q = f(x1), f(y1), f(x2), f(y2)
-                line = ((1, 0, mul(d, sub(mul(y2, x1q), mul(y1, x2q))),
-                         mul(d, sub(mul(y2, y1q), mul(y1, y2q)))),
-                        (0, 1, mul(d, sub(mul(x1, x2q), mul(x2, x1q))),
-                         mul(d, sub(mul(x1, y2q), mul(x2, y1q)))))
+                d = mul[eta_row + t.inv[det]] * Q
+                x1q, y1q, x2q, y2q = f[x1], f[y1], f[x2], f[y2]
+                line = ((1, 0, mul[d + add[mul[y2r + x1q] * Q + neg[mul[y1r + x2q]]]],
+                         mul[d + add[mul[y2r + y1q] * Q + neg[mul[y1r + y2q]]]]),
+                        (0, 1, mul[d + add[mul[x1r + x2q] * Q + neg[mul[x2r + x1q]]]],
+                         mul[d + add[mul[x1r + y2q] * Q + neg[mul[x2r + y1q]]]]))
             else:
-                line = (normalize(spec, (x1, y1, 0, 0)), normalize(spec, (0, 0, f(x1), f(y1))))
+                line = (normalize(spec, (x1, y1, 0, 0)), normalize(spec, (0, 0, f[x1], f[y1])))
             found.append((line, tuple(ids)))
         found.sort()
         index = SubgeometryIndex(points, point_id, [l for l, _ in found],

@@ -226,6 +226,21 @@ def test_cli_rejects_the_removed_jobs_option():
     assert b"Traceback" not in done.stderr
 
 
+def test_cli_imports_the_selftest_suites_only_for_selftest():
+    """A fresh process that runs `field-info` never imports checks: every
+    CLI child compiles what it imports, and checks is the largest module."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadsmith.__file__).parents[1]))
+    code = ("import contextlib, io, sys\n"
+            "from spreadsmith import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['field-info', '--q', '3'])\n"
+            "print(rc, 'spreadsmith.checks' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          timeout=60)
+    assert done.stderr == b""
+    assert done.stdout.split() == [b"0", b"False"]
+
+
 def test_cli_parallelism_build_rejects_non_good(tmp_path, capsys):
     lam = lambda_for_q(3)
     rec = json.loads(goodset_record(lam, fixed_plane_good_set(lam, lam.I[0], 0)))
