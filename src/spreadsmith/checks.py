@@ -83,17 +83,6 @@ def _ok(name, q, detail=""):
     return CheckResult(name, q, True, detail)
 
 
-def _spread_ids(geo: Geometry, spreads) -> list[tuple[int, ...]]:
-    """Each spread as its line ids, sorted like its lines, the list sorted."""
-    index = geo.line_index()
-    return sorted(tuple(index[l] for l in sp.lines) for sp in spreads)
-
-
-def _images(geo: Geometry, psi: Collineation, keys) -> list[tuple[int, ...]]:
-    """The images under psi of spreads given as _spread_ids gives them."""
-    return sorted(tuple(sorted(geo.line_images(psi, key))) for key in keys)
-
-
 def _plane_section(geo: Geometry, points, plane) -> set:
     """The given points that lie on the plane."""
     return {P for P in points if point_on_plane(geo.spec, plane, P)}
@@ -582,15 +571,14 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
     s = geo.spec
     q = geo.q
     lam = geo.lam
-    r_key = [geo.line_index()[geo.space.r_U1]]
-    [d_key] = _spread_ids(geo, [geo.desarguesian_spread()])
+    d_lines, r_line = [geo.desarguesian_spread().lines], [[geo.space.r_U1]]
     for a_idx in lam.I:
         phi = geo.phi_map(a_idx)
         try:
-            geo.point_permutation(phi)
+            perm = geo.point_permutation(phi)
         except KeyError:
             return _fail(name, q, "mixing map moves the distinguished subgeometry")
-        if geo.line_images(phi, r_key) != r_key:
+        if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
             return _fail(name, q, "mixing map moves r_U1")
         l0 = geo.l_lambda(a_idx, 0)
         if phi.apply_line(geo.space.t1) != l0:
@@ -603,7 +591,8 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
                 return _fail(name, q, "shift misplaces the line family")
             phi_l = geo.phi_lambda_map(a_idx, scalar)
             sp = geo.spread_from_transversal(l_lam)
-            if _images(geo, phi_l, [d_key]) != _spread_ids(geo, [sp]):
+            if (geo.spread_keys(d_lines, geo.point_permutation(phi_l))
+                    != geo.spread_keys([sp.lines])):
                 return _fail(name, q, "composite map misses the shifted spread")
             union = set(line_points(s, l_lam)) | set(line_points(s, geo.tau_eta_line(l_lam)))
             for k in range(q - 1):
@@ -1037,10 +1026,12 @@ def check_unitriangular_group(geo: Geometry) -> CheckResult:
             sig = geo.component(k)
             if {psi.apply_point(P) for P in sig} != sig:
                 return _fail(name, q, "component moved")
+        # psi fixes r_U1, so it maps a plane through r_U1 to the plane of
+        # r_U1 and the image of any one of its other points
         for a in geo.lam.I:
             for v_pow in range(q + 1):
-                pl = geo.plane_pi(a, v_pow)
-                if psi.apply_plane(pl) != pl:
+                R = psi.apply_point(geo.plane_point(a, v_pow))
+                if geo.r_U1_plane(R) != geo.plane_pi(a, v_pow):
                     return _fail(name, q, "distinguished plane moved")
     return _ok(name, q, f"order {E.order}")
 
@@ -1111,7 +1102,8 @@ def check_group_actions(geo: Geometry, sample: int = 4, seed: int = 29) -> Check
         (0, 0, 0, s.mul(s.frobenius(c), u0))))
     p1 = build_parallelism(geo, gs)
     p2 = build_parallelism(geo, img)
-    if _images(geo, witness, _spread_ids(geo, p1.spreads)) != _spread_ids(geo, p2.spreads):
+    if (geo.spread_keys((sp.lines for sp in p1.spreads), geo.point_permutation(witness))
+            != geo.spread_keys(sp.lines for sp in p2.spreads)):
         return _fail(name, q, "diagonal witness does not map the parallelisms")
     if are_equivalent(geo, gs, img) is None:
         return _fail(name, q, "diagonal images not detected as equivalent")
@@ -1126,12 +1118,11 @@ def check_stabilizer_order(geo: Geometry) -> CheckResult:
     grp = stabilizer_group(geo)
     if grp.order != grp.formula_order:
         return _fail(name, q, f"closure {grp.order} != formula {grp.formula_order}")
-    [d_key] = _spread_ids(geo, [geo.desarguesian_spread()])
-    r_key = [geo.line_index()[geo.space.r_U1]]
-    for psi in grp.generators:
-        if _images(geo, psi, [d_key]) != [d_key]:
+    d_lines, r_line = [geo.desarguesian_spread().lines], [[geo.space.r_U1]]
+    for perm in map(geo.point_permutation, grp.generators):
+        if geo.spread_keys(d_lines, perm) != geo.spread_keys(d_lines):
             return _fail(name, q, "generator moves the Desarguesian spread")
-        if geo.line_images(psi, r_key) != r_key:
+        if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
             return _fail(name, q, "generator moves the distinguished line")
     return _ok(name, q, f"order {grp.order}")
 
@@ -1163,23 +1154,23 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
         # stabilizes it also fixes the distinguished line
         full = full_stabilizer_group(geo)
         pb = build_parallelism(geo, B)
-        own_key = _spread_ids(geo, pb.spreads)
-        dual_key = _spread_ids(geo, build_parallelism(geo, Bd).spreads)
+        own = [sp.lines for sp in pb.spreads]
+        own_key = geo.spread_keys(own)
+        dual_key = geo.spread_keys(sp.lines for sp in build_parallelism(geo, Bd).spreads)
         members = set(own_key) | set(dual_key)
-        # two Hall members: every element fixes the Desarguesian one
-        probe = _spread_ids(geo, pb.spreads[:2])
-        r_key = [geo.line_index()[geo.space.r_U1]]
+        r_line = [[geo.space.r_U1]]
         cross_hits = 0
         stab_size = 0
-        for psi in full.elements:
-            if not members.issuperset(_images(geo, psi, probe)):
+        for perm in full.perms:
+            # two Hall members first: every element fixes the Desarguesian one
+            if not members.issuperset(geo.spread_keys(own[:2], perm)):
                 continue
-            whole = _images(geo, psi, own_key)
+            whole = geo.spread_keys(own, perm)
             if whole == dual_key:
                 cross_hits += 1
             elif whole == own_key:
                 stab_size += 1
-                if geo.line_images(psi, r_key) != r_key:
+                if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
                     return _fail(name, q,
                                  "a parallelism stabilizer element moves r_U1")
         if cross_hits:

@@ -11,7 +11,6 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
@@ -37,6 +36,7 @@ from spreadsmith.serialization import (
     goodset_record,
     lambda_from_obj,
     lambda_to_obj,
+    loads,
     orbit_report_to_obj,
     parse_goodset_record,
     read_parallelism_file,
@@ -124,7 +124,7 @@ def _geometry_from_args(args) -> Geometry:
     if getattr(args, "lambda_file", None):
         with _open_input(args.lambda_file) as fh:
             try:
-                lam = lambda_from_obj(spec, json.load(fh))
+                lam = lambda_from_obj(spec, loads(fh.read()))
             except (ValueError, KeyError) as exc:
                 raise UsageError(f"{args.lambda_file}: malformed Lambda file: {exc}") from None
     else:

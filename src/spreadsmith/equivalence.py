@@ -7,12 +7,16 @@ inducing the same action on the subgeometry differ by the subgeometry
 involution, so group elements are deduplicated by the permutation they
 induce on the subgeometry's point ids.  Group orders therefore count
 induced collineations, which is what the reference order
-2 m q^2 (q^2-1) (q+1) speaks about.
+2 m q^2 (q^2-1) (q+1) speaks about.  A closed group keeps each element's
+point permutation next to the element, and callers act on spreads with
+those permutations (Geometry.spread_keys); only the identity and the
+generators have theirs memoised by Geometry.point_permutation.
 
 The searches act on the candidate flip classes of goodsets.flip_classes:
 label_action makes a collineation a permutation of their representatives,
-and orbit_of, are_equivalent and classify carry flip-canonical good sets
-along the generators' permutations with apply_label_action.
+reading each image pencil off two point images, and orbit_of,
+are_equivalent and classify carry flip-canonical good sets along the
+generators' permutations with apply_label_action.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 
 from spreadsmith.goodsets import (Candidate, GoodSet, enumerate_good_sets, flip_canonical,
                                   flip_classes, is_good)
-from spreadsmith.proj_geometry import Collineation, tau_plane
+from spreadsmith.proj_geometry import Collineation
 from spreadsmith.spreads import Geometry, memo
 
 
@@ -75,6 +79,7 @@ def full_stabilizer_gens(geo: Geometry) -> list[Collineation]:
 class StabilizerGroup:
     generators: list[Collineation]
     elements: list[Collineation]          # one ambient representative per induced map
+    perms: list[tuple[int, ...]]          # the point permutation of each element
     formula_order: int
 
     @property
@@ -82,26 +87,28 @@ class StabilizerGroup:
         return len(self.elements)
 
 
-def close_group(geo: Geometry, gens) -> list[Collineation]:
+def close_group(geo: Geometry, gens) -> list[tuple[Collineation, tuple[int, ...]]]:
     """Breadth-first closure under composition, deduplicating by the
     permutation each element induces on the subgeometry points: products
     are composed as permutations, and only a new one is composed as a
-    collineation, with its permutation filed for Geometry.point_permutation.
-    Deterministic element order."""
+    collineation.  Each element comes with its permutation, in a
+    deterministic order."""
     ident = Collineation.identity(geo.spec)
-    elements = [ident]
-    seen = {geo.point_permutation(ident)}
+    members = [(ident, geo.point_permutation(ident))]
+    seen = {members[0][1]}
     moves = [geo.point_permutation(g) for g in gens]
-    for e in elements:
-        perm = geo.point_permutation(e)
+    for e, perm in members:
         for g, move in zip(gens, moves):
             image = tuple(map(move.__getitem__, perm))
             if image not in seen:
                 seen.add(image)
-                n = e.then(g)
-                Geometry.point_permutation.put(geo, n, value=image)
-                elements.append(n)
-    return elements
+                members.append((e.then(g), image))
+    return members
+
+
+def _closed_group(geo: Geometry, gens, formula_order: int) -> StabilizerGroup:
+    elements, perms = zip(*close_group(geo, gens))
+    return StabilizerGroup(gens, list(elements), list(perms), formula_order)
 
 
 def stabilizer_order(geo: Geometry) -> int:
@@ -113,15 +120,14 @@ def stabilizer_order(geo: Geometry) -> int:
 def stabilizer_group(geo: Geometry) -> StabilizerGroup:
     """Closure of the line-stabilizer generators; its order must equal
     stabilizer_order."""
-    gens = stabilizer_gens(geo)
-    return StabilizerGroup(gens, close_group(geo, gens), stabilizer_order(geo))
+    return _closed_group(geo, stabilizer_gens(geo), stabilizer_order(geo))
 
 
 @memo
 def full_stabilizer_group(geo: Geometry) -> StabilizerGroup:
     """The full spread stabilizer: q^2+1 times the line stabilizer."""
-    gens = full_stabilizer_gens(geo)
-    return StabilizerGroup(gens, close_group(geo, gens), stabilizer_order(geo) * (geo.q**2 + 1))
+    return _closed_group(geo, full_stabilizer_gens(geo),
+                         stabilizer_order(geo) * (geo.q**2 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +136,18 @@ def full_stabilizer_group(geo: Geometry) -> StabilizerGroup:
 
 def label_action(geo: Geometry, psi: Collineation) -> dict[Candidate, Candidate]:
     """How an element of the line stabilizer permutes the representatives
-    of the candidate flip classes.  An image pencil whose base point falls
-    outside the I classes is read off through the subgeometry involution,
-    which maps it to the same pencil of the distinguished subgeometry."""
+    of the candidate flip classes, read off point images: psi fixes r_U1,
+    so the image pencil has the base point psi(point_P(a, u)) and the plane
+    spanned by r_U1 and psi(plane_point(a, v)).  An image pencil whose base
+    point falls outside the I classes is read off through the subgeometry
+    involution, which fixes r_U1 and maps the pencil to the same pencil of
+    the distinguished subgeometry."""
     classes = flip_classes(geo.lam)
     out = {}
     n = geo.q + 1
     for a in geo.lam.I:
-        planes = [psi.apply_plane(geo.plane_pi(a, v)) for v in range(n)]
+        images = [psi.apply_point(geo.plane_point(a, v)) for v in range(n)]
+        planes = list(map(geo.r_U1_plane, images))
         for u in range(n):
             P = psi.apply_point(geo.point_P(a, u))
             for v, pl in enumerate(planes):
@@ -147,7 +157,7 @@ def label_action(geo: Geometry, psi: Collineation) -> dict[Candidate, Candidate]
                 lab = geo.pencil_label(P, pl)
                 if lab is None:
                     lab = geo.pencil_label(geo.tau_eta_point(P),
-                                           tau_plane(geo.spec, geo.eta, pl))
+                                           geo.r_U1_plane(geo.tau_eta_point(images[v])))
                 assert lab is not None, f"pencil {P}, {pl} not in the I classes"
                 out[rep] = classes[lab]
     return out

@@ -155,16 +155,17 @@ def group_E(geo: Geometry) -> GroupE:
 
 def is_E_invariant(geo: Geometry, par) -> bool:
     """Invariance of the spread set under the unitriangular group, checked
-    on its 2m generators, which suffices by closure.  Spreads are mapped as
-    sorted line ids, by the permutation each generator induces on the
-    subgeometry.  E maps the subgeometry onto itself, so a set holding a
-    line outside it is not a set of its spreads and is reported as not
-    invariant."""
+    on its 2m generators, which suffices by closure.  Spreads are compared
+    as the sorted ids of their lines, each generator acting through the
+    line permutation its point permutation induces.  E maps the
+    subgeometry onto itself, so a set holding a line outside it is not a
+    set of its spreads and is reported as not invariant."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
-    keys = {tuple(map(geo.line_index().get, sp.lines)) for sp in spreads}
-    if any(None in key for key in keys):
+    try:
+        keys = geo.spread_keys(sp.lines for sp in spreads)
+    except KeyError:
         return False
-    return all({tuple(sorted(perm[k] for k in key)) for key in keys} == keys
+    return all(sorted(tuple(sorted(map(perm.__getitem__, key))) for key in keys) == keys
                for perm in map(geo.line_permutation, group_E(geo).generators))
 
 

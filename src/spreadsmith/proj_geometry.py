@@ -9,6 +9,9 @@ Conventions
   matrix; the rows are themselves canonical points on the line.
 * Matrices act on the left on column vectors; a semilinear collineation
   applies a power of the p-Frobenius first, then the matrix.
+* A collineation touches the geometry only through apply_point: the image
+  of a line is the line through two image points, and callers read the
+  image of a plane through a fixed line off the image of one point.
 * The hot kernels (normalize, rref, line_through, line_points, tau_point,
   plucker, the Klein forms and the collineation action) index the flat
   ``FieldSpec.tables`` directly; c * x is ``mul[c * order + x]``, so a
@@ -147,21 +150,6 @@ def point_on_plane(spec: FieldSpec, plane: Plane, P: Point) -> bool:
     for h, x in zip(plane, P):
         acc = spec.add(acc, spec.mul(h, x))
     return acc == 0
-
-
-def plane_through(spec: FieldSpec, line: Line, P: Point) -> Plane:
-    """The plane spanned by a line and an external point (dual coordinates)."""
-    rows = rref(spec, [line[0], line[1], P])
-    if len(rows) != 3:
-        raise ValueError("point lies on the line")
-    # the dual vector is the 1-dimensional null space of the 3x4 matrix
-    pivots = [next(i for i, x in enumerate(r) if x) for r in rows]
-    free = next(i for i in range(4) if i not in pivots)
-    h = [0, 0, 0, 0]
-    h[free] = 1
-    for r, piv in zip(rows, pivots):
-        h[piv] = spec.neg(r[free])
-    return normalize(spec, h)
 
 
 def line_in_plane(spec: FieldSpec, line: Line, plane: Plane) -> bool:
@@ -333,24 +321,8 @@ def tau_line(spec: FieldSpec, alpha: int, line: Line) -> Line:
                         tau_point(spec, alpha, line[1]))
 
 
-def tau_plane(spec: FieldSpec, alpha: int, plane: Plane) -> Plane:
-    n = spec.norm(alpha)
-    f = spec.frobenius
-    return normalize(spec, (spec.mul(n, f(plane[2])), spec.mul(n, f(plane[3])),
-                            f(plane[0]), f(plane[1])))
-
-
 # ---------------------------------------------------------------------------
 # semilinear collineations
-
-
-def _matrix_inverse(spec: FieldSpec, mat) -> tuple[tuple[int, ...], ...]:
-    n = len(mat)
-    aug = [list(mat[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    red = rref(spec, aug)
-    if len(red) != n or any(red[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(r[n:]) for r in red)
 
 
 @dataclass(frozen=True)
@@ -399,13 +371,6 @@ class Collineation:
         return line_through(self.spec, self.apply_point(line[0]),
                             self.apply_point(line[1]))
 
-    def apply_plane(self, plane: Plane) -> Plane:
-        s = self.spec
-        h = self._twist_vec(plane)
-        inv = _matrix_inverse(s, self.matrix)
-        return normalize(s, tuple(
-            _dot(s.tables, tuple(inv[i][j] for i in range(4)), h) for j in range(4)))
-
     def then(self, other: "Collineation") -> "Collineation":
         """The collineation 'apply self first, then other'."""
         s = self.spec
@@ -415,13 +380,6 @@ class Collineation:
             cols = [tuple(_iter_frob(s, x, t) for x in col) for col in cols]
         mat = tuple(tuple(_dot(s.tables, row, col) for col in cols) for row in other.matrix)
         return Collineation(s, mat, self.twist + other.twist)
-
-    def inverse(self) -> "Collineation":
-        s = self.spec
-        inv = _matrix_inverse(s, self.matrix)
-        t = (-self.twist) % (2 * s.m)
-        mat = tuple(tuple(_iter_frob(s, x, t) for x in row) for row in inv)
-        return Collineation(s, mat, t)
 
     def canonical_key(self):
         """Projective canonical form: scale so the first nonzero entry is 1."""

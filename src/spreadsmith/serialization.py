@@ -31,6 +31,16 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def loads(text: str) -> Any:
+    """The JSON value of text, the one way every input file is parsed:
+    text nested too deeply for the parser is a ValueError, like any other
+    malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 # ---------------------------------------------------------------------------
 # field specs
 
@@ -124,7 +134,7 @@ def goodset_record(lam: LambdaSystem, gs) -> str:
 
 
 def parse_goodset_record(lam: LambdaSystem, text: str) -> GoodSet:
-    obj = json.loads(text)
+    obj = loads(text)
     q = lam.spec.q
     if _member(obj, "q", int) != q:
         raise ValueError(f"record is for q={obj['q']}, expected q={q}")
@@ -195,7 +205,7 @@ def read_parallelism_file(path):
     Rows are decoded one at a time, and each subgeometry line is replaced
     by the index's own object, so the file's lines are held once."""
     with open(path) as fh:
-        rows = (json.loads(line) for line in fh if line.strip())
+        rows = (loads(line) for line in fh if line.strip())
         header = next(rows, None)
         if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise ValueError("not a parallelism file")

@@ -82,8 +82,8 @@ def memo(fn):
     """Cache ``fn(geo, *args)`` in the one cache dict of ``geo``, keyed by
     the function's qualified name and its positional arguments.  Every
     object a Geometry derives lives there, whichever module derives it, so
-    qualified names of memoised functions must be unique.  ``cached.put(geo,
-    *args, value=v)`` files a value a caller derived more cheaply."""
+    qualified names of memoised functions must be unique.  Each entry holds
+    what its own call returned; nothing else writes to the cache."""
     name = fn.__qualname__
 
     @wraps(fn)
@@ -95,10 +95,6 @@ def memo(fn):
             got = geo._cache[key] = fn(geo, *args)
             return got
 
-    def put(geo, *args, value):
-        geo._cache[(name, *args)] = value
-
-    cached.put = put
     return cached
 
 
@@ -271,24 +267,36 @@ class Geometry:
         index = self._index()
         return tuple(index.point_id[psi.apply_point(P)] for P in index.points)
 
-    def line_images(self, psi: Collineation, ids) -> list[int]:
-        """The id of the image of each given line id under psi: the line
-        whose two smallest point ids are the two smallest images of the
-        given line's point ids."""
-        perm = self.point_permutation(psi)
-        line_point_ids = self._index().line_point_ids
-        by_pair = self._line_by_pair()
-        n = len(perm)
-        out = []
-        for k in ids:
-            a, b = sorted([perm[p] for p in line_point_ids[k]])[:2]
-            out.append(by_pair[a * n + b])
-        return out
+    def _line_image(self, perm):
+        """The function taking a subgeometry line to the id of its image
+        under a point permutation: the line whose two smallest point ids are
+        the two smallest images of its own."""
+        index = self._index()
+        line_id, line_point_ids = index.line_id, index.line_point_ids
+        by_pair, n = self._line_by_pair(), len(perm)
+
+        def image(l):
+            a, b = sorted([perm[p] for p in line_point_ids[line_id[l]]])[:2]
+            return by_pair[a * n + b]
+
+        return image
+
+    def spread_keys(self, line_sets, perm=None) -> list[tuple[int, ...]]:
+        """Sets of subgeometry lines (spreads, or a single line), each as the
+        sorted ids of its lines' images under a point permutation, or of its
+        own lines when there is none, the list sorted: the form in which
+        two sets of spreads compare.  A line outside the subgeometry is a
+        KeyError."""
+        ids = self._index().line_id.__getitem__ if perm is None else self._line_image(perm)
+        return sorted(tuple(sorted(map(ids, lines))) for lines in line_sets)
 
     @memo
     def line_permutation(self, psi: Collineation) -> list[int]:
-        """The image of every line id under psi."""
-        return self.line_images(psi, range(len(self._index().lines)))
+        """The image id of every line under psi, read off its point
+        permutation; kept for an element that maps every line again and
+        again, as each generator of E does for every parallelism
+        is_E_invariant checks on this Geometry."""
+        return list(map(self._line_image(self.point_permutation(psi)), self._index().lines))
 
     # -- distinguished points, planes, pencils --------------------------------
 
@@ -301,11 +309,20 @@ class Geometry:
         c = s.mul(self.alpha_of(alpha_idx), self.U[u_pow % (self.q + 1)])
         return (1, 0, c, 0)
 
+    def plane_point(self, alpha_idx: int, v_pow: int) -> Point:
+        """(0, 1, 0, alpha*v), the point of plane_pi off r_U1 on X1 = X3 = 0."""
+        c = self.spec.mul(self.alpha_of(alpha_idx), self.U[v_pow % (self.q + 1)])
+        return (0, 1, 0, c)
+
     def plane_pi(self, alpha_idx: int, v_pow: int) -> Plane:
         """The plane X4 = alpha*v X2 through r_U1."""
-        s = self.spec
-        c = s.mul(self.alpha_of(alpha_idx), self.U[v_pow % (self.q + 1)])
-        return normalize(s, (0, s.neg(c), 0, 1))
+        return self.r_U1_plane(self.plane_point(alpha_idx, v_pow))
+
+    def r_U1_plane(self, R: Point) -> Plane:
+        """The plane spanned by r_U1 = <U1, U3> and a point R off it: every
+        plane through r_U1 is h2 X2 + h4 X4 = 0, and R fixes h2 : h4.  So a
+        collineation fixing r_U1 maps this plane to that of R's image."""
+        return normalize(self.spec, (0, R[3], 0, self.spec.neg(R[1])))
 
     @memo
     def _pencil_coords(self) -> tuple[dict[Point, tuple[int, int]],
@@ -333,16 +350,12 @@ class Geometry:
         both.  A subgeometry line meets r_U1 only in a subgeometry point
         (1, 0, c, 0), c of norm 1, and no point_P is one: no I-class alpha
         has norm 1."""
-        spec, r_U1 = self.spec, self.space.r_U1
         if l in self._index().line_id:
             return None
-        P = line_intersection(spec, l, r_U1)
+        P = line_intersection(self.spec, l, self.space.r_U1)
         if P is None:
             return None
-        # every plane through r_U1 = <U1, U3> is h2 X2 + h4 X4 = 0, fixed by
-        # a point of l off r_U1
-        R = next(r for r in l if r[1] or r[3])
-        return self.pencil_label(P, normalize(spec, (0, R[3], 0, spec.neg(R[1]))))
+        return self.pencil_label(P, self.r_U1_plane(next(r for r in l if r[1] or r[3])))
 
     def _pencil_line(self, alpha_idx: int, u_pow: int, v_pow: int, s: int) -> Line:
         """The line through point_P and (x, 1, c x^q, c), x = s w (see pencil)."""

@@ -5,10 +5,13 @@ its owner's own namespace, where the tracer rebinds it."""
 
 import importlib
 import importlib.util
+import random
+import re
 from pathlib import Path
 
+import spreadsmith
 from spreadsmith.checks import run_selftest
-from spreadsmith.equivalence import classify
+from spreadsmith.equivalence import classify, stabilizer_group
 from spreadsmith.goodsets import enumerate_good_sets
 from spreadsmith.parallelisms import build_parallelism, characterize, verify_parallelism
 from spreadsmith.spreads import Geometry, geometry_for_q
@@ -38,3 +41,24 @@ def test_traced_names_resolve_in_their_owner():
         for part in path:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(leaf)), f"{module}.{attr}"
+
+
+def test_a_closed_group_keeps_its_own_permutations():
+    """Closing the line stabilizer memoises the point permutations of the
+    identity and the five generators only: each element's permutation
+    stays in the group, and it is the one the element induces."""
+    geo = Geometry(geometry_for_q(3).lam)
+    grp = stabilizer_group(geo)
+    filed = [key for key in geo._cache if key[0] == "Geometry.point_permutation"]
+    assert len(filed) <= 1 + len(grp.generators) == 6
+    assert len(grp.perms) == grp.order == 576
+    for k in random.Random(3).sample(range(grp.order), 40):
+        assert grp.perms[k] == geo.point_permutation(grp.elements[k])
+
+
+def test_only_spreads_touches_the_cache():
+    # the Geometry attribute, not functools.lru_cache
+    src = Path(spreadsmith.__file__).resolve().parent
+    touching = sorted(p.name for p in src.glob("*.py")
+                      if re.search(r"\b_cache\b", p.read_text()))
+    assert touching == ["spreads.py"]

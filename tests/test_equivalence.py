@@ -38,7 +38,7 @@ from spreadsmith.spreads import Geometry, geometry_for_q
 def test_close_group_composes_each_product_once(monkeypatch):
     """The closure dedups on the point permutations it composes, so it
     calls Collineation.then once per new element, and its element list is
-    the one the composing key gave."""
+    the one the composing key gave, each element with its permutation."""
     geo = geometry_for_q(3)
     gens = stabilizer_gens(geo)
     tau = Collineation.from_tau(geo.spec, geo.eta)
@@ -58,9 +58,11 @@ def test_close_group_composes_each_product_once(monkeypatch):
     then = Collineation.then
     monkeypatch.setattr(Collineation, "then",
                         lambda self, other: calls.append(1) or then(self, other))
-    elements = equivalence.close_group(geo, gens)
+    members = equivalence.close_group(geo, gens)
+    elements = [e for e, _ in members]
     assert elements == composed and len(elements) == 576
     assert len(calls) == len(elements) - 1
+    assert len({perm for _, perm in members}) == 576
 
 
 def test_stabilizer_orders_match_formula():

@@ -20,13 +20,11 @@ from spreadsmith.proj_geometry import (
     line_through,
     lines_meet,
     normalize,
-    plane_through,
     plucker,
     point_on_line,
     point_on_plane,
     rref,
     tau_line,
-    tau_plane,
     tau_point,
 )
 
@@ -73,7 +71,8 @@ def test_line_points_and_incidence():
 def test_plane_operations():
     s = field_for_q(3)
     amb = AmbientSpace(s)
-    pl = plane_through(s, amb.t1, (0, 0, 1, 0))
+    pl = (0, 0, 0, 1)          # X4 = 0, spanned by t1 and U3
+    assert point_on_plane(s, pl, amb.U3)
     for P in line_points(s, amb.t1):
         assert point_on_plane(s, pl, P)
     assert line_in_plane(s, amb.t1, pl)
@@ -191,7 +190,7 @@ def test_tau_involution_and_fixed_points():
             assert tau_point(s, alpha, tau_point(s, alpha, Xn)) == Xn
         with pytest.raises(ValueError):
             tau_point(s, 0, (1, 0, 0, 0))
-    # line/plane actions are compatible with the point action
+    # the line action is compatible with the point action
     s = field_for_q(3)
     amb = AmbientSpace(s)
     alpha = s.generator
@@ -200,10 +199,6 @@ def test_tau_involution_and_fixed_points():
     lt = tau_line(s, alpha, l)
     assert set(line_points(s, lt)) == {tau_point(s, alpha, P)
                                        for P in line_points(s, l)}
-    pl = plane_through(s, l, (1, 0, 0, 0))
-    plt = tau_plane(s, alpha, pl)
-    for P in line_points(s, l):
-        assert point_on_plane(s, plt, tau_point(s, alpha, P))
 
 
 def test_baer_subline_predicate_examples():
@@ -226,11 +221,16 @@ def test_collineation_algebra():
     c2 = Collineation.linear(s, ((1, 5, 0, 0), (0, 1, 0, 0),
                                  (0, 0, 1, 7), (0, 0, 0, 1)))
     c3 = Collineation.frobenius(s, 1)
-    for c in (c1, c2, c3, c1.then(c2), c2.then(c3)):
-        assert c.then(c.inverse()).is_identity()
-        assert c.inverse().then(c).is_identity()
-        for P in rng.sample(pts, 20):
-            assert c.inverse().apply_point(c.apply_point(P)) == P
+    # each permutes the points, and its powers return to the identity at
+    # its order: 2 for tau and for the shift in characteristic 2, 2m = 4
+    # for the p-power map
+    for c, order in ((c1, 2), (c2, 2), (c3, 4)):
+        assert sorted(map(c.apply_point, pts)) == pts
+        power = c
+        for _ in range(order - 1):
+            assert not power.is_identity()
+            power = power.then(c)
+        assert power.is_identity()
     # composition order: (P^a)^b == P^(a.then(b))
     comp = c1.then(c2)
     for P in rng.sample(pts, 20):
@@ -257,13 +257,7 @@ def test_collineation_preserves_incidence():
         img = c.apply_line(l)
         assert point_on_line(s, img, c.apply_point(P))
         assert point_on_line(s, img, c.apply_point(Q))
-        try:
-            pl = plane_through(s, l, R)
-        except ValueError:
-            continue
-        ipl = c.apply_plane(pl)
-        assert point_on_plane(s, ipl, c.apply_point(R))
-        assert line_in_plane(s, img, ipl)
+        assert point_on_line(s, img, c.apply_point(R)) == point_on_line(s, l, R)
 
 
 def test_sigma_points_disjointness_examples():

@@ -56,16 +56,20 @@ def test_sigma_eta_lines_match_the_pairwise_sweep(q):
 def test_line_permutation_matches_apply_line(q):
     """The id action against apply_line for the E generators, the spread
     stabilizer generators (full_stabilizer_gens extends stabilizer_gens)
-    and, at q = 3, a seeded sample of the full closure, whose permutations
-    the closure composed rather than computed."""
+    and, at q = 3, a seeded sample of the full closure, acting through the
+    permutations the closure composed rather than computed."""
     geo = geometry_for_q(q)
     index = geo.line_index()
+    lines = geo.sigma_eta_lines()
     moves = [*group_E(geo).generators, *full_stabilizer_gens(geo)]
-    if q == 3:
-        moves += random.Random(q).sample(full_stabilizer_group(geo).elements, 50)
     for psi in moves:
-        assert geo.line_permutation(psi) == [index[psi.apply_line(l)]
-                                             for l in geo.sigma_eta_lines()]
+        assert geo.line_permutation(psi) == [index[psi.apply_line(l)] for l in lines]
+    if q == 3:
+        full = full_stabilizer_group(geo)
+        for k in random.Random(q).sample(range(full.order), 50):
+            psi, perm = full.elements[k], full.perms[k]
+            for l in lines:
+                assert geo.spread_keys([[l]], perm) == [(index[psi.apply_line(l)],)]
 
 
 def test_transversals_of_match_a_full_search():
