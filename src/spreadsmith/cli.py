@@ -17,32 +17,20 @@ import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
+from spreadsmith.field_codec import (
+    dumps,
+    field_spec_to_obj,
+    lambda_from_obj,
+    lambda_to_obj,
+    loads,
+)
 from spreadsmith.field_tower import (
     FieldSpec,
+    LambdaSystem,
     build_lambda,
     build_partition,
     prime_power,
 )
-from spreadsmith.goodsets import census, enumerate_good_sets, is_good
-from spreadsmith.parallelisms import (
-    build_parallelism,
-    characterize,
-    verify_parallelism,
-)
-from spreadsmith.serialization import (
-    certificate_record,
-    dumps,
-    field_spec_to_obj,
-    goodset_record,
-    lambda_from_obj,
-    lambda_to_obj,
-    loads,
-    orbit_report_to_obj,
-    parse_goodset_record,
-    read_parallelism_file,
-    write_parallelism_file,
-)
-from spreadsmith.spreads import Geometry
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -119,17 +107,17 @@ def _writing(path):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _geometry_from_args(args) -> Geometry:
+def _lambda_from_args(args) -> LambdaSystem:
+    """The Lambda system of the field options: read from --lambda, else
+    the default one.  Building it needs no geometry."""
     spec = _field_from_args(args)
     if getattr(args, "lambda_file", None):
         with _open_input(args.lambda_file) as fh:
             try:
-                lam = lambda_from_obj(spec, loads(fh.read()))
+                return lambda_from_obj(spec, loads(fh.read()))
             except (ValueError, KeyError) as exc:
                 raise UsageError(f"{args.lambda_file}: malformed Lambda file: {exc}") from None
-    else:
-        lam = build_lambda(spec, build_partition(spec))
-    return Geometry(lam)
+    return build_lambda(spec, build_partition(spec))
 
 
 def _emit(args, lines):
@@ -149,12 +137,13 @@ def _emit(args, lines):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each imports the layers it runs, so a command pays for no
+# other command's modules
 
 
 def cmd_field_info(args) -> int:
-    geo = _geometry_from_args(args)
-    spec, lam = geo.spec, geo.lam
+    lam = _lambda_from_args(args)
+    spec = lam.spec
     obj = {
         "field": field_spec_to_obj(spec),
         "q": spec.q,
@@ -189,8 +178,10 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_goodsets(args) -> int:
-    geo = _geometry_from_args(args)
-    lam = geo.lam
+    from spreadsmith.goodsets import census, enumerate_good_sets, is_good
+    from spreadsmith.serialization import goodset_record, parse_goodset_record
+
+    lam = _lambda_from_args(args)
     exclude = args.filter == "no-norm-minus-one"
     if args.subcmd == "count":
         cen = census(lam, exclude_norm_minus_one=exclude)
@@ -252,8 +243,18 @@ def cmd_goodsets(args) -> int:
 
 
 def cmd_parallelism(args) -> int:
+    from spreadsmith.parallelisms import build_parallelism, characterize, verify_parallelism
+    from spreadsmith.serialization import (
+        certificate_record,
+        goodset_record,
+        parse_goodset_record,
+        read_parallelism_file,
+        write_parallelism_file,
+    )
+    from spreadsmith.spreads import Geometry
+
     if args.subcmd == "build":
-        geo = _geometry_from_args(args)
+        geo = Geometry(_lambda_from_args(args))
         first = next((line for line in _input_lines(args.file) if line.strip()), None)
         if first is None:
             raise UsageError(f"{args.file} holds no good-set record")
@@ -309,11 +310,12 @@ def cmd_parallelism(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    # imported here, like checks in cmd_selftest: a command that does not
-    # classify pays nothing for it
     from spreadsmith.equivalence import classify, stabilizer_order
+    from spreadsmith.parallelisms import build_parallelism
+    from spreadsmith.serialization import orbit_report_to_obj, write_parallelism_file
+    from spreadsmith.spreads import Geometry
 
-    geo = _geometry_from_args(args)
+    geo = Geometry(_lambda_from_args(args))
     if geo.q > 5:
         raise UsageError("full classification is supported for q <= 5")
     report = classify(geo)
@@ -337,8 +339,9 @@ def cmd_classify(args) -> int:
 
 def cmd_selftest(args) -> int:
     from spreadsmith.checks import run_selftest
+    from spreadsmith.spreads import Geometry
 
-    geo = _geometry_from_args(args)
+    geo = Geometry(_lambda_from_args(args))
     results = run_selftest(geo, sample_seed=args.sample_seed)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -404,6 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the sampling suites (defaults are fixed)")
     p.set_defaults(fn=cmd_selftest)
     return ap
+
+
+# cli.build_parallelism and cli.verify_parallelism, for the tracer's tests (ROADMAP item 4)
+def __getattr__(name):
+    if name in ("build_parallelism", "verify_parallelism"):
+        from spreadsmith import parallelisms
+        return getattr(parallelisms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None) -> int:

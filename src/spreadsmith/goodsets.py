@@ -231,7 +231,8 @@ def _search(slots) -> Iterator[GoodSet]:
 
     def rec(slot: int, used_mask: int):
         if slot == n:
-            yield canonical(chosen)
+            # chosen holds the slot tables' own Candidates: sorting is canonical
+            yield tuple(sorted(chosen))
             return
         for cand, b in slots[slot]:
             if not used_mask >> b & 1:

@@ -1,114 +1,42 @@
-"""JSON codecs for the on-disk formats: field specifications, good-set
-records (JSON lines), parallelism files with verification certificates,
-and classification reports.
+"""JSON codecs for the on-disk formats: good-set records (JSON lines),
+parallelism files with verification certificates, and classification
+reports.  The field-spec and Lambda codecs and the shared ``dumps`` and
+``loads`` live in field_codec, which this module re-exports.
 
-Field elements travel as flat GF(p)-coefficient lists (constant term
-first, length 2m for elements of the big field); points as lists of four
-such lists; lines as their two canonical points.  All emitters sort keys
-and use fixed separators so identical inputs give identical bytes.
+Points travel as lists of four field elements; lines as their two
+canonical points.  The good-set codec needs only goodsets; the
+parallelism-file reader imports the geometry when it is called, so a
+command that streams good sets never loads it.
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from typing import Any
+from typing import TYPE_CHECKING
 
-from spreadsmith.field_tower import FieldSpec, LambdaSystem, build_lambda, build_partition
+from spreadsmith.field_codec import (
+    _decode,
+    _member,
+    dumps,
+    field_spec_from_obj,
+    field_spec_to_obj,
+    lambda_from_obj,
+    lambda_to_obj,
+    loads,
+)
+from spreadsmith.field_tower import FieldSpec, LambdaSystem
 from spreadsmith.goodsets import Candidate, GoodSet, canonical, validate
-from spreadsmith.parallelisms import Certificate, Parallelism
-from spreadsmith.proj_geometry import Line, Point, line_through
-from spreadsmith.spreads import Geometry, Spread
+
+if TYPE_CHECKING:
+    from spreadsmith.parallelisms import Certificate, Parallelism
+    from spreadsmith.proj_geometry import Line, Point
+    from spreadsmith.spreads import Geometry
 
 FORMAT_NAME = "pg3q-parallelism"
 FORMAT_VERSION = 1
 # the JSON type of each member of the certificate record
 CERTIFICATE_MEMBERS = (("ok", bool), ("spread_count", int), ("line_count", int),
                        ("checksum", str))
-
-
-def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def loads(text: str) -> Any:
-    """The JSON value of text, the one way every input file is parsed:
-    text nested too deeply for the parser is a ValueError, like any other
-    malformed JSON."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-
-
-# ---------------------------------------------------------------------------
-# field specs
-
-
-def field_spec_to_obj(spec: FieldSpec) -> dict:
-    return {
-        "p": spec.p,
-        "m": spec.m,
-        "modulus_q": list(spec.modulus_q),
-        "modulus_q2": [list(spec.gfq_vec(c)) for c in spec.modulus_q2],
-        "generator": list(spec.elem_vec(spec.generator)),
-    }
-
-
-def _member(obj, key: str, kind: type):
-    """obj[key] for a JSON object obj, required to be of the JSON type kind
-    (int excludes booleans); any other shape is a ValueError."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object holding {key!r}")
-    value = obj[key]
-    if type(value) is not kind:
-        raise ValueError(f"{key!r} is not a JSON {kind.__name__}")
-    return value
-
-
-def _coefficients(vec, width: int, p: int) -> list[int]:
-    """Exactly width ints in 0..p-1; anything else is a ValueError."""
-    if (not isinstance(vec, list) or len(vec) != width
-            or not all(type(c) is int and 0 <= c < p for c in vec)):
-        raise ValueError(f"{vec!r} is not {width} coefficients in 0..{p - 1}")
-    return vec
-
-
-def _decode(spec: FieldSpec, vec, gfq: bool = False) -> int:
-    """An element of GF(q^2) from exactly 2m ints in 0..p-1, or with gfq a
-    GF(q) code from exactly m of them; anything else is a ValueError."""
-    _coefficients(vec, spec.m if gfq else 2 * spec.m, spec.p)
-    return spec._gfq_code(vec) if gfq else spec.elem_from_vec(vec)
-
-
-def field_spec_from_obj(obj: dict) -> FieldSpec:
-    p, m = _member(obj, "p", int), _member(obj, "m", int)
-    if not (p >= 2 and 1 <= m <= 4 and 3 <= p**m <= 16):
-        raise ValueError(f"field order {p}^{m} is outside the supported range 3..16")
-    mod_q = tuple(_coefficients(_member(obj, "modulus_q", list), m + 1, p))
-    probe = FieldSpec(p, m, modulus_q=mod_q)
-    mod2 = tuple(_decode(probe, v, gfq=True) for v in _member(obj, "modulus_q2", list))
-    spec = FieldSpec(p, m, modulus_q=mod_q, modulus_q2=mod2)
-    gen = _decode(spec, obj["generator"])
-    if gen != spec.generator:
-        spec = FieldSpec(p, m, modulus_q=mod_q, modulus_q2=mod2, generator=gen)
-    return spec
-
-
-def lambda_to_obj(lam: LambdaSystem) -> dict:
-    spec = lam.spec
-    return {
-        "elements": [list(spec.elem_vec(x)) for x in lam.lam],
-        "eta_index": lam.eta_index,
-        "I": list(lam.I),
-        "I1": list(lam.I1),
-        "I2": list(lam.I2),
-    }
-
-
-def lambda_from_obj(spec: FieldSpec, obj: dict) -> LambdaSystem:
-    codes = tuple(_decode(spec, v) for v in _member(obj, "elements", list))
-    return build_lambda(spec, build_partition(spec), override=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +91,9 @@ def _line_to_obj(spec: FieldSpec, l: Line) -> list:
     return [_point_to_obj(spec, l[0]), _point_to_obj(spec, l[1])]
 
 
-def _line_from_obj(spec: FieldSpec, obj) -> Line:
+def _line_from_obj(spec: FieldSpec, obj, line_through) -> Line:
+    """The line through the two points of obj, built by the caller's
+    proj_geometry.line_through."""
     if not isinstance(obj, list) or len(obj) != 2:
         raise ValueError(f"{obj!r} is not a line of two points")
     return line_through(spec, _point_from_obj(spec, obj[0]),
@@ -172,8 +102,9 @@ def _line_from_obj(spec: FieldSpec, obj) -> Line:
 
 def write_parallelism_file(path, geo: Geometry, par: Parallelism,
                            cert: Certificate) -> None:
+    """Writes the header, one row per spread and the certificate, each row
+    as soon as it is encoded, so no more than one row is held at a time."""
     spec = geo.spec
-    lines_out = []
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -182,16 +113,15 @@ def write_parallelism_file(path, geo: Geometry, par: Parallelism,
         "lambda": lambda_to_obj(geo.lam),
         "source": _entries(par.source) if par.source else None,
     }
-    lines_out.append(dumps(header))
-    for sp in par.spreads:
-        lines_out.append(dumps({
-            "type": "spread",
-            "tag": sp.tag,
-            "lines": [_line_to_obj(spec, l) for l in sp.lines],
-        }))
-    lines_out.append(dumps(certificate_record(len(par.spreads), cert)))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines_out) + "\n")
+        fh.write(dumps(header) + "\n")
+        for sp in par.spreads:
+            fh.write(dumps({
+                "type": "spread",
+                "tag": sp.tag,
+                "lines": [_line_to_obj(spec, l) for l in sp.lines],
+            }) + "\n")
+        fh.write(dumps(certificate_record(len(par.spreads), cert)) + "\n")
 
 
 def certificate_record(spread_count: int, cert: Certificate) -> dict:
@@ -204,6 +134,9 @@ def read_parallelism_file(path):
     """Returns (header dict, Geometry, list of Spread, certificate dict).
     Rows are decoded one at a time, and each subgeometry line is replaced
     by the index's own object, so the file's lines are held once."""
+    from spreadsmith.proj_geometry import line_through
+    from spreadsmith.spreads import Geometry, Spread
+
     with open(path) as fh:
         rows = (loads(line) for line in fh if line.strip())
         header = next(rows, None)
@@ -218,7 +151,7 @@ def read_parallelism_file(path):
         for row in rows:
             kind = _member(row, "type", str)
             if kind == "spread":
-                lines = tuple(geo.intern(_line_from_obj(spec, l))
+                lines = tuple(geo.intern(_line_from_obj(spec, l, line_through))
                               for l in _member(row, "lines", list))
                 spreads.append(Spread(lines=lines, alpha=geo.eta, tag=row.get("tag", "unknown")))
             elif kind == "certificate":

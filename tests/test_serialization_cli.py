@@ -77,7 +77,8 @@ def test_point_and_line_codecs_round_trip():
             assert _point_from_obj(spec, json.loads(json.dumps(_point_to_obj(spec, P)))) == P
         for P, R in zip(points, points[1:]):
             l = line_through(spec, P, R)
-            assert _line_from_obj(spec, json.loads(json.dumps(_line_to_obj(spec, l)))) == l
+            obj = json.loads(json.dumps(_line_to_obj(spec, l)))
+            assert _line_from_obj(spec, obj, line_through) == l
 
 
 def test_goodset_record_round_trip():
@@ -110,6 +111,22 @@ def test_parallelism_file_round_trip(tmp_path):
     assert all(l is geo2.intern(l) for sp in spreads for l in sp.lines)
     cert2 = verify_parallelism(geo2, spreads)
     assert cert2.ok and cert2.checksum == stored["checksum"]
+
+
+def test_parallelism_file_is_written_row_by_row(tmp_path):
+    """Writing a q = 7 parallelism file holds one row at a time: the peak
+    traced allocation of the write is below the size of the file."""
+    geo = geometry_for_q(7)
+    par = build_parallelism(geo, next(enumerate_good_sets(geo.lam)))
+    path = tmp_path / "par.jsonl"
+    tracemalloc.start()
+    try:
+        write_parallelism_file(path, geo, par, par.certificate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_parallelism_file(path)[3]["ok"]
+    assert peak < path.stat().st_size
 
 
 def run_cli(*argv):
@@ -226,19 +243,62 @@ def test_cli_rejects_the_removed_jobs_option():
     assert b"Traceback" not in done.stderr
 
 
-def test_cli_imports_the_selftest_suites_only_for_selftest():
-    """A fresh process that runs `field-info` never imports checks: every
-    CLI child compiles what it imports, and checks is the largest module."""
+GEOMETRY_MODULES = ("spreads", "proj_geometry", "parallelisms", "equivalence")
+
+
+def _modules_loaded_by(*argv) -> set[str]:
+    """The spreadsmith modules that a fresh ``python -m spreadsmith.cli ARGV``
+    imports, read from its ``-X importtime`` log; the command must exit 0."""
     env = dict(os.environ, PYTHONPATH=str(Path(spreadsmith.__file__).parents[1]))
-    code = ("import contextlib, io, sys\n"
-            "from spreadsmith import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = cli.main(['field-info', '--q', '3'])\n"
-            "print(rc, 'spreadsmith.checks' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "spreadsmith.cli",
+                           *argv], capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    names = (line.rpartition("|")[2].strip() for line in done.stderr.decode().splitlines()
+             if line.startswith("import time:"))
+    return {n.removeprefix("spreadsmith.") for n in names if n.startswith("spreadsmith.")}
+
+
+def test_cli_imports_the_selftest_suites_only_for_selftest():
+    """A fresh process that runs `field-info` imports the field layer and its
+    codec only: every CLI child compiles what it imports, and checks is the
+    largest module."""
+    loaded = _modules_loaded_by("field-info", "--q", "3")
+    assert "field_tower" in loaded
+    assert not loaded & {*GEOMETRY_MODULES, "goodsets", "checks"}, loaded
+
+
+@pytest.mark.parametrize("subcmd", ["count", "enumerate", "verify"])
+def test_cli_goodsets_commands_load_no_geometry(subcmd, tmp_path):
+    lam = lambda_for_q(4)
+    record = tmp_path / "gs.jsonl"
+    record.write_text(goodset_record(lam, next(enumerate_good_sets(lam))) + "\n")
+    argv = {"count": (), "enumerate": ("--limit", "3"), "verify": (str(record),)}[subcmd]
+    loaded = _modules_loaded_by("goodsets", subcmd, *argv, "--q", "4")
+    assert "goodsets" in loaded and "serialization" in loaded
+    assert not loaded & {*GEOMETRY_MODULES, "checks"}, loaded
+
+
+def test_package_names_load_lazily_from_their_home_modules():
+    """`import spreadsmith` loads no submodule; each name of __all__ is the
+    object its home module defines, dir() lists it, and an unknown name is
+    an AttributeError."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadsmith.__file__).parents[1]))
+    code = ("import sys\n"
+            "import spreadsmith\n"
+            "print(sorted(m for m in sys.modules if m.startswith('spreadsmith.')))\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
                           timeout=60)
-    assert done.stderr == b""
-    assert done.stdout.split() == [b"0", b"False"]
+    assert done.stderr == b"" and done.stdout.split() == [b"[]"]
+    assert sorted(spreadsmith._HOME) == sorted(spreadsmith.__all__)
+    for name in spreadsmith.__all__:
+        obj = getattr(spreadsmith, name)
+        home = sys.modules[f"spreadsmith.{spreadsmith._HOME[name]}"]
+        assert obj is vars(home)[name] and obj.__module__ == home.__name__, name
+    assert set(spreadsmith.__all__) <= set(dir(spreadsmith))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spreadsmith.no_such_name
+    with pytest.raises(ImportError):
+        from spreadsmith import no_such_name  # noqa: F401
 
 
 def test_cli_parallelism_build_rejects_non_good(tmp_path, capsys):
