@@ -11,6 +11,8 @@ fixed separators, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple
+from weakref import WeakKeyDictionary
 
 from spreadsmith.field_tower import FieldSpec, LambdaSystem, build_lambda, build_partition
 
@@ -53,6 +55,48 @@ def _decode(spec: FieldSpec, vec, gfq: bool = False) -> int:
     GF(q) code from exactly m of them; anything else is a ValueError."""
     _coefficients(vec, spec.m if gfq else 2 * spec.m, spec.p)
     return spec._gfq_code(vec) if gfq else spec.elem_from_vec(vec)
+
+
+class CoefficientTable(NamedTuple):
+    """Every element of GF(q^2) and its coefficient vector, both ways."""
+    vectors: tuple[tuple[int, ...], ...]    # element code -> its 2m coefficients
+    codes: dict[tuple[int, ...], int]       # coefficient vector -> element code
+
+
+# one table per FieldSpec, built on first use by a parallelism codec; it
+# holds no reference to its spec, so a spec read from a file can still go
+_TABLES: WeakKeyDictionary[FieldSpec, CoefficientTable] = WeakKeyDictionary()
+
+
+def coefficient_table(spec: FieldSpec) -> CoefficientTable:
+    table = _TABLES.get(spec)
+    if table is None:
+        vectors = tuple(spec.elem_vec(x) for x in spec.elements())
+        table = _TABLES[spec] = CoefficientTable(
+            vectors, {v: x for x, v in enumerate(vectors)})
+    return table
+
+
+def element_decoder(spec: FieldSpec) -> Callable[[object], int]:
+    """_decode(spec, vec) for elements of GF(q^2), by one table lookup when
+    vec is a list of ints found in the table.  The ints are checked before
+    the tuple is built: a dict or list coefficient would not hash, and True
+    or 1.0 would find the entry of 1.  Any other vec goes to _decode, so it
+    fails with _decode's message."""
+    codes = coefficient_table(spec).codes
+
+    def decode(vec) -> int:
+        if type(vec) is list:
+            for c in vec:
+                if type(c) is not int:
+                    break
+            else:
+                x = codes.get(tuple(vec))
+                if x is not None:
+                    return x
+        return _decode(spec, vec)
+
+    return decode
 
 
 # ---------------------------------------------------------------------------

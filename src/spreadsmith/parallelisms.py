@@ -10,9 +10,18 @@ that the transversal-induced spread shares with the Desarguesian one.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
+# CPython's built-in SHA-256, the module hashlib itself falls back to:
+# importing hashlib loads OpenSSL, about 3.7 MB of a command's peak memory
+try:
+    from _sha2 import sha256            # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+from spreadsmith.field_codec import coefficient_table
 from spreadsmith.goodsets import (
     Candidate,
     GoodSet,
@@ -92,12 +101,21 @@ def build_parallelism(geo: Geometry, gs) -> Parallelism:
                        source=canonical(gs), certificate=cert)
 
 
+# blobs per update of the digest in family_checksum
+CHECKSUM_CHUNK = 1024
+
+
 def family_checksum(geo: Geometry, spreads) -> str:
-    """SHA-256 over the canonical serialization of the sorted line multiset."""
-    digits = ["".join(map(str, geo.spec.elem_vec(x))) for x in geo.spec.elements()]
-    blobs = [",".join(digits[x] for row in l for x in row)
-             for sp in spreads for l in sp.lines]
-    return hashlib.sha256("|".join(sorted(blobs)).encode()).hexdigest()
+    """SHA-256 over the canonical serialization of the sorted line multiset:
+    the sorted line blobs joined by "|", fed to the digest a chunk at a
+    time so the joined text is never built."""
+    digits = ["".join(map(str, v)) for v in coefficient_table(geo.spec).vectors]
+    blobs = sorted([",".join([digits[x] for row in l for x in row])
+                    for sp in spreads for l in sp.lines])
+    h = sha256()
+    for i in range(0, len(blobs), CHECKSUM_CHUNK):
+        h.update((("|" if i else "") + "|".join(blobs[i:i + CHECKSUM_CHUNK])).encode())
+    return h.hexdigest()
 
 
 def verify_parallelism(geo: Geometry, par) -> Certificate:

@@ -15,16 +15,17 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from spreadsmith.field_codec import (
-    _decode,
     _member,
+    coefficient_table,
     dumps,
+    element_decoder,
     field_spec_from_obj,
     field_spec_to_obj,
     lambda_from_obj,
     lambda_to_obj,
     loads,
 )
-from spreadsmith.field_tower import FieldSpec, LambdaSystem
+from spreadsmith.field_tower import LambdaSystem
 from spreadsmith.goodsets import Candidate, GoodSet, canonical, validate
 
 if TYPE_CHECKING:
@@ -77,33 +78,33 @@ def parse_goodset_record(lam: LambdaSystem, text: str) -> GoodSet:
 # parallelism files
 
 
-def _point_to_obj(spec: FieldSpec, P: Point) -> list:
-    return [list(spec.elem_vec(c)) for c in P]
-
-
-def _point_from_obj(spec: FieldSpec, obj) -> Point:
+def _point_from_obj(decode, obj) -> Point:
+    """A point from four coefficient vectors, each read by decode."""
     if not isinstance(obj, list) or len(obj) != 4:
         raise ValueError(f"{obj!r} is not a point of four coordinates")
-    return tuple(_decode(spec, v) for v in obj)
+    return tuple([decode(v) for v in obj])
 
 
-def _line_to_obj(spec: FieldSpec, l: Line) -> list:
-    return [_point_to_obj(spec, l[0]), _point_to_obj(spec, l[1])]
-
-
-def _line_from_obj(spec: FieldSpec, obj, line_through) -> Line:
-    """The line through the two points of obj, built by the caller's
-    proj_geometry.line_through."""
+def _line_points(decode, obj) -> tuple[Point, Point]:
+    """The two points a file gives for a line."""
     if not isinstance(obj, list) or len(obj) != 2:
         raise ValueError(f"{obj!r} is not a line of two points")
-    return line_through(spec, _point_from_obj(spec, obj[0]),
-                        _point_from_obj(spec, obj[1]))
+    return _point_from_obj(decode, obj[0]), _point_from_obj(decode, obj[1])
+
+
+def _line_text(texts, l: Line) -> str:
+    """The JSON of a line as its two canonical points, the bytes dumps would
+    write for them; texts[x] is the JSON of element x's coefficients."""
+    (a, b, c, d), (e, f, g, h) = l
+    return "[[%s,%s,%s,%s],[%s,%s,%s,%s]]" % (texts[a], texts[b], texts[c], texts[d],
+                                                texts[e], texts[f], texts[g], texts[h])
 
 
 def write_parallelism_file(path, geo: Geometry, par: Parallelism,
                            cert: Certificate) -> None:
     """Writes the header, one row per spread and the certificate, each row
-    as soon as it is encoded, so no more than one row is held at a time."""
+    as soon as it is encoded, so no more than one row is held at a time.
+    A spread row is built as text, in the key order dumps sorts into."""
     spec = geo.spec
     header = {
         "format": FORMAT_NAME,
@@ -113,14 +114,12 @@ def write_parallelism_file(path, geo: Geometry, par: Parallelism,
         "lambda": lambda_to_obj(geo.lam),
         "source": _entries(par.source) if par.source else None,
     }
+    texts = [dumps(v) for v in coefficient_table(spec).vectors]
     with open(path, "w") as fh:
         fh.write(dumps(header) + "\n")
         for sp in par.spreads:
-            fh.write(dumps({
-                "type": "spread",
-                "tag": sp.tag,
-                "lines": [_line_to_obj(spec, l) for l in sp.lines],
-            }) + "\n")
+            fh.write('{"lines":[' + ",".join([_line_text(texts, l) for l in sp.lines])
+                     + '],"tag":' + dumps(sp.tag) + ',"type":"spread"}\n')
         fh.write(dumps(certificate_record(len(par.spreads), cert)) + "\n")
 
 
@@ -132,8 +131,10 @@ def certificate_record(spread_count: int, cert: Certificate) -> dict:
 
 def read_parallelism_file(path):
     """Returns (header dict, Geometry, list of Spread, certificate dict).
-    Rows are decoded one at a time, and each subgeometry line is replaced
-    by the index's own object, so the file's lines are held once."""
+    Rows are decoded one at a time, and each subgeometry line is the
+    index's own object, so the file's lines are held once.  A line written
+    as its two canonical points is a key of the index and is looked up;
+    any other pair of points goes through line_through."""
     from spreadsmith.proj_geometry import line_through
     from spreadsmith.spreads import Geometry, Spread
 
@@ -146,14 +147,20 @@ def read_parallelism_file(path):
         if _member(header, "q", int) != spec.q:
             raise ValueError(f"header q={header['q']} is not the field order {spec.p}^{spec.m}")
         geo = Geometry(lambda_from_obj(spec, header["lambda"]))
+        decode = element_decoder(spec)
+        index, universe = geo.line_index(), geo.sigma_eta_lines()
         spreads = []
         cert = None
         for row in rows:
             kind = _member(row, "type", str)
             if kind == "spread":
-                lines = tuple(geo.intern(_line_from_obj(spec, l, line_through))
-                              for l in _member(row, "lines", list))
-                spreads.append(Spread(lines=lines, alpha=geo.eta, tag=row.get("tag", "unknown")))
+                lines = []
+                for obj in _member(row, "lines", list):
+                    pair = _line_points(decode, obj)
+                    k = index.get(pair)
+                    lines.append(universe[k] if k is not None
+                                 else geo.intern(line_through(spec, *pair)))
+                spreads.append(Spread(lines=tuple(lines), alpha=geo.eta, tag=row.get("tag", "unknown")))
             elif kind == "certificate":
                 if cert is not None:
                     raise ValueError("more than one certificate record")

@@ -1,8 +1,12 @@
 """Parallelism assembly, exact-cover verification, the unitriangular
 group, and good-set recovery with its distinct failure reasons."""
 
+import hashlib
+import random
+
 import pytest
 
+from spreadsmith import parallelisms
 from spreadsmith.goodsets import (
     Candidate,
     canonical,
@@ -22,6 +26,7 @@ from spreadsmith.parallelisms import (
     is_E_invariant,
     verify_parallelism,
 )
+from spreadsmith.proj_geometry import line_through
 from spreadsmith.spreads import Spread, geometry_for_q
 
 
@@ -239,6 +244,54 @@ def test_checksum_fingerprints_the_line_multiset():
     damaged = list(par.spreads)
     damaged[0] = Spread(lines=damaged[0].lines[:-1], alpha=geo.eta)
     assert family_checksum(geo, damaged) != c1
+
+
+def _reference_checksum(geo, spreads):
+    """family_checksum's definition, computed the direct way: hashlib over
+    the whole joined text of the sorted line blobs."""
+    digits = ["".join(map(str, geo.spec.elem_vec(x))) for x in geo.spec.elements()]
+    blobs = [",".join(digits[x] for row in l for x in row)
+             for sp in spreads for l in sp.lines]
+    return hashlib.sha256("|".join(sorted(blobs)).encode()).hexdigest()
+
+
+def _stray_line(geo):
+    """A line of PG(3, q^2) that is not a line of the subgeometry."""
+    index = geo.line_index()
+    for x in geo.spec.elements():
+        l = line_through(geo.spec, (1, 0, 0, 0), (0, 1, x, 0))
+        if l not in index:
+            return l
+    raise AssertionError("every line through U1 of that plane is a subgeometry line")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, parallelisms.CHECKSUM_CHUNK])
+def test_checksum_equals_the_digest_of_the_joined_text(chunk, monkeypatch):
+    """Fed a chunk of blobs at a time, the digest is the one of the joined
+    text: built families at q = 3 and 4, one with a repeated line, one with
+    a line outside the subgeometry, and the empty family."""
+    monkeypatch.setattr(parallelisms, "CHECKSUM_CHUNK", chunk)
+    for q in (3, 4):
+        geo = geometry_for_q(q)
+        spreads = list(build_parallelism(
+            geo, fixed_plane_good_set(geo.lam, geo.lam.I[0], 0)).spreads)
+        first = spreads[0]
+        families = {
+            "built": spreads,
+            "repeated line": spreads + [Spread(lines=first.lines[:1], alpha=geo.eta)],
+            "stray line": [Spread(lines=first.lines[1:] + (_stray_line(geo),),
+                                  alpha=geo.eta)] + spreads[1:],
+            "empty": [],
+        }
+        for name, family in families.items():
+            assert family_checksum(geo, family) == _reference_checksum(geo, family), (q, name)
+    assert family_checksum(geo, []) == hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, 1, 64, 10**6])
+def test_the_checksum_digest_is_sha256(size):
+    data = random.Random(size).randbytes(size)
+    assert parallelisms.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_q7_pipeline_end_to_end():

@@ -19,15 +19,16 @@ import pytest
 import spreadsmith
 from spreadsmith import cli, parallelisms
 from spreadsmith.cli import main
+from spreadsmith.field_codec import coefficient_table, element_decoder
 from spreadsmith.field_tower import field_for_q, lambda_for_q
 from spreadsmith.goodsets import enumerate_good_sets, fixed_plane_good_set, flip_canonical
 from spreadsmith.parallelisms import build_parallelism, verify_parallelism
 from spreadsmith.proj_geometry import line_through, normalize
 from spreadsmith.serialization import (
-    _line_from_obj,
-    _line_to_obj,
+    _line_points,
+    _line_text,
     _point_from_obj,
-    _point_to_obj,
+    dumps,
     field_spec_from_obj,
     field_spec_to_obj,
     goodset_record,
@@ -73,12 +74,16 @@ def test_point_and_line_codecs_round_trip():
             if any(vec):
                 points.add(normalize(spec, vec))
         points = sorted(points)
+        vectors = coefficient_table(spec).vectors
+        texts = [dumps(v) for v in vectors]
+        decode = element_decoder(spec)
         for P in points:
-            assert _point_from_obj(spec, json.loads(json.dumps(_point_to_obj(spec, P)))) == P
+            assert _point_from_obj(decode, json.loads(json.dumps([vectors[c] for c in P]))) == P
         for P, R in zip(points, points[1:]):
             l = line_through(spec, P, R)
-            obj = json.loads(json.dumps(_line_to_obj(spec, l)))
-            assert _line_from_obj(spec, obj, line_through) == l
+            text = _line_text(texts, l)
+            assert text == dumps([[vectors[c] for c in row] for row in l])
+            assert _line_points(decode, json.loads(text)) == l
 
 
 def test_goodset_record_round_trip():
@@ -246,16 +251,18 @@ def test_cli_rejects_the_removed_jobs_option():
 GEOMETRY_MODULES = ("spreads", "proj_geometry", "parallelisms", "equivalence")
 
 
-def _modules_loaded_by(*argv) -> set[str]:
-    """The spreadsmith modules that a fresh ``python -m spreadsmith.cli ARGV``
-    imports, read from its ``-X importtime`` log; the command must exit 0."""
+def _modules_loaded_by(*argv, package="spreadsmith.") -> set[str]:
+    """The modules named package + NAME that a fresh ``python -m
+    spreadsmith.cli ARGV`` imports, as their NAMEs, read from its ``-X
+    importtime`` log; package="" gives every module by its full name.  The
+    command must exit 0."""
     env = dict(os.environ, PYTHONPATH=str(Path(spreadsmith.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "spreadsmith.cli",
                            *argv], capture_output=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     names = (line.rpartition("|")[2].strip() for line in done.stderr.decode().splitlines()
              if line.startswith("import time:"))
-    return {n.removeprefix("spreadsmith.") for n in names if n.startswith("spreadsmith.")}
+    return {n.removeprefix(package) for n in names if n.startswith(package)}
 
 
 def test_cli_imports_the_selftest_suites_only_for_selftest():
@@ -276,6 +283,30 @@ def test_cli_goodsets_commands_load_no_geometry(subcmd, tmp_path):
     loaded = _modules_loaded_by("goodsets", subcmd, *argv, "--q", "4")
     assert "goodsets" in loaded and "serialization" in loaded
     assert not loaded & {*GEOMETRY_MODULES, "checks"}, loaded
+
+
+def test_parallelism_commands_load_no_openssl(tmp_path):
+    """The certificate's SHA-256 is CPython's built-in one, so build, verify
+    and characterize load neither hashlib nor OpenSSL's _hashlib."""
+    lam = lambda_for_q(3)
+    record = tmp_path / "gs.jsonl"
+    record.write_text(goodset_record(lam, next(enumerate_good_sets(lam))) + "\n")
+    par = str(tmp_path / "par.jsonl")
+    for argv in (("build", str(record), "--q", "3", "--output", par),
+                 ("verify", par), ("characterize", par)):
+        loaded = _modules_loaded_by("parallelism", *argv, package="")
+        assert "spreadsmith.parallelisms" in loaded and "_random" in loaded, argv
+        assert not loaded & {"hashlib", "_hashlib"}, argv
+
+
+def test_field_info_builds_no_coefficient_table():
+    script = ("from spreadsmith import cli, field_codec\n"
+              "assert cli.main(['field-info', '--q', '9', '--format', 'json']) == 0\n"
+              "assert not field_codec._TABLES\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(spreadsmith.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_package_names_load_lazily_from_their_home_modules():
@@ -645,6 +676,63 @@ def test_cli_rejects_empty_and_foreign_files(tmp_path, capsys):
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
         assert "Traceback" not in captured.err
     assert json.loads(Path(record).read_text()) == good
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 16])
+def test_every_element_round_trips_through_the_coefficient_table(q):
+    spec = field_for_q(q)
+    table = coefficient_table(spec)
+    decode = element_decoder(spec)
+    assert coefficient_table(spec) is table
+    assert len(table.vectors) == len(table.codes) == spec.order
+    for x in spec.elements():
+        vec = table.vectors[x]
+        assert vec == spec.elem_vec(x)
+        assert table.codes[vec] == decode(list(vec)) == spec.elem_from_vec(vec) == x
+
+
+def test_read_lines_are_the_index_objects(tmp_path):
+    path, _ = _changed_rows(tmp_path, "par")
+    _, geo, spreads, _ = read_parallelism_file(path)
+    universe, index = geo.sigma_eta_lines(), geo.line_index()
+    assert all(l is universe[index[l]] for sp in spreads for l in sp.lines)
+
+
+def test_a_line_written_as_other_points_of_it_reads_the_same(tmp_path, capsys):
+    """A line given by two of its points that are not its canonical rows
+    goes through line_through and still reads to the index's own line."""
+    good, rows = _changed_rows(tmp_path, "good")
+    _, geo, spreads, _ = read_parallelism_file(good)
+    spec = geo.spec
+    decode = element_decoder(spec)
+    P, R = _line_points(decode, rows[1]["lines"][0])
+    c = spec.generator
+    T = tuple(spec.mul(c, x) for x in P)                  # not normalized
+    S = tuple(spec.add(x, y) for x, y in zip(P, R))       # neither row
+    assert T not in (P, R) and S not in (P, R)
+    other, _ = _changed_rows(tmp_path, "other", (1, ("lines", 0),
+                             [[list(spec.elem_vec(x)) for x in pt] for pt in (T, S)]))
+    _, geo2, spreads2, _ = read_parallelism_file(other)
+    assert [sp.key() for sp in spreads2] == [sp.key() for sp in spreads]
+    universe, index = geo2.sigma_eta_lines(), geo2.line_index()
+    assert all(l is universe[index[l]] for sp in spreads2 for l in sp.lines)
+    assert run_cli("parallelism", "verify", good) == 0
+    expected = capsys.readouterr()
+    assert run_cli("parallelism", "verify", other) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("[true,0]", "[True, 0]"), ("[1.0,0]", "[1.0, 0]"), ("[0]", "[0]"),
+    ("[9,0]", "[9, 0]"), ("[{},0]", "[{}, 0]"), ("[[0],0]", "[[0], 0]")])
+def test_a_bad_coefficient_vector_keeps_its_error(text, shown, tmp_path, capsys):
+    """Vectors that equal or hash like a table key, or cannot be hashed,
+    fail with the coefficient check's own message."""
+    path, _ = _changed_rows(tmp_path, "bad", (1, ("lines", 0, 0, 0), json.loads(text)))
+    for sub in ("verify", "characterize"):
+        assert run_cli("parallelism", sub, path) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: malformed parallelism file: "
+                                           f"{shown} is not 2 coefficients in 0..2\n")
 
 
 # sha256 of the `parallelism build` file for a seeded good set, as written
