@@ -171,20 +171,41 @@ def group_E(geo: Geometry) -> GroupE:
     return GroupE(elements=elements, generators=gens)
 
 
+@memo
+def E_generator_line_perms(geo: Geometry) -> tuple[list[int], ...]:
+    """The line permutation of each generator xi_map(g^k, 1) of group_E, in
+    order.  Only xi_map(1, 1) and delta (Geometry.delta_map) act through
+    their point permutations: delta^-1 xi_map(b, 1) delta = xi_map(b g, 1),
+    so the permutation of each further generator is the previous one
+    conjugated by delta's."""
+    d = geo.line_permutation(geo.delta_map())
+    d_inv = [0] * len(d)
+    # the index's own int objects, so the permutations hold none of their own
+    for k in geo.line_index().values():
+        d_inv[d[k]] = k
+    perms = [geo.line_permutation(geo.xi_map(1, 1))]
+    for _ in range(2 * geo.spec.m - 1):
+        perms.append(list(map(d_inv.__getitem__, map(perms[-1].__getitem__, d))))
+    return tuple(perms)
+
+
 def is_E_invariant(geo: Geometry, par) -> bool:
     """Invariance of the spread set under the unitriangular group, checked
-    on its 2m generators, which suffices by closure.  Spreads are compared
-    as the sorted ids of their lines, each generator acting through the
-    line permutation its point permutation induces.  E maps the
+    on each of its 2m generators, which suffices by closure.  Spreads are
+    compared as the sorted ids of their lines, each generator acting
+    through its line permutation from E_generator_line_perms.  E maps the
     subgeometry onto itself, so a set holding a line outside it is not a
     set of its spreads and is reported as not invariant."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
+    # derived before the keys exist, so their scratch lists and the keys
+    # are never held at once
+    perms = E_generator_line_perms(geo)
     try:
         keys = geo.spread_keys(sp.lines for sp in spreads)
     except KeyError:
         return False
     return all(sorted(tuple(sorted(map(perm.__getitem__, key))) for key in keys) == keys
-               for perm in map(geo.line_permutation, group_E(geo).generators))
+               for perm in perms)
 
 
 # ---------------------------------------------------------------------------

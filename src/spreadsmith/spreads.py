@@ -290,12 +290,11 @@ class Geometry:
         ids = self._index().line_id.__getitem__ if perm is None else self._line_image(perm)
         return sorted(tuple(sorted(map(ids, lines))) for lines in line_sets)
 
-    @memo
     def line_permutation(self, psi: Collineation) -> list[int]:
         """The image id of every line under psi, read off its point
-        permutation; kept for an element that maps every line again and
-        again, as each generator of E does for every parallelism
-        is_E_invariant checks on this Geometry."""
+        permutation.  Not kept: the one caller that maps every line again
+        and again, is_E_invariant, keeps the permutations of E's
+        generators, derived from two of these (E_generator_line_perms)."""
         return list(map(self._line_image(self.point_permutation(psi)), self._index().lines))
 
     # -- distinguished points, planes, pencils --------------------------------
@@ -418,9 +417,10 @@ class Geometry:
             lines = map(self.intern, lines)
         return Spread(lines=tuple(lines), alpha=alpha, tag="desarguesian")
 
-    @memo
     def spread_from_transversal(self, l: Line) -> Spread:
-        """The Desarguesian spread with director lines l, l^tau.
+        """The Desarguesian spread with director lines l, l^tau.  Not
+        memoised: hall_spread and regulus_of derive it once per line and
+        keep only what they return.
 
         The only genuine precondition is that l avoids the subgeometry: a
         stable line always meets it in a subline, and a meeting point of l
@@ -441,15 +441,20 @@ class Geometry:
         assert len(lines) == self.q**2 + 1
         return Spread(lines=tuple(lines), alpha=self.eta, tag="desarguesian")
 
+    def _spread_and_regulus(self, l: Line) -> tuple[Spread, Regulus]:
+        """S_l and D_eta intersect S_l, q+1 lines through r_U1, for a pencil
+        line l (a ValueError for any other line)."""
+        self.label_of(l)  # membership check
+        sl = self.spread_from_transversal(l)
+        common = set(self.desarguesian_spread().lines) & set(sl.lines)
+        assert len(common) == self.q + 1
+        assert self.space.r_U1 in common
+        return sl, Regulus(lines=tuple(common))
+
     @memo
     def regulus_of(self, l: Line) -> Regulus:
         """D_eta intersect S_l, a regulus through r_U1 when l is a pencil line."""
-        self.label_of(l)  # membership check
-        common = set(self.desarguesian_spread().lines) & set(
-            self.spread_from_transversal(l).lines)
-        assert len(common) == self.q + 1
-        assert self.space.r_U1 in common
-        return Regulus(lines=tuple(common))
+        return self._spread_and_regulus(l)[1]
 
     def transversals_of(self, lines) -> list[Line]:
         """All subgeometry lines meeting each of the given pairwise skew
@@ -484,9 +489,10 @@ class Geometry:
 
     @memo
     def hall_spread(self, l: Line) -> Spread:
-        """Switch the regulus of S_l shared with D_eta for its opposite."""
-        reg = self.regulus_of(l)
-        sl = self.spread_from_transversal(l)
+        """Switch the regulus of S_l shared with D_eta for its opposite.
+        Only the switched spread is kept: S_l and its regulus are derived
+        here and dropped."""
+        sl, reg = self._spread_and_regulus(l)
         opp = self.opposite_regulus(reg)
         lines = (set(sl.lines) - set(reg.lines)) | set(opp.lines)
         return Spread(lines=tuple(lines), alpha=self.eta, tag="hall",
@@ -550,6 +556,14 @@ class Geometry:
                (0, 0, 1, spec.frobenius(x)),
                (0, 0, 0, 1))
         return Collineation.linear(spec, mat)
+
+    def delta_map(self) -> Collineation:
+        """diag(1, g, 1, g^q), g the field generator: it maps v(x, y) to
+        v(x, g y), so it maps the subgeometry onto itself, and
+        delta^-1 xi_map(b, 1) delta = xi_map(b g, 1), delta applied first."""
+        g = self.spec.generator
+        return Collineation.linear(self.spec, ((1, 0, 0, 0), (0, g, 0, 0),
+                                               (0, 0, 1, 0), (0, 0, 0, self.spec.frobenius(g))))
 
     def phi_lambda_map(self, alpha_idx: int, scalar: int) -> Collineation:
         return self.phi_map(alpha_idx).then(self.xi_map(scalar))

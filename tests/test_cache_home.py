@@ -62,3 +62,20 @@ def test_only_spreads_touches_the_cache():
     touching = sorted(p.name for p in src.glob("*.py")
                       if re.search(r"\b_cache\b", p.read_text()))
     assert touching == ["spreads.py"]
+
+
+def test_a_hall_spread_files_only_itself():
+    """Building and characterizing a parallelism memoises one Hall spread
+    per pencil line used, and neither S_l nor its regulus."""
+    geo = Geometry(geometry_for_q(4).lam)
+    gs = next(enumerate_good_sets(geo.lam))
+    par = build_parallelism(geo, gs)
+    assert characterize(geo, par.spreads).ok
+    names = [key[0] for key in geo._cache]
+    assert "Geometry.spread_from_transversal" not in names
+    assert "Geometry.regulus_of" not in names
+    used = {l for cand in gs for l in geo.pencil(*cand).punctured(geo.space.r_U1)}
+    assert {key[1] for key in geo._cache if key[0] == "Geometry.hall_spread"} == used
+    assert names.count("Geometry.hall_spread") == len(used) == geo.q * (geo.q + 1)
+    for l in used:
+        assert geo.hall_spread(l).switched == geo.regulus_of(l).lines

@@ -17,6 +17,7 @@ from spreadsmith.goodsets import (
     is_good,
 )
 from spreadsmith.parallelisms import (
+    E_generator_line_perms,
     Parallelism,
     assemble_spread_family,
     build_parallelism,
@@ -26,7 +27,7 @@ from spreadsmith.parallelisms import (
     is_E_invariant,
     verify_parallelism,
 )
-from spreadsmith.proj_geometry import line_through
+from spreadsmith.proj_geometry import Collineation, line_through
 from spreadsmith.spreads import Spread, geometry_for_q
 
 
@@ -141,6 +142,45 @@ def test_a_line_outside_the_subgeometry_is_not_E_invariant():
     assert t1 not in geo.line_index()
     par = build_parallelism(geo, next(enumerate_good_sets(geo.lam)))
     family = [*par.spreads, Spread(lines=(t1,), alpha=geo.eta)]
+    assert not is_E_invariant(geo, family)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_derived_E_permutations_are_the_generators_own(q):
+    geo = geometry_for_q(q)
+    gens = group_E(geo).generators
+    assert list(E_generator_line_perms(geo)) == list(map(geo.line_permutation, gens))
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 9])
+def test_delta_maps_the_subgeometry_onto_itself_and_conjugates_xi(q):
+    geo = geometry_for_q(q)
+    s = geo.spec
+    delta = geo.delta_map()
+    # a KeyError if some point left the subgeometry
+    assert sorted(geo.point_permutation(delta)) == list(range(len(geo.sigma_eta)))
+    g, gq = s.generator, s.frobenius(s.generator)
+    delta_inv = Collineation.linear(s, ((1, 0, 0, 0), (0, s.inv(g), 0, 0),
+                                        (0, 0, 1, 0), (0, 0, 0, s.inv(gq))))
+    for b in (1, g, s.mul(g, g)):
+        conj = delta.then(geo.xi_map(b, 1)).then(delta_inv)
+        assert conj.canonical_key() == geo.xi_map(s.mul(b, g), 1).canonical_key()
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_E_invariance_checks_the_derived_generators(q):
+    """D with the Hall spreads of one xi_1-orbit of pencil lines is mapped
+    onto itself by xi_1 but, for p < q, not by xi_g: only the derived
+    generators can reject it."""
+    geo = geometry_for_q(q)
+    xi_1 = geo.xi_map(1, 1)
+    orbit = [next(l for l in geo.line_set_L() if xi_1.apply_line(l) != l)]
+    while (l := xi_1.apply_line(orbit[-1])) != orbit[0]:
+        orbit.append(l)
+    assert len(orbit) == geo.spec.p
+    family = [geo.desarguesian_spread(), *map(geo.hall_spread, orbit)]
+    keys = geo.spread_keys(sp.lines for sp in family)
+    assert geo.spread_keys((sp.lines for sp in family), geo.point_permutation(xi_1)) == keys
     assert not is_E_invariant(geo, family)
 
 
