@@ -32,7 +32,6 @@ from spreadsmith.goodsets import (
 from spreadsmith.proj_geometry import (
     Collineation,
     Line,
-    klein_bilinear,
     klein_transversals,
     line_from_plucker,
     line_through,  # noqa: F401  kept as a module name: perfbench's tracing tests rebind it
@@ -223,20 +222,39 @@ class CharacterizeResult:
         return self.ok
 
 
-def _ambient_directors(geo: Geometry, spread_lines) -> list[Line]:
+def _ambient_directors(geo: Geometry, spread_lines, regulus) -> list[Line]:
     """The transversal (director) lines of a Desarguesian spread given by
-    its extended lines, on the Klein quadric: the transversals of its first
-    three lines and a fourth outside their regulus, kept when they meet
-    every line of the spread."""
+    its extended lines, sorted, found on the Klein quadric: the
+    transversals of three lines of a regulus of the spread and a fourth
+    spread line, kept when they meet every line of the spread.  The fourth
+    is taken from outside the regulus first, the regulus lines serving as
+    fallbacks.  Any four lines of the spread in no common regulus give the
+    same kept lines, those meeting every line of the spread, and the three
+    with any line outside the regulus are such four."""
     spec = geo.spec
-    coords = [plucker(spec, l) for l in sorted(spread_lines)]
+    tb = spec.tables
+    n, mul, add, neg = tb.order, tb.mul, tb.add, tb.neg
+    coords = {l: plucker(spec, l) for l in spread_lines}
+    base = [coords[l] for l in regulus[:3]]
+    in_regulus, in_base = set(regulus), set(regulus[:3])
     found = []
-    for u in coords[3:]:
-        found = klein_transversals(spec, coords[:3] + [u])
+    # the lines outside the regulus first (sorted is stable)
+    for l in sorted((l for l in coords if l not in in_base), key=in_regulus.__contains__):
+        found = klein_transversals(spec, base + [coords[l]])
         if found:
             break
-    return sorted(line_from_plucker(spec, t) for t in found
-                  if all(klein_bilinear(spec, t, u) == 0 for u in coords))
+
+    def meets_all(t):
+        # the polarized Klein form of t and u is the dot product of u with
+        # t's dual vector (t5, -t4, t3, t2, -t1, t0)
+        d0, d1, d2, d3, d4, d5 = (t[5] * n, neg[t[4]] * n, t[3] * n,
+                                  t[2] * n, neg[t[1]] * n, t[0] * n)
+        return not any(add[add[add[add[add[mul[d0 + u0] * n + mul[d1 + u1]] * n
+                                           + mul[d2 + u2]] * n + mul[d3 + u3]] * n
+                                   + mul[d4 + u4]] * n + mul[d5 + u5]]
+                       for u0, u1, u2, u3, u4, u5 in coords.values())
+
+    return sorted(line_from_plucker(spec, t) for t in found if meets_all(t))
 
 
 @memo
@@ -262,7 +280,7 @@ def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | No
     source_lines = (set(lines) - set(touching)) | set(reg)
     if not geo.is_spread(source_lines).ok:
         return None, "unswitching does not yield a spread"
-    labels = [lab for lab in map(geo.pencil_label_of, _ambient_directors(geo, source_lines))
+    labels = [lab for lab in map(geo.pencil_label_of, _ambient_directors(geo, source_lines, reg))
               if lab is not None]
     if not labels:
         return None, "no director line carries an I-class pencil label"

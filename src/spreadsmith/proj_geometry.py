@@ -13,9 +13,10 @@ Conventions
   of a line is the line through two image points, and callers read the
   image of a plane through a fixed line off the image of one point.
 * The hot kernels (normalize, rref, line_through, line_points, tau_point,
-  plucker, the Klein forms and the collineation action) index the flat
-  ``FieldSpec.tables`` directly; c * x is ``mul[c * order + x]``, so a
-  kernel that scales a row by c computes ``c * order`` once.
+  plucker, the Klein forms, klein_transversals and the collineation
+  action) index the flat ``FieldSpec.tables`` directly; c * x is
+  ``mul[c * order + x]``, so a kernel that scales a row by c computes
+  ``c * order`` once.
 """
 
 from __future__ import annotations
@@ -227,17 +228,21 @@ def echelon_pairs(order: int):
 # Plucker coordinates and the Klein quadric X1 X6 - X2 X5 + X3 X4 = 0
 
 
-_MINORS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
 def plucker(spec: FieldSpec, line: Line) -> tuple[int, ...]:
-    r, s = line
+    """The Plucker vector of a line with rows r, s: the minors
+    r_i s_j - r_j s_i for the column pairs ij = 01, 02, 03, 12, 13, 23,
+    normalized."""
+    (r0, r1, r2, r3), (s0, s1, s2, s3) = line
     t = spec.tables
     n, mul, add, neg = t.order, t.mul, t.add, t.neg
-    rows = [a * n for a in r]
-    # the minor r_i s_j - r_j s_i of each column pair
-    return normalize(spec, tuple([add[mul[rows[i] + s[j]] * n + neg[mul[rows[j] + s[i]]]]
-                                  for i, j in _MINORS]))
+    # the entries of r as offsets into mul
+    r0, r1, r2, r3 = r0 * n, r1 * n, r2 * n, r3 * n
+    return normalize(spec, (add[mul[r0 + s1] * n + neg[mul[r1 + s0]]],
+                            add[mul[r0 + s2] * n + neg[mul[r2 + s0]]],
+                            add[mul[r0 + s3] * n + neg[mul[r3 + s0]]],
+                            add[mul[r1 + s2] * n + neg[mul[r2 + s1]]],
+                            add[mul[r1 + s3] * n + neg[mul[r3 + s1]]],
+                            add[mul[r2 + s3] * n + neg[mul[r3 + s2]]]))
 
 
 def klein_form(spec: FieldSpec, t) -> int:
@@ -263,9 +268,13 @@ def klein_transversals(spec: FieldSpec, coords) -> list[tuple[int, ...]]:
     The vectors orthogonal to all four under the polarized Klein form make
     up a projective line when the four lie in no common regulus, and the
     transversals are its points on the quadric: the roots (x:y) of
-    x^2 Q(a) + x y B(a, b) + y^2 Q(b) for a basis a, b.  Empty when the
-    orthogonal space is not a line."""
-    rows = [(u[5], spec.neg(u[4]), u[3], u[2], spec.neg(u[1]), u[0]) for u in coords]
+    x^2 Q(a) + x y B(a, b) + y^2 Q(b) for a basis a, b: a first when
+    Q(a) = 0, then x a + b for each root x in element order.  Empty when
+    the orthogonal space is not a line."""
+    tb = spec.tables
+    n, mul, add, neg = tb.order, tb.mul, tb.add, tb.neg
+    # u's dual vector: its dot product with t is the polarized form of t, u
+    rows = [(u[5], neg[u[4]], u[3], u[2], neg[u[1]], u[0]) for u in coords]
     red = rref(spec, rows)
     if len(red) != 4:
         return []
@@ -275,14 +284,17 @@ def klein_transversals(spec: FieldSpec, coords) -> list[tuple[int, ...]]:
         t = [0] * 6
         t[free] = 1
         for r, piv in zip(red, pivots):
-            t[piv] = spec.neg(r[free])
+            t[piv] = neg[r[free]]
         basis.append(tuple(t))
     a, b = basis
     qa, qb, bab = klein_form(spec, a), klein_form(spec, b), klein_bilinear(spec, a, b)
     out = [a] if qa == 0 else []
-    for x in spec.elements():
-        if spec.add(spec.mul(x, spec.add(spec.mul(x, qa), bab)), qb) == 0:
-            out.append(tuple(spec.add(spec.mul(x, ai), bi) for ai, bi in zip(a, b)))
+    qa_row = qa * n
+    for x in range(n):
+        # x (x Q(a) + B(a, b)) + Q(b)
+        if add[mul[x * n + add[mul[qa_row + x] * n + bab]] * n + qb] == 0:
+            k = x * n
+            out.append(tuple([add[mul[k + ai] * n + bi] for ai, bi in zip(a, b)]))
     return out
 
 

@@ -31,7 +31,6 @@ from spreadsmith.proj_geometry import (
     Point,
     echelon_pairs,
     line_points,
-    line_intersection,
     line_through,
     lines_meet,
     normalize,
@@ -348,13 +347,23 @@ class Geometry:
         (r_U1 among them), when it misses r_U1, or when no I-class label has
         both.  A subgeometry line meets r_U1 only in a subgeometry point
         (1, 0, c, 0), c of norm 1, and no point_P is one: no I-class alpha
-        has norm 1."""
+        has norm 1.
+
+        r_U1 is X2 = X4 = 0, so a r + b s lies on it exactly when
+        a r2 + b s2 = a r4 + b s4 = 0: l = <r, s> meets it exactly when
+        r2 s4 = r4 s2, in the point with (a, b) = (s2, -r2), or (s4, -r4)
+        when r2 = s2 = 0 (both pairs vanish only on r_U1 itself)."""
         if l in self._index().line_id:
             return None
-        P = line_intersection(self.spec, l, self.space.r_U1)
-        if P is None:
+        r, s = l
+        t = self.spec.tables
+        n, mul, add, neg = t.order, t.mul, t.add, t.neg
+        if mul[r[1] * n + s[3]] != mul[r[3] * n + s[1]]:
             return None
-        return self.pencil_label(P, self.r_U1_plane(next(r for r in l if r[1] or r[3])))
+        a, b = (s[1], neg[r[1]]) if r[1] or s[1] else (s[3], neg[r[3]])
+        a, b = a * n, b * n
+        P = normalize(self.spec, tuple([add[mul[a + x] * n + mul[b + y]] for x, y in zip(r, s)]))
+        return self.pencil_label(P, self.r_U1_plane(r if r[1] or r[3] else s))
 
     def _pencil_line(self, alpha_idx: int, u_pow: int, v_pow: int, s: int) -> Line:
         """The line through point_P and (x, 1, c x^q, c), x = s w (see pencil)."""
@@ -458,26 +467,37 @@ class Geometry:
 
     def transversals_of(self, lines) -> list[Line]:
         """All subgeometry lines meeting each of the given pairwise skew
-        lines: each line through a point of the first and a point of the
-        second that meets every other given line, which for a subgeometry
-        line means sharing a point id with it."""
+        lines, sorted: each line through a point of the first and a point
+        of the second that meets every other given line.  A subgeometry
+        line among the others is met when the candidate shares a point id
+        with it: bit i of hits[p] is set when point p lies on the i-th of
+        them, and a candidate passes when its points' bits cover them all.
+        Any other line is tested with lines_meet."""
         spec = self.spec
         index = self._index()
+        points, line_id, line_point_ids = index.points, index.line_id, index.line_point_ids
         first, second, *rest = list(lines)
-
-        def meets(r):
-            k = index.line_id.get(r)
+        hits = [0] * len(points)
+        full = 0
+        ambient = []
+        for r in rest:
+            k = line_id.get(r)
             if k is None:
-                return lambda c: lines_meet(spec, index.lines[c], r)
-            ids = set(index.line_point_ids[k])
-            return lambda c: not ids.isdisjoint(index.line_point_ids[c])
-
-        tests = [meets(r) for r in rest]
+                ambient.append(r)
+                continue
+            bit = full + 1          # full is 2^i - 1 after i of them
+            for p in line_point_ids[k]:
+                hits[p] |= bit
+            full |= bit
         found = set()
-        for X in self.subline_points(first):
-            for Y in self.subline_points(second):
-                cand = index.line_id[line_through(spec, X, Y)]
-                if all(test(cand) for test in tests):
+        for x in self.subline_ids(first):
+            X = points[x]
+            for y in self.subline_ids(second):
+                cand = line_id[line_through(spec, X, points[y])]
+                mask = 0
+                for p in line_point_ids[cand]:
+                    mask |= hits[p]
+                if mask == full and all(lines_meet(spec, index.lines[cand], r) for r in ambient):
                     found.add(cand)
         return [index.lines[k] for k in sorted(found)]
 

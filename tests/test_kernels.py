@@ -11,6 +11,7 @@ from spreadsmith.proj_geometry import (
     Collineation,
     klein_bilinear,
     klein_form,
+    klein_transversals,
     line_points,
     line_through,
     normalize,
@@ -95,6 +96,29 @@ def ref_klein_bilinear(s, t, u):
     return s.add(s.sub(s.add(s.mul(t[0], u[5]), s.mul(t[5], u[0])),
                        s.add(s.mul(t[1], u[4]), s.mul(t[4], u[1]))),
                  s.add(s.mul(t[2], u[3]), s.mul(t[3], u[2])))
+
+
+def ref_klein_transversals(s, coords):
+    rows = [(u[5], s.neg(u[4]), u[3], u[2], s.neg(u[1]), u[0]) for u in coords]
+    red = ref_rref(s, rows)
+    if len(red) != 4:
+        return []
+    pivots = [next(i for i, x in enumerate(r) if x) for r in red]
+    basis = []
+    for free in (i for i in range(6) if i not in pivots):
+        t = [0] * 6
+        t[free] = 1
+        for r, piv in zip(red, pivots):
+            t[piv] = s.neg(r[free])
+        basis.append(tuple(t))
+    a, b = basis
+    qa, qb = ref_klein_form(s, a), ref_klein_form(s, b)
+    bab = ref_klein_bilinear(s, a, b)
+    out = [a] if qa == 0 else []
+    for x in s.elements():
+        if s.add(s.mul(x, s.add(s.mul(x, qa), bab)), qb) == 0:
+            out.append(tuple(s.add(s.mul(x, ai), bi) for ai, bi in zip(a, b)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,3 +230,26 @@ def test_plucker_and_klein_forms(field):
         u, w = vector(rng, s, 6), vector(rng, s, 6)
         assert klein_form(s, u) == ref_klein_form(s, u)
         assert klein_bilinear(s, u, w) == ref_klein_bilinear(s, u, w)
+
+
+def regulus_quadruple(rng, s):
+    """Four lines of one regulus: the images under a random invertible map
+    of <(1, 0, t, 0), (0, 1, 0, t)> for four distinct t, lines of the
+    regulus of X1 X4 = X2 X3 (t = 0 included)."""
+    while True:
+        mat = tuple(nonzero(rng, s, 4) for _ in range(4))
+        if len(ref_rref(s, mat)) == 4:
+            break
+    psi = Collineation.linear(s, mat)
+    return [line_through(s, psi.apply_point((1, 0, t, 0)), psi.apply_point((0, 1, 0, t)))
+            for t in rng.sample(range(s.order), 4)]
+
+
+def test_klein_transversals(field):
+    s, rng = field
+    for _ in range(DRAWS // 3):
+        coords = [plucker(s, line_through(s, *two_points(rng, s))) for _ in range(4)]
+        assert klein_transversals(s, coords) == ref_klein_transversals(s, coords)
+    for _ in range(DRAWS // 15):
+        coords = [plucker(s, l) for l in regulus_quadruple(rng, s)]
+        assert klein_transversals(s, coords) == ref_klein_transversals(s, coords) == []

@@ -27,7 +27,14 @@ from spreadsmith.parallelisms import (
     is_E_invariant,
     verify_parallelism,
 )
-from spreadsmith.proj_geometry import Collineation, line_through
+from spreadsmith.proj_geometry import (
+    Collineation,
+    klein_bilinear,
+    klein_transversals,
+    line_from_plucker,
+    line_through,
+    plucker,
+)
 from spreadsmith.spreads import Spread, geometry_for_q
 
 
@@ -268,6 +275,43 @@ def test_characterize_failure_reasons():
     mutated[0] = Spread(lines=tuple(tampered), alpha=hall.alpha, tag="hall")
     res = characterize(geo, mutated)
     assert not res.ok
+
+
+def _directors_by_the_sorted_loop(geo, spread_lines):
+    """The directors as they were found before the regulus was passed in:
+    the first three sorted lines and each later one in turn, until the four
+    have a transversal, kept when it meets every line by klein_bilinear."""
+    spec = geo.spec
+    coords = [plucker(spec, l) for l in sorted(spread_lines)]
+    found = []
+    for u in coords[3:]:
+        found = klein_transversals(spec, coords[:3] + [u])
+        if found:
+            break
+    return sorted(line_from_plucker(spec, t) for t in found
+                  if all(klein_bilinear(spec, t, u) == 0 for u in coords))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_ambient_directors_match_the_sorted_loop(q):
+    """On every Hall member of a seeded parallelism, with the regulus it
+    switched in, and on its source, the Desarguesian spread it came from,
+    with the regulus switched out: the sources have the two directors of a
+    Desarguesian spread, the Hall members none."""
+    geo = geometry_for_q(q)
+    rng = random.Random(f"directors {q}")
+    gs = rng.choice(list(enumerate_good_sets(geo.lam, limit=40)))
+    par = build_parallelism(geo, gs)
+    members = [sp for sp in par.spreads if sp.tag == "hall"]
+    assert len(members) == q * q + q
+    for sp in members:
+        opp = geo.transversals_of(sp.switched)
+        source = (set(sp.lines) - set(opp)) | set(sp.switched)
+        for lines, regulus in ((sp.lines, opp), (source, sp.switched)):
+            assert (parallelisms._ambient_directors(geo, lines, regulus)
+                    == _directors_by_the_sorted_loop(geo, lines))
+        assert parallelisms._ambient_directors(geo, sp.lines, opp) == []
+        assert len(parallelisms._ambient_directors(geo, source, sp.switched)) == 2
 
 
 def test_checksum_fingerprints_the_line_multiset():

@@ -10,6 +10,7 @@ from spreadsmith.equivalence import full_stabilizer_gens, full_stabilizer_group
 from spreadsmith.goodsets import candidate_universe
 from spreadsmith.parallelisms import group_E
 from spreadsmith.proj_geometry import (
+    line_intersection,
     line_points,
     line_through,
     lines_meet,
@@ -72,19 +73,115 @@ def test_line_permutation_matches_apply_line(q):
                 assert geo.spread_keys([[l]], perm) == [(index[psi.apply_line(l)],)]
 
 
+def _transversals_by_brute_force(geo, lines):
+    """Every subgeometry line meeting each given line, tested by lines_meet."""
+    spec = geo.spec
+    return [l for l in geo.sigma_eta_lines() if all(lines_meet(spec, l, r) for r in lines)]
+
+
 def test_transversals_of_match_a_full_search():
     """Transversals found on point ids against every subgeometry line that
     meets the given lines, also when one given line is not in the index."""
     geo = geometry_for_q(4)
-    spec, sigma = geo.spec, geo.sigma_eta_lines()
+    spec = geo.spec
     d = sorted(geo.desarguesian_spread().lines)
     foreign = next(l for l in geo.line_set_L() if not lines_meet(spec, l, d[0])
                    and not lines_meet(spec, l, d[5]))
     for lines in ([d[0], d[5], d[9]], [d[0], d[5], d[9], d[11]], [d[0], d[5], foreign]):
-        full = [l for l in sigma if all(lines_meet(spec, l, r) for r in lines)]
         got = geo.transversals_of(lines)
-        assert got == full
+        assert got == _transversals_by_brute_force(geo, lines)
         assert all(t is geo.intern(t) for t in got)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_transversals_of_match_the_brute_force_on_seeded_sets(q):
+    """Point-id masks against lines_meet on seeded reguli and their
+    opposites, on sets whose later lines meet earlier ones, and on sets
+    holding a line outside the subgeometry among the others."""
+    geo = geometry_for_q(q)
+    spec, rng = geo.spec, random.Random(f"transversals {q}")
+    sigma, family = geo.sigma_eta_lines(), geo.line_set_L()
+
+    def skew_pair():
+        while True:
+            l1, l2 = rng.sample(sigma, 2)
+            if not lines_meet(spec, l1, l2):
+                return [l1, l2]
+
+    cases = []
+    for _ in range(6):
+        pair = skew_pair()
+        third = next(l for l in rng.sample(sigma, len(sigma))
+                     if not any(lines_meet(spec, l, m) for m in pair))
+        opp = geo.transversals_of(pair + [third])
+        reg = geo.transversals_of(opp)
+        assert len(opp) == len(reg) == q + 1
+        cases += [pair + [third], opp, reg, reg[:2] + rng.sample(reg[2:], 2)]
+    for _ in range(6):
+        pair = skew_pair()
+        # later lines meeting the first or the second, or each other
+        meeting = [l for l in rng.sample(sigma, len(sigma)) if lines_meet(spec, l, pair[0])]
+        cases += [pair + meeting[:1], pair + meeting[:2] + rng.sample(sigma, 1),
+                  pair + [pair[1], pair[0]]]
+    for _ in range(6):
+        pair = skew_pair()
+        ambient = [l for l in rng.sample(family, len(family))
+                   if not lines_meet(spec, l, pair[0]) and not lines_meet(spec, l, pair[1])]
+        cases += [pair + ambient[:1], pair + ambient[:2], pair + [ambient[0]] + rng.sample(sigma, 1)]
+    assert any(geo.transversals_of(lines) for lines in cases)
+    for lines in cases:
+        assert geo.transversals_of(lines) == _transversals_by_brute_force(geo, lines)
+
+
+def test_transversals_of_rejects_meeting_first_lines():
+    """The candidates are lines through a point of each of the first two
+    given lines, so two that share a point have no line through it and the
+    shared point: a ValueError, which characterize reports as no opposite
+    regulus."""
+    geo = geometry_for_q(3)
+    spec, sigma = geo.spec, geo.sigma_eta_lines()
+    first = sigma[0]
+    second = next(l for l in sigma[1:] if lines_meet(spec, first, l))
+    with pytest.raises(ValueError):
+        geo.transversals_of([first, second, sigma[-1]])
+
+
+def _pencil_label_by_intersection(geo, l):
+    """pencil_label_of as it was computed with line_intersection."""
+    if l in geo.line_index():
+        return None
+    P = line_intersection(geo.spec, l, geo.space.r_U1)
+    if P is None:
+        return None
+    return geo.pencil_label(P, geo.r_U1_plane(next(r for r in l if r[1] or r[3])))
+
+
+def test_pencil_label_of_matches_line_intersection_on_every_line_q3():
+    geo = geometry_for_q(3)
+    lines = geo.space.all_lines()
+    assert len(lines) == 82 * 91
+    got = {l: geo.pencil_label_of(l) for l in lines}
+    assert got == {l: _pencil_label_by_intersection(geo, l) for l in lines}
+    # each of the |I| (q+1)^2 labels names the q^2 lines other than r_U1
+    # through its point_P in its plane_pi
+    assert sum(lab is not None for lab in got.values()) == len(candidate_universe(geo.lam)) * 3**2
+
+
+@pytest.mark.parametrize("q", [4, 5, 8])
+def test_pencil_label_of_matches_line_intersection_through_r_U1(q):
+    """Seeded lines through points of r_U1, U3 included, and the pencil
+    line family."""
+    geo = geometry_for_q(q)
+    spec, rng = geo.spec, random.Random(f"pencil labels {q}")
+    lines = list(geo.line_set_L())
+    for _ in range(2000):
+        P = rng.choice(((1, 0, rng.randrange(spec.order), 0), geo.space.U3))
+        Q = tuple(rng.randrange(spec.order) for _ in range(4))
+        if any(Q[1::2]):
+            lines.append(line_through(spec, P, Q))
+    got = [geo.pencil_label_of(l) for l in lines]
+    assert got == [_pencil_label_by_intersection(geo, l) for l in lines]
+    assert all(lab is not None for lab in got[:len(geo.line_set_L())])
 
 
 def test_spreads_hold_the_index_lines():
