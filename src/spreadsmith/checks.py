@@ -52,7 +52,7 @@ from spreadsmith.proj_geometry import (
     point_on_plane,
     tau_line,
 )
-from spreadsmith.spreads import Geometry, memo
+from spreadsmith.spreads import Geometry, Regulus, memo
 from spreadsmith.equivalence import (
     apply_label_action,
     are_equivalent,
@@ -86,6 +86,59 @@ def _ok(name, q, detail=""):
 def _plane_section(geo: Geometry, points, plane) -> set:
     """The given points that lie on the plane."""
     return {P for P in points if point_on_plane(geo.spec, plane, P)}
+
+
+# ---------------------------------------------------------------------------
+# objects only the suites derive: the distinguished transversal family of
+# one pencil, its maps, and brute-force searches
+
+
+def l_lambda(geo: Geometry, alpha_idx: int, scalar: int):
+    """The pencil line through (1,0,alpha,0) inside the plane X4 = alpha X2
+    determined by the subfield scalar; scalar 0 gives the line through
+    (0,1,0,alpha)."""
+    if not geo.spec.in_subfield(scalar):
+        raise ValueError("scalar must lie in the subfield")
+    return geo._pencil_line(alpha_idx, 0, 0, scalar)
+
+
+def phi_map(geo: Geometry, alpha_idx: int) -> Collineation:
+    """Linear map sending t1, t2 to the scalar-0 pencil line and its
+    conjugate while fixing the distinguished subgeometry."""
+    a = geo.alpha_of(alpha_idx)
+    aq = geo.spec.frobenius(a)
+    mat = ((1, 0, aq, 0),
+           (0, 1, 0, aq),
+           (a, 0, 1, 0),
+           (0, a, 0, 1))
+    return Collineation.linear(geo.spec, mat)
+
+
+def phi_lambda_map(geo: Geometry, alpha_idx: int, scalar: int) -> Collineation:
+    return phi_map(geo, alpha_idx).then(geo.xi_map(scalar))
+
+
+def extension_points(geo: Geometry, lines) -> set:
+    """Union of the ambient points of the extended lines."""
+    out = set()
+    for l in lines:
+        out.update(line_points(geo.spec, l))
+    return out
+
+
+def reguli_through_r_U1(geo: Geometry) -> list[Regulus]:
+    """All reguli of D_eta containing r_U1, by brute force over triples:
+    the spread lines sharing a point id with every transversal of one."""
+    d = geo.desarguesian_spread()
+    r_U1 = geo.space.r_U1
+    others = [l for l in d.lines if l != r_U1]
+    found = set()
+    for i, l2 in enumerate(others):
+        for l3 in others[i + 1:]:
+            meets = [set(geo.subline_ids(t)) for t in geo.transversals_of([r_U1, l2, l3])]
+            found.add(tuple(l for l in d.lines
+                            if all(not t.isdisjoint(geo.subline_ids(l)) for t in meets)))
+    return [Regulus(lines=r) for r in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +324,7 @@ def check_spread_union(geo: Geometry) -> CheckResult:
     s = geo.spec
     q = s.q
     d = geo.desarguesian_spread()
-    ext = geo.extension_points(d.lines)
+    ext = extension_points(geo, d.lines)
     if len(ext) != (q * q + 1) ** 2:
         return _fail(name, q, f"extension union has {len(ext)} points")
     if q != 3:
@@ -317,7 +370,7 @@ def check_regulus_transversal_classification(geo: Geometry) -> CheckResult:
         return _ok(name, q, "exhaustive only at q=3 (skipped)")
     lam = geo.lam
     space = geo.space
-    reguli = geo.reguli_through_r_U1()
+    reguli = reguli_through_r_U1(geo)
     if len(reguli) != q * q + q:
         return _fail(name, q, f"{len(reguli)} reguli through the line")
     index = geo.line_index()
@@ -458,7 +511,7 @@ def check_desarguesian_property(geo: Geometry, sample: int = 50, seed: int = 3) 
 @memo
 def _shift_image(geo: Geometry, a_idx: int, scalar: int, k: int) -> frozenset:
     """Image of the k-th Baer component under the composite shift map."""
-    phi_l = geo.phi_lambda_map(a_idx, scalar)
+    phi_l = phi_lambda_map(geo, a_idx, scalar)
     return frozenset(phi_l.apply_point(P)
                      for P in geo.component(k))
 
@@ -494,7 +547,7 @@ def _section_cases(geo: Geometry, a_idx: int):
     alpha = lam.alpha(a_idx)
     minus1 = s.minus_one()
     for scalar in range(q):
-        l_lam = geo.l_lambda(a_idx, scalar)
+        l_lam = l_lambda(geo, a_idx, scalar)
         sp = geo.spread_from_transversal(l_lam)
         for b_idx in lam.I:
             for v_pow in range(q + 1):
@@ -573,23 +626,23 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
     lam = geo.lam
     d_lines, r_line = [geo.desarguesian_spread().lines], [[geo.space.r_U1]]
     for a_idx in lam.I:
-        phi = geo.phi_map(a_idx)
+        phi = phi_map(geo, a_idx)
         try:
             perm = geo.point_permutation(phi)
         except KeyError:
             return _fail(name, q, "mixing map moves the distinguished subgeometry")
         if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
             return _fail(name, q, "mixing map moves r_U1")
-        l0 = geo.l_lambda(a_idx, 0)
+        l0 = l_lambda(geo, a_idx, 0)
         if phi.apply_line(geo.space.t1) != l0:
             return _fail(name, q, "mixing map misses the scalar-0 line")
         if phi.apply_line(geo.space.t2) != geo.tau_eta_line(l0):
             return _fail(name, q, "mixing map misses the conjugate line")
         for scalar in range(q):
-            l_lam = geo.l_lambda(a_idx, scalar)
+            l_lam = l_lambda(geo, a_idx, scalar)
             if geo.xi_map(scalar).apply_line(l0) != l_lam:
                 return _fail(name, q, "shift misplaces the line family")
-            phi_l = geo.phi_lambda_map(a_idx, scalar)
+            phi_l = phi_lambda_map(geo, a_idx, scalar)
             sp = geo.spread_from_transversal(l_lam)
             if (geo.spread_keys(d_lines, geo.point_permutation(phi_l))
                     != geo.spread_keys([sp.lines])):
@@ -597,7 +650,7 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
             union = set(line_points(s, l_lam)) | set(line_points(s, geo.tau_eta_line(l_lam)))
             for k in range(q - 1):
                 union |= _shift_image(geo, a_idx, scalar, k)
-            if geo.extension_points(sp.lines) != union:
+            if extension_points(geo, sp.lines) != union:
                 return _fail(name, q, "extension union is not components plus directors")
     return _ok(name, q, "all shift and component cases")
 
@@ -662,7 +715,7 @@ def check_section_pivot(geo: Geometry) -> CheckResult:
     cases = 0
     for a_idx in lam.I:
         for scalar in range(q):
-            l_lam = geo.l_lambda(a_idx, scalar)
+            l_lam = l_lambda(geo, a_idx, scalar)
             diff = _pair_data(geo, l_lam)[2]
             for b_idx in lam.I:
                 for v_pow in range(q + 1):
@@ -691,7 +744,7 @@ def _pair_data(geo: Geometry, l):
     label = geo.label_of(l)
     reg = geo.regulus_of(l)
     sp = geo.spread_from_transversal(l)
-    outside = geo.extension_points(sp.lines) - geo.extension_points(reg.lines)
+    outside = extension_points(geo, sp.lines) - extension_points(geo, reg.lines)
     return label, frozenset(reg.lines), frozenset(outside), line_points(geo.spec, l)
 
 

@@ -366,6 +366,14 @@ def _add_field_args(p: argparse.ArgumentParser):
                    help="JSON file overriding the norm-representative list")
 
 
+def _add_goodsets_args(p: argparse.ArgumentParser):
+    _add_field_args(p)
+    p.add_argument("--filter", choices=("all", "no-norm-minus-one"))
+    p.add_argument("--limit", type=int)
+    p.add_argument("--format", choices=("json", "text"))
+    p.add_argument("--output")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="spreadsmith",
@@ -379,15 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(fn=cmd_field_info)
 
+    # the options go before or after the subcommand: each subcommand parser
+    # repeats them without defaults, so a value given before it stands
     p = sub.add_parser("goodsets", help="count, enumerate or verify good sets")
-    p.add_argument("subcmd", choices=("count", "enumerate", "verify"))
-    p.add_argument("file", nargs="?", help="record file for 'verify'")
-    _add_field_args(p)
-    p.add_argument("--filter", choices=("all", "no-norm-minus-one"), default="all")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_goodsets)
+    _add_goodsets_args(p)
+    p.set_defaults(fn=cmd_goodsets, filter="all", format="text")
+    gsub = p.add_subparsers(dest="subcmd", required=True)
+    for name in ("count", "enumerate", "verify"):
+        g = gsub.add_parser(name, argument_default=argparse.SUPPRESS)
+        if name == "verify":
+            g.add_argument("file", nargs="?", default=None, help="good-set record file")
+        _add_goodsets_args(g)
 
     p = sub.add_parser("parallelism", help="build, verify or characterize a parallelism")
     p.add_argument("subcmd", choices=("build", "verify", "characterize"))

@@ -107,13 +107,37 @@ CHECKSUM_CHUNK = 1024
 def family_checksum(geo: Geometry, spreads) -> str:
     """SHA-256 over the canonical serialization of the sorted line multiset:
     the sorted line blobs joined by "|", fed to the digest a chunk at a
-    time so the joined text is never built."""
+    time so the joined text is never built.
+
+    A line's blob joins the digit strings of its 8 coordinates with ",",
+    which sorts before every digit, so blobs sort as the tuples of their
+    digit strings do.  So each line is sorted by an 8-byte key, the ranks
+    of its strings among all of them (equal strings, equal ranks), and a
+    chunk's text is written from its keys with bytes.translate: each
+    coordinate takes a slot of the longest string's width plus a
+    separator, each string padded with NUL bytes that are then deleted."""
     digits = ["".join(map(str, v)) for v in coefficient_table(geo.spec).vectors]
-    blobs = sorted([",".join([digits[x] for row in l for x in row])
-                    for sp in spreads for l in sp.lines])
+    names = sorted(set(digits))
+    rank = {d: r for r, d in enumerate(names)}
+    # element codes are below q^2 <= 256, so each line's 8 codes are bytes
+    to_rank = bytes([rank[d] for d in digits]).ljust(256, b"\0")
+    keys = sorted([bytes(r + s).translate(to_rank) for sp in spreads for r, s in sp.lines])
+    width = max(map(len, names))
+    padded = [d.encode().ljust(width, b"\0") for d in names]
+    # the j-th byte of each rank's padded string
+    planes = [bytes([p[j] for p in padded]).ljust(256, b"\0") for j in range(width)]
+    slot = width + 1
     h = sha256()
-    for i in range(0, len(blobs), CHECKSUM_CHUNK):
-        h.update((("|" if i else "") + "|".join(blobs[i:i + CHECKSUM_CHUNK])).encode())
+    for i in range(0, len(keys), CHECKSUM_CHUNK):
+        ranks = b"".join(keys[i:i + CHECKSUM_CHUNK])
+        text = bytearray(b",") * (len(ranks) * slot)
+        for j, plane in enumerate(planes):
+            text[j::slot] = ranks.translate(plane)
+        # the separator after a line's last coordinate
+        text[8 * slot - 1::8 * slot] = b"|" * (len(ranks) // 8)
+        if i + CHECKSUM_CHUNK >= len(keys):
+            del text[-1]
+        h.update(text.translate(None, b"\0"))
     return h.hexdigest()
 
 
@@ -121,6 +145,8 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
     """Every member passes the spread verdict and every subgeometry line is
     covered exactly once."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
+    # first, so that its sort keys and the counts below are never held at once
+    checksum = family_checksum(geo, spreads)
     failures = []
     for i, sp in enumerate(spreads):
         rep = geo.is_spread(sp.lines)
@@ -143,7 +169,7 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
     return Certificate(ok=ok, spread_failures=failures, uncovered=uncovered,
                        multiply_covered=multi,
                        line_count=sum(counts) + sum(strays.values()),
-                       checksum=family_checksum(geo, spreads))
+                       checksum=checksum)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +289,11 @@ def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | No
     a Hall spread switched on a regulus through r_U1 and recover its
     pencil label."""
     q = geo.q
-    r_ids = set(geo.subline_ids(geo.space.r_U1))
-    touching = [l for l in lines if not r_ids.isdisjoint(geo.subline_ids(l))]
+    r_ids, line_id = set(geo.subline_ids(geo.space.r_U1)), geo.line_index()
+    # the lines sharing a subgeometry point with r_U1: a subgeometry line
+    # meets it only in one, any other line is asked for its own
+    touching = [l for l in filter(geo.meets_r_U1, lines)
+                if l in line_id or not r_ids.isdisjoint(geo.subline_ids(l))]
     if len(touching) != q + 1:
         return None, "does not meet the distinguished line in a regulus pattern"
     try:

@@ -8,6 +8,9 @@ involution and meets the subgeometry in q+1 points, and this single
 representation serves both incidence levels.  The subgeometry's points and
 lines are numbered once (SubgeometryIndex); spreads hold the index's own
 line objects, and spread, cover and incidence checks on them run on ids.
+The point ids of all lines sit in one flat array, and a line is found
+from two of its points in flat arrays too: no Python object per line is
+kept besides the line tuple itself.
 
 A pencil is written down from the closed form of its Baer subplane section,
 and the label of a pencil line is read off the line itself: its point on
@@ -17,9 +20,11 @@ family is needed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from typing import TYPE_CHECKING
 
 from spreadsmith.field_tower import FieldSpec, LambdaSystem, lambda_for_q
 from spreadsmith.goodsets import Candidate, candidate, candidate_universe
@@ -37,6 +42,9 @@ from spreadsmith.proj_geometry import (
     tau_line,
     tau_point,
 )
+
+if TYPE_CHECKING:
+    from array import array
 
 
 @dataclass(frozen=True)
@@ -107,15 +115,25 @@ class SpreadReport:
 
 class SubgeometryIndex:
     """The points and lines of the distinguished subgeometry, each numbered
-    by its position in sorted order, and the point ids on every line."""
+    by its position in sorted order.  The q+1 point ids of line k are
+    ids[k w : (k+1) w], w = q+1, of one flat array('H'), in the order the
+    index generated them (see Geometry._index).  Reading an id above 256
+    makes an int object, so hot readers hand whole slices, or the whole
+    array, to C-level consumers (set, map, zip, sorted)."""
 
     def __init__(self, points: list[Point], point_id: dict[Point, int],
-                 lines: list[Line], line_point_ids: list[tuple[int, ...]]):
+                 lines: list[Line], ids: array, width: int):
         self.points = points
         self.point_id = point_id
         self.lines = lines
         self.line_id = {l: k for k, l in enumerate(lines)}
-        self.line_point_ids = line_point_ids
+        self.ids = ids
+        self.width = width
+
+    def point_ids(self, k: int) -> array:
+        """The point ids of line k."""
+        w = self.width
+        return self.ids[k * w:(k + 1) * w]
 
 
 class Geometry:
@@ -182,14 +200,21 @@ class Geometry:
                     pid[mul[c + x] * Q + mul[c + y]] = k
         scaled = [[mul[z * Q + c] for c in range(q)] for z in range(Q)]
         shifted = [add[z * Q:(z + 1) * Q] for z in range(Q)]
-        found = []
+        width = q + 1
+        # imported here: the module loads a shared library, about 0.15 MB of
+        # a process's peak, and most processes that import spreads never
+        # build an index
+        from array import array
+
+        found, flat = [], array("H")
         for r1, r2 in echelon_pairs(q):
             # GF(q)^4 coordinates (a0, a1, b0, b1) are (a0 + a1 w, b0 + b1 w)
             x1, y1 = r1[0] + q * r1[1], r1[2] + q * r1[3]
             x2, y2 = r2[0] + q * r2[1], r2[2] + q * r2[3]
             ax, ay = shifted[x1], shifted[y1]
-            ids = [pid[ax[a] * Q + ay[b]] for a, b in zip(scaled[x2], scaled[y2])]
-            ids.append(pid[x2 * Q + y2])
+            # the points X1 + c X2, c in GF(q), then X2
+            flat.extend([pid[ax[a] * Q + ay[b]] for a, b in zip(scaled[x2], scaled[y2])])
+            flat.append(pid[x2 * Q + y2])
             # rows scaled by x1, y1, x2, y2, as offsets into mul
             x1r, y1r, x2r, y2r = x1 * Q, y1 * Q, x2 * Q, y2 * Q
             det = add[mul[x1r + y2] * Q + neg[mul[x2r + y1]]]
@@ -202,10 +227,19 @@ class Geometry:
                          mul[d + add[mul[x1r + y2q] * Q + neg[mul[x2r + y1q]]]]))
             else:
                 line = (normalize(spec, (x1, y1, 0, 0)), normalize(spec, (0, 0, f[x1], f[y1])))
-            found.append((line, tuple(ids)))
-        found.sort()
-        index = SubgeometryIndex(points, point_id, [l for l, _ in found],
-                                 [ids for _, ids in found])
+            found.append(line)
+        # number the lines in sorted order, each taking its ids along; the
+        # scratch goes before the index builds its line numbering, which
+        # keeps the peak near what the index holds
+        del pid, shifted
+        order = sorted(range(len(found)), key=found.__getitem__)
+        lines = [found[k] for k in order]
+        del found
+        ids = array("H")
+        for k in order:
+            ids.extend(flat[k * width:(k + 1) * width])
+        del flat, order
+        index = SubgeometryIndex(points, point_id, lines, ids, width)
         assert len(index.line_id) == (q * q + 1) * (q * q + q + 1)
         return index
 
@@ -224,13 +258,14 @@ class Geometry:
         k = index.line_id.get(l)
         return l if k is None else index.lines[k]
 
-    def subline_ids(self, l: Line) -> tuple[int, ...]:
+    def subline_ids(self, l: Line) -> array | tuple[int, ...]:
         """The ids of the subgeometry points on a line: q+1 of them on a
-        subgeometry line, read from the index, and at most one elsewhere."""
+        subgeometry line, a slice of the index's array, and at most one
+        elsewhere."""
         index = self._index()
         k = index.line_id.get(l)
         if k is not None:
-            return index.line_point_ids[k]
+            return index.point_ids(k)
         return tuple(index.point_id[P] for P in line_points(self.spec, l)
                      if P in index.point_id)
 
@@ -245,16 +280,26 @@ class Geometry:
                             key=lambda P: -1 if P == s else P[j]))
 
     @memo
-    def _line_by_pair(self) -> dict[int, int]:
-        """The id of each line keyed by its two smallest point ids a < b,
-        as a n + b for n points."""
+    def _line_by_pair(self) -> tuple[list[int], array, list[int]]:
+        """The lines grouped by their smallest point id a and sorted inside
+        a group by their second smallest b, in three flat sequences (start,
+        second, line): the lines of group a sit at positions start[a] to
+        start[a+1] - 1, second[j] is the b of the line at position j, an
+        array('H'), and line[j] its id.  So the line of (a, b) is
+        line[bisect_left(second, b, start[a], start[a + 1])].  start and
+        line hold the index's own int objects (line_index().values()), so
+        that reading them makes none."""
         index = self._index()
-        n = len(index.points)
-        out = {}
-        for k, ids in enumerate(index.line_point_ids):
-            a, b = sorted(ids)[:2]
-            out[a * n + b] = k
-        return out
+        n, w = len(index.points), index.width
+        ints = list(index.line_id.values())
+        keys = [s[0] * n + s[1] for s in map(sorted, zip(*[iter(index.ids)] * w))]
+        line = sorted(ints, key=keys.__getitem__)
+        keys.sort()
+        second = index.ids[:0]      # an empty array('H')
+        second.extend(k % n for k in keys)
+        ints.append(len(ints))      # and one past the last position
+        start = [ints[bisect_left(keys, a * n)] for a in range(n + 1)]
+        return start, second, line
 
     @memo
     def point_permutation(self, psi: Collineation) -> tuple[int, ...]:
@@ -271,12 +316,13 @@ class Geometry:
         under a point permutation: the line whose two smallest point ids are
         the two smallest images of its own."""
         index = self._index()
-        line_id, line_point_ids = index.line_id, index.line_point_ids
-        by_pair, n = self._line_by_pair(), len(perm)
+        line_id, ids, w = index.line_id, index.ids, index.width
+        start, second, line = self._line_by_pair()
 
         def image(l):
-            a, b = sorted([perm[p] for p in line_point_ids[line_id[l]]])[:2]
-            return by_pair[a * n + b]
+            o = line_id[l] * w
+            s = sorted(map(perm.__getitem__, ids[o:o + w]))
+            return line[bisect_left(second, s[1], start[(a := s[0])], start[a + 1])]
 
         return image
 
@@ -291,10 +337,15 @@ class Geometry:
 
     def line_permutation(self, psi: Collineation) -> list[int]:
         """The image id of every line under psi, read off its point
-        permutation.  Not kept: the one caller that maps every line again
-        and again, is_E_invariant, keeps the permutations of E's
-        generators, derived from two of these (E_generator_line_perms)."""
-        return list(map(self._line_image(self.point_permutation(psi)), self._index().lines))
+        permutation, which maps the whole flat id array at once.  Not kept:
+        the one caller that maps every line again and again, is_E_invariant,
+        keeps the permutations of E's generators, derived from two of these
+        (E_generator_line_perms)."""
+        perm = self.point_permutation(psi)
+        start, second, line = self._line_by_pair()
+        images = map(perm.__getitem__, self._index().ids)
+        return [line[bisect_left(second, s[1], start[(a := s[0])], start[a + 1])]
+                for s in map(sorted, zip(*[images] * (self.q + 1)))]
 
     # -- distinguished points, planes, pencils --------------------------------
 
@@ -353,17 +404,23 @@ class Geometry:
         a r2 + b s2 = a r4 + b s4 = 0: l = <r, s> meets it exactly when
         r2 s4 = r4 s2, in the point with (a, b) = (s2, -r2), or (s4, -r4)
         when r2 = s2 = 0 (both pairs vanish only on r_U1 itself)."""
-        if l in self._index().line_id:
+        if l in self._index().line_id or not self.meets_r_U1(l):
             return None
         r, s = l
         t = self.spec.tables
         n, mul, add, neg = t.order, t.mul, t.add, t.neg
-        if mul[r[1] * n + s[3]] != mul[r[3] * n + s[1]]:
-            return None
         a, b = (s[1], neg[r[1]]) if r[1] or s[1] else (s[3], neg[r[3]])
         a, b = a * n, b * n
         P = normalize(self.spec, tuple([add[mul[a + x] * n + mul[b + y]] for x, y in zip(r, s)]))
         return self.pencil_label(P, self.r_U1_plane(r if r[1] or r[3] else s))
+
+    def meets_r_U1(self, l: Line) -> bool:
+        """Whether the line l = <r, s> meets r_U1: exactly when r2 s4 = r4 s2
+        (see pencil_label_of)."""
+        r, s = l
+        t = self.spec.tables
+        n, mul = t.order, t.mul
+        return mul[r[1] * n + s[3]] == mul[r[3] * n + s[1]]
 
     def _pencil_line(self, alpha_idx: int, u_pow: int, v_pow: int, s: int) -> Line:
         """The line through point_P and (x, 1, c x^q, c), x = s w (see pencil)."""
@@ -441,12 +498,14 @@ class Geometry:
         if lt == l:
             raise ValueError("transversal is self-conjugate")
         pts = line_points(spec, l)
-        sig = self.sigma_eta
-        if any(P in sig for P in pts):
+        if not self.sigma_eta.isdisjoint(pts):
             raise ValueError("transversal meets the subgeometry")
         if lines_meet(spec, l, lt):
             raise ValueError("transversal and its conjugate are not skew")
-        lines = {self.intern(line_through(spec, Q, self.tau_eta_point(Q))) for Q in pts}
+        # each <Q, Q^tau> is stable, so it is interned as the index's line
+        index, eta = self._index(), self.eta
+        line_id, stable = index.line_id, index.lines
+        lines = {stable[line_id[line_through(spec, Q, tau_point(spec, eta, Q))]] for Q in pts}
         assert len(lines) == self.q**2 + 1
         return Spread(lines=tuple(lines), alpha=self.eta, tag="desarguesian")
 
@@ -455,7 +514,7 @@ class Geometry:
         line l (a ValueError for any other line)."""
         self.label_of(l)  # membership check
         sl = self.spread_from_transversal(l)
-        common = set(self.desarguesian_spread().lines) & set(sl.lines)
+        common = set(sl.lines).intersection(self.desarguesian_spread().lines)
         assert len(common) == self.q + 1
         assert self.space.r_U1 in common
         return sl, Regulus(lines=tuple(common))
@@ -475,7 +534,7 @@ class Geometry:
         Any other line is tested with lines_meet."""
         spec = self.spec
         index = self._index()
-        points, line_id, line_point_ids = index.points, index.line_id, index.line_point_ids
+        points, line_id, ids, w = index.points, index.line_id, index.ids, index.width
         first, second, *rest = list(lines)
         hits = [0] * len(points)
         full = 0
@@ -486,16 +545,17 @@ class Geometry:
                 ambient.append(r)
                 continue
             bit = full + 1          # full is 2^i - 1 after i of them
-            for p in line_point_ids[k]:
+            for p in index.point_ids(k):
                 hits[p] |= bit
             full |= bit
         found = set()
+        ys = [points[y] for y in self.subline_ids(second)]
         for x in self.subline_ids(first):
             X = points[x]
-            for y in self.subline_ids(second):
-                cand = line_id[line_through(spec, X, points[y])]
+            for Y in ys:
+                cand = line_id[line_through(spec, X, Y)]
                 mask = 0
-                for p in line_point_ids[cand]:
+                for p in ids[cand * w:(cand + 1) * w]:
                     mask |= hits[p]
                 if mask == full and all(lines_meet(spec, index.lines[cand], r) for r in ambient):
                     found.add(cand)
@@ -526,43 +586,25 @@ class Geometry:
         if len(lines) != q * q + 1:
             return SpreadReport(False, f"expected {q*q+1} lines, got {len(lines)}")
         index = self._index()
-        covered = set()
-        for l in lines:
-            # a tau-stable line meets the subgeometry in a subline, so the
-            # index holds exactly the stable lines
-            k = index.line_id.get(l)
-            if k is None:
-                return SpreadReport(False, "line is not stable under the involution")
-            covered.update(index.line_point_ids[k])
+        # a tau-stable line meets the subgeometry in a subline, so the index
+        # holds exactly the stable lines
+        found = list(map(index.line_id.get, lines))
+        if None in found:
+            return SpreadReport(False, "line is not stable under the involution")
+        ids, w = index.ids, index.width
+        on = ids[:0]                # an empty array('H')
+        for k in found:
+            on += ids[k * w:(k + 1) * w]
         # q^2+1 sublines of q+1 points cover all (q+1)(q^2+1) points exactly
         # when they are pairwise disjoint; otherwise name the first point, in
         # line order, that two of them share
-        if len(covered) == len(index.points):
+        if len(set(on)) == len(index.points):
             return SpreadReport(True)
         counts = Counter(P for l in lines for P in self.subline_points(l))
         return SpreadReport(False, "point covered more than once",
                             multiply_covered=next(P for P, c in counts.items() if c > 1))
 
-    # -- the distinguished transversal family of one pencil -------------------
-
-    def l_lambda(self, alpha_idx: int, scalar: int) -> Line:
-        """The pencil line through (1,0,alpha,0) inside the plane X4 = alpha X2
-        determined by the subfield scalar; scalar 0 gives the line through
-        (0,1,0,alpha)."""
-        if not self.spec.in_subfield(scalar):
-            raise ValueError("scalar must lie in the subfield")
-        return self._pencil_line(alpha_idx, 0, 0, scalar)
-
-    def phi_map(self, alpha_idx: int) -> Collineation:
-        """Linear map sending t1, t2 to the scalar-0 pencil line and its
-        conjugate while fixing the distinguished subgeometry."""
-        a = self.alpha_of(alpha_idx)
-        aq = self.spec.frobenius(a)
-        mat = ((1, 0, aq, 0),
-               (0, 1, 0, aq),
-               (a, 0, 1, 0),
-               (0, a, 0, 1))
-        return Collineation.linear(self.spec, mat)
+    # -- collineations --------------------------------------------------------
 
     def xi_map(self, scalar: int, xtilde: int | None = None) -> Collineation:
         """Unitriangular map fixing r_U1 pointwise and every Baer component
@@ -584,32 +626,6 @@ class Geometry:
         g = self.spec.generator
         return Collineation.linear(self.spec, ((1, 0, 0, 0), (0, g, 0, 0),
                                                (0, 0, 1, 0), (0, 0, 0, self.spec.frobenius(g))))
-
-    def phi_lambda_map(self, alpha_idx: int, scalar: int) -> Collineation:
-        return self.phi_map(alpha_idx).then(self.xi_map(scalar))
-
-    # -- misc helpers ----------------------------------------------------------
-
-    def extension_points(self, lines) -> set[Point]:
-        """Union of the ambient points of the extended lines."""
-        out: set[Point] = set()
-        for l in lines:
-            out.update(line_points(self.spec, l))
-        return out
-
-    def reguli_through_r_U1(self) -> list[Regulus]:
-        """All reguli of D_eta containing r_U1, by brute force over triples:
-        the spread lines sharing a point id with every transversal of one."""
-        d = self.desarguesian_spread()
-        r_U1 = self.space.r_U1
-        others = [l for l in d.lines if l != r_U1]
-        found = set()
-        for i, l2 in enumerate(others):
-            for l3 in others[i + 1:]:
-                meets = [set(self.subline_ids(t)) for t in self.transversals_of([r_U1, l2, l3])]
-                found.add(tuple(l for l in d.lines
-                                if all(not t.isdisjoint(self.subline_ids(l)) for t in meets)))
-        return [Regulus(lines=r) for r in sorted(found)]
 
 
 @lru_cache(maxsize=None)

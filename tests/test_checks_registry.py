@@ -48,7 +48,7 @@ def test_subgeometry_lines_meet_on_shared_point_ids(q, monkeypatch):
     for module in (checks, spreads):
         for fn in (proj_geometry.lines_meet, proj_geometry.line_intersection):
             monkeypatch.setattr(module, fn.__name__, ambient_only(fn), raising=False)
-    assert len(geo.reguli_through_r_U1()) == q * q + q
+    assert len(checks.reguli_through_r_U1(geo)) == q * q + q
     assert not any(map(geo.pencil_label_of, geo.sigma_eta_lines()))
     for suite in (check_hall_spreads, check_desarguesian_property,
                   check_regulus_transversal_classification):

@@ -35,7 +35,8 @@ from spreadsmith.proj_geometry import (
     line_through,
     plucker,
 )
-from spreadsmith.spreads import Spread, geometry_for_q
+from spreadsmith.field_tower import lambda_for_q
+from spreadsmith.spreads import Geometry, Spread, geometry_for_q
 
 
 def test_build_and_cover_q3_q4():
@@ -370,6 +371,72 @@ def test_checksum_equals_the_digest_of_the_joined_text(chunk, monkeypatch):
         for name, family in families.items():
             assert family_checksum(geo, family) == _reference_checksum(geo, family), (q, name)
     assert family_checksum(geo, []) == hashlib.sha256(b"").hexdigest()
+
+
+CHECKSUM_QS = (3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def _random_lines(geo, rng, count):
+    """Lines of PG(3, q^2) through pairs of seeded random points: almost
+    none of them a subgeometry line."""
+    spec, order = geo.spec, geo.spec.order
+    out = []
+    while len(out) < count:
+        P, R = ([rng.randrange(order) for _ in range(4)] for _ in range(2))
+        if any(P) and any(R):
+            try:
+                out.append(line_through(spec, tuple(P), tuple(R)))
+            except ValueError:          # the same point twice
+                pass
+    return out
+
+
+def _checksum_families(geo, rng):
+    """Families of line sets: the Desarguesian spread and two Hall spreads
+    (at q <= 9, where the tests build the index), seeded ambient lines,
+    families holding a stray line, repeated lines, or both, and the empty
+    family."""
+    eta = geo.eta
+    if geo.q <= 9:
+        members = [geo.desarguesian_spread().lines,
+                   *(geo.hall_spread(l).lines for l in rng.sample(geo.line_set_L(), 2))]
+    else:
+        members = [tuple(_random_lines(geo, rng, geo.q * geo.q + 1)) for _ in range(3)]
+    strays = _random_lines(geo, rng, 5)
+    repeated = [members[0][:3], members[1][2:9], members[0][:1]]
+    families = {
+        "members": members,
+        "stray lines": members + [tuple(strays)],
+        "repeated lines": members + repeated,
+        "stray and repeated": members + repeated + [tuple(strays + strays[:2])],
+        "one line": [members[0][:1]],
+        "empty": [],
+    }
+    return {name: [Spread(lines=lines, alpha=eta) for lines in fam]
+            for name, fam in families.items()}
+
+
+@pytest.mark.parametrize("q", CHECKSUM_QS)
+def test_checksum_matches_the_blob_sort_at_every_q(q):
+    """The key-sorted checksum against the blob sort written out at every
+    supported q.  At q = 11 and 13 the element strings differ in length
+    (one GF(p) coefficient may take two digits, so "1" < "10" < "2"), and
+    at q = 13 two elements even share a string (1,12 and 11,2)."""
+    geo = geometry_for_q(q) if q <= 9 else Geometry(lambda_for_q(q))
+    digits = ["".join(map(str, geo.spec.elem_vec(x))) for x in geo.spec.elements()]
+    assert (len(set(map(len, digits))) > 1) == (q in (11, 13))
+    assert (len(set(digits)) < len(digits)) == (q == 13)
+    for name, family in _checksum_families(geo, random.Random(f"checksum {q}")).items():
+        assert family_checksum(geo, family) == _reference_checksum(geo, family), (q, name)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, parallelisms.CHECKSUM_CHUNK])
+def test_checksum_chunks_with_uneven_element_strings(chunk, monkeypatch):
+    """Chunk boundaries at q = 13, where the blobs differ in length."""
+    monkeypatch.setattr(parallelisms, "CHECKSUM_CHUNK", chunk)
+    geo = Geometry(lambda_for_q(13))
+    for name, family in _checksum_families(geo, random.Random("chunks")).items():
+        assert family_checksum(geo, family) == _reference_checksum(geo, family), name
 
 
 @pytest.mark.parametrize("size", [0, 1, 64, 10**6])

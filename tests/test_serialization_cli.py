@@ -368,6 +368,48 @@ def test_cli_goodsets_verify(tmp_path, capsys):
         assert f"line {lineno}: malformed record" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("goodsets", "verify", "--q", "3", "FILE"),
+    ("goodsets", "verify", "FILE", "--q", "3"),
+    ("goodsets", "--q", "3", "verify", "FILE"),
+    ("goodsets", "--q", "5", "verify", "FILE", "--q", "3"),
+])
+def test_cli_goodsets_verify_takes_its_options_anywhere(argv, tmp_path, capsys):
+    """The field options go before the subcommand, between it and the file
+    or after the file; given twice, the later one stands."""
+    lam = lambda_for_q(3)
+    path = tmp_path / "gs.jsonl"
+    path.write_text(goodset_record(lam, fixed_plane_good_set(lam, lam.I[0], 0)) + "\n")
+    assert run_cli(*[str(path) if a == "FILE" else a for a in argv]) == 0
+    assert capsys.readouterr().out == "verified: all records good\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("goodsets", "verify"),
+    ("goodsets", "verify", "--q", "3"),
+    ("goodsets", "--q", "3", "verify"),
+])
+def test_cli_goodsets_verify_without_a_file_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith("error: goodsets verify needs a record file")
+
+
+def test_cli_goodsets_options_before_the_subcommand(capsys):
+    """An option given only before the subcommand keeps its value; one
+    given on both sides takes the later."""
+    assert run_cli("goodsets", "--q", "3", "--format", "json", "count") == 0
+    first = json.loads(capsys.readouterr().out)
+    assert run_cli("goodsets", "count", "--q", "3", "--format", "json") == 0
+    assert json.loads(capsys.readouterr().out) == first and first["filter"] == "all"
+    assert run_cli("goodsets", "--format", "json", "count", "--q", "3",
+                   "--format", "text") == 0
+    assert capsys.readouterr().out.startswith("good sets (q=3, filter=all)")
+
+
 def test_cli_goodsets_verify_writes_its_report_to_output(tmp_path, capsys):
     # the report goes to --output in place of stdout; the status is the same
     lam = lambda_for_q(3)

@@ -2,22 +2,27 @@
 over the spread union and the shifted spread family."""
 
 import random
+import tracemalloc
+from bisect import bisect_left
 
 import pytest
 
 from spreadsmith import checks
 from spreadsmith.equivalence import full_stabilizer_gens, full_stabilizer_group
+from spreadsmith.field_tower import lambda_for_q
 from spreadsmith.goodsets import candidate_universe
 from spreadsmith.parallelisms import group_E
 from spreadsmith.proj_geometry import (
+    echelon_pairs,
     line_intersection,
     line_points,
     line_through,
     lines_meet,
+    normalize,
     point_on_plane,
     rref,
 )
-from spreadsmith.spreads import SpreadReport, geometry_for_q
+from spreadsmith.spreads import Geometry, SpreadReport, geometry_for_q
 
 
 def test_desarguesian_spread_counts():
@@ -26,7 +31,7 @@ def test_desarguesian_spread_counts():
         d = geo.desarguesian_spread()
         assert len(d.lines) == q * q + 1
         assert geo.is_spread(d.lines).ok
-        assert len(geo.extension_points(d.lines)) == (q * q + 1) ** 2
+        assert len(checks.extension_points(geo, d.lines)) == (q * q + 1) ** 2
         assert geo.desarguesian_spread(geo.lam.eta_index) is d
 
 
@@ -71,6 +76,136 @@ def test_line_permutation_matches_apply_line(q):
             psi, perm = full.elements[k], full.perms[k]
             for l in lines:
                 assert geo.spread_keys([[l]], perm) == [(index[psi.apply_line(l)],)]
+
+
+INDEX_QS = (3, 4, 5, 7, 8, 9)
+
+
+def _reference_subline_ids(geo):
+    """Each subgeometry line's point ids in the order the index generates
+    them, derived here with the scalar field methods: for each 2-dimensional
+    GF(q)-subspace <X1, X2> of GF(q^2)^2, the RREF pair of echelon_pairs(q)
+    with (a0, a1) coded a0 + q a1, the points v(X1 + c X2) for c = 0 .. q-1,
+    then v(X2), where v(x, y) = (x, y, eta x^q, eta y^q)."""
+    spec, q, eta = geo.spec, geo.q, geo.eta
+    points = sorted(geo.sigma_eta)
+    point_id = {P: k for k, P in enumerate(points)}
+
+    def v(x, y):
+        return point_id[normalize(spec, (x, y, spec.mul(eta, spec.frobenius(x)),
+                                         spec.mul(eta, spec.frobenius(y))))]
+
+    out = {}
+    for r1, r2 in echelon_pairs(q):
+        x1, y1 = r1[0] + q * r1[1], r1[2] + q * r1[3]
+        x2, y2 = r2[0] + q * r2[1], r2[2] + q * r2[3]
+        ids = [v(spec.add(x1, spec.mul(c, x2)), spec.add(y1, spec.mul(c, y2))) for c in range(q)]
+        ids.append(v(x2, y2))
+        out[line_through(spec, points[ids[0]], points[ids[-1]])] = tuple(ids)
+    return out
+
+
+@pytest.mark.parametrize("q", INDEX_QS)
+def test_subline_ids_match_the_reference_order(q):
+    """The flat id array against the per-line ids derived with the scalar
+    field methods, in the same order, and as a set against the line's
+    points that lie in the subgeometry."""
+    geo = geometry_for_q(q)
+    spec, sig, point_id = geo.spec, geo.sigma_eta, geo._index().point_id
+    reference = _reference_subline_ids(geo)
+    lines = geo.sigma_eta_lines()
+    assert sorted(reference) == lines
+    for l in lines:
+        ids = tuple(geo.subline_ids(l))
+        assert ids == reference[l]
+        assert sorted(ids) == sorted(point_id[P] for P in line_points(spec, l) if P in sig)
+
+
+def _seeded_moves(geo, count):
+    """delta, xi_map(1, 1) and seeded products of up to four generators of
+    the full spread stabilizer."""
+    rng = random.Random(f"moves {geo.q}")
+    gens = full_stabilizer_gens(geo)
+    moves = [geo.delta_map(), geo.xi_map(1, 1)]
+    for _ in range(count):
+        psi = rng.choice(gens)
+        for _ in range(rng.randrange(4)):
+            psi = psi.then(rng.choice(gens))
+        moves.append(psi)
+    return moves
+
+
+@pytest.mark.parametrize("q", INDEX_QS)
+def test_pair_lookup_and_line_permutation_match_line_through(q):
+    """The flat pair lookup finds every line from its two smallest point
+    ids, and line_permutation and spread_keys map each line to the line
+    through the images of two of its points."""
+    geo = geometry_for_q(q)
+    spec, points = geo.spec, geo._index().points
+    index, lines = geo.line_index(), geo.sigma_eta_lines()
+    start, second, line = geo._line_by_pair()
+    for k, l in enumerate(lines):
+        a, b = sorted(geo.subline_ids(l))[:2]
+        assert line[bisect_left(second, b, start[a], start[a + 1])] == k
+    sample = random.Random(q).sample(lines, 40)
+    for psi in _seeded_moves(geo, 3):
+        perm = geo.point_permutation(psi)
+        images = geo.line_permutation(psi)
+        assert sorted(images) == list(range(len(lines)))
+        for k, l in enumerate(lines):
+            ids = geo.subline_ids(l)
+            assert images[k] == index[line_through(spec, points[perm[ids[0]]],
+                                                   points[perm[ids[-1]]])]
+        assert geo.spread_keys([[l] for l in sample], perm) == sorted(
+            (images[index[l]],) for l in sample)
+
+
+@pytest.mark.parametrize("q", INDEX_QS)
+def test_is_spread_reports_match_the_point_count_on_seeded_mutants(q):
+    """Seeded mutants of the Desarguesian spread and of Hall spreads: a line
+    swapped for another subgeometry line, for a pencil line or for an
+    unstable line, a repeated line, a dropped or an added line."""
+    geo = geometry_for_q(q)
+    rng = random.Random(f"mutants {q}")
+    sigma, family = geo.sigma_eta_lines(), geo.line_set_L()
+    bases = [list(geo.desarguesian_spread().lines)]
+    bases += [list(geo.hall_spread(l).lines) for l in rng.sample(family, 2)]
+    cases = [list(b) for b in bases]
+    for base in bases:
+        for _ in range(4):
+            i = rng.randrange(len(base))
+            for new in (rng.choice(sigma), rng.choice(family), geo.space.t1,
+                        base[rng.randrange(len(base))]):
+                cases.append(base[:i] + [new] + base[i + 1:])
+            cases.append(base[:i] + base[i + 1:])
+            cases.append(base + [rng.choice(sigma)])
+    reasons = set()
+    for lines in cases:
+        got = geo.is_spread(lines)
+        assert got == _is_spread_by_point_count(geo, lines)
+        reasons.add(got.reason)
+    assert reasons == {None, "point covered more than once",
+                       "line is not stable under the involution",
+                       f"expected {q*q+1} lines, got {q*q}",
+                       f"expected {q*q+1} lines, got {q*q+2}"}
+
+
+def test_index_and_pair_lookup_memory_q9():
+    """No Python object per line besides the line tuples: the index and the
+    pair lookup of a fresh q = 9 Geometry hold at most 2.5 MB (tracemalloc;
+    2.3 MB with the flat arrays, 3.9 MB with a tuple of point ids per line
+    and a dict of line pairs)."""
+    geo = Geometry(lambda_for_q(9))
+    geo.spec.tables, geo.sigma_eta      # the field tables and the point set
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        geo._index()
+        geo._line_by_pair()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2.5e6, held
 
 
 def _transversals_by_brute_force(geo, lines):
@@ -378,18 +513,18 @@ def test_is_spread_negative_report():
 
 def test_reguli_through_distinguished_line_count():
     geo = geometry_for_q(3)
-    assert len(geo.reguli_through_r_U1()) == 12
+    assert len(checks.reguli_through_r_U1(geo)) == 12
 
 
 def test_scalar_line_family_is_one_punctured_pencil():
     for q in (3, 5):
         geo = geometry_for_q(q)
         a = geo.lam.I[0]
-        family = {geo.l_lambda(a, scalar) for scalar in range(q)}
+        family = {checks.l_lambda(geo, a, scalar) for scalar in range(q)}
         pen = set(geo.pencil(a, 0, 0).punctured(geo.space.r_U1))
         assert family == pen
     with pytest.raises(ValueError, match="subfield"):
-        geometry_for_q(3).l_lambda(geometry_for_q(3).lam.I[0], 3)
+        checks.l_lambda(geometry_for_q(3), geometry_for_q(3).lam.I[0], 3)
 
 
 # structural suites (exhaustive at q=3, case splits at q in {3,5})
