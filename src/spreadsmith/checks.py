@@ -3,14 +3,19 @@ one structural fact (a partition, an intersection pattern, a case split, a
 group order) by direct computation, exhaustively at small q and by seeded
 sampling where the search space is larger.
 
-Every suite returns a CheckResult; the command-line selftest prints one
-line per suite and the pytest modules assert on the same functions.
+Each suite is one function that the @suite decorator registers with its
+name and the q at which selftest runs it.  Called directly, a suite
+returns a CheckResult; the command-line selftest prints one line per
+suite and the pytest modules assert on the same functions.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import wraps
+from inspect import signature
 from itertools import combinations
 
 from spreadsmith.goodsets import (
@@ -70,17 +75,46 @@ class CheckResult:
     ok: bool
     detail: str = ""
 
-    def line(self) -> str:
-        mark = "pass" if self.ok else "FAIL"
-        return f"[{mark}] q={self.q} {self.name}: {self.detail}"
+
+@dataclass(frozen=True)
+class Suite:
+    name: str
+    run: Callable[..., CheckResult]
+    applies: Callable[[int], bool]
+
+    @property
+    def samples(self) -> bool:
+        """Whether the suite samples with a seed that --sample-seed overrides."""
+        return "seed" in signature(self.run).parameters
 
 
-def _fail(name, q, detail):
-    return CheckResult(name, q, False, detail)
+# every registered suite, in definition order: the order selftest prints
+SUITES: list[Suite] = []
 
 
-def _ok(name, q, detail=""):
-    return CheckResult(name, q, True, detail)
+def suite(name: str, applies: Callable[[int], bool] = lambda q: True):
+    """Register the decorated function as the suite `name`, which selftest
+    runs at every q where applies(q) holds.  The function returns its verdict
+    and detail, (ok, detail); the suite returns them as a CheckResult."""
+    def register(body):
+        @wraps(body)
+        def run(geo: Geometry, *args, **kwargs) -> CheckResult:
+            return CheckResult(name, geo.q, *body(geo, *args, **kwargs))
+        SUITES.append(Suite(name, run, applies))
+        return run
+    return register
+
+
+def suites_at(q: int) -> list[Suite]:
+    """The suites selftest runs at q, in order, without running them."""
+    return [s for s in SUITES if s.applies(q)]
+
+
+def run_selftest(geo: Geometry, sample_seed: int | None = None) -> list[CheckResult]:
+    """Run every suite applicable at this q, in registry order.  A sample
+    seed overrides the fixed default of every sampling suite."""
+    seeded = {} if sample_seed is None else {"seed": sample_seed}
+    return [s.run(geo, **seeded) if s.samples else s.run(geo) for s in suites_at(geo.q)]
 
 
 def _plane_section(geo: Geometry, points, plane) -> set:
@@ -145,10 +179,10 @@ def reguli_through_r_U1(geo: Geometry) -> list[Regulus]:
 # field level
 
 
+@suite("field-automorphism")
 def check_field_automorphism(geo: Geometry, seed: int = 0) -> CheckResult:
     """Conjugation x -> x^q: involutory automorphism fixing exactly the
     subfield; the norm is multiplicative and lands in the subfield."""
-    name = "field-automorphism"
     s = geo.spec
     rng = random.Random(seed)
     pairs = ([(a, b) for a in range(s.order) for b in range(s.order)]
@@ -156,131 +190,131 @@ def check_field_automorphism(geo: Geometry, seed: int = 0) -> CheckResult:
              [(rng.randrange(s.order), rng.randrange(s.order)) for _ in range(4000)])
     for a, b in pairs:
         if s.frobenius(s.add(a, b)) != s.add(s.frobenius(a), s.frobenius(b)):
-            return _fail(name, s.q, f"additivity fails at {(a, b)}")
+            return False, f"additivity fails at {(a, b)}"
         if s.frobenius(s.mul(a, b)) != s.mul(s.frobenius(a), s.frobenius(b)):
-            return _fail(name, s.q, f"multiplicativity fails at {(a, b)}")
+            return False, f"multiplicativity fails at {(a, b)}"
         if s.norm(s.mul(a, b)) != s.mul(s.norm(a), s.norm(b)):
-            return _fail(name, s.q, f"norm not multiplicative at {(a, b)}")
+            return False, f"norm not multiplicative at {(a, b)}"
     fixed = [x for x in range(s.order) if s.frobenius(x) == x]
     if sorted(fixed) != list(range(s.q)):
-        return _fail(name, s.q, "fixed set of conjugation is not the subfield")
+        return False, "fixed set of conjugation is not the subfield"
     if any(s.frobenius(s.frobenius(x)) != x for x in range(s.order)):
-        return _fail(name, s.q, "conjugation is not an involution")
+        return False, "conjugation is not an involution"
     if any(not s.in_subfield(s.norm(x)) for x in range(s.order)):
-        return _fail(name, s.q, "norm leaves the subfield")
+        return False, "norm leaves the subfield"
     circle = [x for x in range(1, s.order) if s.norm(x) == 1]
     if sorted(circle) != sorted(s.unit_circle()) or len(circle) != s.q + 1:
-        return _fail(name, s.q, "unit circle mismatch")
-    return _ok(name, s.q, f"{len(pairs)} pairs, circle size {s.q + 1}")
+        return False, "unit circle mismatch"
+    return True, f"{len(pairs)} pairs, circle size {s.q + 1}"
 
 
+@suite("norm-partition")
 def check_norm_partition(geo: Geometry) -> CheckResult:
     """The three-part partition of the nonzero subfield with A disjoint
     from its inverses (and from its negatives for odd q)."""
-    name = "norm-partition"
     s = geo.spec
     part = geo.lam.partition
     q = s.q
     A, Ainv = set(part.A), set(part.A_inv)
     units = set(part.units_part)
     if A & Ainv:
-        return _fail(name, q, "A meets its inverse set")
+        return False, "A meets its inverse set"
     if units | A | Ainv != set(range(1, q)):
-        return _fail(name, q, "parts do not cover the nonzero subfield")
+        return False, "parts do not cover the nonzero subfield"
     if len(units) + len(A) + len(Ainv) != q - 1:
-        return _fail(name, q, "parts overlap")
+        return False, "parts overlap"
     if q % 2:
         if units != {1, s.minus_one()}:
-            return _fail(name, q, "unit part must be {1,-1}")
+            return False, "unit part must be {1,-1}"
         if any(s.neg(a) in A for a in A):
-            return _fail(name, q, "A meets -A")
+            return False, "A meets -A"
         want_t = (q - 3) // 2
     else:
         if units != {1}:
-            return _fail(name, q, "unit part must be {1}")
+            return False, "unit part must be {1}"
         want_t = (q - 2) // 2
     if part.t != want_t or len(A) != want_t:
-        return _fail(name, q, f"t = {part.t}, expected {want_t}")
-    return _ok(name, q, f"t = {part.t}")
+        return False, f"t = {part.t}, expected {want_t}"
+    return True, f"t = {part.t}"
 
 
+@suite("lambda-classes")
 def check_lambda_classes(geo: Geometry) -> CheckResult:
     """Sizes and closure properties of the I classes: inverse-norm flip,
     negated-norm exclusion, and the square/nonsquare split."""
-    name = "lambda-classes"
     lam = geo.lam
     s = geo.spec
     q = s.q
     norms = [lam.norm_of(k) for k in range(q - 1)]
     if len(set(norms)) != q - 1:
-        return _fail(name, q, "norms not pairwise distinct")
+        return False, "norms not pairwise distinct"
     if s.norm(lam.eta) != 1 or lam.eta_index in lam.I:
-        return _fail(name, q, "eta must have norm 1 and avoid the I class")
+        return False, "eta must have norm 1 and avoid the I class"
     want = (q - 2) // 2 if q % 2 == 0 else (q - 1) // 2
     if len(lam.I) != want:
-        return _fail(name, q, f"|I| = {len(lam.I)}, expected {want}")
+        return False, f"|I| = {len(lam.I)}, expected {want}"
     for k in range(q - 1):
         j = lam.inverse_norm_index(k)
         if s.mul(norms[k], norms[j]) != 1:
-            return _fail(name, q, "inverse-norm partner wrong")
+            return False, "inverse-norm partner wrong"
         if norms[k] not in (1, s.minus_one()):
             if (k in lam.I) == (j in lam.I):
-                return _fail(name, q, f"I membership does not flip at index {k}")
+                return False, f"I membership does not flip at index {k}"
     if q % 2:
         for k in lam.I:
             if lam.negated_norm_index(k) in lam.I:
-                return _fail(name, q, "negated norm stayed in I")
+                return False, "negated norm stayed in I"
         i1, i2 = len(lam.I1), len(lam.I2)
         want12 = ((q - 1) // 4, (q - 1) // 4) if q % 4 == 1 else ((q - 3) // 4, (q + 1) // 4)
         if (i1, i2) != want12:
-            return _fail(name, q, f"|I1|,|I2| = {(i1, i2)}, expected {want12}")
+            return False, f"|I1|,|I2| = {(i1, i2)}, expected {want12}"
         if set(lam.I1) | set(lam.I2) != set(lam.I) or set(lam.I1) & set(lam.I2):
-            return _fail(name, q, "I1, I2 do not partition I")
-    return _ok(name, q, f"|I| = {len(lam.I)}")
+            return False, "I1, I2 do not partition I"
+    return True, f"|I| = {len(lam.I)}"
 
 
 # ---------------------------------------------------------------------------
 # subgeometry geometry
 
 
+@suite("baer-subgeometries", lambda q: q <= 5)
 def check_baer_subgeometries(geo: Geometry) -> CheckResult:
     """Fixed-point sets of the involutions: sizes, pairwise disjointness,
     transversal avoidance; at q = 3 the subline counts of every ambient
     line against the stability predicate."""
-    name = "baer-subgeometries"
     s = geo.spec
     q = s.q
     space = geo.space
     for k in range(q - 1):
         sig = geo.component(k)
         if len(sig) != (q + 1) * (q * q + 1):
-            return _fail(name, q, f"wrong subgeometry size at index {k}")
+            return False, f"wrong subgeometry size at index {k}"
         for P in line_points(s, space.t1) + line_points(s, space.t2):
             if P in sig:
-                return _fail(name, q, "transversal line meets a subgeometry")
+                return False, "transversal line meets a subgeometry"
     for k1, k2 in combinations(range(q - 1), 2):
         if geo.component(k1) & geo.component(k2):
-            return _fail(name, q, f"subgeometries {k1},{k2} intersect")
+            return False, f"subgeometries {k1},{k2} intersect"
     if q == 3:
         eta = geo.eta
         sig = geo.sigma_eta
         for l in space.all_lines():
             cnt = sum(1 for P in line_points(s, l) if P in sig)
             if cnt not in (0, 1, 2, q + 1):
-                return _fail(name, q, f"line meets subgeometry in {cnt} points")
+                return False, f"line meets subgeometry in {cnt} points"
             if space.is_baer_subline(l, eta) != (cnt == q + 1):
-                return _fail(name, q, "stability predicate disagrees with point count")
+                return False, "stability predicate disagrees with point count"
         detail = "exhaustive over all ambient lines"
     else:
         detail = "sizes and disjointness"
-    return _ok(name, q, detail)
+    return True, detail
 
 
+@suite("subline-extension", lambda q: q <= 5)
 def check_subline_extension(geo: Geometry) -> CheckResult:
     """A plane cutting one subgeometry in a subplane cuts every other in a
     spread subline; a line cutting one subgeometry in a subline outside
     its spread avoids every other subgeometry."""
-    name = "subline-extension"
     s = geo.spec
     q = s.q
     lam = geo.lam
@@ -301,34 +335,34 @@ def check_subline_extension(geo: Geometry) -> CheckResult:
                 continue
             other = _plane_section(geo, geo.component(k2), pl)
             if len(other) != q + 1:
-                return _fail(name, q, "cross section size wrong")
+                return False, "cross section size wrong"
             l = line_through(s, *sorted(other)[:2])
             if any(not point_on_line(s, l, P) for P in other):
-                return _fail(name, q, "cross section not collinear")
+                return False, "cross section not collinear"
             if l not in geo.desarguesian_spread(k2).lines:
-                return _fail(name, q, "cross section not a spread line")
+                return False, "cross section not a spread line"
     for l in probe:
         k = geo.label_of(l)[0]
         for k2 in range(q - 1):
             if k2 != k and any(P in geo.component(k2)
                                for P in line_points(s, l)):
-                return _fail(name, q, "pencil line meets a second subgeometry")
-    return _ok(name, q, f"{len(pairs)} subplane sections, {len(probe)} lines")
+                return False, "pencil line meets a second subgeometry"
+    return True, f"{len(pairs)} subplane sections, {len(probe)} lines"
 
 
+@suite("spread-union-sections", lambda q: q <= 5)
 def check_spread_union(geo: Geometry) -> CheckResult:
     """The union of the extended Desarguesian lines has (q^2+1)^2 points
     and every plane cuts it in q^2+1 or 2q^2+1 points, the larger case
     splitting as one spread line plus a transversal or one subplane."""
-    name = "spread-union-sections"
     s = geo.spec
     q = s.q
     d = geo.desarguesian_spread()
     ext = extension_points(geo, d.lines)
     if len(ext) != (q * q + 1) ** 2:
-        return _fail(name, q, f"extension union has {len(ext)} points")
+        return False, f"extension union has {len(ext)} points"
     if q != 3:
-        return _ok(name, q, "union size (plane sections exhaustive at q=3)")
+        return True, "union size (plane sections exhaustive at q=3)"
     space = geo.space
     t1_pts = set(line_points(s, space.t1))
     t2_pts = set(line_points(s, space.t2))
@@ -336,12 +370,12 @@ def check_spread_union(geo: Geometry) -> CheckResult:
     for pl in space.all_planes():
         sec = _plane_section(geo, ext, pl)
         if len(sec) not in (q * q + 1, 2 * q * q + 1):
-            return _fail(name, q, f"plane section of size {len(sec)}")
+            return False, f"plane section of size {len(sec)}"
         sizes_seen.add(len(sec))
         if len(sec) == 2 * q * q + 1:
             inside = [l for l in d.lines if line_in_plane(s, l, pl)]
             if len(inside) != 1:
-                return _fail(name, q, "large section without a unique spread line")
+                return False, "large section without a unique spread line"
             lpts = set(line_points(s, inside[0]))
             residue_ok = any(
                 sec == lpts | cand and len(cand) == q * q + 1
@@ -353,111 +387,111 @@ def check_spread_union(geo: Geometry) -> CheckResult:
                         residue_ok = True
                         break
             if not residue_ok:
-                return _fail(name, q, "large section does not decompose")
+                return False, "large section does not decompose"
     if sizes_seen != {q * q + 1, 2 * q * q + 1}:
-        return _fail(name, q, f"section sizes seen: {sizes_seen}")
-    return _ok(name, q, "exhaustive over all planes")
+        return False, f"section sizes seen: {sizes_seen}"
+    return True, "exhaustive over all planes"
 
 
+@suite("regulus-transversal-classification", lambda q: q == 3)
 def check_regulus_transversal_classification(geo: Geometry) -> CheckResult:
     """Every ambient line meeting all extended lines of a spread regulus
     through the distinguished line is a transversal line or cuts exactly
     one subgeometry in a non-spread subline, and meets r_U1 once."""
-    name = "regulus-transversal-classification"
     s = geo.spec
     q = s.q
     if q != 3:
-        return _ok(name, q, "exhaustive only at q=3 (skipped)")
+        return True, "exhaustive only at q=3 (skipped)"
     lam = geo.lam
     space = geo.space
     reguli = reguli_through_r_U1(geo)
     if len(reguli) != q * q + q:
-        return _fail(name, q, f"{len(reguli)} reguli through the line")
+        return False, f"{len(reguli)} reguli through the line"
     index = geo.line_index()
     ambient = [l for l in space.all_lines() if l not in index]
     for reg in reguli[:4]:
         # a transversal meets r_U1 by meeting every line of the regulus
         if space.r_U1 not in reg.lines:
-            return _fail(name, q, "regulus misses r_U1")
+            return False, "regulus misses r_U1"
         transversals = geo.transversals_of(reg.lines) + [
             l for l in ambient if all(lines_meet(s, l, r) for r in reg.lines)]
         if len(transversals) != q * q + 1:
-            return _fail(name, q, f"{len(transversals)} ambient transversals")
+            return False, f"{len(transversals)} ambient transversals"
         for l in transversals:
             if l in (space.t1, space.t2):
                 continue
             hits = [k for k in range(q - 1)
                     if space.is_baer_subline(l, lam.alpha(k))]
             if len(hits) != 1:
-                return _fail(name, q, f"transversal cuts {len(hits)} subgeometries")
+                return False, f"transversal cuts {len(hits)} subgeometries"
             if l in geo.desarguesian_spread(hits[0]).lines:
-                return _fail(name, q, "transversal subline lies in its spread")
-    return _ok(name, q, f"{len(reguli)} reguli, 4 fully classified")
+                return False, "transversal subline lies in its spread"
+    return True, f"{len(reguli)} reguli, 4 fully classified"
 
 
+@suite("pencil-line-family", lambda q: q <= 5)
 def check_pencils_and_line_family(geo: Geometry) -> CheckResult:
     """Pencil sizes, r_U1 membership, family size |I| q (q+1)^2, stability
     of members, and avoidance of the distinguished subgeometry."""
-    name = "pencil-line-family"
     s = geo.spec
     q = s.q
     lam = geo.lam
     L = geo.line_set_L()
     want = len(lam.I) * q * (q + 1) ** 2
     if len(L) != want:
-        return _fail(name, q, f"|family| = {len(L)}, expected {want}")
+        return False, f"|family| = {len(L)}, expected {want}"
     for a in lam.I:
         alpha = lam.alpha(a)
         for u in range(q + 1):
             for v in range(q + 1):
                 pen = geo.pencil(a, u, v)
                 if len(pen.lines) != q + 1 or geo.space.r_U1 not in pen.lines:
-                    return _fail(name, q, f"pencil {(a, u, v)} malformed")
+                    return False, f"pencil {(a, u, v)} malformed"
                 for l in pen.lines:
                     if tau_line(s, alpha, l) != l:
-                        return _fail(name, q, "pencil member not stable")
+                        return False, "pencil member not stable"
                     if not point_on_line(s, l, pen.base_point):
-                        return _fail(name, q, "pencil member misses base point")
+                        return False, "pencil member misses base point"
                     if not line_in_plane(s, l, pen.plane):
-                        return _fail(name, q, "pencil member leaves the plane")
+                        return False, "pencil member leaves the plane"
     sig = geo.sigma_eta
     probe = L if q == 3 else L[:60]
     for l in probe:
         if any(P in sig for P in line_points(s, l)):
-            return _fail(name, q, "family line meets the distinguished subgeometry")
-    return _ok(name, q, f"{len(L)} lines in {len(lam.I) * (q + 1)**2} pencils")
+            return False, "family line meets the distinguished subgeometry"
+    return True, f"{len(L)} lines in {len(lam.I) * (q + 1)**2} pencils"
 
 
+@suite("transversal-spreads", lambda q: q <= 5)
 def check_transversal_spreads(geo: Geometry, sample: int = 40, seed: int = 0) -> CheckResult:
     """Spreads induced by family transversals: valid spreads sharing a
     regulus through r_U1 with the Desarguesian spread; the conjugate
     transversal induces the same spread."""
-    name = "transversal-spreads"
     q = geo.q
     rng = random.Random(seed)
     L = list(geo.line_set_L())
     probe = L if q <= 4 else rng.sample(L, sample)
     d_lines = set(geo.desarguesian_spread().lines)
     if geo.spread_from_transversal(geo.space.t1).key() != geo.desarguesian_spread().key():
-        return _fail(name, q, "transversal t1 does not rebuild the spread")
+        return False, "transversal t1 does not rebuild the spread"
     for l in probe:
         sp = geo.spread_from_transversal(l)
         rep = geo.is_spread(sp.lines)
         if not rep.ok:
-            return _fail(name, q, f"induced family is not a spread: {rep.reason}")
+            return False, f"induced family is not a spread: {rep.reason}"
         common = set(sp.lines) & d_lines
         if len(common) != q + 1 or geo.space.r_U1 not in common:
-            return _fail(name, q, "shared lines are not a regulus through r_U1")
+            return False, "shared lines are not a regulus through r_U1"
         if geo.spread_from_transversal(geo.tau_eta_line(l)).key() != sp.key():
-            return _fail(name, q, "conjugate transversal changes the spread")
-    return _ok(name, q, f"{len(probe)} transversals")
+            return False, "conjugate transversal changes the spread"
+    return True, f"{len(probe)} transversals"
 
 
+@suite("hall-spreads", lambda q: q <= 5)
 def check_hall_spreads(geo: Geometry, sample: int = 30, seed: int = 1) -> CheckResult:
     """Regulus switching: the switched family is a spread disjoint from the
     Desarguesian one, differing from its source in 2(q+1) lines; the
     opposite of the opposite is the regulus and incidences are exact."""
-    name = "hall-spreads"
     q = geo.q
     rng = random.Random(seed)
     L = list(geo.line_set_L())
@@ -467,27 +501,27 @@ def check_hall_spreads(geo: Geometry, sample: int = 30, seed: int = 1) -> CheckR
         reg = geo.regulus_of(l)
         opp = geo.opposite_regulus(reg)
         if geo.opposite_regulus(opp) != reg:
-            return _fail(name, q, "double opposite is not the identity")
+            return False, "double opposite is not the identity"
         for a in reg.lines:
             ids = set(geo.subline_ids(a))
             if any(len(ids.intersection(geo.subline_ids(b))) != 1 for b in opp.lines):
-                return _fail(name, q, "regulus/opposite incidence broken")
+                return False, "regulus/opposite incidence broken"
         h = geo.hall_spread(l)
         rep = geo.is_spread(h.lines)
         if not rep.ok:
-            return _fail(name, q, f"switched family is not a spread: {rep.reason}")
+            return False, f"switched family is not a spread: {rep.reason}"
         if set(h.lines) & d_lines:
-            return _fail(name, q, "switched spread meets the Desarguesian one")
+            return False, "switched spread meets the Desarguesian one"
         src = geo.spread_from_transversal(l)
         if len(set(h.lines) ^ set(src.lines)) != 2 * (q + 1):
-            return _fail(name, q, "switch did not replace exactly one regulus")
-    return _ok(name, q, f"{len(probe)} switched spreads")
+            return False, "switch did not replace exactly one regulus"
+    return True, f"{len(probe)} switched spreads"
 
 
+@suite("desarguesian-regulus-property", lambda q: q <= 5)
 def check_desarguesian_property(geo: Geometry, sample: int = 50, seed: int = 3) -> CheckResult:
     """External subgeometry lines meet the spread in a regulus: the q+1
     spread lines they touch admit a full set of common transversals."""
-    name = "desarguesian-regulus-property"
     q = geo.q
     rng = random.Random(seed)
     d = geo.desarguesian_spread()
@@ -498,10 +532,10 @@ def check_desarguesian_property(geo: Geometry, sample: int = 50, seed: int = 3) 
         ids = set(geo.subline_ids(l))
         touched = [m for m in d.lines if not ids.isdisjoint(geo.subline_ids(m))]
         if len(touched) != q + 1:
-            return _fail(name, q, f"external line meets {len(touched)} spread lines")
+            return False, f"external line meets {len(touched)} spread lines"
         if len(geo.transversals_of(touched)) != q + 1:
-            return _fail(name, q, "touched lines admit no full transversal set")
-    return _ok(name, q, f"{len(probe)} external lines")
+            return False, "touched lines admit no full transversal set"
+    return True, f"{len(probe)} external lines"
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +604,11 @@ def _section_cases(geo: Geometry, a_idx: int):
                 yield scalar, b_idx, v_pow, l_lam, sec, tag
 
 
+@suite("shifted-spread-plane-sections", lambda q: q in (3, 5))
 def check_plane_sections(geo: Geometry) -> CheckResult:
     """Sections of the extended shifted spreads with the distinguished
     planes: always 2q^2+1 points; the residue past r_U1 is the shifted
     line, its conjugate, or a Baer subplane of the predicted component."""
-    name = "shifted-spread-plane-sections"
     s = geo.spec
     q = geo.q
     lam = geo.lam
@@ -585,42 +619,42 @@ def check_plane_sections(geo: Geometry) -> CheckResult:
         for scalar, b_idx, v_pow, l_lam, sec, tag in _section_cases(geo, a_idx):
             cases += 1
             if len(sec) != 2 * q * q + 1:
-                return _fail(name, q, f"section size {len(sec)}")
+                return False, f"section size {len(sec)}"
             if not r_pts <= sec:
-                return _fail(name, q, "section misses r_U1")
+                return False, "section misses r_U1"
             if tag == "contains-shifted-line":
                 if sec != r_pts | set(line_points(s, l_lam)):
-                    return _fail(name, q, "section is not r_U1 + shifted line")
+                    return False, "section is not r_U1 + shifted line"
                 continue
             if tag == "contains-conjugate-line":
                 lt = geo.tau_eta_line(l_lam)
                 if sec != r_pts | set(line_points(s, lt)):
-                    return _fail(name, q, "section is not r_U1 + conjugate line")
+                    return False, "section is not r_U1 + conjugate line"
                 continue
             beta = lam.alpha(b_idx)
             v = geo.U[v_pow]
             num = s.sub(s.mul(beta, v), alpha)
             den = s.sub(s.mul(s.mul(beta, s.frobenius(alpha)), v), 1)
             if num == 0 or den == 0:
-                return _fail(name, q, "degenerate component predictor")
+                return False, "degenerate component predictor"
             found = _component_subplane(geo, a_idx, scalar, geo.plane_pi(b_idx, v_pow))
             if found is None:
-                return _fail(name, q, "no unique component subplane in section")
+                return False, "no unique component subplane in section"
             k, cut = found
             if s.norm(lam.alpha(k)) != s.norm(s.div(num, den)):
-                return _fail(name, q, "wrong component cut by the plane")
+                return False, "wrong component cut by the plane"
             if sec != r_pts | cut:
-                return _fail(name, q, "section residue is not the subplane")
-    return _ok(name, q, f"{cases} (shift, plane) sections")
+                return False, "section residue is not the subplane"
+    return True, f"{cases} (shift, plane) sections"
 
 
+@suite("shift-maps", lambda q: q in (3, 5))
 def check_shift_maps(geo: Geometry) -> CheckResult:
     """The maps behind the shifted spreads: the mixing map fixes the
     distinguished subgeometry and r_U1 and carries the transversal pair to
     the scalar-0 line pair; the unitriangular shift translates the line
     family (it lies in E, whose fixed objects unitriangular-group checks);
     their composite carries the Desarguesian spread over."""
-    name = "shift-maps"
     s = geo.spec
     q = geo.q
     lam = geo.lam
@@ -630,38 +664,38 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
         try:
             perm = geo.point_permutation(phi)
         except KeyError:
-            return _fail(name, q, "mixing map moves the distinguished subgeometry")
+            return False, "mixing map moves the distinguished subgeometry"
         if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
-            return _fail(name, q, "mixing map moves r_U1")
+            return False, "mixing map moves r_U1"
         l0 = l_lambda(geo, a_idx, 0)
         if phi.apply_line(geo.space.t1) != l0:
-            return _fail(name, q, "mixing map misses the scalar-0 line")
+            return False, "mixing map misses the scalar-0 line"
         if phi.apply_line(geo.space.t2) != geo.tau_eta_line(l0):
-            return _fail(name, q, "mixing map misses the conjugate line")
+            return False, "mixing map misses the conjugate line"
         for scalar in range(q):
             l_lam = l_lambda(geo, a_idx, scalar)
             if geo.xi_map(scalar).apply_line(l0) != l_lam:
-                return _fail(name, q, "shift misplaces the line family")
+                return False, "shift misplaces the line family"
             phi_l = phi_lambda_map(geo, a_idx, scalar)
             sp = geo.spread_from_transversal(l_lam)
             if (geo.spread_keys(d_lines, geo.point_permutation(phi_l))
                     != geo.spread_keys([sp.lines])):
-                return _fail(name, q, "composite map misses the shifted spread")
+                return False, "composite map misses the shifted spread"
             union = set(line_points(s, l_lam)) | set(line_points(s, geo.tau_eta_line(l_lam)))
             for k in range(q - 1):
                 union |= _shift_image(geo, a_idx, scalar, k)
             if extension_points(geo, sp.lines) != union:
-                return _fail(name, q, "extension union is not components plus directors")
-    return _ok(name, q, "all shift and component cases")
+                return False, "extension union is not components plus directors"
+    return True, "all shift and component cases"
 
 
+@suite("section-subplane-meet", lambda q: q in (3, 5))
 def check_subplane_meet(geo: Geometry) -> CheckResult:
     """The section subplane and the plane's own Baer subplane share the
     predicted pivot point together with the predicted subline (the shift
     image of the explicit trace-zero subline): q+2 points in general, and
     q+1 exactly when the pivot degenerates onto the subline, which happens
     iff beta*v/alpha lies in the subfield."""
-    name = "section-subplane-meet"
     s = geo.spec
     q = geo.q
     lam = geo.lam
@@ -678,7 +712,7 @@ def check_subplane_meet(geo: Geometry) -> CheckResult:
             pl = geo.plane_pi(b_idx, v_pow)
             found = _component_subplane(geo, a_idx, scalar, pl)
             if found is None:
-                return _fail(name, q, "missing section subplane")
+                return False, "missing section subplane"
             _, sigma_cut = found
             shared = sigma_cut & _plane_section(geo, geo.component(b_idx), pl)
             pivot = _pivot_point(geo, a_idx, b_idx, v_pow)
@@ -691,24 +725,21 @@ def check_subplane_meet(geo: Geometry) -> CheckResult:
                         subline.add(xi.apply_point(
                             normalize(s, (x, y, s.mul(bv, x), s.mul(bv, y)))))
             if len(subline) != q + 1:
-                return _fail(name, q, f"predicted subline has {len(subline)} points")
+                return False, f"predicted subline has {len(subline)} points"
             if shared != subline | {pivot}:
-                return _fail(name, q, "configuration is not pivot + subline")
+                return False, "configuration is not pivot + subline"
             pivot_on_subline = s.in_subfield(s.div(bv, alpha))
             want = q + 1 if pivot_on_subline else q + 2
             if len(shared) != want:
-                return _fail(name, q,
-                             f"shared configuration has {len(shared)} points, "
-                             f"expected {want}")
+                return False, f"shared configuration has {len(shared)} points, expected {want}"
             degenerate += pivot_on_subline
-    return _ok(name, q, f"{cases} subplane pairs, {degenerate} with the pivot "
-                        "on the subline")
+    return True, f"{cases} subplane pairs, {degenerate} with the pivot on the subline"
 
 
+@suite("section-pivot-point", lambda q: q in (3, 5))
 def check_section_pivot(geo: Geometry) -> CheckResult:
     """A family line inside a distinguished plane that touches the shifted
     spread outside the shared regulus passes through the pivot point."""
-    name = "section-pivot-point"
     s = geo.spec
     q = geo.q
     lam = geo.lam
@@ -727,10 +758,9 @@ def check_section_pivot(geo: Geometry) -> CheckResult:
                             cases += 1
                             pts = line_points(s, l)
                             if not diff.isdisjoint(pts) and pivot not in pts:
-                                return _fail(
-                                    name, q,
-                                    f"line misses the pivot at {(a_idx, scalar, b_idx, v_pow)}")
-    return _ok(name, q, f"{cases} line/section incidences")
+                                where = (a_idx, scalar, b_idx, v_pow)
+                                return False, f"line misses the pivot at {where}"
+    return True, f"{cases} line/section incidences"
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +800,7 @@ def _label_values(geo):
     return dict(zip(labels, candidate_values(geo.lam, labels)))
 
 
+@suite("regulus-pair-conditions", lambda q: q <= 5)
 def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
                                   seed: int = 11) -> CheckResult:
     """Shared spread-reguli across the line family.  Per line pair: equal
@@ -777,7 +808,6 @@ def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
     pair: some cross pair shares a regulus exactly when the labels differ
     and the form vanishes (the sharing is a partial matching, never the
     full pencil product)."""
-    name = "regulus-pair-conditions"
     s = geo.spec
     q = geo.q
     vals = _label_values(geo)
@@ -788,14 +818,14 @@ def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
         checked += 1
         if (lab_i == lab_j or pair_conditions(s, vals[lab_i], vals[lab_j])[0]) \
                 and li != lj and reg_i == reg_j:
-            return _fail(name, q, f"regulus collision at labels {lab_i}, {lab_j}")
+            return False, f"regulus collision at labels {lab_i}, {lab_j}"
     labels = candidate_universe(geo.lam)
     agg = 0
     for lab_i in labels:
         pen_i = geo.pencil(*lab_i).punctured(geo.space.r_U1)
         regs_i = {geo.regulus_of(l).lines for l in pen_i}
         if len(regs_i) != q:
-            return _fail(name, q, f"pencil {lab_i} repeats a regulus")
+            return False, f"pencil {lab_i} repeats a regulus"
         for lab_j in labels:
             if lab_j <= lab_i:
                 continue
@@ -804,10 +834,11 @@ def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
             regs_j = {geo.regulus_of(l).lines for l in pen_j}
             shares = bool(regs_i & regs_j)
             if shares == pair_conditions(s, vals[lab_i], vals[lab_j])[0]:
-                return _fail(name, q, f"label verdict wrong at {lab_i}, {lab_j}")
-    return _ok(name, q, f"{checked} line pairs, {agg} label pairs")
+                return False, f"label verdict wrong at {lab_i}, {lab_j}"
+    return True, f"{checked} line pairs, {agg} label pairs"
 
 
+@suite("extension-disjointness-conditions", lambda q: q <= 5)
 def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
                                         seed: int = 13) -> CheckResult:
     """Interference between a family line and the extension of another
@@ -815,9 +846,7 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
     or a nonzero twisted form force empty intersection.  Per label pair:
     some cross pair interferes exactly when the labels differ and the
     twisted form vanishes."""
-    name = "extension-disjointness-conditions"
     s = geo.spec
-    q = geo.q
     vals = _label_values(geo)
     checked = 0
     for li, lj in _sampled_ordered_pairs(geo, pairs, seed):
@@ -826,7 +855,7 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
         checked += 1
         if lab_i == lab_j or pair_conditions(s, vals[lab_i], vals[lab_j])[1]:
             if not outside_i.isdisjoint(points_j):
-                return _fail(name, q, f"interference at labels {lab_i}, {lab_j}")
+                return False, f"interference at labels {lab_i}, {lab_j}"
     labels = candidate_universe(geo.lam)
     agg = 0
     for lab_i in labels:
@@ -840,45 +869,45 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
             found = any(not _pair_data(geo, li)[2].isdisjoint(_pair_data(geo, lj)[3])
                         for li in pen_i for lj in pen_j)
             if found != want:
-                return _fail(name, q, f"label verdict wrong at {lab_i}, {lab_j}")
-    return _ok(name, q, f"{checked} line pairs, {agg} label pairs")
+                return False, f"label verdict wrong at {lab_i}, {lab_j}"
+    return True, f"{checked} line pairs, {agg} label pairs"
 
 
 # ---------------------------------------------------------------------------
 # good sets, parallelisms, groups
 
 
+@suite("plane-model-partitions", lambda q: q <= 7)
 def check_plane_model_partitions(geo: Geometry) -> CheckResult:
     """Model point sets have size (q+1)^2, are pairwise disjoint, and are
     partitioned by the line family and by each conic family into q+1
     classes of q+1 points."""
-    name = "plane-model-partitions"
     q = geo.q
     lam = geo.lam
     model = PlaneModel(lam)
     zsets = {a: model.Z_alpha(a) for a in lam.I}
     for a, z in zsets.items():
         if len(z) != (q + 1) ** 2:
-            return _fail(name, q, f"|Z| = {len(z)} at index {a}")
+            return False, f"|Z| = {len(z)} at index {a}"
         for c in model.U:
             cls = [p for p in z if model.on_line(c, p)]
             if len(cls) != q + 1:
-                return _fail(name, q, "line class size wrong")
+                return False, "line class size wrong"
         for b in model.U:
             cls = [p for p in z if model.on_conic(lam.alpha(a), b, p)]
             if len(cls) != q + 1:
-                return _fail(name, q, "conic class size wrong")
+                return False, "conic class size wrong"
     for a1, a2 in combinations(lam.I, 2):
         if zsets[a1] & zsets[a2]:
-            return _fail(name, q, "model point sets intersect")
-    return _ok(name, q, f"{len(lam.I)} components of size {(q + 1)**2}")
+            return False, "model point sets intersect"
+    return True, f"{len(lam.I)} components of size {(q + 1)**2}"
 
 
+@suite("goodset-predicate-equivalence", lambda q: q <= 7)
 def check_predicate_equivalence(geo: Geometry, samples: int = 20000,
                                 seed: int = 5) -> CheckResult:
     """The pairwise algebraic predicate agrees with the one-point-per-line,
     one-point-per-bundle geometric predicate."""
-    name = "goodset-predicate-equivalence"
     q = geo.q
     lam = geo.lam
     univ = candidate_universe(lam)
@@ -893,14 +922,14 @@ def check_predicate_equivalence(geo: Geometry, samples: int = 20000,
     for sub in todo:
         n += 1
         if is_good(lam, sub).ok != is_good_geometric(lam, sub):
-            return _fail(name, q, f"predicates disagree on {sub}")
-    return _ok(name, q, f"{note}, {n} subsets")
+            return False, f"predicates disagree on {sub}"
+    return True, f"{note}, {n} subsets"
 
 
+@suite("line-conic-intersections", lambda q: q <= 7)
 def check_intersection_tables(geo: Geometry) -> CheckResult:
     """Line/conic/component intersection counts and their bundle row sums,
     exhaustively over all (c, b, alpha, beta)."""
-    name = "line-conic-intersections"
     s = geo.spec
     q = geo.q
     lam = geo.lam
@@ -913,11 +942,11 @@ def check_intersection_tables(geo: Geometry) -> CheckResult:
             for (a_idx, b_idx), cnt in prof.items():
                 if a_idx != b_idx:
                     if cnt != 0:
-                        return _fail(name, q, "off-component intersection nonzero")
+                        return False, "off-component intersection nonzero"
                     continue
                 if q % 2 == 0:
                     if cnt != 1:
-                        return _fail(name, q, f"even-q count {cnt} != 1")
+                        return False, f"even-q count {cnt} != 1"
                     continue
                 sign = s.pow(s.mul(c, b), half)
                 square = s.is_square_subfield(lam.norm_of(a_idx)) \
@@ -925,24 +954,24 @@ def check_intersection_tables(geo: Geometry) -> CheckResult:
                 want = 2 if ((square and sign == 1)
                              or (not square and sign == minus1)) else 0
                 if cnt != want:
-                    return _fail(name, q, f"odd-q count {cnt} != {want}")
+                    return False, f"odd-q count {cnt} != {want}"
             row = sum(prof[(a_idx, a_idx)] for a_idx in lam.I)
             if q % 2 == 0:
                 if row != len(lam.I):
-                    return _fail(name, q, "bundle row sum wrong")
+                    return False, "bundle row sum wrong"
             else:
                 sign = s.pow(s.mul(c, b), half)
                 want_row = 2 * i1 if sign == 1 else 2 * i2
                 if row != want_row:
-                    return _fail(name, q, "bundle row sum wrong")
-    return _ok(name, q, f"all {(q + 1) ** 2} (c,b) cells")
+                    return False, "bundle row sum wrong"
+    return True, f"all {(q + 1) ** 2} (c,b) cells"
 
 
+@suite("goodset-census")
 def check_count_census(geo: Geometry) -> CheckResult:
     """Enumeration agrees with the mask count, is duplicate-free, emits
     only good sets, and is deterministic (two runs give identical streams).
     Closed-form agreement is reported as data."""
-    name = "goodset-census"
     q = geo.q
     lam = geo.lam
     cen = census(lam)
@@ -951,26 +980,26 @@ def check_count_census(geo: Geometry) -> CheckResult:
         run1 = list(enumerate_good_sets(lam))
         run2 = list(enumerate_good_sets(lam))
         if run1 != run2:
-            return _fail(name, q, "two enumeration runs differ")
+            return False, "two enumeration runs differ"
         if len(run1) != len(set(run1)):
-            return _fail(name, q, "enumeration emitted duplicates")
+            return False, "enumeration emitted duplicates"
         if len(run1) != cen.oracle:
-            return _fail(name, q, f"enumeration {len(run1)} != mask count {cen.oracle}")
+            return False, f"enumeration {len(run1)} != mask count {cen.oracle}"
         probe = run1 if len(run1) <= 256 else run1[:256]
         for gs in probe:
             if not is_good(lam, gs).ok:
-                return _fail(name, q, "enumeration emitted a non-good set")
+                return False, "enumeration emitted a non-good set"
     for k, v in cen.formulas.items():
         detail += f", {k}={v}{'(match)' if cen.oracle_matches.get(k) else '(differs)'}"
     if cen.formula_conflict:
         detail += ", even-q printed forms conflict"
-    return _ok(name, q, detail)
+    return True, detail
 
 
+@suite("parallelism-roundtrip", lambda q: q <= 5)
 def check_parallelism_roundtrip(geo: Geometry, count: int = 4) -> CheckResult:
     """Build a few parallelisms, verify exact cover, invariance under the
     unitriangular group, and label recovery."""
-    name = "parallelism-roundtrip"
     q = geo.q
     lam = geo.lam
     sets = [fixed_plane_good_set(lam, lam.I[0], 0),
@@ -981,21 +1010,21 @@ def check_parallelism_roundtrip(geo: Geometry, count: int = 4) -> CheckResult:
         par = build_parallelism(geo, gs)
         cert = verify_parallelism(geo, par)
         if not cert.ok:
-            return _fail(name, q, f"certificate failed: {cert.reason()}")
+            return False, f"certificate failed: {cert.reason()}"
         if cert.line_count != (q * q + 1) * (q * q + q + 1):
-            return _fail(name, q, "covered line count wrong")
+            return False, "covered line count wrong"
         if not is_E_invariant(geo, par):
-            return _fail(name, q, "not invariant under the unitriangular group")
+            return False, "not invariant under the unitriangular group"
         res = characterize(geo, par)
         if not res.ok or res.good_set != flip_canonical(lam, gs):
-            return _fail(name, q, f"label recovery failed: {res.reason}")
-    return _ok(name, q, f"{len(sets)} parallelisms")
+            return False, f"label recovery failed: {res.reason}"
+    return True, f"{len(sets)} parallelisms"
 
 
+@suite("non-good-families-fail", lambda q: q <= 4)
 def check_negative_mutations(geo: Geometry, want: int = 20) -> CheckResult:
     """Families assembled from non-good label sets must fail the exact
     cover with a concrete overcovered or uncovered line."""
-    name = "non-good-families-fail"
     q = geo.q
     lam = geo.lam
     n = q + 1
@@ -1016,25 +1045,24 @@ def check_negative_mutations(geo: Geometry, want: int = 20) -> CheckResult:
                 family = assemble_spread_family(geo, cands)
                 cert = verify_parallelism(geo, family)
                 if cert.ok:
-                    return _fail(name, q, f"mutant {cands} passed verification")
+                    return False, f"mutant {cands} passed verification"
                 if not cert.multiply_covered and not cert.uncovered \
                         and not cert.spread_failures:
-                    return _fail(name, q, "failure without a concrete witness")
+                    return False, "failure without a concrete witness"
     if tried < want:
-        return _fail(name, q, f"only {tried} mutants exercised")
+        return False, f"only {tried} mutants exercised"
     try:
         build_parallelism(geo, cands)
-        return _fail(name, q, "builder accepted a non-good set")
+        return False, "builder accepted a non-good set"
     except ValueError:
         pass
-    return _ok(name, q, f"{tried} mutants all failed with witnesses")
+    return True, f"{tried} mutants all failed with witnesses"
 
 
+@suite("pencil-orbits", lambda q: q <= 5)
 def check_pencil_orbits(geo: Geometry, sample: int = 6, seed: int = 17) -> CheckResult:
     """The unitriangular group is transitive on each punctured pencil:
     the orbit of any member is the full punctured pencil."""
-    name = "pencil-orbits"
-    q = geo.q
     rng = random.Random(seed)
     E = group_E(geo)
     labels = candidate_universe(geo.lam)
@@ -1044,55 +1072,55 @@ def check_pencil_orbits(geo: Geometry, sample: int = 6, seed: int = 17) -> Check
         l = next(iter(punct))
         orbit = {psi.apply_line(l) for psi in E.elements}
         if orbit != punct:
-            return _fail(name, q, f"orbit mismatch at {(a, u, v)}")
-    return _ok(name, q, f"{min(sample, len(labels))} pencils")
+            return False, f"orbit mismatch at {(a, u, v)}"
+    return True, f"{min(sample, len(labels))} pencils"
 
 
+@suite("unitriangular-group", lambda q: q <= 5)
 def check_unitriangular_group(geo: Geometry) -> CheckResult:
     """Order q^2, elementary abelian, fixes r_U1 pointwise, stabilizes the
     transversal pair, every component, and every distinguished plane."""
-    name = "unitriangular-group"
     s = geo.spec
     q = geo.q
     E = group_E(geo)
     if E.order != q * q:
-        return _fail(name, q, f"order {E.order} != q^2")
+        return False, f"order {E.order} != q^2"
     for psi in E.elements:
         power = psi
         for _ in range(s.p - 1):
             power = power.then(psi)
         if not power.is_identity():
-            return _fail(name, q, "element order does not divide p")
+            return False, "element order does not divide p"
     for g1 in E.generators:
         for g2 in E.generators:
             if g1.then(g2).canonical_key() != g2.then(g1).canonical_key():
-                return _fail(name, q, "generators do not commute")
+                return False, "generators do not commute"
     for P in line_points(s, geo.space.r_U1):
         if any(psi.apply_point(P) != P for psi in E.generators):
-            return _fail(name, q, "r_U1 not fixed pointwise")
+            return False, "r_U1 not fixed pointwise"
     for psi in E.generators:
         if psi.apply_line(geo.space.t1) != geo.space.t1:
-            return _fail(name, q, "t1 moved")
+            return False, "t1 moved"
         if psi.apply_line(geo.space.t2) != geo.space.t2:
-            return _fail(name, q, "t2 moved")
+            return False, "t2 moved"
         for k in range(q - 1):
             sig = geo.component(k)
             if {psi.apply_point(P) for P in sig} != sig:
-                return _fail(name, q, "component moved")
+                return False, "component moved"
         # psi fixes r_U1, so it maps a plane through r_U1 to the plane of
         # r_U1 and the image of any one of its other points
         for a in geo.lam.I:
             for v_pow in range(q + 1):
                 R = psi.apply_point(geo.plane_point(a, v_pow))
                 if geo.r_U1_plane(R) != geo.plane_pi(a, v_pow):
-                    return _fail(name, q, "distinguished plane moved")
-    return _ok(name, q, f"order {E.order}")
+                    return False, "distinguished plane moved"
+    return True, f"order {E.order}"
 
 
+@suite("distinct-parallelisms", lambda q: q <= 5)
 def check_distinct_parallelisms(geo: Geometry, sample: int = 24, seed: int = 23) -> CheckResult:
     """Distinct norm-minus-one-free good sets give distinct parallelisms;
     flip-conjugate good sets give the same parallelism."""
-    name = "distinct-parallelisms"
     q = geo.q
     lam = geo.lam
     rng = random.Random(seed)
@@ -1106,7 +1134,7 @@ def check_distinct_parallelisms(geo: Geometry, sample: int = 24, seed: int = 23)
     for gs in family:
         key = build_parallelism(geo, gs).key()
         if key in keys:
-            return _fail(name, q, f"collision between {keys[key]} and {gs}")
+            return False, f"collision between {keys[key]} and {gs}"
         keys[key] = gs
     detail = f"{len(family)} norm-filtered good sets pairwise distinct"
     classes = flip_classes(lam)
@@ -1117,16 +1145,16 @@ def check_distinct_parallelisms(geo: Geometry, sample: int = 24, seed: int = 23)
         k1 = build_parallelism(geo, gs).key()
         k2 = build_parallelism(geo, canonical(d if x == c else x for x in gs)).key()
         if k1 != k2:
-            return _fail(name, q, "flip-conjugate labels changed the parallelism")
+            return False, "flip-conjugate labels changed the parallelism"
         detail += "; flip-conjugate collapse confirmed"
-    return _ok(name, q, detail)
+    return True, detail
 
 
+@suite("model-group-actions", lambda q: q <= 4)
 def check_group_actions(geo: Geometry, sample: int = 4, seed: int = 29) -> CheckResult:
     """Model-plane group actions: images of good sets are good, the label
     swap is an involution, and the diagonal action yields equivalent
     parallelisms via the explicit diagonal witness."""
-    name = "model-group-actions"
     s = geo.spec
     q = geo.q
     lam = geo.lam
@@ -1136,9 +1164,9 @@ def check_group_actions(geo: Geometry, sample: int = 4, seed: int = 29) -> Check
     gens = [G1Element(1, 0), G1Element(0, 1), G1Element(0, 0, swapped=True)]
     for gs in probe:
         if dual(dual(gs)) != gs:
-            return _fail(name, q, "label swap is not an involution")
+            return False, "label swap is not an involution"
         if not is_good(lam, dual(gs)).ok:
-            return _fail(name, q, "dual of a good set is not good")
+            return False, "dual of a good set is not good"
         for g in gens:
             apply_G1(lam, gs, g)   # raises if the image is not good
     # diagonal action: explicit ambient witness maps the parallelisms
@@ -1157,34 +1185,33 @@ def check_group_actions(geo: Geometry, sample: int = 4, seed: int = 29) -> Check
     p2 = build_parallelism(geo, img)
     if (geo.spread_keys((sp.lines for sp in p1.spreads), geo.point_permutation(witness))
             != geo.spread_keys(sp.lines for sp in p2.spreads)):
-        return _fail(name, q, "diagonal witness does not map the parallelisms")
+        return False, "diagonal witness does not map the parallelisms"
     if are_equivalent(geo, gs, img) is None:
-        return _fail(name, q, "diagonal images not detected as equivalent")
-    return _ok(name, q, f"{len(probe)} sets, diagonal witness verified")
+        return False, "diagonal images not detected as equivalent"
+    return True, f"{len(probe)} sets, diagonal witness verified"
 
 
+@suite("stabilizer-order", lambda q: q <= 5)
 def check_stabilizer_order(geo: Geometry) -> CheckResult:
     """Closure of the line-stabilizer generators has the reference order
     and every generator preserves the spread union and the line."""
-    name = "stabilizer-order"
-    q = geo.q
     grp = stabilizer_group(geo)
     if grp.order != grp.formula_order:
-        return _fail(name, q, f"closure {grp.order} != formula {grp.formula_order}")
+        return False, f"closure {grp.order} != formula {grp.formula_order}"
     d_lines, r_line = [geo.desarguesian_spread().lines], [[geo.space.r_U1]]
     for perm in map(geo.point_permutation, grp.generators):
         if geo.spread_keys(d_lines, perm) != geo.spread_keys(d_lines):
-            return _fail(name, q, "generator moves the Desarguesian spread")
+            return False, "generator moves the Desarguesian spread"
         if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
-            return _fail(name, q, "generator moves the distinguished line")
-    return _ok(name, q, f"order {grp.order}")
+            return False, "generator moves the distinguished line"
+    return True, f"order {grp.order}"
 
 
+@suite("equivalence-search", lambda q: q <= 4)
 def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) -> CheckResult:
     """Randomized soundness of the equivalence search, inequivalence of the
     fixed-plane example and its dual, and (q=3) confirmation against the
     full spread stabilizer."""
-    name = "equivalence-search"
     q = geo.q
     lam = geo.lam
     rng = random.Random(seed)
@@ -1195,11 +1222,11 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
         psi = rng.choice(grp.elements)
         moved = apply_label_action(label_action(geo, psi), flip_canonical(lam, gs))
         if are_equivalent(geo, gs, moved) is None:
-            return _fail(name, q, "search missed a constructed equivalence")
+            return False, "search missed a constructed equivalence"
     B = fixed_plane_good_set(lam, lam.I[0], 0)
     Bd = dual(B)
     if are_equivalent(geo, B, Bd) is not None:
-        return _fail(name, q, "fixed-plane example equivalent to its dual")
+        return False, "fixed-plane example equivalent to its dual"
     detail = f"{trials} random pairs, dual separation"
     if q == 3:
         # sweep the full spread stabilizer: no element carries the
@@ -1224,85 +1251,22 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
             elif whole == own_key:
                 stab_size += 1
                 if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
-                    return _fail(name, q,
-                                 "a parallelism stabilizer element moves r_U1")
+                    return False, "a parallelism stabilizer element moves r_U1"
         if cross_hits:
-            return _fail(name, q, "full-group sweep found a forbidden equivalence")
+            return False, "full-group sweep found a forbidden equivalence"
         detail += (f", full-group sweep over {full.order} elements clean "
                    f"(stabilizer size {stab_size}, all fixing the line)")
-    return _ok(name, q, detail)
+    return True, detail
 
 
+@suite("orbit-consistency", lambda q: q <= 4)
 def check_orbit_consistency(geo: Geometry) -> CheckResult:
     """Orbit sizes divide the group order, stabilizer orders multiply back,
     and family counts sum to the family size."""
-    name = "orbit-consistency"
-    q = geo.q
     report = classify(geo)
     if sum(o.family_count for o in report.orbits) != report.family_size:
-        return _fail(name, q, "family counts do not sum up")
+        return False, "family counts do not sum up"
     for o in report.orbits:
         if o.size * o.stabilizer_order != report.group_order:
-            return _fail(name, q, "orbit-stabilizer relation broken")
-    return _ok(name, q,
-               f"{report.orbit_count} orbits on {report.family_size} classes")
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-def _wants(*qs):
-    qset = set(qs)
-    return lambda q: q in qset
-
-
-# (name, suite, applies at q, whether the suite samples with a seed that
-# --sample-seed overrides)
-SUITES = [
-    ("field-automorphism", check_field_automorphism, lambda q: True, True),
-    ("norm-partition", check_norm_partition, lambda q: True, False),
-    ("lambda-classes", check_lambda_classes, lambda q: True, False),
-    ("baer-subgeometries", check_baer_subgeometries, lambda q: q <= 5, False),
-    ("subline-extension", check_subline_extension, lambda q: q <= 5, False),
-    ("spread-union-sections", check_spread_union, lambda q: q <= 5, False),
-    ("regulus-transversal-classification",
-     check_regulus_transversal_classification, _wants(3), False),
-    ("pencil-line-family", check_pencils_and_line_family, lambda q: q <= 5, False),
-    ("transversal-spreads", check_transversal_spreads, lambda q: q <= 5, True),
-    ("hall-spreads", check_hall_spreads, lambda q: q <= 5, True),
-    ("desarguesian-regulus-property",
-     check_desarguesian_property, lambda q: q <= 5, True),
-    ("shifted-spread-plane-sections", check_plane_sections, _wants(3, 5), False),
-    ("shift-maps", check_shift_maps, _wants(3, 5), False),
-    ("section-subplane-meet", check_subplane_meet, _wants(3, 5), False),
-    ("section-pivot-point", check_section_pivot, _wants(3, 5), False),
-    ("regulus-pair-conditions", check_regulus_pair_conditions, lambda q: q <= 5, True),
-    ("extension-disjointness-conditions",
-     check_extension_disjoint_conditions, lambda q: q <= 5, True),
-    ("plane-model-partitions", check_plane_model_partitions, lambda q: q <= 7, False),
-    ("goodset-predicate-equivalence",
-     check_predicate_equivalence, lambda q: q <= 7, True),
-    ("line-conic-intersections", check_intersection_tables, lambda q: q <= 7, False),
-    ("goodset-census", check_count_census, lambda q: True, False),
-    ("parallelism-roundtrip", check_parallelism_roundtrip, lambda q: q <= 5, False),
-    ("non-good-families-fail", check_negative_mutations, lambda q: q <= 4, False),
-    ("pencil-orbits", check_pencil_orbits, lambda q: q <= 5, True),
-    ("unitriangular-group", check_unitriangular_group, lambda q: q <= 5, False),
-    ("distinct-parallelisms", check_distinct_parallelisms, lambda q: q <= 5, True),
-    ("model-group-actions", check_group_actions, lambda q: q <= 4, True),
-    ("stabilizer-order", check_stabilizer_order, lambda q: q <= 5, False),
-    ("equivalence-search", check_equivalence_search, lambda q: q <= 4, True),
-    ("orbit-consistency", check_orbit_consistency, lambda q: q <= 4, False),
-]
-
-
-def run_selftest(geo: Geometry, sample_seed: int | None = None) -> list[CheckResult]:
-    """Run every suite applicable at this q, in registry order.  A sample
-    seed overrides the fixed default of every sampling suite."""
-    results = []
-    for name, fn, wants, sampled in SUITES:
-        if wants(geo.q):
-            seeded = sampled and sample_seed is not None
-            results.append(fn(geo, seed=sample_seed) if seeded else fn(geo))
-    return results
+            return False, "orbit-stabilizer relation broken"
+    return True, f"{report.orbit_count} orbits on {report.family_size} classes"

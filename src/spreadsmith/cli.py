@@ -136,6 +136,12 @@ def _emit(args, lines):
             out.write("\n")
 
 
+def _refuse_overwrite(args, what):
+    """--output may not name the input file, which it would replace."""
+    if args.output and Path(args.output).resolve() == Path(args.file).resolve():
+        raise UsageError(f"--output {args.output} would overwrite the {what}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each imports the layers it runs, so a command pays for no
 # other command's modules
@@ -212,8 +218,7 @@ def cmd_goodsets(args) -> int:
         _emit(args, (goodset_record(lam, gs) for gs in sets))
         return 0
     # verify FILE
-    if args.output and Path(args.output).resolve() == Path(args.file).resolve():
-        raise UsageError(f"--output {args.output} would overwrite the records it verifies")
+    _refuse_overwrite(args, "records it verifies")
     bad = 0
 
     def report():
@@ -253,6 +258,8 @@ def cmd_parallelism(args) -> int:
     )
     from spreadsmith.spreads import Geometry
 
+    _refuse_overwrite(args, "record it builds from" if args.subcmd == "build"
+                      else "parallelism file it reads")
     if args.subcmd == "build":
         geo = Geometry(_lambda_from_args(args))
         first = next((line for line in _input_lines(args.file) if line.strip()), None)
@@ -297,15 +304,14 @@ def cmd_parallelism(args) -> int:
                 msgs.append(f"first uncovered line: {cert.uncovered[0]}")
             if cert.multiply_covered:
                 msgs.append(f"first multiply covered line: {cert.multiply_covered[0]}")
-        print("\n".join(msgs))
-        print("verdict:", "pass" if ok else "FAIL")
+        _emit(args, msgs + [f"verdict: {'pass' if ok else 'FAIL'}"])
         return 0 if ok else VERIFY_ERROR
     # characterize
     res = characterize(geo, spreads)
     if not res.ok:
-        print(f"characterization failed: {res.reason}")
+        _emit(args, [f"characterization failed: {res.reason}"])
         return VERIFY_ERROR
-    print(goodset_record(geo.lam, res.good_set))
+    _emit(args, [goodset_record(geo.lam, res.good_set)])
     return 0
 
 

@@ -240,6 +240,25 @@ def test_collineation_algebra():
         assert c1.apply_point(P) == tau_point(s, s.generator, P)
 
 
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 16])
+def test_from_tau_acts_as_tau_point(q):
+    """Collineation.from_tau(spec, alpha) is tau_alpha: on every point at
+    q = 3 and 4 and on seeded points above, for an alpha of norm 1 and one
+    of another norm."""
+    s = field_for_q(q)
+    if q <= 4:
+        pts = AmbientSpace(s).all_points()
+    else:
+        rng = random.Random(q)
+        vecs = (tuple(rng.randrange(s.order) for _ in range(4)) for _ in range(2000))
+        pts = [normalize(s, v) for v in vecs if any(v)]
+    unit = next(u for u in s.unit_circle() if u != 1)
+    for alpha in (unit, s.generator):
+        assert (s.norm(alpha) == 1) == (alpha == unit)
+        tau = Collineation.from_tau(s, alpha)
+        assert [tau.apply_point(P) for P in pts] == [tau_point(s, alpha, P) for P in pts]
+
+
 def test_collineation_preserves_incidence():
     s = field_for_q(4)
     amb = AmbientSpace(s)

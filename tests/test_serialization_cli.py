@@ -454,6 +454,60 @@ def test_cli_parallelism_round_trip(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_cli_parallelism_verify_and_characterize_write_to_output(tmp_path, capsys):
+    # each writes to --output exactly what it prints without it, and exits
+    # with the same status, for a valid file and for one missing a spread
+    lam = lambda_for_q(3)
+    gs_file = tmp_path / "gs.jsonl"
+    gs_file.write_text(goodset_record(lam, fixed_plane_good_set(lam, lam.I[0], 0)) + "\n")
+    good, broken = tmp_path / "par.jsonl", tmp_path / "broken.jsonl"
+    assert run_cli("parallelism", "build", str(gs_file), "--q", "3",
+                   "--output", str(good)) == 0
+    capsys.readouterr()
+    rows = good.read_text().splitlines()
+    rows.remove(next(r for r in rows if '"type":"spread"' in r))
+    broken.write_text("\n".join(rows) + "\n")
+    for par, status in ((good, 0), (broken, 1)):
+        for subcmd in ("verify", "characterize"):
+            assert run_cli("parallelism", subcmd, str(par)) == status
+            stdout = capsys.readouterr().out
+            out = tmp_path / f"{par.stem}-{subcmd}.txt"
+            assert run_cli("parallelism", subcmd, str(par), "--output", str(out)) == status
+            assert capsys.readouterr().out == ""
+            assert out.read_text() == stdout
+    assert (tmp_path / "par-verify.txt").read_text().endswith("verdict: pass\n")
+    assert (tmp_path / "broken-verify.txt").read_text().endswith("verdict: FAIL\n")
+    assert (tmp_path / "broken-characterize.txt").read_text().startswith(
+        "characterization failed: ")
+
+
+@pytest.mark.parametrize("subcmd, what", [
+    ("build", "record it builds from"),
+    ("verify", "parallelism file it reads"),
+    ("characterize", "parallelism file it reads"),
+])
+def test_cli_parallelism_output_may_not_replace_its_input(subcmd, what, tmp_path, capsys):
+    lam = lambda_for_q(3)
+    gs_file = tmp_path / "gs.jsonl"
+    gs_file.write_text(goodset_record(lam, fixed_plane_good_set(lam, lam.I[0], 0)) + "\n")
+    source = tmp_path / "par.jsonl"
+    assert run_cli("parallelism", "build", str(gs_file), "--q", "3",
+                   "--output", str(source)) == 0
+    capsys.readouterr()
+    if subcmd == "build":
+        source = gs_file
+    before = source.read_bytes()
+    # the same file, named through another path
+    same = tmp_path / "sub" / ".." / source.name
+    (tmp_path / "sub").mkdir()
+    assert run_cli("parallelism", subcmd, str(source), "--q", "3",
+                   "--output", str(same)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --output {same} would overwrite the {what}\n"
+    assert source.read_bytes() == before
+
+
 def test_cli_classify_q3(tmp_path, capsys):
     outdir = tmp_path / "cls"
     assert run_cli("classify", "--q", "3", "--output", str(outdir)) == 0
