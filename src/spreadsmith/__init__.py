@@ -23,39 +23,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "FieldSpec",
-    "LambdaSystem",
-    "NormPartition",
-    "build_lambda",
-    "build_partition",
-    "field_for_q",
-    "lambda_for_q",
-    "Geometry",
-    "Pencil",
-    "Regulus",
-    "Spread",
-    "geometry_for_q",
-    "Candidate",
-    "census",
-    "count_formula",
-    "count_good_sets",
-    "dual",
-    "enumerate_good_sets",
-    "fixed_plane_good_set",
-    "fixed_point_good_set",
-    "is_good",
-    "is_good_geometric",
-    "Parallelism",
-    "build_parallelism",
-    "characterize",
-    "group_E",
-    "is_E_invariant",
-    "verify_parallelism",
-    "are_equivalent",
-    "classify",
-    "stabilizer_group",
-]
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):

@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each command is declared once, in COMMANDS: its function, the FILE it reads
+if any, and the options it reads.  `main` builds the parser of the command
+argv names and of no other, which takes exactly those options, before or
+after the subcommand and its file; any other option exits 2.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 141 when the reader closes stdout early (as after `| head`), the status a
 shell reports for a filter that SIGPIPE stops, and 143 after SIGTERM, which
@@ -17,20 +22,10 @@ import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-from spreadsmith.field_codec import (
-    dumps,
-    field_spec_to_obj,
-    lambda_from_obj,
-    lambda_to_obj,
-    loads,
-)
-from spreadsmith.field_tower import (
-    FieldSpec,
-    LambdaSystem,
-    build_lambda,
-    build_partition,
-    prime_power,
-)
+from spreadsmith.field_codec import (dumps, field_spec_to_obj, lambda_from_obj,
+                                     lambda_to_obj, loads)
+from spreadsmith.field_tower import (FieldSpec, LambdaSystem, build_lambda, build_partition,
+                                     prime_power)
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -111,7 +106,7 @@ def _lambda_from_args(args) -> LambdaSystem:
     """The Lambda system of the field options: read from --lambda, else
     the default one.  Building it needs no geometry."""
     spec = _field_from_args(args)
-    if getattr(args, "lambda_file", None):
+    if args.lambda_file:
         with _open_input(args.lambda_file) as fh:
             try:
                 return lambda_from_obj(spec, loads(fh.read()))
@@ -136,10 +131,10 @@ def _emit(args, lines):
             out.write("\n")
 
 
-def _refuse_overwrite(args, what):
-    """--output may not name the input file, which it would replace."""
-    if args.output and Path(args.output).resolve() == Path(args.file).resolve():
-        raise UsageError(f"--output {args.output} would overwrite the {what}")
+def _refuse_overwrite(output, source, what):
+    """The output path, if any, may not name the input file, which it would replace."""
+    if output and Path(output).resolve() == Path(source).resolve():
+        raise UsageError(f"--output {output} would overwrite the {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +183,11 @@ def cmd_goodsets(args) -> int:
     from spreadsmith.serialization import goodset_record, parse_goodset_record
 
     lam = _lambda_from_args(args)
-    exclude = args.filter == "no-norm-minus-one"
     if args.subcmd == "count":
-        cen = census(lam, exclude_norm_minus_one=exclude)
+        cen = census(lam, exclude_norm_minus_one=args.filter == "no-norm-minus-one")
         obj = {
             "q": cen.q,
-            "filter": "no-norm-minus-one" if exclude else "all",
+            "filter": args.filter,
             "count": cen.oracle,
             "formulas": {k: (str(v) if not isinstance(v, int) else v)
                          for k, v in cen.formulas.items()},
@@ -213,12 +207,14 @@ def cmd_goodsets(args) -> int:
             _emit(args, out)
         return 0
     if args.subcmd == "enumerate":
-        sets = enumerate_good_sets(lam, exclude_norm_minus_one=exclude,
+        if args.limit is not None and args.limit < 0:
+            raise UsageError("--limit must not be negative")
+        sets = enumerate_good_sets(lam, exclude_norm_minus_one=args.filter == "no-norm-minus-one",
                                    limit=args.limit)
         _emit(args, (goodset_record(lam, gs) for gs in sets))
         return 0
     # verify FILE
-    _refuse_overwrite(args, "records it verifies")
+    _refuse_overwrite(args.output, args.file, "records it verifies")
     bad = 0
 
     def report():
@@ -249,19 +245,16 @@ def cmd_goodsets(args) -> int:
 
 def cmd_parallelism(args) -> int:
     from spreadsmith.parallelisms import build_parallelism, characterize, verify_parallelism
-    from spreadsmith.serialization import (
-        certificate_record,
-        goodset_record,
-        parse_goodset_record,
-        read_parallelism_file,
-        write_parallelism_file,
-    )
+    from spreadsmith.serialization import (certificate_record, goodset_record,
+                                           parse_goodset_record, read_parallelism_file,
+                                           write_parallelism_file)
     from spreadsmith.spreads import Geometry
 
-    _refuse_overwrite(args, "record it builds from" if args.subcmd == "build"
-                      else "parallelism file it reads")
     if args.subcmd == "build":
-        geo = Geometry(_lambda_from_args(args))
+        lam = _lambda_from_args(args)
+        out = args.output or f"parallelism_q{lam.spec.q}.jsonl"
+        _refuse_overwrite(out, args.file, "record it builds from")
+        geo = Geometry(lam)
         first = next((line for line in _input_lines(args.file) if line.strip()), None)
         if first is None:
             raise UsageError(f"{args.file} holds no good-set record")
@@ -275,15 +268,15 @@ def cmd_parallelism(args) -> int:
             print(exc)
             return VERIFY_ERROR
         cert = par.certificate
-        out = args.output or f"parallelism_q{geo.q}.jsonl"
         with _writing(out):
             write_parallelism_file(out, geo, par, cert)
         print(f"wrote {out}: {len(par.spreads)} spreads, "
               f"{cert.line_count} lines, certificate "
               f"{'pass' if cert.ok else 'FAIL'}, checksum {cert.checksum[:16]}..")
         return 0 if cert.ok else VERIFY_ERROR
+    _refuse_overwrite(args.output, args.file, "parallelism file it reads")
     try:
-        header, geo, spreads, stored = read_parallelism_file(args.file)
+        _, geo, spreads, stored = read_parallelism_file(args.file)
     except OSError as exc:
         raise UsageError(f"cannot read {args.file}: {exc.strerror}") from None
     except (ValueError, KeyError) as exc:
@@ -359,70 +352,81 @@ def cmd_selftest(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# the command table: every option, declared once, and the ones each command reads
+
+OPTIONS = {
+    "--q": dict(type=int, help="field order q = p^m (3..16)"),
+    "--p": dict(type=int, help="characteristic (with --m)"),
+    "--m": dict(type=int, help="extension degree (with --p)"),
+    "--modulus-q": dict(help="comma-separated GF(p) coefficients, constant first"),
+    "--modulus-q2": dict(help="comma-separated GF(q) codes c0,c1,1"),
+    "--lambda": dict(dest="lambda_file", help="JSON file overriding the norm-representative list"),
+    "--filter": dict(choices=("all", "no-norm-minus-one"), default="all"),
+    "--limit": dict(type=int, help="stop after this many good sets"),
+    "--format": dict(choices=("json", "text"), default="text"),
+    "--output": dict(help="the file (classify: the directory) that takes the output"),
+    "--sample-seed": dict(type=int, help="seed for the sampling suites (defaults are fixed)"),
+}
+FIELD = ("--q", "--p", "--m", "--modulus-q", "--modulus-q2", "--lambda")
+
+# each command's words -> its function, its FILE ("" for none), the options it reads
+COMMANDS = {
+    "field-info": (cmd_field_info, "", FIELD + ("--format", "--output")),
+    "goodsets count": (cmd_goodsets, "", FIELD + ("--filter", "--format", "--output")),
+    "goodsets enumerate": (cmd_goodsets, "", FIELD + ("--filter", "--limit", "--output")),
+    "goodsets verify": (cmd_goodsets, "a record file", FIELD + ("--output",)),
+    "parallelism build": (cmd_parallelism, "a record file", FIELD + ("--output",)),
+    "parallelism verify": (cmd_parallelism, "a parallelism file", ("--output",)),
+    "parallelism characterize": (cmd_parallelism, "a parallelism file", ("--output",)),
+    "classify": (cmd_classify, "", FIELD + ("--output",)),
+    "selftest": (cmd_selftest, "", FIELD + ("--sample-seed",)),
+}
+# the first word of each command, as the top-level help lists them
+HELP = {"field-info": "print the field tower and label classes",
+        "goodsets": "count, enumerate or verify good sets",
+        "parallelism": "build, verify or characterize a parallelism",
+        "classify": "orbit classification of all parallelisms",
+        "selftest": "run every verification suite for this q"}
 
 
-def _add_field_args(p: argparse.ArgumentParser):
-    p.add_argument("--q", type=int, help="field order q = p^m (3..16)")
-    p.add_argument("--p", type=int, help="characteristic (with --m)")
-    p.add_argument("--m", type=int, help="extension degree (with --p)")
-    p.add_argument("--modulus-q", help="comma-separated GF(p) coefficients, constant first")
-    p.add_argument("--modulus-q2", help="comma-separated GF(q) codes c0,c1,1")
-    p.add_argument("--lambda", dest="lambda_file",
-                   help="JSON file overriding the norm-representative list")
-
-
-def _add_goodsets_args(p: argparse.ArgumentParser):
-    _add_field_args(p)
-    p.add_argument("--filter", choices=("all", "no-norm-minus-one"))
-    p.add_argument("--limit", type=int)
-    p.add_argument("--format", choices=("json", "text"))
-    p.add_argument("--output")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="spreadsmith",
-        description="Construct, enumerate, verify and classify line-parallelisms "
-                    "of PG(3,q) built from a Desarguesian spread and Hall spreads.")
+def _usage(prog: str, description: str, names: dict, argv: list[str]):
+    """Parse argv against one level's names alone: it ends in their help or usage error."""
+    ap = argparse.ArgumentParser(prog=prog, description=description)
     sub = ap.add_subparsers(dest="command", required=True)
+    for name, help in names.items():
+        sub.add_parser(name, help=help)
+    ap.parse_args(argv)
+    ap.error("the command name goes first")
 
-    p = sub.add_parser("field-info", help="print the field tower and label classes")
-    _add_field_args(p)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_field_info)
 
-    # the options go before or after the subcommand: each subcommand parser
-    # repeats them without defaults, so a value given before it stands
-    p = sub.add_parser("goodsets", help="count, enumerate or verify good sets")
-    _add_goodsets_args(p)
-    p.set_defaults(fn=cmd_goodsets, filter="all", format="text")
-    gsub = p.add_subparsers(dest="subcmd", required=True)
-    for name in ("count", "enumerate", "verify"):
-        g = gsub.add_parser(name, argument_default=argparse.SUPPRESS)
-        if name == "verify":
-            g.add_argument("file", nargs="?", default=None, help="good-set record file")
-        _add_goodsets_args(g)
-
-    p = sub.add_parser("parallelism", help="build, verify or characterize a parallelism")
-    p.add_argument("subcmd", choices=("build", "verify", "characterize"))
-    p.add_argument("file", help="good-set record (build) or parallelism file")
-    _add_field_args(p)
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_parallelism)
-
-    p = sub.add_parser("classify", help="orbit classification of all parallelisms")
-    _add_field_args(p)
-    p.add_argument("--output", help="directory for report and representatives")
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("selftest", help="run every verification suite for this q")
-    _add_field_args(p)
-    p.add_argument("--sample-seed", type=int,
-                   help="seed for the sampling suites (defaults are fixed)")
-    p.set_defaults(fn=cmd_selftest)
-    return ap
+def _parse(argv: list[str]):
+    """The function of the command argv names, and the arguments its parser
+    reads off the rest; a missing or unknown name gets its level's usage."""
+    name, rest, sub = argv[0] if argv else "", argv[1:], None
+    if name not in HELP:
+        _usage("spreadsmith", "Construct, enumerate, verify and classify line-parallelisms "
+               "of PG(3,q) built from a Desarguesian spread and Hall spreads.", HELP, argv)
+    if name not in COMMANDS:
+        # a group: its subcommand is the first argument that is neither an
+        # option nor an option's value (each option but --help takes one)
+        i = 0
+        while i < len(rest) and rest[i].startswith("-"):
+            i += 1 if "=" in rest[i] or rest[i] in ("-h", "--help") else 2
+        sub = rest[i] if i < len(rest) else ""
+        if f"{name} {sub}" not in COMMANDS:
+            _usage(f"spreadsmith {name}", HELP[name], {
+                w.split()[1]: None for w in COMMANDS if w.startswith(f"{name} ")}, rest)
+        name, rest = f"{name} {sub}", rest[:i] + rest[i + 1:]
+    run, file, options = COMMANDS[name]
+    ap = argparse.ArgumentParser(prog=f"spreadsmith {name}")
+    if file:
+        ap.add_argument("file", nargs="?", help=file)
+    for option in options:
+        ap.add_argument(option, **OPTIONS[option])
+    args = ap.parse_args(rest, argparse.Namespace(subcmd=sub))
+    if file and args.file is None:
+        ap.error(f"{name} needs {file}")
+    return run, args
 
 
 # cli.build_parallelism and cli.verify_parallelism, for the tracer's tests (ROADMAP item 4)
@@ -434,16 +438,10 @@ def __getattr__(name):
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if getattr(args, "subcmd", None) == "verify" and args.command == "goodsets" \
-            and not args.file:
-        ap.error("goodsets verify needs a record file")
+    run, args = _parse(sys.argv[1:] if argv is None else list(argv))
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
-        if getattr(args, "limit", None) is not None and args.limit < 0:
-            raise UsageError("--limit must not be negative")
-        status = args.fn(args)
+        status = run(args)
         sys.stdout.flush()
         return status
     except UsageError as exc:

@@ -50,11 +50,11 @@ def _coefficients(vec, width: int, p: int) -> list[int]:
     return vec
 
 
-def _decode(spec: FieldSpec, vec, gfq: bool = False) -> int:
-    """An element of GF(q^2) from exactly 2m ints in 0..p-1, or with gfq a
-    GF(q) code from exactly m of them; anything else is a ValueError."""
-    _coefficients(vec, spec.m if gfq else 2 * spec.m, spec.p)
-    return spec._gfq_code(vec) if gfq else spec.elem_from_vec(vec)
+def _code(vec, width: int, p: int) -> int:
+    """The field code of exactly width ints in 0..p-1, constant first: their
+    value as base-p digits, for width m a GF(q) code and for width 2m a
+    GF(q^2) code, whatever the moduli.  Anything else is a ValueError."""
+    return sum(c * p**i for i, c in enumerate(_coefficients(vec, width, p)))
 
 
 class CoefficientTable(NamedTuple):
@@ -78,12 +78,12 @@ def coefficient_table(spec: FieldSpec) -> CoefficientTable:
 
 
 def element_decoder(spec: FieldSpec) -> Callable[[object], int]:
-    """_decode(spec, vec) for elements of GF(q^2), by one table lookup when
-    vec is a list of ints found in the table.  The ints are checked before
-    the tuple is built: a dict or list coefficient would not hash, and True
-    or 1.0 would find the entry of 1.  Any other vec goes to _decode, so it
-    fails with _decode's message."""
-    codes = coefficient_table(spec).codes
+    """The GF(q^2) element of 2m coefficients, _code(vec, 2m, p), by one
+    table lookup when vec is a list of ints found in the table.  The ints
+    are checked before the tuple is built: a dict or list coefficient would
+    not hash, and True or 1.0 would find the entry of 1.  Any other vec goes
+    to _code, so it fails with _code's message."""
+    codes, width, p = coefficient_table(spec).codes, 2 * spec.m, spec.p
 
     def decode(vec) -> int:
         if type(vec) is list:
@@ -94,7 +94,7 @@ def element_decoder(spec: FieldSpec) -> Callable[[object], int]:
                 x = codes.get(tuple(vec))
                 if x is not None:
                     return x
-        return _decode(spec, vec)
+        return _code(vec, width, p)
 
     return decode
 
@@ -118,13 +118,9 @@ def field_spec_from_obj(obj: dict) -> FieldSpec:
     if not (p >= 2 and 1 <= m <= 4 and 3 <= p**m <= 16):
         raise ValueError(f"field order {p}^{m} is outside the supported range 3..16")
     mod_q = tuple(_coefficients(_member(obj, "modulus_q", list), m + 1, p))
-    probe = FieldSpec(p, m, modulus_q=mod_q)
-    mod2 = tuple(_decode(probe, v, gfq=True) for v in _member(obj, "modulus_q2", list))
-    spec = FieldSpec(p, m, modulus_q=mod_q, modulus_q2=mod2)
-    gen = _decode(spec, obj["generator"])
-    if gen != spec.generator:
-        spec = FieldSpec(p, m, modulus_q=mod_q, modulus_q2=mod2, generator=gen)
-    return spec
+    mod2 = tuple(_code(v, m, p) for v in _member(obj, "modulus_q2", list))
+    return FieldSpec(p, m, modulus_q=mod_q, modulus_q2=mod2,
+                     generator=_code(obj["generator"], 2 * m, p))
 
 
 # ---------------------------------------------------------------------------
@@ -143,5 +139,5 @@ def lambda_to_obj(lam: LambdaSystem) -> dict:
 
 
 def lambda_from_obj(spec: FieldSpec, obj: dict) -> LambdaSystem:
-    codes = tuple(_decode(spec, v) for v in _member(obj, "elements", list))
+    codes = tuple(_code(v, 2 * spec.m, spec.p) for v in _member(obj, "elements", list))
     return build_lambda(spec, build_partition(spec), override=codes)

@@ -320,7 +320,6 @@ def test_package_names_load_lazily_from_their_home_modules():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
                           timeout=60)
     assert done.stderr == b"" and done.stdout.split() == [b"[]"]
-    assert sorted(spreadsmith._HOME) == sorted(spreadsmith.__all__)
     for name in spreadsmith.__all__:
         obj = getattr(spreadsmith, name)
         home = sys.modules[f"spreadsmith.{spreadsmith._HOME[name]}"]
@@ -500,12 +499,30 @@ def test_cli_parallelism_output_may_not_replace_its_input(subcmd, what, tmp_path
     # the same file, named through another path
     same = tmp_path / "sub" / ".." / source.name
     (tmp_path / "sub").mkdir()
-    assert run_cli("parallelism", subcmd, str(source), "--q", "3",
-                   "--output", str(same)) == 2
+    field = ("--q", "3") if subcmd == "build" else ()
+    assert run_cli("parallelism", subcmd, str(source), *field, "--output", str(same)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --output {same} would overwrite the {what}\n"
     assert source.read_bytes() == before
+
+
+def test_cli_parallelism_build_may_not_replace_its_record_by_the_default_name(
+        tmp_path, monkeypatch, capsys):
+    # without --output, build writes parallelism_q3.jsonl in the working
+    # directory, which here is the record it reads
+    monkeypatch.chdir(tmp_path)
+    record = tmp_path / "parallelism_q3.jsonl"
+    assert run_cli("goodsets", "enumerate", "--q", "3", "--limit", "1",
+                   "--output", record.name) == 0
+    before = record.read_bytes()
+    assert run_cli("parallelism", "build", record.name, "--q", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --output parallelism_q3.jsonl would overwrite the "
+                            "record it builds from\n")
+    assert record.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [record]
 
 
 def test_cli_classify_q3(tmp_path, capsys):

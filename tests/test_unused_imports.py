@@ -20,8 +20,8 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        elif isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) \
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -46,6 +46,11 @@ def test_the_check_sees_unused_names_and_honours_noqa():
               "    import itertools\n"
               "    return sys.argv, importlib.util\n")
     assert unused_imports(source) == [(2, "os"), (8, "tau"), (11, "itertools")]
+
+
+def test_a_computed_all_names_nothing():
+    # an __all__ that is not a literal list or tuple re-exports no import
+    assert unused_imports("import os\n__all__ = list(_HOME)\n") == [(1, "os")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
