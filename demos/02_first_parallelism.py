@@ -50,4 +50,4 @@ print("round trip:", "exact" if res.ok else res.reason)
 sp = next(sp for sp in par.spreads if sp.tag == "hall")
 print(f"\none switched member: {len(sp.lines)} lines; the switched regulus "
       f"has {len(sp.switched)} lines and contains the distinguished line:",
-      geo.space.r_U1 in sp.switched)
+      geo.line_id(geo.space.r_U1) in sp.switched)

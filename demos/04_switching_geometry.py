@@ -25,22 +25,24 @@ reg = geo.regulus_of(l)
 print(f"\ninduced spread: {len(sp.lines)} lines; shares "
       f"{len(set(sp.lines) & set(d.lines))} lines with the reference spread")
 print(f"shared regulus contains the distinguished line:",
-      geo.space.r_U1 in reg.lines)
+      geo.line_id(geo.space.r_U1) in reg.lines)
 
 opp = geo.opposite_regulus(reg)
+# spreads and reguli hold line ids; geo.line gives a line's coordinates
+reg_lines, opp_lines = list(map(geo.line, reg.lines)), list(map(geo.line, opp.lines))
 print(f"\nopposite regulus: {len(opp.lines)} transversals; incidence matrix "
       "(rows: regulus, cols: opposite):")
-for r in reg.lines:
+for r in reg_lines:
     row = []
-    for o in opp.lines:
+    for o in opp_lines:
         pt = line_intersection(s, r, o)
         row.append("x" if pt is not None and pt in geo.sigma_eta else ".")
     print("   ", " ".join(row))
 
 # the same incidences through the quadric embedding of line geometry
 print("\nsame incidences via the polarized quadric form (0 = meet):")
-for r in reg.lines:
-    vals = [klein_bilinear(s, plucker(s, r), plucker(s, o)) for o in opp.lines]
+for r in reg_lines:
+    vals = [klein_bilinear(s, plucker(s, r), plucker(s, o)) for o in opp_lines]
     print("   ", vals)
 
 h = geo.hall_spread(l)

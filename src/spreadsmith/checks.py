@@ -56,6 +56,7 @@ from spreadsmith.proj_geometry import (
     point_on_line,
     point_on_plane,
     tau_line,
+    tau_point,
 )
 from spreadsmith.spreads import Geometry, Regulus, memo
 from spreadsmith.equivalence import (
@@ -153,18 +154,27 @@ def phi_lambda_map(geo: Geometry, alpha_idx: int, scalar: int) -> Collineation:
 
 
 def extension_points(geo: Geometry, lines) -> set:
-    """Union of the ambient points of the extended lines."""
+    """Union of the ambient points of the lines of the given ids."""
     out = set()
-    for l in lines:
+    for l in map(geo.line, lines):
         out.update(line_points(geo.spec, l))
     return out
+
+
+@memo
+def desarguesian_lines(geo: Geometry, alpha_idx: int) -> frozenset:
+    """{ <P, P^tau> : P in t1 }, tau = tau_alpha: the Desarguesian spread of
+    the subgeometry of alpha, as ambient lines."""
+    spec, alpha = geo.spec, geo.alpha_of(alpha_idx)
+    return frozenset(line_through(spec, P, tau_point(spec, alpha, P))
+                     for P in line_points(spec, geo.space.t1))
 
 
 def reguli_through_r_U1(geo: Geometry) -> list[Regulus]:
     """All reguli of D_eta containing r_U1, by brute force over triples:
     the spread lines sharing a point id with every transversal of one."""
     d = geo.desarguesian_spread()
-    r_U1 = geo.space.r_U1
+    r_U1 = geo.line_id(geo.space.r_U1)
     others = [l for l in d.lines if l != r_U1]
     found = set()
     for i, l2 in enumerate(others):
@@ -339,7 +349,7 @@ def check_subline_extension(geo: Geometry) -> CheckResult:
             l = line_through(s, *sorted(other)[:2])
             if any(not point_on_line(s, l, P) for P in other):
                 return False, "cross section not collinear"
-            if l not in geo.desarguesian_spread(k2).lines:
+            if l not in desarguesian_lines(geo, k2):
                 return False, "cross section not a spread line"
     for l in probe:
         k = geo.label_of(l)[0]
@@ -373,7 +383,7 @@ def check_spread_union(geo: Geometry) -> CheckResult:
             return False, f"plane section of size {len(sec)}"
         sizes_seen.add(len(sec))
         if len(sec) == 2 * q * q + 1:
-            inside = [l for l in d.lines if line_in_plane(s, l, pl)]
+            inside = [l for l in map(geo.line, d.lines) if line_in_plane(s, l, pl)]
             if len(inside) != 1:
                 return False, "large section without a unique spread line"
             lpts = set(line_points(s, inside[0]))
@@ -407,14 +417,15 @@ def check_regulus_transversal_classification(geo: Geometry) -> CheckResult:
     reguli = reguli_through_r_U1(geo)
     if len(reguli) != q * q + q:
         return False, f"{len(reguli)} reguli through the line"
-    index = geo.line_index()
-    ambient = [l for l in space.all_lines() if l not in index]
+    stable = set(geo.sigma_eta_lines())
+    ambient = [l for l in space.all_lines() if l not in stable]
     for reg in reguli[:4]:
         # a transversal meets r_U1 by meeting every line of the regulus
-        if space.r_U1 not in reg.lines:
+        lines = list(map(geo.line, reg.lines))
+        if space.r_U1 not in lines:
             return False, "regulus misses r_U1"
-        transversals = geo.transversals_of(reg.lines) + [
-            l for l in ambient if all(lines_meet(s, l, r) for r in reg.lines)]
+        transversals = list(map(geo.line, geo.transversals_of(reg.lines))) + [
+            l for l in ambient if all(lines_meet(s, l, r) for r in lines)]
         if len(transversals) != q * q + 1:
             return False, f"{len(transversals)} ambient transversals"
         for l in transversals:
@@ -424,7 +435,7 @@ def check_regulus_transversal_classification(geo: Geometry) -> CheckResult:
                     if space.is_baer_subline(l, lam.alpha(k))]
             if len(hits) != 1:
                 return False, f"transversal cuts {len(hits)} subgeometries"
-            if l in geo.desarguesian_spread(hits[0]).lines:
+            if l in desarguesian_lines(geo, hits[0]):
                 return False, "transversal subline lies in its spread"
     return True, f"{len(reguli)} reguli, 4 fully classified"
 
@@ -472,7 +483,7 @@ def check_transversal_spreads(geo: Geometry, sample: int = 40, seed: int = 0) ->
     L = list(geo.line_set_L())
     probe = L if q <= 4 else rng.sample(L, sample)
     d_lines = set(geo.desarguesian_spread().lines)
-    if geo.spread_from_transversal(geo.space.t1).key() != geo.desarguesian_spread().key():
+    if geo.spread_from_transversal(geo.space.t1) != geo.desarguesian_spread():
         return False, "transversal t1 does not rebuild the spread"
     for l in probe:
         sp = geo.spread_from_transversal(l)
@@ -480,9 +491,9 @@ def check_transversal_spreads(geo: Geometry, sample: int = 40, seed: int = 0) ->
         if not rep.ok:
             return False, f"induced family is not a spread: {rep.reason}"
         common = set(sp.lines) & d_lines
-        if len(common) != q + 1 or geo.space.r_U1 not in common:
+        if len(common) != q + 1 or geo.line_id(geo.space.r_U1) not in common:
             return False, "shared lines are not a regulus through r_U1"
-        if geo.spread_from_transversal(geo.tau_eta_line(l)).key() != sp.key():
+        if geo.spread_from_transversal(geo.tau_eta_line(l)) != sp:
             return False, "conjugate transversal changes the spread"
     return True, f"{len(probe)} transversals"
 
@@ -526,7 +537,7 @@ def check_desarguesian_property(geo: Geometry, sample: int = 50, seed: int = 3) 
     rng = random.Random(seed)
     d = geo.desarguesian_spread()
     d_set = set(d.lines)
-    universe = [l for l in geo.sigma_eta_lines() if l not in d_set]
+    universe = [k for k in range(len(geo.sigma_eta_lines())) if k not in d_set]
     probe = rng.sample(universe, min(sample, len(universe)))
     for l in probe:
         ids = set(geo.subline_ids(l))
@@ -587,7 +598,7 @@ def _section_cases(geo: Geometry, a_idx: int):
             for v_pow in range(q + 1):
                 pl = geo.plane_pi(b_idx, v_pow)
                 sec: set = set()
-                for l in sp.lines:
+                for l in map(geo.line, sp.lines):
                     hit = line_plane_meet(s, l, pl)
                     if hit is None:
                         sec.update(line_points(s, l))
@@ -658,14 +669,14 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
     s = geo.spec
     q = geo.q
     lam = geo.lam
-    d_lines, r_line = [geo.desarguesian_spread().lines], [[geo.space.r_U1]]
+    d_lines, r_line = [geo.desarguesian_spread().lines], [(geo.line_id(geo.space.r_U1),)]
     for a_idx in lam.I:
         phi = phi_map(geo, a_idx)
         try:
             perm = geo.point_permutation(phi)
         except KeyError:
             return False, "mixing map moves the distinguished subgeometry"
-        if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
+        if geo.spread_keys(r_line, perm) != r_line:
             return False, "mixing map moves r_U1"
         l0 = l_lambda(geo, a_idx, 0)
         if phi.apply_line(geo.space.t1) != l0:
@@ -678,8 +689,7 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
                 return False, "shift misplaces the line family"
             phi_l = phi_lambda_map(geo, a_idx, scalar)
             sp = geo.spread_from_transversal(l_lam)
-            if (geo.spread_keys(d_lines, geo.point_permutation(phi_l))
-                    != geo.spread_keys([sp.lines])):
+            if geo.spread_keys(d_lines, geo.point_permutation(phi_l)) != [sp.lines]:
                 return False, "composite map misses the shifted spread"
             union = set(line_points(s, l_lam)) | set(line_points(s, geo.tau_eta_line(l_lam)))
             for k in range(q - 1):
@@ -1184,7 +1194,7 @@ def check_group_actions(geo: Geometry, sample: int = 4, seed: int = 29) -> Check
     p1 = build_parallelism(geo, gs)
     p2 = build_parallelism(geo, img)
     if (geo.spread_keys((sp.lines for sp in p1.spreads), geo.point_permutation(witness))
-            != geo.spread_keys(sp.lines for sp in p2.spreads)):
+            != list(p2.key())):
         return False, "diagonal witness does not map the parallelisms"
     if are_equivalent(geo, gs, img) is None:
         return False, "diagonal images not detected as equivalent"
@@ -1198,11 +1208,11 @@ def check_stabilizer_order(geo: Geometry) -> CheckResult:
     grp = stabilizer_group(geo)
     if grp.order != grp.formula_order:
         return False, f"closure {grp.order} != formula {grp.formula_order}"
-    d_lines, r_line = [geo.desarguesian_spread().lines], [[geo.space.r_U1]]
+    d_lines, r_line = [geo.desarguesian_spread().lines], [(geo.line_id(geo.space.r_U1),)]
     for perm in map(geo.point_permutation, grp.generators):
-        if geo.spread_keys(d_lines, perm) != geo.spread_keys(d_lines):
+        if geo.spread_keys(d_lines, perm) != d_lines:
             return False, "generator moves the Desarguesian spread"
-        if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
+        if geo.spread_keys(r_line, perm) != r_line:
             return False, "generator moves the distinguished line"
     return True, f"order {grp.order}"
 
@@ -1235,10 +1245,10 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
         full = full_stabilizer_group(geo)
         pb = build_parallelism(geo, B)
         own = [sp.lines for sp in pb.spreads]
-        own_key = geo.spread_keys(own)
-        dual_key = geo.spread_keys(sp.lines for sp in build_parallelism(geo, Bd).spreads)
+        own_key = list(pb.key())
+        dual_key = list(build_parallelism(geo, Bd).key())
         members = set(own_key) | set(dual_key)
-        r_line = [[geo.space.r_U1]]
+        r_line = [(geo.line_id(geo.space.r_U1),)]
         cross_hits = 0
         stab_size = 0
         for perm in full.perms:
@@ -1250,7 +1260,7 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
                 cross_hits += 1
             elif whole == own_key:
                 stab_size += 1
-                if geo.spread_keys(r_line, perm) != geo.spread_keys(r_line):
+                if geo.spread_keys(r_line, perm) != r_line:
                     return False, "a parallelism stabilizer element moves r_U1"
         if cross_hits:
             return False, "full-group sweep found a forbidden equivalence"

@@ -48,7 +48,7 @@ class Parallelism:
     certificate: Certificate | None = field(default=None, compare=False, repr=False)
 
     def key(self):
-        return tuple(sorted(sp.key() for sp in self.spreads))
+        return tuple(sorted(sp.lines for sp in self.spreads))
 
     def __len__(self):
         return len(self.spreads)
@@ -121,7 +121,8 @@ def family_checksum(geo: Geometry, spreads) -> str:
     rank = {d: r for r, d in enumerate(names)}
     # element codes are below q^2 <= 256, so each line's 8 codes are bytes
     to_rank = bytes([rank[d] for d in digits]).ljust(256, b"\0")
-    keys = sorted([bytes(r + s).translate(to_rank) for sp in spreads for r, s in sp.lines])
+    keys = sorted([bytes(r + s).translate(to_rank)
+                   for sp in spreads for r, s in map(geo.line, sp.lines)])
     width = max(map(len, names))
     padded = [d.encode().ljust(width, b"\0") for d in names]
     # the j-th byte of each rank's padded string
@@ -143,7 +144,8 @@ def family_checksum(geo: Geometry, spreads) -> str:
 
 def verify_parallelism(geo: Geometry, par) -> Certificate:
     """Every member passes the spread verdict and every subgeometry line is
-    covered exactly once."""
+    covered exactly once.  A line outside the subgeometry fails the verdict
+    of each member that holds it."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
     # first, so that its sort keys and the counts below are never held at once
     checksum = family_checksum(geo, spreads)
@@ -152,23 +154,18 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
         rep = geo.is_spread(sp.lines)
         if not rep.ok:
             failures.append((i, rep))
-    index, universe = geo.line_index(), geo.sigma_eta_lines()
-    counts = [0] * len(universe)
-    strays: dict[Line, int] = {}
+    # ids from n upward are lines outside the subgeometry
+    n = len(geo.sigma_eta_lines())
+    counts = [0] * max([n, *(sp.lines[-1] + 1 for sp in spreads if sp.lines)])
     for sp in spreads:
-        for l in sp.lines:
-            k = index.get(l)
-            if k is None:
-                strays[l] = strays.get(l, 0) + 1
-            else:
-                counts[k] += 1
-    uncovered = [universe[k] for k, c in enumerate(counts) if not c]
-    multi = sorted([universe[k] for k, c in enumerate(counts) if c > 1]
-                   + [l for l, c in strays.items() if c > 1])
-    ok = not failures and not uncovered and not multi and not strays
-    return Certificate(ok=ok, spread_failures=failures, uncovered=uncovered,
-                       multiply_covered=multi,
-                       line_count=sum(counts) + sum(strays.values()),
+        for k in sp.lines:
+            counts[k] += 1
+    uncovered = [geo.line(k) for k in range(n) if not counts[k]]
+    # sorted by coordinates, which ids from n upward do not follow
+    multi = sorted([geo.line(k) for k, c in enumerate(counts) if c > 1])
+    return Certificate(ok=not failures and not uncovered and not multi,
+                       spread_failures=failures, uncovered=uncovered,
+                       multiply_covered=multi, line_count=sum(counts),
                        checksum=checksum)
 
 
@@ -205,8 +202,9 @@ def E_generator_line_perms(geo: Geometry) -> tuple[list[int], ...]:
     conjugated by delta's."""
     d = geo.line_permutation(geo.delta_map())
     d_inv = [0] * len(d)
-    # the index's own int objects, so the permutations hold none of their own
-    for k in geo.line_index().values():
+    # d holds each of the index's own int objects once, so the permutations
+    # hold none of their own
+    for k in d:
         d_inv[d[k]] = k
     perms = [geo.line_permutation(geo.xi_map(1, 1))]
     for _ in range(2 * geo.spec.m - 1):
@@ -222,15 +220,13 @@ def is_E_invariant(geo: Geometry, par) -> bool:
     subgeometry onto itself, so a set holding a line outside it is not a
     set of its spreads and is reported as not invariant."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
-    # derived before the keys exist, so their scratch lists and the keys
-    # are never held at once
     perms = E_generator_line_perms(geo)
+    keys = sorted(sp.lines for sp in spreads)
     try:
-        keys = geo.spread_keys(sp.lines for sp in spreads)
-    except KeyError:
+        return all(sorted(tuple(sorted(map(perm.__getitem__, key))) for key in keys) == keys
+                   for perm in perms)
+    except IndexError:
         return False
-    return all(sorted(tuple(sorted(map(perm.__getitem__, key))) for key in keys) == keys
-               for perm in perms)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +246,7 @@ class CharacterizeResult:
 
 def _ambient_directors(geo: Geometry, spread_lines, regulus) -> list[Line]:
     """The transversal (director) lines of a Desarguesian spread given by
-    its extended lines, sorted, found on the Klein quadric: the
+    the ids of its lines, sorted, found on the Klein quadric: the
     transversals of three lines of a regulus of the spread and a fourth
     spread line, kept when they meet every line of the spread.  The fourth
     is taken from outside the regulus first, the regulus lines serving as
@@ -260,7 +256,8 @@ def _ambient_directors(geo: Geometry, spread_lines, regulus) -> list[Line]:
     spec = geo.spec
     tb = spec.tables
     n, mul, add, neg = tb.order, tb.mul, tb.add, tb.neg
-    coords = {l: plucker(spec, l) for l in spread_lines}
+    line = geo.line
+    coords = {k: plucker(spec, line(k)) for k in spread_lines}
     base = [coords[l] for l in regulus[:3]]
     in_regulus, in_base = set(regulus), set(regulus[:3])
     found = []
@@ -285,15 +282,14 @@ def _ambient_directors(geo: Geometry, spread_lines, regulus) -> list[Line]:
 
 @memo
 def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | None]:
-    """Validate one non-Desarguesian member, given by its sorted lines, as
-    a Hall spread switched on a regulus through r_U1 and recover its
+    """Validate one non-Desarguesian member, given by its sorted line ids,
+    as a Hall spread switched on a regulus through r_U1 and recover its
     pencil label."""
     q = geo.q
-    r_ids, line_id = set(geo.subline_ids(geo.space.r_U1)), geo.line_index()
-    # the lines sharing a subgeometry point with r_U1: a subgeometry line
-    # meets it only in one, any other line is asked for its own
-    touching = [l for l in filter(geo.meets_r_U1, lines)
-                if l in line_id or not r_ids.isdisjoint(geo.subline_ids(l))]
+    r_U1 = geo.line_id(geo.space.r_U1)
+    r_ids = set(geo.subline_ids(r_U1))
+    # the lines sharing a subgeometry point with r_U1
+    touching = [k for k in lines if not r_ids.isdisjoint(geo.subline_ids(k))]
     if len(touching) != q + 1:
         return None, "does not meet the distinguished line in a regulus pattern"
     try:
@@ -303,7 +299,7 @@ def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | No
     if len(reg) != q + 1:
         return None, "lines through the distinguished line admit no opposite regulus"
     d_lines = set(geo.desarguesian_spread().lines)
-    if geo.space.r_U1 not in reg or not set(reg) <= d_lines:
+    if r_U1 not in reg or not set(reg) <= d_lines:
         return None, "switched regulus misses the distinguished line"
     # the unswitched Desarguesian spread this member came from
     source_lines = (set(lines) - set(touching)) | set(reg)
@@ -322,15 +318,15 @@ def characterize(geo: Geometry, par) -> CharacterizeResult:
     the unitriangular group) and read off the good set."""
     spreads = list(par.spreads if isinstance(par, Parallelism) else par)
     q = geo.q
-    d_key = geo.desarguesian_spread().key()
-    rest = [sp for sp in spreads if sp.key() != d_key]
+    d_lines = geo.desarguesian_spread().lines
+    rest = [sp for sp in spreads if sp.lines != d_lines]
     if len(rest) == len(spreads):
         return CharacterizeResult(False, reason="no Desarguesian member")
     if len(spreads) != q * q + q + 1 or len(rest) != len(spreads) - 1:
         return CharacterizeResult(False, reason="malformed family size")
     labels = []
     for sp in rest:
-        label, err = _hall_member_label(geo, sp.key())
+        label, err = _hall_member_label(geo, sp.lines)
         if label is None:
             return CharacterizeResult(False, reason=f"regulus misses r_U1: {err}",
                                       labels=labels)

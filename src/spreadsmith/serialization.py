@@ -118,7 +118,8 @@ def write_parallelism_file(path, geo: Geometry, par: Parallelism,
     with open(path, "w") as fh:
         fh.write(dumps(header) + "\n")
         for sp in par.spreads:
-            fh.write('{"lines":[' + ",".join([_line_text(texts, l) for l in sp.lines])
+            lines = [_line_text(texts, l) for l in map(geo.line, sp.lines)]
+            fh.write('{"lines":[' + ",".join(lines)
                      + '],"tag":' + dumps(sp.tag) + ',"type":"spread"}\n')
         fh.write(dumps(certificate_record(len(par.spreads), cert)) + "\n")
 
@@ -131,11 +132,8 @@ def certificate_record(spread_count: int, cert: Certificate) -> dict:
 
 def read_parallelism_file(path):
     """Returns (header dict, Geometry, list of Spread, certificate dict).
-    Rows are decoded one at a time, and each subgeometry line is the
-    index's own object, so the file's lines are held once.  A line written
-    as its two canonical points is a key of the index and is looked up;
-    any other pair of points goes through line_through."""
-    from spreadsmith.proj_geometry import line_through
+    Rows are decoded one at a time, and each line becomes its id
+    (Geometry.line_id), so the file's lines are held once."""
     from spreadsmith.spreads import Geometry, Spread
 
     with open(path) as fh:
@@ -148,19 +146,14 @@ def read_parallelism_file(path):
             raise ValueError(f"header q={header['q']} is not the field order {spec.p}^{spec.m}")
         geo = Geometry(lambda_from_obj(spec, header["lambda"]))
         decode = element_decoder(spec)
-        index, universe = geo.line_index(), geo.sigma_eta_lines()
         spreads = []
         cert = None
         for row in rows:
             kind = _member(row, "type", str)
             if kind == "spread":
-                lines = []
-                for obj in _member(row, "lines", list):
-                    pair = _line_points(decode, obj)
-                    k = index.get(pair)
-                    lines.append(universe[k] if k is not None
-                                 else geo.intern(line_through(spec, *pair)))
-                spreads.append(Spread(lines=tuple(lines), alpha=geo.eta, tag=row.get("tag", "unknown")))
+                lines = [geo.line_id(_line_points(decode, obj))
+                         for obj in _member(row, "lines", list)]
+                spreads.append(Spread(lines=tuple(lines), tag=row.get("tag", "unknown")))
             elif kind == "certificate":
                 if cert is not None:
                     raise ValueError("more than one certificate record")

@@ -2,15 +2,16 @@
 Baer sublines through points of r_U1, transversal-induced spreads, reguli
 and their opposites, and Hall spreads obtained by regulus switching.
 
-Lines of the distinguished Baer subgeometry are always stored as their
-ambient extensions in PG(3,q^2): the ambient line is stable under the
-involution and meets the subgeometry in q+1 points, and this single
-representation serves both incidence levels.  The subgeometry's points and
-lines are numbered once (SubgeometryIndex); spreads hold the index's own
-line objects, and spread, cover and incidence checks on them run on ids.
-The point ids of all lines sit in one flat array, and a line is found
-from two of its points in flat arrays too: no Python object per line is
-kept besides the line tuple itself.
+A line of the distinguished Baer subgeometry is its ambient extension in
+PG(3,q^2): the ambient line is stable under the involution and meets the
+subgeometry in q+1 points.  The subgeometry's points and lines are
+numbered once (SubgeometryIndex), lines in sorted order, so id order is
+coordinate order.  Spreads and reguli are the sorted ids of their lines,
+held as the index's own int objects, and spread, cover and incidence
+checks run on ids.  Geometry.line_id and Geometry.line convert between a
+line and its id; any other line (only a file or a test holds one) gets an
+id from (q^2+1)(q^2+q+1) upward.  The point ids of all lines sit in one
+flat array, and a line is found from two of its points in flat arrays too.
 
 A pencil is written down from the closed form of its Baer subplane section,
 and the label of a pencil line is read off the line itself: its point on
@@ -45,26 +46,25 @@ from spreadsmith.proj_geometry import (
 
 if TYPE_CHECKING:
     from array import array
+    from collections.abc import Callable
 
 
 @dataclass(frozen=True)
 class Spread:
-    """q^2+1 pairwise disjoint lines covering the subgeometry of alpha."""
-    lines: tuple[Line, ...]
-    alpha: int
+    """q^2+1 pairwise disjoint lines covering the subgeometry, as the sorted
+    ids of its lines; a Hall spread also keeps the ids of the regulus it
+    switched."""
+    lines: tuple[int, ...]
     tag: str = "unknown"            # desarguesian | hall | unknown
-    switched: tuple[Line, ...] | None = None
+    switched: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(sorted(self.lines)))
 
-    def key(self) -> tuple[Line, ...]:
-        return self.lines
-
 
 @dataclass(frozen=True)
 class Regulus:
-    lines: tuple[Line, ...]
+    lines: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "lines", tuple(sorted(self.lines)))
@@ -115,11 +115,13 @@ class SpreadReport:
 
 class SubgeometryIndex:
     """The points and lines of the distinguished subgeometry, each numbered
-    by its position in sorted order.  The q+1 point ids of line k are
-    ids[k w : (k+1) w], w = q+1, of one flat array('H'), in the order the
-    index generated them (see Geometry._index).  Reading an id above 256
-    makes an int object, so hot readers hand whole slices, or the whole
-    array, to C-level consumers (set, map, zip, sorted)."""
+    by its position in sorted order, and the lines outside it that
+    Geometry.line_id numbered (strays), from len(lines) upward.  The q+1
+    point ids of line k are ids[k w : (k+1) w], w = q+1, of one flat
+    array('H'), in the order the index generated them (see
+    Geometry._index).  Reading an id above 256 makes an int object, so hot
+    readers hand whole slices, or the whole array, to C-level consumers
+    (set, map, zip, sorted)."""
 
     def __init__(self, points: list[Point], point_id: dict[Point, int],
                  lines: list[Line], ids: array, width: int):
@@ -129,11 +131,18 @@ class SubgeometryIndex:
         self.line_id = {l: k for k, l in enumerate(lines)}
         self.ids = ids
         self.width = width
+        self.stray_id: dict[Line, int] = {}
+        self.strays: list[Line] = []
 
     def point_ids(self, k: int) -> array:
         """The point ids of line k."""
         w = self.width
         return self.ids[k * w:(k + 1) * w]
+
+    def line(self, k: int) -> Line:
+        """The line of id k."""
+        n = len(self.lines)
+        return self.lines[k] if k < n else self.strays[k - n]
 
 
 class Geometry:
@@ -247,36 +256,47 @@ class Geometry:
         """All (q^2+1)(q^2+q+1) lines of the subgeometry, sorted."""
         return self._index().lines
 
-    def line_index(self) -> dict[Line, int]:
-        """Position of each subgeometry line in sigma_eta_lines()."""
-        return self._index().line_id
-
-    def intern(self, l: Line) -> Line:
-        """The index's own object for a subgeometry line, so that every
-        spread holds one shared copy of each line; any other line as given."""
+    def line_id(self, l: Line) -> int:
+        """The id of a line given by two of its points: its position in
+        sigma_eta_lines() for a subgeometry line, the index's own int
+        object; any other line gets the next id from (q^2+1)(q^2+q+1)
+        upward, the same one each time."""
         index = self._index()
-        k = index.line_id.get(l)
-        return l if k is None else index.lines[k]
+        try:
+            return index.line_id[l]
+        except KeyError:
+            l = line_through(self.spec, *l)
+        if l in index.line_id:
+            return index.line_id[l]
+        if l not in index.stray_id:
+            index.stray_id[l] = len(index.lines) + len(index.strays)
+            index.strays.append(l)
+        return index.stray_id[l]
 
-    def subline_ids(self, l: Line) -> array | tuple[int, ...]:
-        """The ids of the subgeometry points on a line: q+1 of them on a
-        subgeometry line, a slice of the index's array, and at most one
-        elsewhere."""
+    @property
+    def line(self) -> Callable[[int], Line]:
+        """line(k) is the line of id k (see line_id).  It is the index's
+        own method, so map(geo.line, ids) looks the index up once."""
+        return self._index().line
+
+    def subline_ids(self, k: int) -> array | tuple[int, ...]:
+        """The ids of the subgeometry points on the line of id k: q+1 of
+        them on a subgeometry line, a slice of the index's array, and at
+        most one on any other."""
         index = self._index()
-        k = index.line_id.get(l)
-        if k is not None:
+        if k < len(index.lines):
             return index.point_ids(k)
-        return tuple(index.point_id[P] for P in line_points(self.spec, l)
+        return tuple(index.point_id[P] for P in line_points(self.spec, self.line(k))
                      if P in index.point_id)
 
-    def subline_points(self, l: Line) -> tuple[Point, ...]:
-        """The subgeometry points of a line, in line_points order: its
-        second RREF row first, then the others by their coordinate in that
-        row's pivot column."""
-        s = l[1]
+    def subline_points(self, k: int) -> tuple[Point, ...]:
+        """The subgeometry points of the line of id k, in line_points order:
+        its second RREF row first, then the others by their coordinate in
+        that row's pivot column."""
+        s = self.line(k)[1]
         j = next(c for c, x in enumerate(s) if x)
         points = self._index().points
-        return tuple(sorted((points[p] for p in self.subline_ids(l)),
+        return tuple(sorted((points[p] for p in self.subline_ids(k)),
                             key=lambda P: -1 if P == s else P[j]))
 
     @memo
@@ -287,8 +307,8 @@ class Geometry:
         start[a+1] - 1, second[j] is the b of the line at position j, an
         array('H'), and line[j] its id.  So the line of (a, b) is
         line[bisect_left(second, b, start[a], start[a + 1])].  start and
-        line hold the index's own int objects (line_index().values()), so
-        that reading them makes none."""
+        line hold the index's own int objects (the values of its line_id),
+        so that reading them makes none."""
         index = self._index()
         n, w = len(index.points), index.width
         ints = list(index.line_id.values())
@@ -312,28 +332,26 @@ class Geometry:
         return tuple(index.point_id[psi.apply_point(P)] for P in index.points)
 
     def _line_image(self, perm):
-        """The function taking a subgeometry line to the id of its image
+        """The function taking a subgeometry line id to the id of its image
         under a point permutation: the line whose two smallest point ids are
         the two smallest images of its own."""
         index = self._index()
-        line_id, ids, w = index.line_id, index.ids, index.width
+        ids, w = index.ids, index.width
         start, second, line = self._line_by_pair()
 
-        def image(l):
-            o = line_id[l] * w
-            s = sorted(map(perm.__getitem__, ids[o:o + w]))
+        def image(k):
+            s = sorted(map(perm.__getitem__, ids[k * w:(k + 1) * w]))
             return line[bisect_left(second, s[1], start[(a := s[0])], start[a + 1])]
 
         return image
 
-    def spread_keys(self, line_sets, perm=None) -> list[tuple[int, ...]]:
-        """Sets of subgeometry lines (spreads, or a single line), each as the
-        sorted ids of its lines' images under a point permutation, or of its
-        own lines when there is none, the list sorted: the form in which
-        two sets of spreads compare.  A line outside the subgeometry is a
-        KeyError."""
-        ids = self._index().line_id.__getitem__ if perm is None else self._line_image(perm)
-        return sorted(tuple(sorted(map(ids, lines))) for lines in line_sets)
+    def spread_keys(self, line_sets, perm) -> list[tuple[int, ...]]:
+        """The images of sets of subgeometry line ids (spreads, or a single
+        line) under a point permutation, each as the sorted ids of its
+        lines' images, the list sorted: the form in which two sets of
+        spreads compare.  An id outside the subgeometry is an IndexError."""
+        image = self._line_image(perm)
+        return sorted(tuple(sorted(map(image, lines))) for lines in line_sets)
 
     def line_permutation(self, psi: Collineation) -> list[int]:
         """The image id of every line under psi, read off its point
@@ -404,23 +422,15 @@ class Geometry:
         a r2 + b s2 = a r4 + b s4 = 0: l = <r, s> meets it exactly when
         r2 s4 = r4 s2, in the point with (a, b) = (s2, -r2), or (s4, -r4)
         when r2 = s2 = 0 (both pairs vanish only on r_U1 itself)."""
-        if l in self._index().line_id or not self.meets_r_U1(l):
-            return None
         r, s = l
         t = self.spec.tables
         n, mul, add, neg = t.order, t.mul, t.add, t.neg
+        if l in self._index().line_id or mul[r[1] * n + s[3]] != mul[r[3] * n + s[1]]:
+            return None
         a, b = (s[1], neg[r[1]]) if r[1] or s[1] else (s[3], neg[r[3]])
         a, b = a * n, b * n
         P = normalize(self.spec, tuple([add[mul[a + x] * n + mul[b + y]] for x, y in zip(r, s)]))
         return self.pencil_label(P, self.r_U1_plane(r if r[1] or r[3] else s))
-
-    def meets_r_U1(self, l: Line) -> bool:
-        """Whether the line l = <r, s> meets r_U1: exactly when r2 s4 = r4 s2
-        (see pencil_label_of)."""
-        r, s = l
-        t = self.spec.tables
-        n, mul = t.order, t.mul
-        return mul[r[1] * n + s[3]] == mul[r[3] * n + s[1]]
 
     def _pencil_line(self, alpha_idx: int, u_pow: int, v_pow: int, s: int) -> Line:
         """The line through point_P and (x, 1, c x^q, c), x = s w (see pencil)."""
@@ -465,23 +475,14 @@ class Geometry:
 
     # -- spreads ---------------------------------------------------------------
 
-    def desarguesian_spread(self, alpha_idx: int | None = None) -> Spread:
-        """{ <P, P^tau> : P in t1 } restricted to the subgeometry of alpha
-        (of eta when no index is given)."""
-        return self._desarguesian_spread(
-            self.lam.eta_index if alpha_idx is None else alpha_idx)
-
     @memo
-    def _desarguesian_spread(self, alpha_idx: int) -> Spread:
-        alpha = self.alpha_of(alpha_idx)
-        spec = self.spec
-        lines = set()
-        for P in line_points(spec, self.space.t1):
-            lines.add(line_through(spec, P, tau_point(spec, alpha, P)))
+    def desarguesian_spread(self) -> Spread:
+        """{ <P, P^tau> : P in t1 }, tau = tau_eta."""
+        spec, eta, line_id = self.spec, self.eta, self._index().line_id
+        lines = {line_id[line_through(spec, P, tau_point(spec, eta, P))]
+                 for P in line_points(spec, self.space.t1)}
         assert len(lines) == self.q**2 + 1
-        if alpha == self.eta:
-            lines = map(self.intern, lines)
-        return Spread(lines=tuple(lines), alpha=alpha, tag="desarguesian")
+        return Spread(lines=tuple(lines), tag="desarguesian")
 
     def spread_from_transversal(self, l: Line) -> Spread:
         """The Desarguesian spread with director lines l, l^tau.  Not
@@ -502,12 +503,11 @@ class Geometry:
             raise ValueError("transversal meets the subgeometry")
         if lines_meet(spec, l, lt):
             raise ValueError("transversal and its conjugate are not skew")
-        # each <Q, Q^tau> is stable, so it is interned as the index's line
-        index, eta = self._index(), self.eta
-        line_id, stable = index.line_id, index.lines
-        lines = {stable[line_id[line_through(spec, Q, tau_point(spec, eta, Q))]] for Q in pts}
+        # each <Q, Q^tau> is stable, so it is a line of the index
+        eta, line_id = self.eta, self._index().line_id
+        lines = {line_id[line_through(spec, Q, tau_point(spec, eta, Q))] for Q in pts}
         assert len(lines) == self.q**2 + 1
-        return Spread(lines=tuple(lines), alpha=self.eta, tag="desarguesian")
+        return Spread(lines=tuple(lines), tag="desarguesian")
 
     def _spread_and_regulus(self, l: Line) -> tuple[Spread, Regulus]:
         """S_l and D_eta intersect S_l, q+1 lines through r_U1, for a pencil
@@ -516,7 +516,7 @@ class Geometry:
         sl = self.spread_from_transversal(l)
         common = set(sl.lines).intersection(self.desarguesian_spread().lines)
         assert len(common) == self.q + 1
-        assert self.space.r_U1 in common
+        assert self.line_id(self.space.r_U1) in common
         return sl, Regulus(lines=tuple(common))
 
     @memo
@@ -524,14 +524,15 @@ class Geometry:
         """D_eta intersect S_l, a regulus through r_U1 when l is a pencil line."""
         return self._spread_and_regulus(l)[1]
 
-    def transversals_of(self, lines) -> list[Line]:
-        """All subgeometry lines meeting each of the given pairwise skew
-        lines, sorted: each line through a point of the first and a point
-        of the second that meets every other given line.  A subgeometry
-        line among the others is met when the candidate shares a point id
-        with it: bit i of hits[p] is set when point p lies on the i-th of
-        them, and a candidate passes when its points' bits cover them all.
-        Any other line is tested with lines_meet."""
+    def transversals_of(self, lines) -> list[int]:
+        """The sorted ids of all subgeometry lines meeting each of the
+        pairwise skew lines of the given ids: each line through a point of
+        the first and a point of the second that meets every other given
+        line.  A subgeometry line among the others is met when the
+        candidate shares a point id with it: bit i of hits[p] is set when
+        point p lies on the i-th of them, and a candidate passes when its
+        points' bits cover them all.  Any other line is tested with
+        lines_meet."""
         spec = self.spec
         index = self._index()
         points, line_id, ids, w = index.points, index.line_id, index.ids, index.width
@@ -540,12 +541,11 @@ class Geometry:
         full = 0
         ambient = []
         for r in rest:
-            k = line_id.get(r)
-            if k is None:
-                ambient.append(r)
+            if r >= len(index.lines):
+                ambient.append(self.line(r))
                 continue
             bit = full + 1          # full is 2^i - 1 after i of them
-            for p in index.point_ids(k):
+            for p in index.point_ids(r):
                 hits[p] |= bit
             full |= bit
         found = set()
@@ -559,7 +559,7 @@ class Geometry:
                     mask |= hits[p]
                 if mask == full and all(lines_meet(spec, index.lines[cand], r) for r in ambient):
                     found.add(cand)
-        return [index.lines[k] for k in sorted(found)]
+        return sorted(found)
 
     @memo
     def opposite_regulus(self, reg: Regulus) -> Regulus:
@@ -575,32 +575,30 @@ class Geometry:
         sl, reg = self._spread_and_regulus(l)
         opp = self.opposite_regulus(reg)
         lines = (set(sl.lines) - set(reg.lines)) | set(opp.lines)
-        return Spread(lines=tuple(lines), alpha=self.eta, tag="hall",
-                      switched=reg.lines)
+        return Spread(lines=tuple(lines), tag="hall", switched=reg.lines)
 
     def is_spread(self, lines) -> SpreadReport:
-        """Verdict: q^2+1 subgeometry lines, pairwise disjoint, covering
-        every subgeometry point exactly once."""
+        """Verdict on the lines of the given ids: q^2+1 subgeometry lines,
+        pairwise disjoint, covering every subgeometry point exactly once."""
         lines = list(lines)
         q = self.q
         if len(lines) != q * q + 1:
             return SpreadReport(False, f"expected {q*q+1} lines, got {len(lines)}")
         index = self._index()
         # a tau-stable line meets the subgeometry in a subline, so the index
-        # holds exactly the stable lines
-        found = list(map(index.line_id.get, lines))
-        if None in found:
+        # holds exactly the stable lines, the ids below its line count
+        if max(lines) >= len(index.lines):
             return SpreadReport(False, "line is not stable under the involution")
         ids, w = index.ids, index.width
         on = ids[:0]                # an empty array('H')
-        for k in found:
+        for k in lines:
             on += ids[k * w:(k + 1) * w]
         # q^2+1 sublines of q+1 points cover all (q+1)(q^2+1) points exactly
         # when they are pairwise disjoint; otherwise name the first point, in
         # line order, that two of them share
         if len(set(on)) == len(index.points):
             return SpreadReport(True)
-        counts = Counter(P for l in lines for P in self.subline_points(l))
+        counts = Counter(P for k in lines for P in self.subline_points(k))
         return SpreadReport(False, "point covered more than once",
                             multiply_covered=next(P for P, c in counts.items() if c > 1))
 

@@ -137,7 +137,7 @@ def test_subgeometry_lines_meet_on_shared_point_ids(q, monkeypatch):
     suite and no regulus search row-reduces such a pair: here lines_meet and
     line_intersection raise when both of their lines are subgeometry lines."""
     geo = Geometry.from_q(q)
-    index = geo.line_index()
+    index = set(geo.sigma_eta_lines())
 
     def ambient_only(fn):
         def guarded(spec, l1, l2):

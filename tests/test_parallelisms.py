@@ -51,12 +51,12 @@ def test_build_and_cover_q3_q4():
         assert cert.ok
         assert cert.line_count == (q * q + 1) * (q * q + q + 1)
         # every hall member switches a regulus through the distinguished line
-        r_sub = set(geo.subline_points(geo.space.r_U1))
+        r_U1 = geo.line_id(geo.space.r_U1)
         for sp in par.spreads:
             if sp.tag != "hall":
                 continue
             assert sp.switched is not None
-            assert geo.space.r_U1 in sp.switched
+            assert r_U1 in sp.switched
 
 
 def test_builder_rejects_non_good_input():
@@ -82,9 +82,9 @@ def test_duplicated_desarguesian_member_fails_pigeonhole():
     # the q^2+1 Desarguesian lines are double covered and the q^2+1 lines of
     # the dropped Hall member are uncovered
     assert len(cert.multiply_covered) == q * q + 1
-    assert set(cert.multiply_covered) == set(geo.desarguesian_spread().lines)
+    assert cert.multiply_covered == list(map(geo.line, geo.desarguesian_spread().lines))
     assert len(cert.uncovered) == q * q + 1
-    assert set(cert.uncovered) == set(par.spreads[hall_idx].lines)
+    assert cert.uncovered == list(map(geo.line, par.spreads[hall_idx].lines))
 
 
 def test_mutated_families_fail_with_witness():
@@ -134,8 +134,7 @@ def test_all_parallelisms_E_invariant_q3():
         assert is_E_invariant(geo, par)
     # the closure argument behind the generator check: one of them is
     # invariant under every element of E, mapped as line ids
-    index = geo.line_index()
-    keys = {frozenset(map(index.__getitem__, sp.lines)) for sp in par.spreads}
+    keys = {frozenset(sp.lines) for sp in par.spreads}
     for perm in map(geo.line_permutation, group_E(geo).elements):
         assert {frozenset(perm[k] for k in key) for key in keys} == keys
 
@@ -147,9 +146,9 @@ def test_a_line_outside_the_subgeometry_is_not_E_invariant():
     E = group_E(geo)
     t1 = geo.space.t1
     assert all(psi.apply_line(t1) == t1 for psi in E.elements)
-    assert t1 not in geo.line_index()
+    assert geo.line_id(t1) >= len(geo.sigma_eta_lines())
     par = build_parallelism(geo, next(enumerate_good_sets(geo.lam)))
-    family = [*par.spreads, Spread(lines=(t1,), alpha=geo.eta)]
+    family = [*par.spreads, Spread(lines=(geo.line_id(t1),))]
     assert not is_E_invariant(geo, family)
 
 
@@ -187,7 +186,7 @@ def test_E_invariance_checks_the_derived_generators(q):
         orbit.append(l)
     assert len(orbit) == geo.spec.p
     family = [geo.desarguesian_spread(), *map(geo.hall_spread, orbit)]
-    keys = geo.spread_keys(sp.lines for sp in family)
+    keys = sorted(sp.lines for sp in family)
     assert geo.spread_keys((sp.lines for sp in family), geo.point_permutation(xi_1)) == keys
     assert not is_E_invariant(geo, family)
 
@@ -221,18 +220,19 @@ def test_characterize_failure_reasons():
 
     # a Hall spread switched on a regulus avoiding the distinguished line
     d = geo.desarguesian_spread()
-    others = [l for l in d.lines if l != geo.space.r_U1]
+    r_U1 = geo.line_id(geo.space.r_U1)
+    others = [l for l in d.lines if l != r_U1]
     rogue = None
     for i in range(len(others)):
         reg_lines = geo.transversals_of(
             geo.transversals_of([others[0], others[1], others[i]])) \
             if i >= 2 else None
-        if reg_lines and geo.space.r_U1 not in reg_lines:
+        if reg_lines and r_U1 not in reg_lines:
             from spreadsmith.spreads import Regulus
             reg = Regulus(lines=tuple(reg_lines))
             opp = geo.opposite_regulus(reg)
             rogue_lines = (set(d.lines) - set(reg.lines)) | set(opp.lines)
-            rogue = Spread(lines=tuple(rogue_lines), alpha=geo.eta, tag="hall")
+            rogue = Spread(lines=tuple(rogue_lines), tag="hall")
             break
     assert rogue is not None
     assert geo.is_spread(rogue.lines).ok
@@ -247,7 +247,7 @@ def test_characterize_failure_reasons():
                     if flip_canonical(lam, g) != flip_canonical(lam, gs))
     other_par = build_parallelism(geo, other_gs)
     foreign = next(sp for sp in other_par.spreads if sp.tag == "hall"
-                   and sp.key() not in {t.key() for t in spreads})
+                   and sp.lines not in {t.lines for t in spreads})
     mutated = spreads[:]
     mutated[0] = foreign
     res = characterize(geo, mutated)
@@ -262,18 +262,18 @@ def test_characterize_failure_reasons():
     assert len({(c.u_pow - c.v_pow) % (q + 1) for c in labels}) == q + 1
     assert not is_good(lam, labels).ok
     family = assemble_spread_family(geo, labels)
-    assert len({sp.key() for sp in family}) == len(family)
+    assert len({sp.lines for sp in family}) == len(family)
     res = characterize(geo, family)
     assert not res.ok and res.reason == "recovered set not good"
 
     # a Hall member whose second line meeting r_U1 is a copy of the first:
     # the transversal search then meets two equal lines
-    r_pts = set(geo.subline_points(geo.space.r_U1))
+    r_pts = set(geo.subline_points(r_U1))
     hall = spreads[0]
     touching = [l for l in hall.lines if r_pts & set(geo.subline_points(l))]
     tampered = [touching[0] if l == touching[1] else l for l in hall.lines]
     mutated = spreads[:]
-    mutated[0] = Spread(lines=tuple(tampered), alpha=hall.alpha, tag="hall")
+    mutated[0] = Spread(lines=tuple(tampered), tag="hall")
     res = characterize(geo, mutated)
     assert not res.ok
 
@@ -283,7 +283,7 @@ def _directors_by_the_sorted_loop(geo, spread_lines):
     the first three sorted lines and each later one in turn, until the four
     have a transversal, kept when it meets every line by klein_bilinear."""
     spec = geo.spec
-    coords = [plucker(spec, l) for l in sorted(spread_lines)]
+    coords = [plucker(spec, geo.line(k)) for k in sorted(spread_lines)]
     found = []
     for u in coords[3:]:
         found = klein_transversals(spec, coords[:3] + [u])
@@ -327,7 +327,7 @@ def test_checksum_fingerprints_the_line_multiset():
     other = build_parallelism(geo, dual(gs))
     assert family_checksum(geo, other.spreads) == c1
     damaged = list(par.spreads)
-    damaged[0] = Spread(lines=damaged[0].lines[:-1], alpha=geo.eta)
+    damaged[0] = Spread(lines=damaged[0].lines[:-1])
     assert family_checksum(geo, damaged) != c1
 
 
@@ -336,17 +336,16 @@ def _reference_checksum(geo, spreads):
     the whole joined text of the sorted line blobs."""
     digits = ["".join(map(str, geo.spec.elem_vec(x))) for x in geo.spec.elements()]
     blobs = [",".join(digits[x] for row in l for x in row)
-             for sp in spreads for l in sp.lines]
+             for sp in spreads for l in map(geo.line, sp.lines)]
     return hashlib.sha256("|".join(sorted(blobs)).encode()).hexdigest()
 
 
 def _stray_line(geo):
-    """A line of PG(3, q^2) that is not a line of the subgeometry."""
-    index = geo.line_index()
+    """The id of a line of PG(3, q^2) that is not a line of the subgeometry."""
     for x in geo.spec.elements():
         l = line_through(geo.spec, (1, 0, 0, 0), (0, 1, x, 0))
-        if l not in index:
-            return l
+        if geo.tau_eta_line(l) != l:
+            return geo.line_id(l)
     raise AssertionError("every line through U1 of that plane is a subgeometry line")
 
 
@@ -363,9 +362,8 @@ def test_checksum_equals_the_digest_of_the_joined_text(chunk, monkeypatch):
         first = spreads[0]
         families = {
             "built": spreads,
-            "repeated line": spreads + [Spread(lines=first.lines[:1], alpha=geo.eta)],
-            "stray line": [Spread(lines=first.lines[1:] + (_stray_line(geo),),
-                                  alpha=geo.eta)] + spreads[1:],
+            "repeated line": spreads + [Spread(lines=first.lines[:1])],
+            "stray line": [Spread(lines=first.lines[1:] + (_stray_line(geo),))] + spreads[1:],
             "empty": [],
         }
         for name, family in families.items():
@@ -377,15 +375,15 @@ CHECKSUM_QS = (3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def _random_lines(geo, rng, count):
-    """Lines of PG(3, q^2) through pairs of seeded random points: almost
-    none of them a subgeometry line."""
+    """The ids of lines of PG(3, q^2) through pairs of seeded random points:
+    almost none of them a subgeometry line."""
     spec, order = geo.spec, geo.spec.order
     out = []
     while len(out) < count:
         P, R = ([rng.randrange(order) for _ in range(4)] for _ in range(2))
         if any(P) and any(R):
             try:
-                out.append(line_through(spec, tuple(P), tuple(R)))
+                out.append(geo.line_id(line_through(spec, tuple(P), tuple(R))))
             except ValueError:          # the same point twice
                 pass
     return out
@@ -393,10 +391,9 @@ def _random_lines(geo, rng, count):
 
 def _checksum_families(geo, rng):
     """Families of line sets: the Desarguesian spread and two Hall spreads
-    (at q <= 9, where the tests build the index), seeded ambient lines,
+    (at q <= 9, where the tests build Hall spreads), seeded ambient lines,
     families holding a stray line, repeated lines, or both, and the empty
     family."""
-    eta = geo.eta
     if geo.q <= 9:
         members = [geo.desarguesian_spread().lines,
                    *(geo.hall_spread(l).lines for l in rng.sample(geo.line_set_L(), 2))]
@@ -412,7 +409,7 @@ def _checksum_families(geo, rng):
         "one line": [members[0][:1]],
         "empty": [],
     }
-    return {name: [Spread(lines=lines, alpha=eta) for lines in fam]
+    return {name: [Spread(lines=lines) for lines in fam]
             for name, fam in families.items()}
 
 

@@ -38,7 +38,7 @@ from spreadsmith.serialization import (
     read_parallelism_file,
     write_parallelism_file,
 )
-from spreadsmith.spreads import geometry_for_q
+from spreadsmith.spreads import Geometry, geometry_for_q
 
 
 # every supported field order
@@ -111,9 +111,7 @@ def test_parallelism_file_round_trip(tmp_path):
     header, geo2, spreads, stored = read_parallelism_file(path)
     assert header["q"] == 3
     assert len(spreads) == 13
-    assert {sp.key() for sp in spreads} == {sp.key() for sp in par.spreads}
-    # the decoded lines are the index's own objects, not second copies
-    assert all(l is geo2.intern(l) for sp in spreads for l in sp.lines)
+    assert {sp.lines for sp in spreads} == {sp.lines for sp in par.spreads}
     cert2 = verify_parallelism(geo2, spreads)
     assert cert2.ok and cert2.checksum == stored["checksum"]
 
@@ -719,6 +717,76 @@ def _tampered_shapes(tmp_path):
     return paths + [path]
 
 
+def _tampered_members(tmp_path):
+    """q = 3 parallelism files whose members were changed four ways: the
+    first line of member 0 replaced by a line that is not a subgeometry
+    line (through the subgeometry point (1, 0, 1, 0) of r_U1 and the point
+    (0, 1, 0, 0) off the subgeometry); the first lines of members 0 and 1
+    both replaced by that line; the first line of member 1 replaced by that
+    of member 0; member 1 dropped."""
+    spec = geometry_for_q(3).spec
+    stray = [[list(spec.elem_vec(x)) for x in pt]
+             for pt in line_through(spec, (1, 0, 1, 0), (0, 1, 0, 0))]
+    dropped, rows = _changed_rows(tmp_path, "dropped")
+    Path(dropped).write_text("\n".join(json.dumps(r) for r in rows[:2] + rows[3:]) + "\n")
+    return {
+        "stray": _changed_rows(tmp_path, "stray", (1, ("lines", 0), stray))[0],
+        "stray twice": _changed_rows(tmp_path, "stray_twice", (1, ("lines", 0), stray),
+                                     (2, ("lines", 0), stray))[0],
+        "repeated": _changed_rows(tmp_path, "repeated",
+                                  (2, ("lines", 0), rows[1]["lines"][0]))[0],
+        "dropped": dropped,
+    }
+
+
+_REGULUS_PATTERN = ("characterization failed: regulus misses r_U1: "
+                    "does not meet the distinguished line in a regulus pattern\n")
+_STORED = ("ok mismatch against the stored certificate\n"
+           "checksum mismatch against the stored certificate\n")
+# the full stdout of `parallelism verify` and `characterize` on each file of
+# _tampered_members; every such file exits 1
+TAMPERED_OUTPUT = {
+    "stray": (
+        "spreads: 13\nlines covered: 130\nchecksum: 941bde84b8505250..\n" + _STORED
+        + "failure: member 0 is not a spread: line is not stable under the involution\n"
+        "first uncovered line: ((1, 0, 0, 5), (0, 1, 7, 0))\n"
+        "verdict: FAIL\n",
+        _REGULUS_PATTERN),
+    "stray twice": (
+        "spreads: 13\nlines covered: 130\nchecksum: a111b365567b4bde..\n" + _STORED
+        + "failure: member 0 is not a spread: line is not stable under the involution\n"
+        "first uncovered line: ((1, 0, 0, 5), (0, 1, 7, 0))\n"
+        "first multiply covered line: ((1, 0, 1, 0), (0, 1, 0, 0))\n"
+        "verdict: FAIL\n",
+        _REGULUS_PATTERN),
+    "repeated": (
+        "spreads: 13\nlines covered: 130\nchecksum: 05f9d4ac9bd95786..\n" + _STORED
+        + "failure: member 1 is not a spread: point covered more than once\n"
+        "first uncovered line: ((1, 0, 1, 0), (0, 1, 3, 1))\n"
+        "first multiply covered line: ((1, 0, 0, 5), (0, 1, 7, 0))\n"
+        "verdict: FAIL\n",
+        _REGULUS_PATTERN),
+    "dropped": (
+        "spreads: 12\nlines covered: 120\nchecksum: 758febca6ef286de..\n"
+        "ok mismatch against the stored certificate\n"
+        "spread_count mismatch against the stored certificate\n"
+        "line_count mismatch against the stored certificate\n"
+        "checksum mismatch against the stored certificate\n"
+        "failure: line not covered: ((1, 0, 1, 0), (0, 1, 3, 1))\n"
+        "first uncovered line: ((1, 0, 1, 0), (0, 1, 3, 1))\n"
+        "verdict: FAIL\n",
+        "characterization failed: malformed family size\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED_OUTPUT))
+def test_cli_output_on_tampered_members_is_pinned(name, tmp_path, capsys):
+    path = _tampered_members(tmp_path)[name]
+    for sub, expected in zip(("verify", "characterize"), TAMPERED_OUTPUT[name]):
+        assert run_cli("parallelism", sub, path) == 1
+        assert capsys.readouterr() == (expected, "")
+
+
 @pytest.mark.parametrize("key, value", [("ok", False), ("spread_count", 3),
                                         ("line_count", 3), ("checksum", "0" * 64)])
 def test_cli_verify_compares_the_stored_certificate(key, value, tmp_path, capsys):
@@ -804,11 +872,33 @@ def test_every_element_round_trips_through_the_coefficient_table(q):
         assert table.codes[vec] == decode(list(vec)) == spec.elem_from_vec(vec) == x
 
 
+def _own_ids(geo, ids) -> bool:
+    """Whether every id is the int object that line_id gives its line."""
+    return all(k is geo.line_id(geo.line(k)) for k in ids)
+
+
 def test_read_lines_are_the_index_objects(tmp_path):
     path, _ = _changed_rows(tmp_path, "par")
     _, geo, spreads, _ = read_parallelism_file(path)
-    universe, index = geo.sigma_eta_lines(), geo.line_index()
-    assert all(l is universe[index[l]] for sp in spreads for l in sp.lines)
+    assert _own_ids(geo, (k for sp in spreads for k in sp.lines))
+
+
+def test_line_ids_are_the_index_int_objects(tmp_path):
+    """The ids in the spreads of a built q = 8 parallelism, in E's generator
+    permutations and in a q = 9 file read back are the index's own int
+    objects.  A fresh int takes 28 B, and a q = 8 Geometry can memoise
+    1 944 Hall spreads of 65 lines: about 3.5 MB of second copies."""
+    geo = Geometry(lambda_for_q(8))
+    par = build_parallelism(geo, next(enumerate_good_sets(geo.lam)))
+    assert _own_ids(geo, (k for sp in par.spreads for k in sp.lines))
+    assert _own_ids(geo, (k for perm in parallelisms.E_generator_line_perms(geo) for k in perm))
+    geo9 = geometry_for_q(9)
+    path = tmp_path / "par.jsonl"
+    par = build_parallelism(geo9, next(enumerate_good_sets(geo9.lam)))
+    write_parallelism_file(path, geo9, par, par.certificate)
+    _, geo2, spreads, _ = read_parallelism_file(path)
+    assert [sp.lines for sp in spreads] == [sp.lines for sp in par.spreads]
+    assert _own_ids(geo2, (k for sp in spreads for k in sp.lines))
 
 
 def test_a_line_written_as_other_points_of_it_reads_the_same(tmp_path, capsys):
@@ -826,9 +916,8 @@ def test_a_line_written_as_other_points_of_it_reads_the_same(tmp_path, capsys):
     other, _ = _changed_rows(tmp_path, "other", (1, ("lines", 0),
                              [[list(spec.elem_vec(x)) for x in pt] for pt in (T, S)]))
     _, geo2, spreads2, _ = read_parallelism_file(other)
-    assert [sp.key() for sp in spreads2] == [sp.key() for sp in spreads]
-    universe, index = geo2.sigma_eta_lines(), geo2.line_index()
-    assert all(l is universe[index[l]] for sp in spreads2 for l in sp.lines)
+    assert [sp.lines for sp in spreads2] == [sp.lines for sp in spreads]
+    assert _own_ids(geo2, (k for sp in spreads2 for k in sp.lines))
     assert run_cli("parallelism", "verify", good) == 0
     expected = capsys.readouterr()
     assert run_cli("parallelism", "verify", other) == 0

@@ -32,7 +32,7 @@ def test_desarguesian_spread_counts():
         assert len(d.lines) == q * q + 1
         assert geo.is_spread(d.lines).ok
         assert len(checks.extension_points(geo, d.lines)) == (q * q + 1) ** 2
-        assert geo.desarguesian_spread(geo.lam.eta_index) is d
+        assert set(map(geo.line, d.lines)) == checks.desarguesian_lines(geo, geo.lam.eta_index)
 
 
 def test_subgeometry_line_universe():
@@ -51,11 +51,38 @@ def test_sigma_eta_lines_match_the_pairwise_sweep(q):
     pts = sorted(sig)
     sweep = sorted({rref(spec, [P, Q]) for i, P in enumerate(pts) for Q in pts[i + 1:]})
     assert geo.sigma_eta_lines() == sweep
-    assert geo.line_index() == {l: k for k, l in enumerate(sweep)}
-    for l in sweep:
+    for k, l in enumerate(sweep):
+        assert geo.line_id(l) == k and geo.line(k) == l
         on_line = tuple(P for P in line_points(spec, l) if P in sig)
-        assert geo.subline_points(l) == on_line
-        assert geo.intern(l) is geo.sigma_eta_lines()[geo.line_index()[l]]
+        assert geo.subline_points(k) == on_line
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_line_id_and_line_convert_both_ways(q):
+    """Every subgeometry line comes back from its id, and the ids follow
+    sigma_eta_lines().  Seeded lines outside the subgeometry get ids from
+    N = (q^2+1)(q^2+q+1) upward, the same line the same id, given by any
+    two of its points, and is_spread rejects them."""
+    geo = Geometry(lambda_for_q(q))
+    spec, lines = geo.spec, geo.sigma_eta_lines()
+    n = (q * q + 1) * (q * q + q + 1)
+    assert len(lines) == n
+    assert [geo.line_id(l) for l in lines] == list(range(n))
+    assert all(geo.line(geo.line_id(l)) == l for l in lines)
+    rng = random.Random(f"strays {q}")
+    strays = {}
+    while len(strays) < 20:
+        P, Q = (normalize(spec, [rng.randrange(spec.order) for _ in range(4)]) for _ in "PQ")
+        if P != Q and geo.tau_eta_line(l := line_through(spec, P, Q)) != l:
+            strays[l] = geo.line_id(l)
+            R = next(R for R in line_points(spec, l) if R not in l)
+            assert geo.line_id((R, l[0])) == strays[l]
+    assert sorted(strays.values()) == list(range(n, n + 20))
+    for l, k in strays.items():
+        assert geo.line_id(l) == k and geo.line(k) == l
+    d = list(geo.desarguesian_spread().lines)
+    for k in strays.values():
+        assert geo.is_spread(d[:-1] + [k]).reason == "line is not stable under the involution"
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -65,17 +92,16 @@ def test_line_permutation_matches_apply_line(q):
     and, at q = 3, a seeded sample of the full closure, acting through the
     permutations the closure composed rather than computed."""
     geo = geometry_for_q(q)
-    index = geo.line_index()
     lines = geo.sigma_eta_lines()
     moves = [*group_E(geo).generators, *full_stabilizer_gens(geo)]
     for psi in moves:
-        assert geo.line_permutation(psi) == [index[psi.apply_line(l)] for l in lines]
+        assert geo.line_permutation(psi) == [geo.line_id(psi.apply_line(l)) for l in lines]
     if q == 3:
         full = full_stabilizer_group(geo)
         for k in random.Random(q).sample(range(full.order), 50):
             psi, perm = full.elements[k], full.perms[k]
-            for l in lines:
-                assert geo.spread_keys([[l]], perm) == [(index[psi.apply_line(l)],)]
+            for i, l in enumerate(lines):
+                assert geo.spread_keys([[i]], perm) == [(geo.line_id(psi.apply_line(l)),)]
 
 
 INDEX_QS = (3, 4, 5, 7, 8, 9)
@@ -115,8 +141,8 @@ def test_subline_ids_match_the_reference_order(q):
     reference = _reference_subline_ids(geo)
     lines = geo.sigma_eta_lines()
     assert sorted(reference) == lines
-    for l in lines:
-        ids = tuple(geo.subline_ids(l))
+    for k, l in enumerate(lines):
+        ids = tuple(geo.subline_ids(k))
         assert ids == reference[l]
         assert sorted(ids) == sorted(point_id[P] for P in line_points(spec, l) if P in sig)
 
@@ -142,22 +168,22 @@ def test_pair_lookup_and_line_permutation_match_line_through(q):
     through the images of two of its points."""
     geo = geometry_for_q(q)
     spec, points = geo.spec, geo._index().points
-    index, lines = geo.line_index(), geo.sigma_eta_lines()
+    n = len(geo.sigma_eta_lines())
     start, second, line = geo._line_by_pair()
-    for k, l in enumerate(lines):
-        a, b = sorted(geo.subline_ids(l))[:2]
+    for k in range(n):
+        a, b = sorted(geo.subline_ids(k))[:2]
         assert line[bisect_left(second, b, start[a], start[a + 1])] == k
-    sample = random.Random(q).sample(lines, 40)
+    sample = random.Random(q).sample(range(n), 40)
     for psi in _seeded_moves(geo, 3):
         perm = geo.point_permutation(psi)
         images = geo.line_permutation(psi)
-        assert sorted(images) == list(range(len(lines)))
-        for k, l in enumerate(lines):
-            ids = geo.subline_ids(l)
-            assert images[k] == index[line_through(spec, points[perm[ids[0]]],
-                                                   points[perm[ids[-1]]])]
-        assert geo.spread_keys([[l] for l in sample], perm) == sorted(
-            (images[index[l]],) for l in sample)
+        assert sorted(images) == list(range(n))
+        for k in range(n):
+            ids = geo.subline_ids(k)
+            assert images[k] == geo.line_id(line_through(spec, points[perm[ids[0]]],
+                                                         points[perm[ids[-1]]]))
+        assert geo.spread_keys([[k] for k in sample], perm) == sorted(
+            (images[k],) for k in sample)
 
 
 @pytest.mark.parametrize("q", INDEX_QS)
@@ -168,8 +194,8 @@ def test_is_spread_reports_match_the_point_count_on_seeded_mutants(q):
     geo = geometry_for_q(q)
     rng = random.Random(f"mutants {q}")
     sigma, family = geo.sigma_eta_lines(), geo.line_set_L()
-    bases = [list(geo.desarguesian_spread().lines)]
-    bases += [list(geo.hall_spread(l).lines) for l in rng.sample(family, 2)]
+    bases = [list(map(geo.line, geo.desarguesian_spread().lines))]
+    bases += [list(map(geo.line, geo.hall_spread(l).lines)) for l in rng.sample(family, 2)]
     cases = [list(b) for b in bases]
     for base in bases:
         for _ in range(4):
@@ -181,7 +207,7 @@ def test_is_spread_reports_match_the_point_count_on_seeded_mutants(q):
             cases.append(base + [rng.choice(sigma)])
     reasons = set()
     for lines in cases:
-        got = geo.is_spread(lines)
+        got = geo.is_spread(map(geo.line_id, lines))
         assert got == _is_spread_by_point_count(geo, lines)
         reasons.add(got.reason)
     assert reasons == {None, "point covered more than once",
@@ -214,18 +240,23 @@ def _transversals_by_brute_force(geo, lines):
     return [l for l in geo.sigma_eta_lines() if all(lines_meet(spec, l, r) for r in lines)]
 
 
+def _transversals(geo, lines):
+    """transversals_of on the ids of the given lines, as lines."""
+    return [geo.line(k) for k in geo.transversals_of(map(geo.line_id, lines))]
+
+
 def test_transversals_of_match_a_full_search():
     """Transversals found on point ids against every subgeometry line that
     meets the given lines, also when one given line is not in the index."""
     geo = geometry_for_q(4)
     spec = geo.spec
-    d = sorted(geo.desarguesian_spread().lines)
+    d = list(map(geo.line, geo.desarguesian_spread().lines))
     foreign = next(l for l in geo.line_set_L() if not lines_meet(spec, l, d[0])
                    and not lines_meet(spec, l, d[5]))
     for lines in ([d[0], d[5], d[9]], [d[0], d[5], d[9], d[11]], [d[0], d[5], foreign]):
-        got = geo.transversals_of(lines)
-        assert got == _transversals_by_brute_force(geo, lines)
-        assert all(t is geo.intern(t) for t in got)
+        got = geo.transversals_of(map(geo.line_id, lines))
+        assert list(map(geo.line, got)) == _transversals_by_brute_force(geo, lines)
+        assert all(t is geo.line_id(geo.line(t)) for t in got)
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -248,8 +279,8 @@ def test_transversals_of_match_the_brute_force_on_seeded_sets(q):
         pair = skew_pair()
         third = next(l for l in rng.sample(sigma, len(sigma))
                      if not any(lines_meet(spec, l, m) for m in pair))
-        opp = geo.transversals_of(pair + [third])
-        reg = geo.transversals_of(opp)
+        opp = _transversals(geo, pair + [third])
+        reg = _transversals(geo, opp)
         assert len(opp) == len(reg) == q + 1
         cases += [pair + [third], opp, reg, reg[:2] + rng.sample(reg[2:], 2)]
     for _ in range(6):
@@ -263,9 +294,9 @@ def test_transversals_of_match_the_brute_force_on_seeded_sets(q):
         ambient = [l for l in rng.sample(family, len(family))
                    if not lines_meet(spec, l, pair[0]) and not lines_meet(spec, l, pair[1])]
         cases += [pair + ambient[:1], pair + ambient[:2], pair + [ambient[0]] + rng.sample(sigma, 1)]
-    assert any(geo.transversals_of(lines) for lines in cases)
+    assert any(_transversals(geo, lines) for lines in cases)
     for lines in cases:
-        assert geo.transversals_of(lines) == _transversals_by_brute_force(geo, lines)
+        assert _transversals(geo, lines) == _transversals_by_brute_force(geo, lines)
 
 
 def test_transversals_of_rejects_meeting_first_lines():
@@ -278,12 +309,12 @@ def test_transversals_of_rejects_meeting_first_lines():
     first = sigma[0]
     second = next(l for l in sigma[1:] if lines_meet(spec, first, l))
     with pytest.raises(ValueError):
-        geo.transversals_of([first, second, sigma[-1]])
+        _transversals(geo, [first, second, sigma[-1]])
 
 
 def _pencil_label_by_intersection(geo, l):
     """pencil_label_of as it was computed with line_intersection."""
-    if l in geo.line_index():
+    if geo.tau_eta_line(l) == l:       # a subgeometry line
         return None
     P = line_intersection(geo.spec, l, geo.space.r_U1)
     if P is None:
@@ -320,12 +351,13 @@ def test_pencil_label_of_matches_line_intersection_through_r_U1(q):
 
 
 def test_spreads_hold_the_index_lines():
+    """Spreads and reguli hold the index's own int objects as line ids."""
     geo = geometry_for_q(4)
     l = geo.line_set_L()[7]
     spreads = (geo.desarguesian_spread(), geo.spread_from_transversal(l), geo.hall_spread(l))
     lines = [m for sp in spreads for m in sp.lines]
     lines += geo.regulus_of(l).lines + geo.opposite_regulus(geo.regulus_of(l)).lines
-    assert all(m is geo.intern(m) for m in lines)
+    assert all(m is geo.line_id(geo.line(m)) for m in lines)
 
 
 def _is_spread_by_point_count(geo, lines) -> SpreadReport:
@@ -388,10 +420,11 @@ def test_label_of_rejects_lines_outside_the_family():
 @pytest.mark.parametrize("q", [3, 4])
 def test_is_spread_reports_match_the_point_count(q):
     geo = geometry_for_q(q)
-    d = list(geo.desarguesian_spread().lines)
+    d = list(map(geo.line, geo.desarguesian_spread().lines))
     pencil_line = geo.line_set_L()[0]           # meets the subgeometry in one point
     skew = geo.space.t1                         # misses it, and is not tau-stable
-    assert pencil_line not in geo.line_index() and skew not in geo.line_index()
+    n = len(geo.sigma_eta_lines())
+    assert geo.line_id(pencil_line) >= n and geo.line_id(skew) >= n
     other = next(l for l in geo.sigma_eta_lines() if l not in d)
     cases = {
         "line outside": d[:-1] + [pencil_line],
@@ -400,9 +433,9 @@ def test_is_spread_reports_match_the_point_count(q):
         "repeat": d[:-1] + [d[0]],
         "short": d[:-1],
         "spread": d,
-        "hall": list(geo.hall_spread(pencil_line).lines),
+        "hall": list(map(geo.line, geo.hall_spread(pencil_line).lines)),
     }
-    reports = {name: geo.is_spread(lines) for name, lines in cases.items()}
+    reports = {name: geo.is_spread(map(geo.line_id, lines)) for name, lines in cases.items()}
     for name, lines in cases.items():
         assert reports[name] == _is_spread_by_point_count(geo, lines), name
     assert reports["line outside"].reason == "line is not stable under the involution"
@@ -467,8 +500,8 @@ def test_spread_from_transversal_preconditions():
 def test_transversal_of_t1_rebuilds_desarguesian():
     for q in (3, 4):
         geo = geometry_for_q(q)
-        assert geo.spread_from_transversal(geo.space.t1).key() == \
-            geo.desarguesian_spread().key()
+        assert geo.spread_from_transversal(geo.space.t1).lines == \
+            geo.desarguesian_spread().lines
 
 
 def test_conjugate_transversal_derives_its_own_spread():
@@ -479,7 +512,7 @@ def test_conjugate_transversal_derives_its_own_spread():
     sp = geo.spread_from_transversal(l)
     conj = geo.spread_from_transversal(geo.tau_eta_line(l))
     assert conj is not sp
-    assert conj.key() == sp.key()
+    assert conj.lines == sp.lines
 
 
 def test_regulus_membership_requires_family_line():
@@ -496,14 +529,14 @@ def test_hall_spread_structure():
         assert geo.is_spread(h.lines).ok
         assert not set(h.lines) & set(geo.desarguesian_spread().lines)
         src = geo.spread_from_transversal(l)
-        assert h.key() != src.key()
+        assert h.lines != src.lines
         assert len(set(h.lines) ^ set(src.lines)) == 2 * (q + 1)
 
 
 def test_is_spread_negative_report():
     geo = geometry_for_q(3)
     d = list(geo.desarguesian_spread().lines)
-    other = next(l for l in geo.sigma_eta_lines() if l not in d)
+    other = next(k for k in range(len(geo.sigma_eta_lines())) if k not in d)
     mutated = d[:-1] + [other]
     rep = geo.is_spread(mutated)
     assert not rep.ok
