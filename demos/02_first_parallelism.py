@@ -28,7 +28,7 @@ for c in gs:
 
 par = build_parallelism(geo, gs)
 print(f"\nparallelism: {len(par)} spreads "
-      f"({sum(1 for sp in par.spreads if sp.tag == 'hall')} switched + 1 Desarguesian)")
+      f"({len(par) - 1} switched + 1 Desarguesian)")
 
 cert = verify_parallelism(geo, par)
 print(f"exact cover: {cert.line_count} lines of the subgeometry, "
@@ -46,8 +46,11 @@ for c in res.good_set:
     print("   ", tuple(c))
 print("round trip:", "exact" if res.ok else res.reason)
 
-# peek inside one switched member
-sp = next(sp for sp in par.spreads if sp.tag == "hall")
-print(f"\none switched member: {len(sp.lines)} lines; the switched regulus "
-      f"has {len(sp.switched)} lines and contains the distinguished line:",
-      geo.line_id(geo.space.r_U1) in sp.switched)
+# peek inside one switched member: the Hall spread of the first line of the
+# first pencil, and the regulus of the Desarguesian spread that it switched
+l = geo.pencil(*par.source[0])[0]
+sp, reg = par.spreads[0], geo.regulus_of(l)
+assert sp == geo.hall_spread(l)
+print(f"\none switched member: {len(sp)} lines; the switched regulus "
+      f"has {len(reg)} lines and contains the distinguished line:",
+      geo.line_id(geo.space.r_U1) in reg)

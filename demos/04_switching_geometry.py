@@ -22,15 +22,16 @@ print("  generators:", l)
 sp = geo.spread_from_transversal(l)
 d = geo.desarguesian_spread()
 reg = geo.regulus_of(l)
-print(f"\ninduced spread: {len(sp.lines)} lines; shares "
-      f"{len(set(sp.lines) & set(d.lines))} lines with the reference spread")
+print(f"\ninduced spread: {len(sp)} lines; shares "
+      f"{len(set(sp) & set(d))} lines with the reference spread")
 print(f"shared regulus contains the distinguished line:",
-      geo.line_id(geo.space.r_U1) in reg.lines)
+      geo.line_id(geo.space.r_U1) in reg)
 
 opp = geo.opposite_regulus(reg)
-# spreads and reguli hold line ids; geo.line gives a line's coordinates
-reg_lines, opp_lines = list(map(geo.line, reg.lines)), list(map(geo.line, opp.lines))
-print(f"\nopposite regulus: {len(opp.lines)} transversals; incidence matrix "
+# spreads and reguli are sorted tuples of line ids; geo.line gives a
+# line's coordinates
+reg_lines, opp_lines = list(map(geo.line, reg)), list(map(geo.line, opp))
+print(f"\nopposite regulus: {len(opp)} transversals; incidence matrix "
       "(rows: regulus, cols: opposite):")
 for r in reg_lines:
     row = []
@@ -46,8 +47,8 @@ for r in reg_lines:
     print("   ", vals)
 
 h = geo.hall_spread(l)
-print(f"\nswitched spread: {len(h.lines)} lines, "
-      f"valid: {geo.is_spread(h.lines).ok}, "
-      f"disjoint from the reference spread: {not set(h.lines) & set(d.lines)}")
-print(f"lines exchanged by the switch: {len(set(h.lines) ^ set(sp.lines))} "
+print(f"\nswitched spread: {len(h)} lines, "
+      f"valid: {geo.is_spread(h).ok}, "
+      f"disjoint from the reference spread: {not set(h) & set(d)}")
+print(f"lines exchanged by the switch: {len(set(h) ^ set(sp))} "
       f"(= 2(q+1))")

@@ -13,7 +13,7 @@ from importlib import import_module
 _HOMES = {
     "field_tower": ("FieldSpec", "LambdaSystem", "NormPartition", "build_lambda",
                     "build_partition", "field_for_q", "lambda_for_q"),
-    "spreads": ("Geometry", "Pencil", "Regulus", "Spread", "geometry_for_q"),
+    "spreads": ("Geometry", "geometry_for_q"),
     "goodsets": ("Candidate", "census", "count_formula", "count_good_sets", "dual",
                  "enumerate_good_sets", "fixed_plane_good_set", "fixed_point_good_set",
                  "is_good", "is_good_geometric"),

@@ -58,7 +58,7 @@ from spreadsmith.proj_geometry import (
     tau_line,
     tau_point,
 )
-from spreadsmith.spreads import Geometry, Regulus, memo
+from spreadsmith.spreads import Geometry, memo
 from spreadsmith.equivalence import (
     apply_label_action,
     are_equivalent,
@@ -170,19 +170,19 @@ def desarguesian_lines(geo: Geometry, alpha_idx: int) -> frozenset:
                      for P in line_points(spec, geo.space.t1))
 
 
-def reguli_through_r_U1(geo: Geometry) -> list[Regulus]:
+def reguli_through_r_U1(geo: Geometry) -> list[tuple[int, ...]]:
     """All reguli of D_eta containing r_U1, by brute force over triples:
     the spread lines sharing a point id with every transversal of one."""
     d = geo.desarguesian_spread()
     r_U1 = geo.line_id(geo.space.r_U1)
-    others = [l for l in d.lines if l != r_U1]
+    others = [l for l in d if l != r_U1]
     found = set()
     for i, l2 in enumerate(others):
         for l3 in others[i + 1:]:
             meets = [set(geo.subline_ids(t)) for t in geo.transversals_of([r_U1, l2, l3])]
-            found.add(tuple(l for l in d.lines
+            found.add(tuple(l for l in d
                             if all(not t.isdisjoint(geo.subline_ids(l)) for t in meets)))
-    return [Regulus(lines=r) for r in sorted(found)]
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ def check_spread_union(geo: Geometry) -> CheckResult:
     s = geo.spec
     q = s.q
     d = geo.desarguesian_spread()
-    ext = extension_points(geo, d.lines)
+    ext = extension_points(geo, d)
     if len(ext) != (q * q + 1) ** 2:
         return False, f"extension union has {len(ext)} points"
     if q != 3:
@@ -383,7 +383,7 @@ def check_spread_union(geo: Geometry) -> CheckResult:
             return False, f"plane section of size {len(sec)}"
         sizes_seen.add(len(sec))
         if len(sec) == 2 * q * q + 1:
-            inside = [l for l in map(geo.line, d.lines) if line_in_plane(s, l, pl)]
+            inside = [l for l in map(geo.line, d) if line_in_plane(s, l, pl)]
             if len(inside) != 1:
                 return False, "large section without a unique spread line"
             lpts = set(line_points(s, inside[0]))
@@ -421,10 +421,10 @@ def check_regulus_transversal_classification(geo: Geometry) -> CheckResult:
     ambient = [l for l in space.all_lines() if l not in stable]
     for reg in reguli[:4]:
         # a transversal meets r_U1 by meeting every line of the regulus
-        lines = list(map(geo.line, reg.lines))
+        lines = list(map(geo.line, reg))
         if space.r_U1 not in lines:
             return False, "regulus misses r_U1"
-        transversals = list(map(geo.line, geo.transversals_of(reg.lines))) + [
+        transversals = list(map(geo.line, geo.transversals_of(reg))) + [
             l for l in ambient if all(lines_meet(s, l, r) for r in lines)]
         if len(transversals) != q * q + 1:
             return False, f"{len(transversals)} ambient transversals"
@@ -451,19 +451,21 @@ def check_pencils_and_line_family(geo: Geometry) -> CheckResult:
     want = len(lam.I) * q * (q + 1) ** 2
     if len(L) != want:
         return False, f"|family| = {len(L)}, expected {want}"
+    r_U1 = geo.space.r_U1
     for a in lam.I:
         alpha = lam.alpha(a)
         for u in range(q + 1):
             for v in range(q + 1):
                 pen = geo.pencil(a, u, v)
-                if len(pen.lines) != q + 1 or geo.space.r_U1 not in pen.lines:
+                if len(pen) != q or r_U1 in pen:
                     return False, f"pencil {(a, u, v)} malformed"
-                for l in pen.lines:
+                P, pl = geo.point_P(a, u), geo.plane_pi(a, v)
+                for l in (*pen, r_U1):
                     if tau_line(s, alpha, l) != l:
                         return False, "pencil member not stable"
-                    if not point_on_line(s, l, pen.base_point):
+                    if not point_on_line(s, l, P):
                         return False, "pencil member misses base point"
-                    if not line_in_plane(s, l, pen.plane):
+                    if not line_in_plane(s, l, pl):
                         return False, "pencil member leaves the plane"
     sig = geo.sigma_eta
     probe = L if q == 3 else L[:60]
@@ -482,15 +484,15 @@ def check_transversal_spreads(geo: Geometry, sample: int = 40, seed: int = 0) ->
     rng = random.Random(seed)
     L = list(geo.line_set_L())
     probe = L if q <= 4 else rng.sample(L, sample)
-    d_lines = set(geo.desarguesian_spread().lines)
+    d_lines = set(geo.desarguesian_spread())
     if geo.spread_from_transversal(geo.space.t1) != geo.desarguesian_spread():
         return False, "transversal t1 does not rebuild the spread"
     for l in probe:
         sp = geo.spread_from_transversal(l)
-        rep = geo.is_spread(sp.lines)
+        rep = geo.is_spread(sp)
         if not rep.ok:
             return False, f"induced family is not a spread: {rep.reason}"
-        common = set(sp.lines) & d_lines
+        common = set(sp) & d_lines
         if len(common) != q + 1 or geo.line_id(geo.space.r_U1) not in common:
             return False, "shared lines are not a regulus through r_U1"
         if geo.spread_from_transversal(geo.tau_eta_line(l)) != sp:
@@ -507,24 +509,24 @@ def check_hall_spreads(geo: Geometry, sample: int = 30, seed: int = 1) -> CheckR
     rng = random.Random(seed)
     L = list(geo.line_set_L())
     probe = L if q <= 4 else rng.sample(L, sample)
-    d_lines = set(geo.desarguesian_spread().lines)
+    d_lines = set(geo.desarguesian_spread())
     for l in probe:
         reg = geo.regulus_of(l)
         opp = geo.opposite_regulus(reg)
         if geo.opposite_regulus(opp) != reg:
             return False, "double opposite is not the identity"
-        for a in reg.lines:
+        for a in reg:
             ids = set(geo.subline_ids(a))
-            if any(len(ids.intersection(geo.subline_ids(b))) != 1 for b in opp.lines):
+            if any(len(ids.intersection(geo.subline_ids(b))) != 1 for b in opp):
                 return False, "regulus/opposite incidence broken"
         h = geo.hall_spread(l)
-        rep = geo.is_spread(h.lines)
+        rep = geo.is_spread(h)
         if not rep.ok:
             return False, f"switched family is not a spread: {rep.reason}"
-        if set(h.lines) & d_lines:
+        if set(h) & d_lines:
             return False, "switched spread meets the Desarguesian one"
         src = geo.spread_from_transversal(l)
-        if len(set(h.lines) ^ set(src.lines)) != 2 * (q + 1):
+        if len(set(h) ^ set(src)) != 2 * (q + 1):
             return False, "switch did not replace exactly one regulus"
     return True, f"{len(probe)} switched spreads"
 
@@ -536,12 +538,12 @@ def check_desarguesian_property(geo: Geometry, sample: int = 50, seed: int = 3) 
     q = geo.q
     rng = random.Random(seed)
     d = geo.desarguesian_spread()
-    d_set = set(d.lines)
+    d_set = set(d)
     universe = [k for k in range(len(geo.sigma_eta_lines())) if k not in d_set]
     probe = rng.sample(universe, min(sample, len(universe)))
     for l in probe:
         ids = set(geo.subline_ids(l))
-        touched = [m for m in d.lines if not ids.isdisjoint(geo.subline_ids(m))]
+        touched = [m for m in d if not ids.isdisjoint(geo.subline_ids(m))]
         if len(touched) != q + 1:
             return False, f"external line meets {len(touched)} spread lines"
         if len(geo.transversals_of(touched)) != q + 1:
@@ -598,7 +600,7 @@ def _section_cases(geo: Geometry, a_idx: int):
             for v_pow in range(q + 1):
                 pl = geo.plane_pi(b_idx, v_pow)
                 sec: set = set()
-                for l in map(geo.line, sp.lines):
+                for l in map(geo.line, sp):
                     hit = line_plane_meet(s, l, pl)
                     if hit is None:
                         sec.update(line_points(s, l))
@@ -669,7 +671,7 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
     s = geo.spec
     q = geo.q
     lam = geo.lam
-    d_lines, r_line = [geo.desarguesian_spread().lines], [(geo.line_id(geo.space.r_U1),)]
+    d_lines, r_line = [geo.desarguesian_spread()], [(geo.line_id(geo.space.r_U1),)]
     for a_idx in lam.I:
         phi = phi_map(geo, a_idx)
         try:
@@ -689,12 +691,12 @@ def check_shift_maps(geo: Geometry) -> CheckResult:
                 return False, "shift misplaces the line family"
             phi_l = phi_lambda_map(geo, a_idx, scalar)
             sp = geo.spread_from_transversal(l_lam)
-            if geo.spread_keys(d_lines, geo.point_permutation(phi_l)) != [sp.lines]:
+            if geo.spread_keys(d_lines, geo.point_permutation(phi_l)) != [sp]:
                 return False, "composite map misses the shifted spread"
             union = set(line_points(s, l_lam)) | set(line_points(s, geo.tau_eta_line(l_lam)))
             for k in range(q - 1):
                 union |= _shift_image(geo, a_idx, scalar, k)
-            if extension_points(geo, sp.lines) != union:
+            if extension_points(geo, sp) != union:
                 return False, "extension union is not components plus directors"
     return True, "all shift and component cases"
 
@@ -762,7 +764,7 @@ def check_section_pivot(geo: Geometry) -> CheckResult:
                 for v_pow in range(q + 1):
                     pivot = _pivot_point(geo, a_idx, b_idx, v_pow)
                     for u_pow in range(q + 1):
-                        for l in geo.pencil(b_idx, u_pow, v_pow).punctured(geo.space.r_U1):
+                        for l in geo.pencil(b_idx, u_pow, v_pow):
                             if l == l_lam:
                                 continue
                             cases += 1
@@ -784,8 +786,8 @@ def _pair_data(geo: Geometry, l):
     label = geo.label_of(l)
     reg = geo.regulus_of(l)
     sp = geo.spread_from_transversal(l)
-    outside = extension_points(geo, sp.lines) - extension_points(geo, reg.lines)
-    return label, frozenset(reg.lines), frozenset(outside), line_points(geo.spec, l)
+    outside = extension_points(geo, sp) - extension_points(geo, reg)
+    return label, frozenset(reg), frozenset(outside), line_points(geo.spec, l)
 
 
 def _sampled_ordered_pairs(geo: Geometry, count: int, seed: int):
@@ -832,16 +834,14 @@ def check_regulus_pair_conditions(geo: Geometry, pairs: int = 10000,
     labels = candidate_universe(geo.lam)
     agg = 0
     for lab_i in labels:
-        pen_i = geo.pencil(*lab_i).punctured(geo.space.r_U1)
-        regs_i = {geo.regulus_of(l).lines for l in pen_i}
+        regs_i = {geo.regulus_of(l) for l in geo.pencil(*lab_i)}
         if len(regs_i) != q:
             return False, f"pencil {lab_i} repeats a regulus"
         for lab_j in labels:
             if lab_j <= lab_i:
                 continue
             agg += 1
-            pen_j = geo.pencil(*lab_j).punctured(geo.space.r_U1)
-            regs_j = {geo.regulus_of(l).lines for l in pen_j}
+            regs_j = {geo.regulus_of(l) for l in geo.pencil(*lab_j)}
             shares = bool(regs_i & regs_j)
             if shares == pair_conditions(s, vals[lab_i], vals[lab_j])[0]:
                 return False, f"label verdict wrong at {lab_i}, {lab_j}"
@@ -869,13 +869,13 @@ def check_extension_disjoint_conditions(geo: Geometry, pairs: int = 10000,
     labels = candidate_universe(geo.lam)
     agg = 0
     for lab_i in labels:
-        pen_i = geo.pencil(*lab_i).punctured(geo.space.r_U1)
+        pen_i = geo.pencil(*lab_i)
         for lab_j in labels:
             if lab_j == lab_i:
                 continue
             agg += 1
             want = not pair_conditions(s, vals[lab_i], vals[lab_j])[1]
-            pen_j = geo.pencil(*lab_j).punctured(geo.space.r_U1)
+            pen_j = geo.pencil(*lab_j)
             found = any(not _pair_data(geo, li)[2].isdisjoint(_pair_data(geo, lj)[3])
                         for li in pen_i for lj in pen_j)
             if found != want:
@@ -1071,17 +1071,16 @@ def check_negative_mutations(geo: Geometry, want: int = 20) -> CheckResult:
 
 @suite("pencil-orbits", lambda q: q <= 5)
 def check_pencil_orbits(geo: Geometry, sample: int = 6, seed: int = 17) -> CheckResult:
-    """The unitriangular group is transitive on each punctured pencil:
-    the orbit of any member is the full punctured pencil."""
+    """The unitriangular group is transitive on each pencil (its q lines
+    other than r_U1): the orbit of any member is the whole pencil."""
     rng = random.Random(seed)
     E = group_E(geo)
     labels = candidate_universe(geo.lam)
     for a, u, v in rng.sample(labels, min(sample, len(labels))):
-        pen = geo.pencil(a, u, v)
-        punct = set(pen.punctured(geo.space.r_U1))
-        l = next(iter(punct))
+        pen = set(geo.pencil(a, u, v))
+        l = next(iter(pen))
         orbit = {psi.apply_line(l) for psi in E.elements}
-        if orbit != punct:
+        if orbit != pen:
             return False, f"orbit mismatch at {(a, u, v)}"
     return True, f"{min(sample, len(labels))} pencils"
 
@@ -1193,7 +1192,7 @@ def check_group_actions(geo: Geometry, sample: int = 4, seed: int = 29) -> Check
         (0, 0, 0, s.mul(s.frobenius(c), u0))))
     p1 = build_parallelism(geo, gs)
     p2 = build_parallelism(geo, img)
-    if (geo.spread_keys((sp.lines for sp in p1.spreads), geo.point_permutation(witness))
+    if (geo.spread_keys(p1.spreads, geo.point_permutation(witness))
             != list(p2.key())):
         return False, "diagonal witness does not map the parallelisms"
     if are_equivalent(geo, gs, img) is None:
@@ -1208,7 +1207,7 @@ def check_stabilizer_order(geo: Geometry) -> CheckResult:
     grp = stabilizer_group(geo)
     if grp.order != grp.formula_order:
         return False, f"closure {grp.order} != formula {grp.formula_order}"
-    d_lines, r_line = [geo.desarguesian_spread().lines], [(geo.line_id(geo.space.r_U1),)]
+    d_lines, r_line = [geo.desarguesian_spread()], [(geo.line_id(geo.space.r_U1),)]
     for perm in map(geo.point_permutation, grp.generators):
         if geo.spread_keys(d_lines, perm) != d_lines:
             return False, "generator moves the Desarguesian spread"
@@ -1244,7 +1243,7 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
         # stabilizes it also fixes the distinguished line
         full = full_stabilizer_group(geo)
         pb = build_parallelism(geo, B)
-        own = [sp.lines for sp in pb.spreads]
+        own = pb.spreads
         own_key = list(pb.key())
         dual_key = list(build_parallelism(geo, Bd).key())
         members = set(own_key) | set(dual_key)

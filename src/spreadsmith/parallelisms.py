@@ -3,9 +3,10 @@ build the prescribed elementary abelian automorphism group, and recover a
 good set from a parallelism of the right shape.
 
 A parallelism of the distinguished Baer subgeometry is q^2+q+1 pairwise
-line-disjoint spreads whose union is the full line set.  The construction
-switches, for every line of every selected punctured pencil, the regulus
-that the transversal-induced spread shares with the Desarguesian one.
+line-disjoint spreads whose union is the full line set, each spread the
+sorted tuple of its line ids.  The construction switches, for every line
+of every selected pencil, the regulus that the transversal-induced spread
+shares with the Desarguesian one; the Desarguesian spread comes last.
 """
 
 from __future__ import annotations
@@ -37,18 +38,18 @@ from spreadsmith.proj_geometry import (
     line_through,  # noqa: F401  kept as a module name: perfbench's tracing tests rebind it
     plucker,
 )
-from spreadsmith.spreads import Geometry, Spread, SpreadReport, memo
+from spreadsmith.spreads import Geometry, SpreadReport, memo
 
 
 @dataclass(frozen=True)
 class Parallelism:
-    spreads: tuple[Spread, ...]
+    spreads: tuple[tuple[int, ...], ...]
     desarguesian_index: int
     source: GoodSet | None = None
     certificate: Certificate | None = field(default=None, compare=False, repr=False)
 
     def key(self):
-        return tuple(sorted(sp.lines for sp in self.spreads))
+        return tuple(sorted(self.spreads))
 
     def __len__(self):
         return len(self.spreads)
@@ -74,15 +75,11 @@ class Certificate:
         return f"line not covered: {self.uncovered[0]}"
 
 
-def assemble_spread_family(geo: Geometry, cands) -> list[Spread]:
-    """The q^2+q Hall spreads of the punctured pencils of the given labels,
-    then the Desarguesian spread.  No goodness check: callers that want the
+def assemble_spread_family(geo: Geometry, cands) -> list[tuple[int, ...]]:
+    """The q^2+q Hall spreads of the pencils of the given labels, then the
+    Desarguesian spread.  No goodness check: callers that want the
     guarantee go through build_parallelism."""
-    family = []
-    for cand in canonical(cands):
-        pencil = geo.pencil(*cand)
-        for l in pencil.punctured(geo.space.r_U1):
-            family.append(geo.hall_spread(l))
+    family = [geo.hall_spread(l) for cand in canonical(cands) for l in geo.pencil(*cand)]
     family.append(geo.desarguesian_spread())
     return family
 
@@ -122,7 +119,7 @@ def family_checksum(geo: Geometry, spreads) -> str:
     # element codes are below q^2 <= 256, so each line's 8 codes are bytes
     to_rank = bytes([rank[d] for d in digits]).ljust(256, b"\0")
     keys = sorted([bytes(r + s).translate(to_rank)
-                   for sp in spreads for r, s in map(geo.line, sp.lines)])
+                   for sp in spreads for r, s in map(geo.line, sp)])
     width = max(map(len, names))
     padded = [d.encode().ljust(width, b"\0") for d in names]
     # the j-th byte of each rank's padded string
@@ -151,14 +148,14 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
     checksum = family_checksum(geo, spreads)
     failures = []
     for i, sp in enumerate(spreads):
-        rep = geo.is_spread(sp.lines)
+        rep = geo.is_spread(sp)
         if not rep.ok:
             failures.append((i, rep))
     # ids from n upward are lines outside the subgeometry
     n = len(geo.sigma_eta_lines())
-    counts = [0] * max([n, *(sp.lines[-1] + 1 for sp in spreads if sp.lines)])
+    counts = [0] * max([n, *(max(sp) + 1 for sp in spreads if sp)])
     for sp in spreads:
-        for k in sp.lines:
+        for k in sp:
             counts[k] += 1
     uncovered = [geo.line(k) for k in range(n) if not counts[k]]
     # sorted by coordinates, which ids from n upward do not follow
@@ -221,7 +218,7 @@ def is_E_invariant(geo: Geometry, par) -> bool:
     set of its spreads and is reported as not invariant."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
     perms = E_generator_line_perms(geo)
-    keys = sorted(sp.lines for sp in spreads)
+    keys = sorted(spreads)
     try:
         return all(sorted(tuple(sorted(map(perm.__getitem__, key))) for key in keys) == keys
                    for perm in perms)
@@ -298,7 +295,7 @@ def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | No
         reg = []
     if len(reg) != q + 1:
         return None, "lines through the distinguished line admit no opposite regulus"
-    d_lines = set(geo.desarguesian_spread().lines)
+    d_lines = set(geo.desarguesian_spread())
     if r_U1 not in reg or not set(reg) <= d_lines:
         return None, "switched regulus misses the distinguished line"
     # the unswitched Desarguesian spread this member came from
@@ -318,15 +315,15 @@ def characterize(geo: Geometry, par) -> CharacterizeResult:
     the unitriangular group) and read off the good set."""
     spreads = list(par.spreads if isinstance(par, Parallelism) else par)
     q = geo.q
-    d_lines = geo.desarguesian_spread().lines
-    rest = [sp for sp in spreads if sp.lines != d_lines]
+    d_lines = geo.desarguesian_spread()
+    rest = [sp for sp in spreads if sp != d_lines]
     if len(rest) == len(spreads):
         return CharacterizeResult(False, reason="no Desarguesian member")
     if len(spreads) != q * q + q + 1 or len(rest) != len(spreads) - 1:
         return CharacterizeResult(False, reason="malformed family size")
     labels = []
     for sp in rest:
-        label, err = _hall_member_label(geo, sp.lines)
+        label, err = _hall_member_label(geo, sp)
         if label is None:
             return CharacterizeResult(False, reason=f"regulus misses r_U1: {err}",
                                       labels=labels)

@@ -117,10 +117,10 @@ def write_parallelism_file(path, geo: Geometry, par: Parallelism,
     texts = [dumps(v) for v in coefficient_table(spec).vectors]
     with open(path, "w") as fh:
         fh.write(dumps(header) + "\n")
-        for sp in par.spreads:
-            lines = [_line_text(texts, l) for l in map(geo.line, sp.lines)]
-            fh.write('{"lines":[' + ",".join(lines)
-                     + '],"tag":' + dumps(sp.tag) + ',"type":"spread"}\n')
+        for i, sp in enumerate(par.spreads):
+            lines = ",".join([_line_text(texts, l) for l in map(geo.line, sp)])
+            tag = "desarguesian" if i == par.desarguesian_index else "hall"
+            fh.write(f'{{"lines":[{lines}],"tag":"{tag}","type":"spread"}}\n')
         fh.write(dumps(certificate_record(len(par.spreads), cert)) + "\n")
 
 
@@ -131,10 +131,10 @@ def certificate_record(spread_count: int, cert: Certificate) -> dict:
 
 
 def read_parallelism_file(path):
-    """Returns (header dict, Geometry, list of Spread, certificate dict).
-    Rows are decoded one at a time, and each line becomes its id
-    (Geometry.line_id), so the file's lines are held once."""
-    from spreadsmith.spreads import Geometry, Spread
+    """Returns (header dict, Geometry, spreads, certificate dict).  Rows are
+    decoded one at a time, and a spread is its sorted line ids
+    (Geometry.line_id); tags are not read."""
+    from spreadsmith.spreads import Geometry
 
     with open(path) as fh:
         rows = (loads(line) for line in fh if line.strip())
@@ -153,7 +153,7 @@ def read_parallelism_file(path):
             if kind == "spread":
                 lines = [geo.line_id(_line_points(decode, obj))
                          for obj in _member(row, "lines", list)]
-                spreads.append(Spread(lines=tuple(lines), tag=row.get("tag", "unknown")))
+                spreads.append(tuple(sorted(lines)))
             elif kind == "certificate":
                 if cert is not None:
                     raise ValueError("more than one certificate record")

@@ -6,17 +6,18 @@ A line of the distinguished Baer subgeometry is its ambient extension in
 PG(3,q^2): the ambient line is stable under the involution and meets the
 subgeometry in q+1 points.  The subgeometry's points and lines are
 numbered once (SubgeometryIndex), lines in sorted order, so id order is
-coordinate order.  Spreads and reguli are the sorted ids of their lines,
-held as the index's own int objects, and spread, cover and incidence
-checks run on ids.  Geometry.line_id and Geometry.line convert between a
-line and its id; any other line (only a file or a test holds one) gets an
-id from (q^2+1)(q^2+q+1) upward.  The point ids of all lines sit in one
-flat array, and a line is found from two of its points in flat arrays too.
+coordinate order.  A spread or a regulus is a plain tuple, the sorted ids
+of its lines, held as the index's own int objects, and spread, cover and
+incidence checks run on ids.  Geometry.line_id and Geometry.line convert
+between a line and its id; any other line (only a file or a test holds
+one) gets an id from (q^2+1)(q^2+q+1) upward.  The point ids of all lines
+sit in one flat array, and a line is found from two of its points in flat
+arrays too.
 
-A pencil is written down from the closed form of its Baer subplane section,
-and the label of a pencil line is read off the line itself: its point on
-r_U1 and its plane through r_U1.  No table over the whole pencil line
-family is needed.
+A pencil is the sorted tuple of its q lines other than r_U1, written down
+from the closed form of its Baer subplane section, and the label of a
+pencil line is read off the line itself: its point on r_U1 and its plane
+through r_U1.  No table over the whole pencil line family is needed.
 """
 
 from __future__ import annotations
@@ -49,42 +50,6 @@ if TYPE_CHECKING:
     from collections.abc import Callable
 
 
-@dataclass(frozen=True)
-class Spread:
-    """q^2+1 pairwise disjoint lines covering the subgeometry, as the sorted
-    ids of its lines; a Hall spread also keeps the ids of the regulus it
-    switched."""
-    lines: tuple[int, ...]
-    tag: str = "unknown"            # desarguesian | hall | unknown
-    switched: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(sorted(self.lines)))
-
-
-@dataclass(frozen=True)
-class Regulus:
-    lines: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(sorted(self.lines)))
-
-
-@dataclass(frozen=True)
-class Pencil:
-    """The q+1 lines through P (inside the plane) carrying Baer sublines of
-    the plane's Baer subplane; always contains r_U1."""
-    alpha_idx: int
-    u_pow: int
-    v_pow: int
-    base_point: Point
-    plane: Plane
-    lines: tuple[Line, ...]
-
-    def punctured(self, r_U1: Line) -> tuple[Line, ...]:
-        return tuple(l for l in self.lines if l != r_U1)
-
-
 def memo(fn):
     """Cache ``fn(geo, *args)`` in the one cache dict of ``geo``, keyed by
     the function's qualified name and its positional arguments.  Every
@@ -109,7 +74,6 @@ def memo(fn):
 class SpreadReport:
     ok: bool
     reason: str | None = None
-    uncovered: Point | None = None
     multiply_covered: Point | None = None
 
 
@@ -441,50 +405,47 @@ class Geometry:
                             (x, 1, spec.mul(c, spec.frobenius(x)), c))
 
     @memo
-    def pencil(self, alpha_idx: int, u_pow: int, v_pow: int) -> Pencil:
-        """The q+1 lines through point_P(a, u) in plane_pi(a, v), X4 = c X2
-        with c = alpha v, that carry Baer sublines of the subgeometry of
-        alpha.  Off r_U1 the plane meets it in the points (x, 1, c x^q, c),
-        and two lie on one line through point_P exactly when (x - x')^(q-1)
-        = u/v.  So x = s w, s in GF(q), gives each other line once, with
-        w = 1 when u != v and w the generator (outside GF(q)) when u = v."""
+    def pencil(self, alpha_idx: int, u_pow: int, v_pow: int) -> tuple[Line, ...]:
+        """The q lines other than r_U1, sorted, through point_P(a, u) in
+        plane_pi(a, v), X4 = c X2 with c = alpha v, that carry Baer sublines
+        of the subgeometry of alpha; with r_U1 they are its q+1 such lines.
+        Off r_U1 the plane meets it in the points (x, 1, c x^q, c), and two
+        lie on one line through point_P exactly when (x - x')^(q-1) = u/v.
+        So x = s w, s in GF(q), gives each line once, with w = 1 when
+        u != v and w the generator (outside GF(q)) when u = v."""
         candidate(self.lam, alpha_idx, u_pow, v_pow)
-        members = {self.space.r_U1, *(self._pencil_line(alpha_idx, u_pow, v_pow, s)
-                                      for s in range(self.q))}
-        assert len(members) == self.q + 1
-        return Pencil(alpha_idx, u_pow, v_pow, base_point=self.point_P(alpha_idx, u_pow),
-                      plane=self.plane_pi(alpha_idx, v_pow), lines=tuple(sorted(members)))
+        members = {self._pencil_line(alpha_idx, u_pow, v_pow, s) for s in range(self.q)}
+        assert len(members) == self.q and self.space.r_U1 not in members
+        return tuple(sorted(members))
 
     @memo
     def line_set_L(self) -> tuple[Line, ...]:
-        """Union of all punctured pencils: |I| q (q+1)^2 lines, q per
-        pencil, pencils in candidate order."""
-        r_U1 = self.space.r_U1
-        out = tuple(l for cand in candidate_universe(self.lam)
-                    for l in self.pencil(*cand).punctured(r_U1))
+        """Union of all pencils: |I| q (q+1)^2 lines, q per pencil,
+        pencils in candidate order."""
+        out = tuple(l for cand in candidate_universe(self.lam) for l in self.pencil(*cand))
         assert len(out) == len(set(out)) == len(self.lam.I) * self.q * (self.q + 1)**2
         return out
 
     def label_of(self, l: Line) -> Candidate:
-        """The label of the punctured pencil that holds l, read off where l
-        meets r_U1 and the plane it spans with r_U1."""
+        """The label of the pencil that holds l, read off where l meets r_U1
+        and the plane it spans with r_U1."""
         lab = self.pencil_label_of(l)
-        if lab is None or l not in self.pencil(*lab).lines:
+        if lab is None or l not in self.pencil(*lab):
             raise ValueError("line does not belong to the pencil line family")
         return lab
 
     # -- spreads ---------------------------------------------------------------
 
     @memo
-    def desarguesian_spread(self) -> Spread:
+    def desarguesian_spread(self) -> tuple[int, ...]:
         """{ <P, P^tau> : P in t1 }, tau = tau_eta."""
         spec, eta, line_id = self.spec, self.eta, self._index().line_id
         lines = {line_id[line_through(spec, P, tau_point(spec, eta, P))]
                  for P in line_points(spec, self.space.t1)}
         assert len(lines) == self.q**2 + 1
-        return Spread(lines=tuple(lines), tag="desarguesian")
+        return tuple(sorted(lines))
 
-    def spread_from_transversal(self, l: Line) -> Spread:
+    def spread_from_transversal(self, l: Line) -> tuple[int, ...]:
         """The Desarguesian spread with director lines l, l^tau.  Not
         memoised: hall_spread and regulus_of derive it once per line and
         keep only what they return.
@@ -507,20 +468,20 @@ class Geometry:
         eta, line_id = self.eta, self._index().line_id
         lines = {line_id[line_through(spec, Q, tau_point(spec, eta, Q))] for Q in pts}
         assert len(lines) == self.q**2 + 1
-        return Spread(lines=tuple(lines), tag="desarguesian")
+        return tuple(sorted(lines))
 
-    def _spread_and_regulus(self, l: Line) -> tuple[Spread, Regulus]:
+    def _spread_and_regulus(self, l: Line) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """S_l and D_eta intersect S_l, q+1 lines through r_U1, for a pencil
         line l (a ValueError for any other line)."""
         self.label_of(l)  # membership check
         sl = self.spread_from_transversal(l)
-        common = set(sl.lines).intersection(self.desarguesian_spread().lines)
+        common = set(sl).intersection(self.desarguesian_spread())
         assert len(common) == self.q + 1
         assert self.line_id(self.space.r_U1) in common
-        return sl, Regulus(lines=tuple(common))
+        return sl, tuple(sorted(common))
 
     @memo
-    def regulus_of(self, l: Line) -> Regulus:
+    def regulus_of(self, l: Line) -> tuple[int, ...]:
         """D_eta intersect S_l, a regulus through r_U1 when l is a pencil line."""
         return self._spread_and_regulus(l)[1]
 
@@ -562,20 +523,19 @@ class Geometry:
         return sorted(found)
 
     @memo
-    def opposite_regulus(self, reg: Regulus) -> Regulus:
-        opp = self.transversals_of(reg.lines)
+    def opposite_regulus(self, reg: tuple[int, ...]) -> tuple[int, ...]:
+        opp = self.transversals_of(reg)
         assert len(opp) == self.q + 1
-        return Regulus(lines=tuple(opp))
+        return tuple(opp)
 
     @memo
-    def hall_spread(self, l: Line) -> Spread:
+    def hall_spread(self, l: Line) -> tuple[int, ...]:
         """Switch the regulus of S_l shared with D_eta for its opposite.
         Only the switched spread is kept: S_l and its regulus are derived
         here and dropped."""
         sl, reg = self._spread_and_regulus(l)
         opp = self.opposite_regulus(reg)
-        lines = (set(sl.lines) - set(reg.lines)) | set(opp.lines)
-        return Spread(lines=tuple(lines), tag="hall", switched=reg.lines)
+        return tuple(sorted((set(sl) - set(reg)) | set(opp)))
 
     def is_spread(self, lines) -> SpreadReport:
         """Verdict on the lines of the given ids: q^2+1 subgeometry lines,

@@ -189,7 +189,7 @@ def test_criterion_06_structure_lemmas():
     for q in (3, 4, 5):
         geo = geometry_for_q(q)
         d = geo.desarguesian_spread()
-        assert len(checks.extension_points(geo, d.lines)) == (q * q + 1) ** 2
+        assert len(checks.extension_points(geo, d)) == (q * q + 1) ** 2
     r = checks.check_spread_union(geometry_for_q(3))
     assert r.ok, r.detail
     r = checks.check_regulus_transversal_classification(geometry_for_q(3))

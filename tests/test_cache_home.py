@@ -74,8 +74,11 @@ def test_a_hall_spread_files_only_itself():
     names = [key[0] for key in geo._cache]
     assert "Geometry.spread_from_transversal" not in names
     assert "Geometry.regulus_of" not in names
-    used = {l for cand in gs for l in geo.pencil(*cand).punctured(geo.space.r_U1)}
+    used = {l for cand in gs for l in geo.pencil(*cand)}
     assert {key[1] for key in geo._cache if key[0] == "Geometry.hall_spread"} == used
     assert names.count("Geometry.hall_spread") == len(used) == geo.q * (geo.q + 1)
+    # each Hall spread switched the regulus of its line for the opposite one
     for l in used:
-        assert geo.hall_spread(l).switched == geo.regulus_of(l).lines
+        reg = geo.regulus_of(l)
+        switched = set(geo.spread_from_transversal(l)) ^ set(geo.hall_spread(l))
+        assert switched == set(reg) | set(geo.opposite_regulus(reg))

@@ -79,7 +79,7 @@ def test_full_stabilizer_order_q3():
 def test_generators_stabilize_spread_and_line():
     for q in (3, 4):
         geo = geometry_for_q(q)
-        d = set(map(geo.line, geo.desarguesian_spread().lines))
+        d = set(map(geo.line, geo.desarguesian_spread()))
         for psi in stabilizer_gens(geo):
             assert {psi.apply_line(l) for l in d} == d
             assert psi.apply_line(geo.space.r_U1) == geo.space.r_U1
@@ -96,11 +96,11 @@ def test_label_action_matches_spread_action():
             psi = rng.choice(grp.elements)
             gs = rng.choice(sets)
             par = build_parallelism(geo, gs)
-            spread_keys = sorted(tuple(sorted(psi.apply_line(l) for l in map(geo.line, sp.lines)))
+            spread_keys = sorted(tuple(sorted(psi.apply_line(l) for l in map(geo.line, sp)))
                                  for sp in par.spreads)
             act = label_action(geo, psi)
             par2 = build_parallelism(geo, apply_label_action(act, flip_canonical(lam, gs)))
-            assert spread_keys == sorted(tuple(map(geo.line, sp.lines)) for sp in par2.spreads)
+            assert spread_keys == sorted(tuple(map(geo.line, sp)) for sp in par2.spreads)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -178,9 +178,9 @@ def test_are_equivalent_witness_maps_spreads(q):
         g2 = rng.choice(sorted(orbit_of(geo, g1)))
         w = are_equivalent(geo, g1, g2)
         p1, p2 = build_parallelism(geo, g1), build_parallelism(geo, g2)
-        assert (sorted(tuple(sorted(w.apply_line(l) for l in map(geo.line, sp.lines)))
+        assert (sorted(tuple(sorted(w.apply_line(l) for l in map(geo.line, sp)))
                        for sp in p1.spreads)
-                == sorted(tuple(map(geo.line, sp.lines)) for sp in p2.spreads))
+                == sorted(tuple(map(geo.line, sp)) for sp in p2.spreads))
 
 
 def test_classification_q4():
@@ -219,9 +219,9 @@ def test_classify_and_are_equivalent_close_no_group(q, monkeypatch):
     g2 = max(orbit_of(geo, g1))
     w = are_equivalent(geo, g1, g2)
     p1, p2 = build_parallelism(geo, g1), build_parallelism(geo, g2)
-    assert (sorted(tuple(sorted(w.apply_line(l) for l in map(geo.line, sp.lines)))
+    assert (sorted(tuple(sorted(w.apply_line(l) for l in map(geo.line, sp)))
                    for sp in p1.spreads)
-            == sorted(tuple(map(geo.line, sp.lines)) for sp in p2.spreads))
+            == sorted(tuple(map(geo.line, sp)) for sp in p2.spreads))
 
 
 def test_classify_rejects_non_closed_family(monkeypatch):

@@ -36,7 +36,7 @@ from spreadsmith.proj_geometry import (
     plucker,
 )
 from spreadsmith.field_tower import lambda_for_q
-from spreadsmith.spreads import Geometry, Spread, geometry_for_q
+from spreadsmith.spreads import Geometry, geometry_for_q
 
 
 def test_build_and_cover_q3_q4():
@@ -45,18 +45,20 @@ def test_build_and_cover_q3_q4():
         gs = fixed_plane_good_set(geo.lam, geo.lam.I[0], 0)
         par = build_parallelism(geo, gs)
         assert len(par) == q * q + q + 1
-        assert par.spreads[par.desarguesian_index].tag == "desarguesian"
-        assert sum(1 for sp in par.spreads if sp.tag == "hall") == q * q + q
+        d = par.desarguesian_index
+        assert d == len(par) - 1
+        assert par.spreads[d] == geo.desarguesian_spread()
+        # the other q^2+q members are the Hall spreads of the pencil lines
+        hall = [l for cand in par.source for l in geo.pencil(*cand)]
+        assert len(hall) == q * q + q
+        assert list(par.spreads[:d]) == list(map(geo.hall_spread, hall))
         cert = verify_parallelism(geo, par)
         assert cert.ok
         assert cert.line_count == (q * q + 1) * (q * q + q + 1)
         # every hall member switches a regulus through the distinguished line
         r_U1 = geo.line_id(geo.space.r_U1)
-        for sp in par.spreads:
-            if sp.tag != "hall":
-                continue
-            assert sp.switched is not None
-            assert r_U1 in sp.switched
+        for l in hall:
+            assert r_U1 in geo.regulus_of(l)
 
 
 def test_builder_rejects_non_good_input():
@@ -75,16 +77,16 @@ def test_duplicated_desarguesian_member_fails_pigeonhole():
     gs = fixed_plane_good_set(geo.lam, geo.lam.I[0], 0)
     par = build_parallelism(geo, gs)
     spreads = list(par.spreads)
-    hall_idx = next(i for i, sp in enumerate(spreads) if sp.tag == "hall")
+    hall_idx = next(i for i in range(len(spreads)) if i != par.desarguesian_index)
     spreads[hall_idx] = geo.desarguesian_spread()
     cert = verify_parallelism(geo, spreads)
     assert not cert.ok
     # the q^2+1 Desarguesian lines are double covered and the q^2+1 lines of
     # the dropped Hall member are uncovered
     assert len(cert.multiply_covered) == q * q + 1
-    assert cert.multiply_covered == list(map(geo.line, geo.desarguesian_spread().lines))
+    assert cert.multiply_covered == list(map(geo.line, geo.desarguesian_spread()))
     assert len(cert.uncovered) == q * q + 1
-    assert cert.uncovered == list(map(geo.line, par.spreads[hall_idx].lines))
+    assert cert.uncovered == list(map(geo.line, par.spreads[hall_idx]))
 
 
 def test_mutated_families_fail_with_witness():
@@ -134,7 +136,7 @@ def test_all_parallelisms_E_invariant_q3():
         assert is_E_invariant(geo, par)
     # the closure argument behind the generator check: one of them is
     # invariant under every element of E, mapped as line ids
-    keys = {frozenset(sp.lines) for sp in par.spreads}
+    keys = set(map(frozenset, par.spreads))
     for perm in map(geo.line_permutation, group_E(geo).elements):
         assert {frozenset(perm[k] for k in key) for key in keys} == keys
 
@@ -148,8 +150,19 @@ def test_a_line_outside_the_subgeometry_is_not_E_invariant():
     assert all(psi.apply_line(t1) == t1 for psi in E.elements)
     assert geo.line_id(t1) >= len(geo.sigma_eta_lines())
     par = build_parallelism(geo, next(enumerate_good_sets(geo.lam)))
-    family = [*par.spreads, Spread(lines=(geo.line_id(t1),))]
+    family = [*par.spreads, (geo.line_id(t1),)]
     assert not is_E_invariant(geo, family)
+
+
+def test_verify_reads_the_ids_of_a_member_in_any_order():
+    geo = geometry_for_q(3)
+    par = build_parallelism(geo, next(enumerate_good_sets(geo.lam)))
+    spreads = [tuple(reversed(sp)) for sp in par.spreads]
+    assert verify_parallelism(geo, spreads).ok
+    # a line outside the subgeometry first, so not the member's largest id last
+    spreads[0] = (geo.line_id(geo.space.t1),) + par.spreads[0][1:]
+    assert (verify_parallelism(geo, spreads).reason()
+            == "member 0 is not a spread: line is not stable under the involution")
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -186,8 +199,8 @@ def test_E_invariance_checks_the_derived_generators(q):
         orbit.append(l)
     assert len(orbit) == geo.spec.p
     family = [geo.desarguesian_spread(), *map(geo.hall_spread, orbit)]
-    keys = sorted(sp.lines for sp in family)
-    assert geo.spread_keys((sp.lines for sp in family), geo.point_permutation(xi_1)) == keys
+    keys = sorted(family)
+    assert geo.spread_keys(family, geo.point_permutation(xi_1)) == keys
     assert not is_E_invariant(geo, family)
 
 
@@ -214,28 +227,26 @@ def test_characterize_failure_reasons():
     spreads = list(par.spreads)
 
     # no Desarguesian member
-    res = characterize(geo, [sp for sp in spreads if sp.tag == "hall"]
-                       + [spreads[0]])
+    members = [sp for i, sp in enumerate(spreads) if i != par.desarguesian_index]
+    res = characterize(geo, members + [spreads[0]])
     assert not res.ok and res.reason == "no Desarguesian member"
 
     # a Hall spread switched on a regulus avoiding the distinguished line
     d = geo.desarguesian_spread()
     r_U1 = geo.line_id(geo.space.r_U1)
-    others = [l for l in d.lines if l != r_U1]
+    others = [l for l in d if l != r_U1]
     rogue = None
     for i in range(len(others)):
         reg_lines = geo.transversals_of(
             geo.transversals_of([others[0], others[1], others[i]])) \
             if i >= 2 else None
         if reg_lines and r_U1 not in reg_lines:
-            from spreadsmith.spreads import Regulus
-            reg = Regulus(lines=tuple(reg_lines))
+            reg = tuple(reg_lines)
             opp = geo.opposite_regulus(reg)
-            rogue_lines = (set(d.lines) - set(reg.lines)) | set(opp.lines)
-            rogue = Spread(lines=tuple(rogue_lines), tag="hall")
+            rogue = tuple(sorted((set(d) - set(reg)) | set(opp)))
             break
     assert rogue is not None
-    assert geo.is_spread(rogue.lines).ok
+    assert geo.is_spread(rogue).ok
     mutated = spreads[:]
     mutated[0] = rogue
     res = characterize(geo, mutated)
@@ -246,8 +257,8 @@ def test_characterize_failure_reasons():
     other_gs = next(g for g in enumerate_good_sets(lam)
                     if flip_canonical(lam, g) != flip_canonical(lam, gs))
     other_par = build_parallelism(geo, other_gs)
-    foreign = next(sp for sp in other_par.spreads if sp.tag == "hall"
-                   and sp.lines not in {t.lines for t in spreads})
+    foreign = next(sp for i, sp in enumerate(other_par.spreads)
+                   if i != other_par.desarguesian_index and sp not in spreads)
     mutated = spreads[:]
     mutated[0] = foreign
     res = characterize(geo, mutated)
@@ -262,7 +273,7 @@ def test_characterize_failure_reasons():
     assert len({(c.u_pow - c.v_pow) % (q + 1) for c in labels}) == q + 1
     assert not is_good(lam, labels).ok
     family = assemble_spread_family(geo, labels)
-    assert len({sp.lines for sp in family}) == len(family)
+    assert len(set(family)) == len(family)
     res = characterize(geo, family)
     assert not res.ok and res.reason == "recovered set not good"
 
@@ -270,10 +281,10 @@ def test_characterize_failure_reasons():
     # the transversal search then meets two equal lines
     r_pts = set(geo.subline_points(r_U1))
     hall = spreads[0]
-    touching = [l for l in hall.lines if r_pts & set(geo.subline_points(l))]
-    tampered = [touching[0] if l == touching[1] else l for l in hall.lines]
+    touching = [l for l in hall if r_pts & set(geo.subline_points(l))]
+    tampered = [touching[0] if l == touching[1] else l for l in hall]
     mutated = spreads[:]
-    mutated[0] = Spread(lines=tuple(tampered), tag="hall")
+    mutated[0] = tuple(sorted(tampered))
     res = characterize(geo, mutated)
     assert not res.ok
 
@@ -303,16 +314,18 @@ def test_ambient_directors_match_the_sorted_loop(q):
     rng = random.Random(f"directors {q}")
     gs = rng.choice(list(enumerate_good_sets(geo.lam, limit=40)))
     par = build_parallelism(geo, gs)
-    members = [sp for sp in par.spreads if sp.tag == "hall"]
+    members = par.spreads[:par.desarguesian_index]
     assert len(members) == q * q + q
-    for sp in members:
-        opp = geo.transversals_of(sp.switched)
-        source = (set(sp.lines) - set(opp)) | set(sp.switched)
-        for lines, regulus in ((sp.lines, opp), (source, sp.switched)):
+    for l, sp in zip((l for cand in par.source for l in geo.pencil(*cand)), members):
+        assert sp == geo.hall_spread(l)
+        switched = geo.regulus_of(l)
+        opp = geo.transversals_of(switched)
+        source = (set(sp) - set(opp)) | set(switched)
+        for lines, regulus in ((sp, opp), (source, switched)):
             assert (parallelisms._ambient_directors(geo, lines, regulus)
                     == _directors_by_the_sorted_loop(geo, lines))
-        assert parallelisms._ambient_directors(geo, sp.lines, opp) == []
-        assert len(parallelisms._ambient_directors(geo, source, sp.switched)) == 2
+        assert parallelisms._ambient_directors(geo, sp, opp) == []
+        assert len(parallelisms._ambient_directors(geo, source, switched)) == 2
 
 
 def test_checksum_fingerprints_the_line_multiset():
@@ -327,7 +340,7 @@ def test_checksum_fingerprints_the_line_multiset():
     other = build_parallelism(geo, dual(gs))
     assert family_checksum(geo, other.spreads) == c1
     damaged = list(par.spreads)
-    damaged[0] = Spread(lines=damaged[0].lines[:-1])
+    damaged[0] = damaged[0][:-1]
     assert family_checksum(geo, damaged) != c1
 
 
@@ -336,7 +349,7 @@ def _reference_checksum(geo, spreads):
     the whole joined text of the sorted line blobs."""
     digits = ["".join(map(str, geo.spec.elem_vec(x))) for x in geo.spec.elements()]
     blobs = [",".join(digits[x] for row in l for x in row)
-             for sp in spreads for l in map(geo.line, sp.lines)]
+             for sp in spreads for l in map(geo.line, sp)]
     return hashlib.sha256("|".join(sorted(blobs)).encode()).hexdigest()
 
 
@@ -362,8 +375,8 @@ def test_checksum_equals_the_digest_of_the_joined_text(chunk, monkeypatch):
         first = spreads[0]
         families = {
             "built": spreads,
-            "repeated line": spreads + [Spread(lines=first.lines[:1])],
-            "stray line": [Spread(lines=first.lines[1:] + (_stray_line(geo),))] + spreads[1:],
+            "repeated line": spreads + [first[:1]],
+            "stray line": [first[1:] + (_stray_line(geo),)] + spreads[1:],
             "empty": [],
         }
         for name, family in families.items():
@@ -395,8 +408,8 @@ def _checksum_families(geo, rng):
     families holding a stray line, repeated lines, or both, and the empty
     family."""
     if geo.q <= 9:
-        members = [geo.desarguesian_spread().lines,
-                   *(geo.hall_spread(l).lines for l in rng.sample(geo.line_set_L(), 2))]
+        members = [geo.desarguesian_spread(),
+                   *(geo.hall_spread(l) for l in rng.sample(geo.line_set_L(), 2))]
     else:
         members = [tuple(_random_lines(geo, rng, geo.q * geo.q + 1)) for _ in range(3)]
     strays = _random_lines(geo, rng, 5)
@@ -409,7 +422,7 @@ def _checksum_families(geo, rng):
         "one line": [members[0][:1]],
         "empty": [],
     }
-    return {name: [Spread(lines=lines) for lines in fam]
+    return {name: [tuple(sorted(lines)) for lines in fam]
             for name, fam in families.items()}
 
 

@@ -111,7 +111,7 @@ def test_parallelism_file_round_trip(tmp_path):
     header, geo2, spreads, stored = read_parallelism_file(path)
     assert header["q"] == 3
     assert len(spreads) == 13
-    assert {sp.lines for sp in spreads} == {sp.lines for sp in par.spreads}
+    assert set(spreads) == set(par.spreads)
     cert2 = verify_parallelism(geo2, spreads)
     assert cert2.ok and cert2.checksum == stored["checksum"]
 
@@ -787,6 +787,44 @@ def test_cli_output_on_tampered_members_is_pinned(name, tmp_path, capsys):
         assert capsys.readouterr() == (expected, "")
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_spread_tags_follow_the_member_position(q, tmp_path):
+    """A built file tags its q^2+q Hall members "hall" and then its last
+    member, the Desarguesian spread, "desarguesian"."""
+    geo = geometry_for_q(q)
+    par = build_parallelism(geo, fixed_plane_good_set(geo.lam, geo.lam.I[0], 0))
+    path = tmp_path / "par.jsonl"
+    write_parallelism_file(path, geo, par, par.certificate)
+    rows = [json.loads(row) for row in path.read_text().splitlines()]
+    tags = [row["tag"] for row in rows if row.get("type") == "spread"]
+    assert tags == ["hall"] * (q * q + q) + ["desarguesian"]
+
+
+@pytest.mark.parametrize("change", ["removed", "unknown", "swapped"])
+def test_spread_tags_are_not_read(change, tmp_path, capsys):
+    """verify and characterize print the same and exit the same on a q = 3
+    file whatever its spread rows' tags say: with no tag, with every tag
+    "unknown", or with the first and last rows' tags swapped."""
+    _, rows = _changed_rows(tmp_path, "copy")
+    untouched = tmp_path / "par.jsonl"
+    spreads = [row for row in rows if row.get("type") == "spread"]
+    for row in spreads:
+        if change == "removed":
+            del row["tag"]
+        elif change == "unknown":
+            row["tag"] = "unknown"
+    if change == "swapped":
+        spreads[0]["tag"], spreads[-1]["tag"] = spreads[-1]["tag"], spreads[0]["tag"]
+        assert spreads[0]["tag"] == "desarguesian"
+    changed = tmp_path / "changed.jsonl"
+    changed.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    for sub in ("verify", "characterize"):
+        code = run_cli("parallelism", sub, str(untouched))
+        expected = capsys.readouterr()
+        assert run_cli("parallelism", sub, str(changed)) == code == 0
+        assert capsys.readouterr() == expected
+
+
 @pytest.mark.parametrize("key, value", [("ok", False), ("spread_count", 3),
                                         ("line_count", 3), ("checksum", "0" * 64)])
 def test_cli_verify_compares_the_stored_certificate(key, value, tmp_path, capsys):
@@ -880,25 +918,37 @@ def _own_ids(geo, ids) -> bool:
 def test_read_lines_are_the_index_objects(tmp_path):
     path, _ = _changed_rows(tmp_path, "par")
     _, geo, spreads, _ = read_parallelism_file(path)
-    assert _own_ids(geo, (k for sp in spreads for k in sp.lines))
+    assert _own_ids(geo, (k for sp in spreads for k in sp))
+
+
+def _sorted_own_tuples(geo, line_sets) -> bool:
+    """Whether each line set is a sorted tuple of the index's own ints."""
+    return all(type(ids) is tuple and list(ids) == sorted(ids) and _own_ids(geo, ids)
+               for ids in line_sets)
 
 
 def test_line_ids_are_the_index_int_objects(tmp_path):
-    """The ids in the spreads of a built q = 8 parallelism, in E's generator
-    permutations and in a q = 9 file read back are the index's own int
-    objects.  A fresh int takes 28 B, and a q = 8 Geometry can memoise
-    1 944 Hall spreads of 65 lines: about 3.5 MB of second copies."""
+    """The spreads of a built q = 8 parallelism, the Desarguesian spread, a
+    Hall spread, its regulus and the opposite regulus, and the spreads of a
+    q = 9 file read back are sorted tuples of the index's own int objects,
+    and so are E's generator permutations.  A fresh int takes 28 B, and a
+    q = 8 Geometry can memoise 1 944 Hall spreads of 65 lines: about
+    3.5 MB of second copies."""
     geo = Geometry(lambda_for_q(8))
     par = build_parallelism(geo, next(enumerate_good_sets(geo.lam)))
-    assert _own_ids(geo, (k for sp in par.spreads for k in sp.lines))
+    assert _sorted_own_tuples(geo, par.spreads)
+    l = geo.line_set_L()[-1]
+    reg = geo.regulus_of(l)
+    assert _sorted_own_tuples(geo, (geo.desarguesian_spread(), geo.hall_spread(l),
+                                    reg, geo.opposite_regulus(reg)))
     assert _own_ids(geo, (k for perm in parallelisms.E_generator_line_perms(geo) for k in perm))
     geo9 = geometry_for_q(9)
     path = tmp_path / "par.jsonl"
     par = build_parallelism(geo9, next(enumerate_good_sets(geo9.lam)))
     write_parallelism_file(path, geo9, par, par.certificate)
     _, geo2, spreads, _ = read_parallelism_file(path)
-    assert [sp.lines for sp in spreads] == [sp.lines for sp in par.spreads]
-    assert _own_ids(geo2, (k for sp in spreads for k in sp.lines))
+    assert spreads == list(par.spreads)
+    assert _sorted_own_tuples(geo2, spreads)
 
 
 def test_a_line_written_as_other_points_of_it_reads_the_same(tmp_path, capsys):
@@ -916,8 +966,8 @@ def test_a_line_written_as_other_points_of_it_reads_the_same(tmp_path, capsys):
     other, _ = _changed_rows(tmp_path, "other", (1, ("lines", 0),
                              [[list(spec.elem_vec(x)) for x in pt] for pt in (T, S)]))
     _, geo2, spreads2, _ = read_parallelism_file(other)
-    assert [sp.lines for sp in spreads2] == [sp.lines for sp in spreads]
-    assert _own_ids(geo2, (k for sp in spreads2 for k in sp.lines))
+    assert spreads2 == spreads
+    assert _own_ids(geo2, (k for sp in spreads2 for k in sp))
     assert run_cli("parallelism", "verify", good) == 0
     expected = capsys.readouterr()
     assert run_cli("parallelism", "verify", other) == 0

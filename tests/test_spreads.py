@@ -29,10 +29,10 @@ def test_desarguesian_spread_counts():
     for q in (3, 4, 5):
         geo = geometry_for_q(q)
         d = geo.desarguesian_spread()
-        assert len(d.lines) == q * q + 1
-        assert geo.is_spread(d.lines).ok
-        assert len(checks.extension_points(geo, d.lines)) == (q * q + 1) ** 2
-        assert set(map(geo.line, d.lines)) == checks.desarguesian_lines(geo, geo.lam.eta_index)
+        assert len(d) == q * q + 1
+        assert geo.is_spread(d).ok
+        assert len(checks.extension_points(geo, d)) == (q * q + 1) ** 2
+        assert set(map(geo.line, d)) == checks.desarguesian_lines(geo, geo.lam.eta_index)
 
 
 def test_subgeometry_line_universe():
@@ -80,7 +80,7 @@ def test_line_id_and_line_convert_both_ways(q):
     assert sorted(strays.values()) == list(range(n, n + 20))
     for l, k in strays.items():
         assert geo.line_id(l) == k and geo.line(k) == l
-    d = list(geo.desarguesian_spread().lines)
+    d = list(geo.desarguesian_spread())
     for k in strays.values():
         assert geo.is_spread(d[:-1] + [k]).reason == "line is not stable under the involution"
 
@@ -194,8 +194,8 @@ def test_is_spread_reports_match_the_point_count_on_seeded_mutants(q):
     geo = geometry_for_q(q)
     rng = random.Random(f"mutants {q}")
     sigma, family = geo.sigma_eta_lines(), geo.line_set_L()
-    bases = [list(map(geo.line, geo.desarguesian_spread().lines))]
-    bases += [list(map(geo.line, geo.hall_spread(l).lines)) for l in rng.sample(family, 2)]
+    bases = [list(map(geo.line, geo.desarguesian_spread()))]
+    bases += [list(map(geo.line, geo.hall_spread(l))) for l in rng.sample(family, 2)]
     cases = [list(b) for b in bases]
     for base in bases:
         for _ in range(4):
@@ -250,7 +250,7 @@ def test_transversals_of_match_a_full_search():
     meets the given lines, also when one given line is not in the index."""
     geo = geometry_for_q(4)
     spec = geo.spec
-    d = list(map(geo.line, geo.desarguesian_spread().lines))
+    d = list(map(geo.line, geo.desarguesian_spread()))
     foreign = next(l for l in geo.line_set_L() if not lines_meet(spec, l, d[0])
                    and not lines_meet(spec, l, d[5]))
     for lines in ([d[0], d[5], d[9]], [d[0], d[5], d[9], d[11]], [d[0], d[5], foreign]):
@@ -355,8 +355,8 @@ def test_spreads_hold_the_index_lines():
     geo = geometry_for_q(4)
     l = geo.line_set_L()[7]
     spreads = (geo.desarguesian_spread(), geo.spread_from_transversal(l), geo.hall_spread(l))
-    lines = [m for sp in spreads for m in sp.lines]
-    lines += geo.regulus_of(l).lines + geo.opposite_regulus(geo.regulus_of(l)).lines
+    lines = [m for sp in spreads for m in sp]
+    lines += geo.regulus_of(l) + geo.opposite_regulus(geo.regulus_of(l))
     assert all(m is geo.line_id(geo.line(m)) for m in lines)
 
 
@@ -381,7 +381,7 @@ def _is_spread_by_point_count(geo, lines) -> SpreadReport:
             return SpreadReport(False, "point covered more than once", multiply_covered=P)
     for P in sig:
         if P not in counts:
-            return SpreadReport(False, "point not covered", uncovered=P)
+            return SpreadReport(False, "point not covered")
     return SpreadReport(True)
 
 
@@ -404,8 +404,9 @@ def test_pencils_and_labels_match_the_section_scan(q):
     table = {}
     for lab in candidate_universe(geo.lam):
         pen = geo.pencil(*lab)
-        assert pen.lines == _pencil_by_section_scan(geo, *lab)
-        table.update((l, lab) for l in pen.punctured(r_U1))
+        scan = _pencil_by_section_scan(geo, *lab)
+        assert r_U1 in scan and pen == tuple(l for l in scan if l != r_U1)
+        table.update((l, lab) for l in pen)
     assert {l: geo.label_of(l) for l in table} == table
 
 
@@ -420,7 +421,7 @@ def test_label_of_rejects_lines_outside_the_family():
 @pytest.mark.parametrize("q", [3, 4])
 def test_is_spread_reports_match_the_point_count(q):
     geo = geometry_for_q(q)
-    d = list(map(geo.line, geo.desarguesian_spread().lines))
+    d = list(map(geo.line, geo.desarguesian_spread()))
     pencil_line = geo.line_set_L()[0]           # meets the subgeometry in one point
     skew = geo.space.t1                         # misses it, and is not tau-stable
     n = len(geo.sigma_eta_lines())
@@ -433,7 +434,7 @@ def test_is_spread_reports_match_the_point_count(q):
         "repeat": d[:-1] + [d[0]],
         "short": d[:-1],
         "spread": d,
-        "hall": list(map(geo.line, geo.hall_spread(pencil_line).lines)),
+        "hall": list(map(geo.line, geo.hall_spread(pencil_line))),
     }
     reports = {name: geo.is_spread(map(geo.line_id, lines)) for name, lines in cases.items()}
     for name, lines in cases.items():
@@ -451,8 +452,8 @@ def test_pencil_contents():
         for u in range(q + 1):
             for v in range(q + 1):
                 pen = geo.pencil(a, u, v)
-                assert len(pen.lines) == q + 1
-                assert geo.space.r_U1 in pen.lines
+                assert len(pen) == q
+                assert geo.space.r_U1 not in pen
     with pytest.raises(ValueError):
         geo.pencil(geo.lam.eta_index, 0, 0)
 
@@ -470,6 +471,13 @@ def test_line_family_sizes():
     assert len(geometry_for_q(3).line_set_L()) == 1 * 3 * 16
     assert len(geometry_for_q(4).line_set_L()) == 1 * 4 * 25
     assert len(geometry_for_q(5).line_set_L()) == 2 * 5 * 36
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_line_family_is_the_pencils_in_candidate_order(q):
+    geo = geometry_for_q(q)
+    pencils = [geo.pencil(*c) for c in candidate_universe(geo.lam)]
+    assert geo.line_set_L() == tuple(l for pen in pencils for l in pen)
 
 
 def test_spread_from_transversal_preconditions():
@@ -500,8 +508,7 @@ def test_spread_from_transversal_preconditions():
 def test_transversal_of_t1_rebuilds_desarguesian():
     for q in (3, 4):
         geo = geometry_for_q(q)
-        assert geo.spread_from_transversal(geo.space.t1).lines == \
-            geo.desarguesian_spread().lines
+        assert geo.spread_from_transversal(geo.space.t1) == geo.desarguesian_spread()
 
 
 def test_conjugate_transversal_derives_its_own_spread():
@@ -512,7 +519,7 @@ def test_conjugate_transversal_derives_its_own_spread():
     sp = geo.spread_from_transversal(l)
     conj = geo.spread_from_transversal(geo.tau_eta_line(l))
     assert conj is not sp
-    assert conj.lines == sp.lines
+    assert conj == sp
 
 
 def test_regulus_membership_requires_family_line():
@@ -526,21 +533,21 @@ def test_hall_spread_structure():
     q = geo.q
     for l in geo.line_set_L():
         h = geo.hall_spread(l)
-        assert geo.is_spread(h.lines).ok
-        assert not set(h.lines) & set(geo.desarguesian_spread().lines)
+        assert geo.is_spread(h).ok
+        assert not set(h) & set(geo.desarguesian_spread())
         src = geo.spread_from_transversal(l)
-        assert h.lines != src.lines
-        assert len(set(h.lines) ^ set(src.lines)) == 2 * (q + 1)
+        assert h != src
+        assert len(set(h) ^ set(src)) == 2 * (q + 1)
 
 
 def test_is_spread_negative_report():
     geo = geometry_for_q(3)
-    d = list(geo.desarguesian_spread().lines)
+    d = list(geo.desarguesian_spread())
     other = next(k for k in range(len(geo.sigma_eta_lines())) if k not in d)
     mutated = d[:-1] + [other]
     rep = geo.is_spread(mutated)
     assert not rep.ok
-    assert rep.multiply_covered is not None or rep.uncovered is not None
+    assert rep.multiply_covered is not None
     assert not geo.is_spread(d[:-1]).ok
 
 
@@ -554,8 +561,7 @@ def test_scalar_line_family_is_one_punctured_pencil():
         geo = geometry_for_q(q)
         a = geo.lam.I[0]
         family = {checks.l_lambda(geo, a, scalar) for scalar in range(q)}
-        pen = set(geo.pencil(a, 0, 0).punctured(geo.space.r_U1))
-        assert family == pen
+        assert family == set(geo.pencil(a, 0, 0))
     with pytest.raises(ValueError, match="subfield"):
         checks.l_lambda(geometry_for_q(3), geometry_for_q(3).lam.I[0], 3)
 
