@@ -112,7 +112,11 @@ def family_checksum(geo: Geometry, spreads) -> str:
     of its strings among all of them (equal strings, equal ranks), and a
     chunk's text is written from its keys with bytes.translate: each
     coordinate takes a slot of the longest string's width plus a
-    separator, each string padded with NUL bytes that are then deleted."""
+    separator, each string padded with NUL bytes that are then deleted.
+
+    Every parallelism of a geometry covers each subgeometry line once, so
+    all of them have the same checksum (_cover_checksum): it certifies the
+    cover, not which parallelism it is."""
     digits = ["".join(map(str, v)) for v in coefficient_table(geo.spec).vectors]
     names = sorted(set(digits))
     rank = {d: r for r, d in enumerate(names)}
@@ -144,8 +148,6 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
     covered exactly once.  A line outside the subgeometry fails the verdict
     of each member that holds it."""
     spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
-    # first, so that its sort keys and the counts below are never held at once
-    checksum = family_checksum(geo, spreads)
     failures = []
     for i, sp in enumerate(spreads):
         rep = geo.is_spread(sp)
@@ -160,10 +162,23 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
     uncovered = [geo.line(k) for k in range(n) if not counts[k]]
     # sorted by coordinates, which ids from n upward do not follow
     multi = sorted([geo.line(k) for k, c in enumerate(counts) if c > 1])
+    # each subgeometry line once and no other: the line multiset is the line set
+    exact = not uncovered and not multi and len(counts) == n
+    line_count = sum(counts)
+    # freed first, so that the counts and the checksum's sort keys are never held at once
+    del counts
+    checksum = _cover_checksum(geo) if exact else family_checksum(geo, spreads)
     return Certificate(ok=not failures and not uncovered and not multi,
                        spread_failures=failures, uncovered=uncovered,
-                       multiply_covered=multi, line_count=sum(counts),
+                       multiply_covered=multi, line_count=line_count,
                        checksum=checksum)
+
+
+@memo
+def _cover_checksum(geo: Geometry) -> str:
+    """family_checksum of every subgeometry line once: the checksum of every
+    exact cover, so of every parallelism of the geometry."""
+    return family_checksum(geo, [range(len(geo.sigma_eta_lines()))])
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +224,50 @@ def E_generator_line_perms(geo: Geometry) -> tuple[list[int], ...]:
     return tuple(perms)
 
 
+def _sorted_members(par) -> list[tuple[int, ...]]:
+    """The members of a family of line-id sets, each as its sorted ids: the
+    form in which two spreads compare equal.  A member that is a sorted
+    tuple already is kept, not copied."""
+    return [sp if (key := tuple(sorted(sp))) == sp else key
+            for sp in (par.spreads if isinstance(par, Parallelism) else par)]
+
+
 def is_E_invariant(geo: Geometry, par) -> bool:
     """Invariance of the spread set under the unitriangular group, checked
     on each of its 2m generators, which suffices by closure.  Spreads are
     compared as the sorted ids of their lines, each generator acting
     through its line permutation from E_generator_line_perms.  E maps the
     subgeometry onto itself, so a set holding a line outside it is not a
-    set of its spreads and is reported as not invariant."""
-    spreads = par.spreads if isinstance(par, Parallelism) else tuple(par)
-    perms = E_generator_line_perms(geo)
-    keys = sorted(spreads)
-    try:
-        return all(sorted(tuple(sorted(map(perm.__getitem__, key))) for key in keys) == keys
-                   for perm in perms)
-    except IndexError:
+    set of its spreads and is reported as not invariant, before E's
+    permutations are derived."""
+    keys = sorted(_sorted_members(par))
+    n = len(geo.sigma_eta_lines())
+    if any(key and key[-1] >= n for key in keys):
         return False
+    return all(sorted(tuple(sorted(map(perm.__getitem__, key))) for key in keys) == keys
+               for perm in E_generator_line_perms(geo))
+
+
+def _E_orbit_starts(geo: Geometry, members) -> list[int]:
+    """For each member of an E-invariant list of spreads (sorted tuples of
+    line ids), the index of the first member of its E-orbit, the orbits
+    closed under the images by E's generators."""
+    perms = E_generator_line_perms(geo)
+    index = {sp: i for i, sp in enumerate(members)}
+    start = [-1] * len(members)
+    for i in range(len(members)):
+        if start[i] >= 0:
+            continue
+        start[i] = i
+        todo = [i]
+        while todo:
+            sp = members[todo.pop()]
+            for perm in perms:
+                j = index[tuple(sorted(map(perm.__getitem__, sp)))]
+                if start[j] < 0:
+                    start[j] = i
+                    todo.append(j)
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -245,36 +289,34 @@ def _ambient_directors(geo: Geometry, spread_lines, regulus) -> list[Line]:
     """The transversal (director) lines of a Desarguesian spread given by
     the ids of its lines, sorted, found on the Klein quadric: the
     transversals of three lines of a regulus of the spread and a fourth
-    spread line, kept when they meet every line of the spread.  The fourth
-    is taken from outside the regulus first, the regulus lines serving as
-    fallbacks.  Any four lines of the spread in no common regulus give the
-    same kept lines, those meeting every line of the spread, and the three
-    with any line outside the regulus are such four."""
+    spread line, kept when the spread they induce
+    (Geometry.spread_from_transversal) is the given one, a ValueError
+    rejecting them.  Those are exactly the lines meeting every line of the
+    spread: each spread line is stable, so one through a point Q of t is
+    <Q, Q^tau>.  The fourth is taken from outside the regulus first, the
+    regulus lines serving as fallbacks.  Any four lines of the spread in no
+    common regulus give the same kept lines, and the three with any line
+    outside the regulus are such four."""
     spec = geo.spec
-    tb = spec.tables
-    n, mul, add, neg = tb.order, tb.mul, tb.add, tb.neg
     line = geo.line
-    coords = {k: plucker(spec, line(k)) for k in spread_lines}
-    base = [coords[l] for l in regulus[:3]]
+    base = [plucker(spec, line(l)) for l in regulus[:3]]
     in_regulus, in_base = set(regulus), set(regulus[:3])
     found = []
     # the lines outside the regulus first (sorted is stable)
-    for l in sorted((l for l in coords if l not in in_base), key=in_regulus.__contains__):
-        found = klein_transversals(spec, base + [coords[l]])
+    for l in sorted((l for l in spread_lines if l not in in_base), key=in_regulus.__contains__):
+        found = klein_transversals(spec, base + [plucker(spec, line(l))])
         if found:
             break
-
-    def meets_all(t):
-        # the polarized Klein form of t and u is the dot product of u with
-        # t's dual vector (t5, -t4, t3, t2, -t1, t0)
-        d0, d1, d2, d3, d4, d5 = (t[5] * n, neg[t[4]] * n, t[3] * n,
-                                  t[2] * n, neg[t[1]] * n, t[0] * n)
-        return not any(add[add[add[add[add[mul[d0 + u0] * n + mul[d1 + u1]] * n
-                                           + mul[d2 + u2]] * n + mul[d3 + u3]] * n
-                                   + mul[d4 + u4]] * n + mul[d5 + u5]]
-                       for u0, u1, u2, u3, u4, u5 in coords.values())
-
-    return sorted(line_from_plucker(spec, t) for t in found if meets_all(t))
+    target = tuple(sorted(spread_lines))
+    kept = []
+    for v in found:
+        t = line_from_plucker(spec, v)
+        try:
+            if geo.spread_from_transversal(t) == target:
+                kept.append(t)
+        except ValueError:
+            pass
+    return sorted(kept)
 
 
 @memo
@@ -312,8 +354,27 @@ def _hall_member_label(geo: Geometry, lines) -> tuple[Candidate | None, str | No
 def characterize(geo: Geometry, par) -> CharacterizeResult:
     """Check the shape hypotheses (Desarguesian member present, all other
     members Hall spreads switched on reguli through r_U1, invariance under
-    the unitriangular group) and read off the good set."""
-    spreads = list(par.spreads if isinstance(par, Parallelism) else par)
+    the unitriangular group) and read off the good set.
+
+    The members are checked in order and the first failure is reported.
+    When the family is E-invariant, only the first member of each E-orbit
+    is checked, and the others take its label.  This gives what checking
+    every member gives, because each step of _hall_member_label is
+    E-equivariant, so the members of one orbit share label and error, and
+    the first member that fails is the first of its orbit:
+    - E fixes r_U1 pointwise, D_eta, the subgeometry and every plane
+      through r_U1, because xi_b changes only X1 and X3.
+    - When two of the lines touching r_U1 meet, all of them have at most 2
+      common transversals, so whichever two transversals_of starts from,
+      its ValueError and a count other than q+1 give the same error.
+    - The directors are the lines meeting every line of the unswitched
+      spread, whichever four lines the Klein solve starts from.  Such a
+      line t avoids the subgeometry, hence its conjugate too (they could
+      meet only in a fixed point): were P a subgeometry point of t, every
+      spread line missing P would be <Q, Q^tau> for a point Q of t, so it
+      would lie in the plane <t, t^tau>, and two of them would meet.
+    A family that is not invariant has each member checked on its own."""
+    spreads = _sorted_members(par)
     q = geo.q
     d_lines = geo.desarguesian_spread()
     rest = [sp for sp in spreads if sp != d_lines]
@@ -321,14 +382,20 @@ def characterize(geo: Geometry, par) -> CharacterizeResult:
         return CharacterizeResult(False, reason="no Desarguesian member")
     if len(spreads) != q * q + q + 1 or len(rest) != len(spreads) - 1:
         return CharacterizeResult(False, reason="malformed family size")
+    invariant = is_E_invariant(geo, spreads)
+    start = _E_orbit_starts(geo, rest) if invariant else range(len(rest))
     labels = []
-    for sp in rest:
+    for i, sp in enumerate(rest):
+        if start[i] < i:
+            # the first member of the orbit passed, so this one does
+            labels.append(labels[start[i]])
+            continue
         label, err = _hall_member_label(geo, sp)
         if label is None:
             return CharacterizeResult(False, reason=f"regulus misses r_U1: {err}",
                                       labels=labels)
         labels.append(label)
-    if not is_E_invariant(geo, spreads):
+    if not invariant:
         return CharacterizeResult(False, reason="not E-invariant", labels=labels)
     distinct = sorted(set(labels))
     if len(distinct) != q + 1 or any(labels.count(l) != q for l in distinct):

@@ -9,10 +9,12 @@ import random
 import re
 from pathlib import Path
 
+import pytest
+
 import spreadsmith
 from spreadsmith.checks import run_selftest
 from spreadsmith.equivalence import classify, stabilizer_group
-from spreadsmith.goodsets import enumerate_good_sets
+from spreadsmith.goodsets import enumerate_good_sets, flip_canonical
 from spreadsmith.parallelisms import build_parallelism, characterize, verify_parallelism
 from spreadsmith.spreads import Geometry, geometry_for_q
 
@@ -82,3 +84,27 @@ def test_a_hall_spread_files_only_itself():
         reg = geo.regulus_of(l)
         switched = set(geo.spread_from_transversal(l)) ^ set(geo.hall_spread(l))
         assert switched == set(reg) | set(geo.opposite_regulus(reg))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_characterize_labels_one_member_per_E_orbit(q):
+    """On a fresh Geometry, characterize files q+1 member labels for a
+    parallelism, one per pencil, and q^2+q for a family that is not
+    E-invariant: a foreign Hall spread in place of one member."""
+    lam = geometry_for_q(q).lam
+    sets = enumerate_good_sets(lam)
+    gs = next(sets)
+    other = next(g for g in sets if flip_canonical(lam, g) != flip_canonical(lam, gs))
+
+    def labelled(family):
+        geo = Geometry(lam)
+        res = characterize(geo, family)
+        return res, [key for key in geo._cache if key[0] == "_hall_member_label"]
+
+    spreads = build_parallelism(geometry_for_q(q), gs).spreads
+    res, filed = labelled(spreads)
+    assert res.ok and len(filed) == q + 1
+    foreign = next(sp for sp in build_parallelism(geometry_for_q(q), other).spreads
+                   if sp not in spreads)
+    res, filed = labelled((foreign,) + spreads[1:])
+    assert res.reason == "not E-invariant" and len(filed) == q * q + q

@@ -17,6 +17,7 @@ from spreadsmith.goodsets import (
     is_good,
 )
 from spreadsmith.parallelisms import (
+    CharacterizeResult,
     E_generator_line_perms,
     Parallelism,
     assemble_spread_family,
@@ -152,6 +153,10 @@ def test_a_line_outside_the_subgeometry_is_not_E_invariant():
     par = build_parallelism(geo, next(enumerate_good_sets(geo.lam)))
     family = [*par.spreads, (geo.line_id(t1),)]
     assert not is_E_invariant(geo, family)
+    # told before E's line permutations are derived
+    fresh = Geometry(geo.lam)
+    assert not is_E_invariant(fresh, family)
+    assert all(key[0] != "E_generator_line_perms" for key in fresh._cache)
 
 
 def test_verify_reads_the_ids_of_a_member_in_any_order():
@@ -287,6 +292,182 @@ def test_characterize_failure_reasons():
     mutated[0] = tuple(sorted(tampered))
     res = characterize(geo, mutated)
     assert not res.ok
+
+
+def _seeded_parallelism(geo, seed):
+    rng = random.Random(f"{seed} {geo.q}")
+    return build_parallelism(geo, rng.choice(list(enumerate_good_sets(geo.lam, limit=40))))
+
+
+def _image(perm, lines):
+    return tuple(sorted(map(perm.__getitem__, lines)))
+
+
+def _swap_one_line(members, rng):
+    """Each member with one of its lines swapped for a line of the next."""
+    out = []
+    for sp, other in zip(members, members[1:] + members[:1]):
+        k = rng.randrange(len(sp))
+        out.append(tuple(sorted(sp[:k] + sp[k + 1:] + (rng.choice(other),))))
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_hall_member_label_is_E_equivariant(q):
+    """What lets characterize check one member per E-orbit: the label, or
+    the error, of a member's image under each generator of E is the
+    member's own, on built Hall members and on members with one line
+    swapped in from another member."""
+    geo = geometry_for_q(q)
+    members = list(_seeded_parallelism(geo, "equivariant").spreads[:-1])
+    swapped = _swap_one_line(members, random.Random(f"swap {q}"))
+    perms = E_generator_line_perms(geo)
+    errors = set()
+    for sp in members + swapped:
+        own = parallelisms._hall_member_label(geo, sp)
+        errors.add(own[1])
+        for perm in perms:
+            assert parallelisms._hall_member_label(geo, _image(perm, sp)) == own
+    # the valid members, and swapped ones failing in more than one way
+    assert None in errors and len(errors) >= 3
+
+
+def _characterize_member_by_member(geo, family):
+    """characterize as it was before the orbit shortcut: every member is
+    labelled on its own, in order, and E-invariance is checked last."""
+    spreads = [tuple(sorted(sp)) for sp in family]
+    q = geo.q
+    d_lines = geo.desarguesian_spread()
+    rest = [sp for sp in spreads if sp != d_lines]
+    if len(rest) == len(spreads):
+        return CharacterizeResult(False, reason="no Desarguesian member")
+    if len(spreads) != q * q + q + 1 or len(rest) != len(spreads) - 1:
+        return CharacterizeResult(False, reason="malformed family size")
+    labels = []
+    for sp in rest:
+        label, err = parallelisms._hall_member_label(geo, sp)
+        if label is None:
+            return CharacterizeResult(False, reason=f"regulus misses r_U1: {err}",
+                                      labels=labels)
+        labels.append(label)
+    if not is_E_invariant(geo, spreads):
+        return CharacterizeResult(False, reason="not E-invariant", labels=labels)
+    distinct = sorted(set(labels))
+    if len(distinct) != q + 1 or any(labels.count(l) != q for l in distinct):
+        return CharacterizeResult(False, reason="pencil labels do not form q+1 full pencils",
+                                  labels=labels)
+    gs = flip_canonical(geo.lam, distinct)
+    if not is_good(geo.lam, gs).ok:
+        return CharacterizeResult(False, reason="recovered set not good", labels=labels)
+    return CharacterizeResult(True, good_set=gs, labels=labels)
+
+
+def _one_pencil_replaced(geo, gs):
+    """gs with one candidate replaced by one from another good set, the
+    flip classes still distinct and the set not good: its Hall spreads
+    are a union of E-orbits that characterize reads as full pencils."""
+    lam = geo.lam
+    classes = {flip_canonical(lam, [c])[0] for c in gs}
+    for other in enumerate_good_sets(lam):
+        for c in other:
+            if flip_canonical(lam, [c])[0] in classes:
+                continue
+            for k in range(len(gs)):
+                labels = list(gs[:k]) + [c] + list(gs[k + 1:])
+                if not is_good(lam, labels).ok:
+                    return labels
+    raise AssertionError("no replacement leaves a set that is not good")
+
+
+def _E_orbit(geo, lines):
+    orbit, todo = {lines}, [lines]
+    while todo:
+        sp = todo.pop()
+        for perm in E_generator_line_perms(geo):
+            if (image := _image(perm, sp)) not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return sorted(orbit)
+
+
+def _failing_orbit(geo, members):
+    """The E-orbit of the first member with one line swapped for a line of
+    another member, for a swap whose orbit has q members, as the first
+    member's own has."""
+    first = members[0]
+    for other in members[1:]:
+        for y in set(other) - set(first):
+            for k in range(len(first)):
+                orbit = _E_orbit(geo, tuple(sorted(first[:k] + first[k + 1:] + (y,))))
+                if len(orbit) == geo.q:
+                    return orbit
+    raise AssertionError("no swap keeps an orbit of q members")
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_characterize_matches_the_member_by_member_loop(q):
+    """The orbit shortcut gives the result, reason and labels of checking
+    every member, on valid families (also shuffled), one-line swaps between
+    two members, a foreign member from another good set, and E-invariant
+    families with one orbit replaced: by another good set's, or by one
+    that fails the member check (the family shuffled)."""
+    geo = geometry_for_q(q)
+    rng = random.Random(f"member by member {q}")
+    par = _seeded_parallelism(geo, "member by member")
+    spreads = list(par.spreads)
+    shuffled = spreads[:]
+    rng.shuffle(shuffled)
+    other = build_parallelism(geo, next(
+        gs for gs in enumerate_good_sets(geo.lam)
+        if flip_canonical(geo.lam, gs) != flip_canonical(geo.lam, par.source)))
+    foreign = next(sp for sp in other.spreads if sp not in spreads)
+    families = {"built": spreads, "shuffled": shuffled,
+                "foreign member": [foreign] + spreads[1:]}
+    for n in range(3):
+        i, j = rng.sample(range(len(spreads) - 1), 2)
+        a, b = rng.randrange(q * q + 1), rng.randrange(q * q + 1)
+        swapped = spreads[:]
+        swapped[i] = spreads[i][:a] + (spreads[j][b],) + spreads[i][a + 1:]
+        swapped[j] = spreads[j][:b] + (spreads[i][a],) + spreads[j][b + 1:]
+        families[f"swap {n}"] = swapped
+    replaced = assemble_spread_family(geo, _one_pencil_replaced(geo, par.source))
+    assert is_E_invariant(geo, replaced)
+    families["one orbit replaced"] = replaced
+    assert sorted(spreads[:q]) == _E_orbit(geo, spreads[0])
+    failing = _failing_orbit(geo, spreads) + spreads[q:]
+    rng.shuffle(failing)
+    assert is_E_invariant(geo, failing)
+    families["failing orbit"] = failing
+    reasons = {}
+    for name, family in families.items():
+        res = characterize(geo, family)
+        assert res == _characterize_member_by_member(geo, family), (q, name)
+        reasons[name] = res.reason
+    assert reasons["built"] is reasons["shuffled"] is None
+    assert reasons["one orbit replaced"] == "recovered set not good"
+    assert reasons["failing orbit"].startswith("regulus misses r_U1")
+    assert reasons["foreign member"] in ("not E-invariant",
+                                         "pencil labels do not form q+1 full pencils")
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_members_in_any_order_read_as_sorted(q):
+    geo = geometry_for_q(q)
+    par = _seeded_parallelism(geo, "reversed")
+    reversed_members = [tuple(reversed(sp)) for sp in par.spreads]
+    assert verify_parallelism(geo, reversed_members) == verify_parallelism(geo, par)
+    assert is_E_invariant(geo, reversed_members)
+    assert characterize(geo, reversed_members) == characterize(geo, par)
+    assert characterize(geo, par).ok
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8])
+def test_every_parallelism_has_the_cover_checksum(q):
+    geo = geometry_for_q(q)
+    for seed in ("cover", "cover again"):
+        par = _seeded_parallelism(geo, seed)
+        assert parallelisms._cover_checksum(geo) == family_checksum(geo, par.spreads)
+        assert verify_parallelism(geo, par).checksum == family_checksum(geo, par.spreads)
 
 
 def _directors_by_the_sorted_loop(geo, spread_lines):
