@@ -63,6 +63,7 @@ from spreadsmith.equivalence import (
     apply_label_action,
     are_equivalent,
     classify,
+    flip_numbering,
     full_stabilizer_group,
     label_action,
     stabilizer_group,
@@ -1225,12 +1226,13 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
     lam = geo.lam
     rng = random.Random(seed)
     grp = stabilizer_group(geo)
+    reps, number = flip_numbering(geo)
     sets = list(enumerate_good_sets(lam, limit=64))
     for _ in range(trials):
         gs = rng.choice(sets)
         psi = rng.choice(grp.elements)
-        moved = apply_label_action(label_action(geo, psi), flip_canonical(lam, gs))
-        if are_equivalent(geo, gs, moved) is None:
+        moved = apply_label_action(label_action(geo, psi), sorted(map(number.__getitem__, gs)))
+        if are_equivalent(geo, gs, [reps[i] for i in moved]) is None:
             return False, "search missed a constructed equivalence"
     B = fixed_plane_good_set(lam, lam.I[0], 0)
     Bd = dual(B)
@@ -1271,10 +1273,10 @@ def check_equivalence_search(geo: Geometry, trials: int = 10, seed: int = 31) ->
 @suite("orbit-consistency", lambda q: q <= 4)
 def check_orbit_consistency(geo: Geometry) -> CheckResult:
     """Orbit sizes divide the group order, stabilizer orders multiply back,
-    and family counts sum to the family size."""
+    and orbit sizes sum to the family size."""
     report = classify(geo)
-    if sum(o.family_count for o in report.orbits) != report.family_size:
-        return False, "family counts do not sum up"
+    if sum(o.size for o in report.orbits) != report.family_size:
+        return False, "orbit sizes do not sum up"
     for o in report.orbits:
         if o.size * o.stabilizer_order != report.group_order:
             return False, "orbit-stabilizer relation broken"

@@ -9,21 +9,22 @@ induce on the subgeometry's point ids.  Group orders therefore count
 induced collineations, which is what the reference order
 2 m q^2 (q^2-1) (q+1) speaks about.  A closed group keeps each element's
 point permutation next to the element, and callers act on spreads with
-those permutations (Geometry.spread_keys); only the identity and the
-generators have theirs memoised by Geometry.point_permutation.
+those permutations (Geometry.spread_keys); only the generators have
+theirs memoised by Geometry.point_permutation.
 
-The searches act on the candidate flip classes of goodsets.flip_classes:
-label_action makes a collineation a permutation of their representatives,
-reading each image pencil off two point images, and orbit_of,
-are_equivalent and classify carry flip-canonical good sets along the
-generators' permutations with apply_label_action.
+The equivalence questions are answered on the flip classes of
+goodsets.flip_classes, numbered in sorted order (flip_numbering).
+label_action makes a collineation a permutation of the numbers, read off
+point images, and label_group is G', the line stabilizer on the numbers,
+closed once per Geometry by the loop that closes point permutations.
+orbit_of maps each image of a good set to the first element of G' that
+reaches it: the witness of are_equivalent and the orbits of classify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 import math
 
 from spreadsmith.goodsets import (Candidate, GoodSet, enumerate_good_sets, flip_canonical,
@@ -87,16 +88,13 @@ class StabilizerGroup:
         return len(self.elements)
 
 
-def close_group(geo: Geometry, gens) -> list[tuple[Collineation, tuple[int, ...]]]:
-    """Breadth-first closure under composition, deduplicating by the
-    permutation each element induces on the subgeometry points: products
-    are composed as permutations, and only a new one is composed as a
-    collineation.  Each element comes with its permutation, in a
-    deterministic order."""
-    ident = Collineation.identity(geo.spec)
-    members = [(ident, geo.point_permutation(ident))]
+def _close(geo: Geometry, gens, moves) -> list[tuple[Collineation, tuple[int, ...]]]:
+    """Breadth-first closure of gens, each acting by its permutation in
+    moves, deduplicated by permutation: products are composed as
+    permutations, and only a new one is composed as a collineation.  Each
+    element comes with its permutation, in a deterministic order."""
+    members = [(Collineation.identity(geo.spec), tuple(range(len(moves[0]))))]
     seen = {members[0][1]}
-    moves = [geo.point_permutation(g) for g in gens]
     for e, perm in members:
         for g, move in zip(gens, moves):
             image = tuple(map(move.__getitem__, perm))
@@ -104,6 +102,11 @@ def close_group(geo: Geometry, gens) -> list[tuple[Collineation, tuple[int, ...]
                 seen.add(image)
                 members.append((e.then(g), image))
     return members
+
+
+def close_group(geo: Geometry, gens) -> list[tuple[Collineation, tuple[int, ...]]]:
+    """The closure of gens acting on the subgeometry point ids (_close)."""
+    return _close(geo, gens, [geo.point_permutation(g) for g in gens])
 
 
 def _closed_group(geo: Geometry, gens, formula_order: int) -> StabilizerGroup:
@@ -134,62 +137,63 @@ def full_stabilizer_group(geo: Geometry) -> StabilizerGroup:
 # induced action on pencil labels
 
 
-def label_action(geo: Geometry, psi: Collineation) -> dict[Candidate, Candidate]:
-    """How an element of the line stabilizer permutes the representatives
-    of the candidate flip classes, read off point images: psi fixes r_U1,
-    so the image pencil has the base point psi(point_P(a, u)) and the plane
-    spanned by r_U1 and psi(plane_point(a, v)).  An image pencil whose base
-    point falls outside the I classes is read off through the subgeometry
-    involution, which fixes r_U1 and maps the pencil to the same pencil of
-    the distinguished subgeometry."""
+@memo
+def flip_numbering(geo: Geometry) -> tuple[tuple[Candidate, ...], dict[Candidate, int]]:
+    """The flip-class representatives in sorted order, and every candidate
+    mapped to the position of its class's.  A numbered good set is the
+    sorted tuple of its candidates' numbers."""
     classes = flip_classes(geo.lam)
-    out = {}
+    reps = tuple(sorted(set(classes.values())))
+    number = {rep: i for i, rep in enumerate(reps)}
+    return reps, {c: number[rep] for c, rep in classes.items()}
+
+
+def label_action(geo: Geometry, psi: Collineation) -> tuple[int, ...]:
+    """How an element of the line stabilizer permutes the numbered flip
+    classes, read off point images: psi fixes r_U1, so the image pencil
+    has the base point psi(point_P(a, u)) and the plane spanned by r_U1
+    and psi(plane_point(a, v)).  An image pencil whose base point falls
+    outside the I classes is read off through the subgeometry involution,
+    which fixes r_U1 and maps the pencil to the same pencil of the
+    distinguished subgeometry."""
+    reps, number = flip_numbering(geo)
     n = geo.q + 1
-    for a in geo.lam.I:
-        images = [psi.apply_point(geo.plane_point(a, v)) for v in range(n)]
-        planes = list(map(geo.r_U1_plane, images))
-        for u in range(n):
-            P = psi.apply_point(geo.point_P(a, u))
-            for v, pl in enumerate(planes):
-                rep = Candidate(a, u, v)
-                if classes[rep] != rep:
-                    continue
-                lab = geo.pencil_label(P, pl)
-                if lab is None:
-                    lab = geo.pencil_label(geo.tau_eta_point(P),
-                                           geo.r_U1_plane(geo.tau_eta_point(images[v])))
-                assert lab is not None, f"pencil {P}, {pl} not in the I classes"
-                out[rep] = classes[lab]
-    return out
+    points = {(a, u): psi.apply_point(geo.point_P(a, u)) for a in geo.lam.I for u in range(n)}
+    images = {(a, v): psi.apply_point(geo.plane_point(a, v)) for a in geo.lam.I for v in range(n)}
+    out = []
+    for a, u, v in reps:
+        P, Q = points[a, u], images[a, v]
+        lab = (geo.pencil_label(P, geo.r_U1_plane(Q))
+               or geo.pencil_label(geo.tau_eta_point(P), geo.r_U1_plane(geo.tau_eta_point(Q))))
+        assert lab is not None, f"pencil at {P} through {Q} not in the I classes"
+        out.append(number[lab])
+    return tuple(out)
 
 
-def apply_label_action(perm: dict[Candidate, Candidate], gs: GoodSet) -> GoodSet:
-    """The image of a flip-canonical good set under a label action."""
+def apply_label_action(perm: tuple[int, ...], gs: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of a numbered good set under a label action."""
     return tuple(sorted(map(perm.__getitem__, gs)))
 
 
 @memo
-def label_group(geo: Geometry) -> list[dict[Candidate, Candidate]]:
-    """The line-stabilizer generators as permutations of the candidate flip
-    classes."""
-    return [label_action(geo, psi) for psi in stabilizer_gens(geo)]
+def label_group(geo: Geometry) -> list[tuple[Collineation, tuple[int, ...]]]:
+    """G', the line stabilizer acting on the numbered flip classes: each
+    element an ambient representative with its label action, closed from
+    the generators' label actions."""
+    gens = stabilizer_gens(geo)
+    return _close(geo, gens, [label_action(geo, psi) for psi in gens])
 
 
-def orbit_of(geo: Geometry, gs) -> dict[GoodSet, tuple[GoodSet, int] | None]:
-    """The orbit of a good set under the line stabilizer, by breadth-first
-    search over the label group: each flip-canonical image mapped to the
-    member it was first reached from and the index of the generator that
-    reached it, the start to None."""
-    start = flip_canonical(geo.lam, gs)
-    parent = {start: None}
-    queue = [start]
-    for x in queue:
-        for i, perm in enumerate(label_group(geo)):
-            y = apply_label_action(perm, x)
-            if y not in parent:
-                parent[y] = (x, i)
-                queue.append(y)
-    return parent
+def orbit_of(geo: Geometry, gs) -> dict[GoodSet, Collineation]:
+    """The orbit of a good set under the line stabilizer: each
+    flip-canonical image mapped to the first element of label_group that
+    carries gs to it, gs itself to the identity."""
+    reps, number = flip_numbering(geo)
+    start = tuple(sorted(map(number.__getitem__, gs)))
+    orbit = {}
+    for psi, perm in label_group(geo):
+        orbit.setdefault(tuple(map(reps.__getitem__, apply_label_action(perm, start))), psi)
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +208,7 @@ def are_equivalent(geo: Geometry, gs1, gs2) -> Collineation | None:
     for gs in (gs1, gs2):
         if not is_good(geo.lam, gs):
             raise ValueError("label set is not a good set")
-    parent = orbit_of(geo, gs1)
-    g2 = flip_canonical(geo.lam, gs2)
-    if g2 not in parent:
-        return None
-    gens = stabilizer_gens(geo)
-    path = []
-    while parent[g2] is not None:
-        g2, i = parent[g2]
-        path.append(gens[i])
-    return reduce(Collineation.then, reversed(path), Collineation.identity(geo.spec))
+    return orbit_of(geo, gs1).get(flip_canonical(geo.lam, gs2))
 
 
 @dataclass
@@ -221,7 +216,6 @@ class Orbit:
     representative: GoodSet
     size: int
     stabilizer_order: int
-    family_count: int
 
 
 @dataclass
@@ -274,8 +268,7 @@ def classify(geo: Geometry) -> OrbitReport:
         seen.update(orbit)
         size = len(orbit)
         assert order % size == 0
-        orbits.append(Orbit(representative=gs, size=size, stabilizer_order=order // size,
-                            family_count=size))
+        orbits.append(Orbit(representative=gs, size=size, stabilizer_order=order // size))
     return OrbitReport(group_order=order, family_size=len(family_keys),
                        orbits=orbits,
                        bounds=lower_bound_formulas(geo.q, geo.spec.m))

@@ -31,7 +31,8 @@ GoodSet = tuple[Candidate, ...]
 
 
 def canonical(cands) -> GoodSet:
-    return tuple(sorted(Candidate(*c) for c in cands))
+    # a Candidate is kept, not copied: sets drawn from shared tables share them
+    return tuple(sorted(c if type(c) is Candidate else Candidate(*c) for c in cands))
 
 
 def candidate_universe(lam: LambdaSystem,

@@ -11,6 +11,7 @@ shares with the Desarguesian one; the Desarguesian spread comes last.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 # CPython's built-in SHA-256, the module hashlib itself falls back to:
@@ -233,41 +234,40 @@ def _sorted_members(par) -> list[tuple[int, ...]]:
 
 
 def is_E_invariant(geo: Geometry, par) -> bool:
-    """Invariance of the spread set under the unitriangular group, checked
-    on each of its 2m generators, which suffices by closure.  Spreads are
-    compared as the sorted ids of their lines, each generator acting
-    through its line permutation from E_generator_line_perms.  E maps the
-    subgeometry onto itself, so a set holding a line outside it is not a
-    set of its spreads and is reported as not invariant, before E's
-    permutations are derived."""
-    keys = sorted(_sorted_members(par))
+    """Invariance of the spread multiset under E (_E_orbit_starts)."""
+    return _E_orbit_starts(geo, _sorted_members(par)) is not None
+
+
+def _E_orbit_starts(geo: Geometry, members) -> list[int] | None:
+    """For each member of a list of spreads (sorted tuples of line ids), the
+    index of the first member of its E-orbit; None when E does not map the
+    list onto itself as a multiset.  Each distinct member is mapped once by
+    each of E's 2m generators, which suffice by closure; an image must
+    occur as often as the member it comes from.  E maps the subgeometry
+    onto itself, so a list holding a line outside it is not a list of its
+    spreads and is reported as not invariant, before E's permutations are
+    derived."""
     n = len(geo.sigma_eta_lines())
-    if any(key and key[-1] >= n for key in keys):
-        return False
-    return all(sorted(tuple(sorted(map(perm.__getitem__, key))) for key in keys) == keys
-               for perm in E_generator_line_perms(geo))
-
-
-def _E_orbit_starts(geo: Geometry, members) -> list[int]:
-    """For each member of an E-invariant list of spreads (sorted tuples of
-    line ids), the index of the first member of its E-orbit, the orbits
-    closed under the images by E's generators."""
+    if any(sp and sp[-1] >= n for sp in members):
+        return None
     perms = E_generator_line_perms(geo)
-    index = {sp: i for i, sp in enumerate(members)}
-    start = [-1] * len(members)
-    for i in range(len(members)):
-        if start[i] >= 0:
+    count = Counter(members)
+    start = {}
+    for i, sp in enumerate(members):
+        if sp in start:
             continue
-        start[i] = i
-        todo = [i]
+        start[sp] = i
+        todo = [sp]
         while todo:
-            sp = members[todo.pop()]
+            cur = todo.pop()
             for perm in perms:
-                j = index[tuple(sorted(map(perm.__getitem__, sp)))]
-                if start[j] < 0:
-                    start[j] = i
-                    todo.append(j)
-    return start
+                image = tuple(sorted(map(perm.__getitem__, cur)))
+                if count[image] != count[cur]:
+                    return None
+                if image not in start:
+                    start[image] = i
+                    todo.append(image)
+    return [start[sp] for sp in members]
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +382,12 @@ def characterize(geo: Geometry, par) -> CharacterizeResult:
         return CharacterizeResult(False, reason="no Desarguesian member")
     if len(spreads) != q * q + q + 1 or len(rest) != len(spreads) - 1:
         return CharacterizeResult(False, reason="malformed family size")
-    invariant = is_E_invariant(geo, spreads)
-    start = _E_orbit_starts(geo, rest) if invariant else range(len(rest))
+    # E fixes the Desarguesian member, which occurs once: the others decide
+    start = _E_orbit_starts(geo, rest)
+    invariant = start is not None
     labels = []
     for i, sp in enumerate(rest):
-        if start[i] < i:
+        if invariant and start[i] < i:
             # the first member of the orbit passed, so this one does
             labels.append(labels[start[i]])
             continue

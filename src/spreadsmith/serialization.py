@@ -176,7 +176,7 @@ def orbit_report_to_obj(report, lam: LambdaSystem, file_refs=None) -> dict:
             "representative": _entries(o.representative),
             "orbit_size": o.size,
             "stabilizer_order": o.stabilizer_order,
-            "family_count": o.family_count,
+            "family_count": o.size,
         }
         if file_refs:
             entry["file"] = file_refs[i]

@@ -85,6 +85,16 @@ def test_generators_stabilize_spread_and_line():
             assert psi.apply_line(geo.space.r_U1) == geo.space.r_U1
 
 
+def _numbered(geo, gs):
+    _, number = equivalence.flip_numbering(geo)
+    return tuple(sorted(number[c] for c in gs))
+
+
+def _candidates(geo, numbered):
+    reps, _ = equivalence.flip_numbering(geo)
+    return tuple(reps[i] for i in numbered)
+
+
 def test_label_action_matches_spread_action():
     rng = random.Random(11)
     for q in (3, 4):
@@ -99,19 +109,34 @@ def test_label_action_matches_spread_action():
             spread_keys = sorted(tuple(sorted(psi.apply_line(l) for l in map(geo.line, sp)))
                                  for sp in par.spreads)
             act = label_action(geo, psi)
-            par2 = build_parallelism(geo, apply_label_action(act, flip_canonical(lam, gs)))
+            moved = apply_label_action(act, _numbered(geo, gs))
+            par2 = build_parallelism(geo, _candidates(geo, moved))
             assert spread_keys == sorted(tuple(map(geo.line, sp)) for sp in par2.spreads)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_label_actions_permute_the_flip_classes(q):
-    # one image per flip class, and each generator's images are the classes
+    # the classes are numbered by their sorted representatives, and each
+    # generator's images are the numbers, each once
     geo = geometry_for_q(q)
-    reps = set(flip_classes(geo.lam).values())
+    classes = flip_classes(geo.lam)
+    reps, number = equivalence.flip_numbering(geo)
+    assert list(reps) == sorted(set(classes.values()))
+    assert all(reps[number[c]] == rep for c, rep in classes.items())
     for psi in stabilizer_gens(geo):
-        act = label_action(geo, psi)
-        assert act.keys() == reps
-        assert set(act.values()) == reps
+        assert sorted(label_action(geo, psi)) == list(range(len(reps)))
+
+
+@pytest.mark.parametrize("q, order", [(3, 16), (4, 100), (5, 72), (7, 128), (8, 486), (9, 400)])
+def test_label_group_order(q, order):
+    assert len(equivalence.label_group(geometry_for_q(q))) == order
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_label_group_holds_each_elements_own_action(q):
+    geo = geometry_for_q(q)
+    for psi, perm in equivalence.label_group(geo):
+        assert label_action(geo, psi) == perm
 
 
 def test_are_equivalent_basics():
@@ -155,19 +180,21 @@ def test_classification_q3():
 @pytest.mark.parametrize("q", [3, 4])
 def test_orbit_of_matches_full_group_sweep(q):
     # reference: the images of a family member under every element of the
-    # closed group, which is the same set for every member of that orbit
+    # closed point-permutation group, which is the same set for every
+    # member of that orbit
     geo = geometry_for_q(q)
     lam = geo.lam
     actions = [label_action(geo, psi) for psi in stabilizer_group(geo).elements]
-    family = {flip_canonical(lam, gs) for gs in enumerate_good_sets(lam)}
+    family = {_numbered(geo, gs) for gs in enumerate_good_sets(lam)}
     while family:
         swept = {apply_label_action(act, min(family)) for act in actions}
         for gs in swept:
-            assert orbit_of(geo, gs).keys() == swept
+            want = {_candidates(geo, x) for x in swept}
+            assert orbit_of(geo, _candidates(geo, gs)).keys() == want
         family -= swept
 
 
-@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("q", [3, 4, 5])
 def test_are_equivalent_witness_maps_spreads(q):
     rng = random.Random(q)
     geo = geometry_for_q(q)
@@ -191,7 +218,7 @@ def test_classification_q4():
     assert sorted(o.size for o in rep.orbits) == [5, 5, 5, 5, 50, 50]
     for o in rep.orbits:
         assert o.size * o.stabilizer_order == rep.group_order
-    assert sum(o.family_count for o in rep.orbits) == 120
+    assert sum(o.size for o in rep.orbits) == 120
 
 
 def test_classification_q5():
@@ -207,7 +234,8 @@ def test_classification_q5():
 @pytest.mark.parametrize("q", [3, 4])
 def test_classify_and_are_equivalent_close_no_group(q, monkeypatch):
     # the orbits run on the label group and take |G| from the formula: on a
-    # fresh Geometry, with no closed group cached, neither path closes one
+    # fresh Geometry, with no closed group cached, neither path closes a
+    # point-permutation group
     def refuse(*args):
         raise AssertionError("close_group called")
 

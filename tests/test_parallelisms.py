@@ -408,9 +408,10 @@ def _failing_orbit(geo, members):
 def test_characterize_matches_the_member_by_member_loop(q):
     """The orbit shortcut gives the result, reason and labels of checking
     every member, on valid families (also shuffled), one-line swaps between
-    two members, a foreign member from another good set, and E-invariant
+    two members, a foreign member from another good set, E-invariant
     families with one orbit replaced: by another good set's, or by one
-    that fails the member check (the family shuffled)."""
+    that fails the member check (the family shuffled), and families with
+    repeated members."""
     geo = geometry_for_q(q)
     rng = random.Random(f"member by member {q}")
     par = _seeded_parallelism(geo, "member by member")
@@ -438,6 +439,14 @@ def test_characterize_matches_the_member_by_member_loop(q):
     rng.shuffle(failing)
     assert is_E_invariant(geo, failing)
     families["failing orbit"] = failing
+    # repeated members: q copies of one member in place of its own orbit,
+    # or in place of another orbit, which set membership would read as
+    # invariant; and one orbit twice, which is invariant as a multiset
+    assert sorted(spreads[q:2 * q]) == _E_orbit(geo, spreads[q])
+    families["own member repeated"] = [spreads[0]] * q + spreads[q:]
+    families["other member repeated"] = [spreads[q]] * q + spreads[q:]
+    families["one orbit twice"] = spreads[q:2 * q] + spreads[q:]
+    assert is_E_invariant(geo, families["one orbit twice"])
     reasons = {}
     for name, family in families.items():
         res = characterize(geo, family)
@@ -448,6 +457,8 @@ def test_characterize_matches_the_member_by_member_loop(q):
     assert reasons["failing orbit"].startswith("regulus misses r_U1")
     assert reasons["foreign member"] in ("not E-invariant",
                                          "pencil labels do not form q+1 full pencils")
+    assert reasons["own member repeated"] == reasons["other member repeated"] == "not E-invariant"
+    assert reasons["one orbit twice"] == "pencil labels do not form q+1 full pencils"
 
 
 @pytest.mark.parametrize("q", [3, 4])
