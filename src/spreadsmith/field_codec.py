@@ -14,7 +14,7 @@ import json
 from typing import Callable, NamedTuple
 from weakref import WeakKeyDictionary
 
-from spreadsmith.field_tower import FieldSpec, LambdaSystem, build_lambda, build_partition
+from spreadsmith.field_tower import FieldSpec, LambdaSystem, build_lambda, build_partition, value
 
 
 def dumps(obj: object) -> str:
@@ -54,7 +54,7 @@ def _code(vec, width: int, p: int) -> int:
     """The field code of exactly width ints in 0..p-1, constant first: their
     value as base-p digits, for width m a GF(q) code and for width 2m a
     GF(q^2) code, whatever the moduli.  Anything else is a ValueError."""
-    return sum(c * p**i for i, c in enumerate(_coefficients(vec, width, p)))
+    return value(_coefficients(vec, width, p), p)
 
 
 class CoefficientTable(NamedTuple):

@@ -1,20 +1,27 @@
 """Exact arithmetic in the tower GF(p) < GF(q) < GF(q^2), q = p^m.
 
-Elements of GF(q^2) are integer codes in ``range(q*q)``: the element
-a0 + a1*w has code ``a0 + q*a1`` where a0, a1 are GF(q) codes and w is a
-root of the degree-2 modulus over GF(q).  A GF(q) element c0 + c1*y + ...
-has code ``sum(c_i * p**i)`` with y a root of the degree-m modulus over
-GF(p).  The code is the canonical representation: two elements are equal
-iff their codes are equal, and x lies in the subfield GF(q) iff its code
-is < q.
+Every element is an integer code: the base-p value of its coefficient
+vector, constant term first (``digits`` and ``value`` convert, and nothing
+else does).  A GF(q) element c0 + c1*y + ... over the degree-m modulus
+over GF(p) has the m digits c0, c1, ...; a GF(q^2) element a0 + a1*w over
+the degree-2 modulus over GF(q) has the 2m digits of a0 then those of a1,
+so its code is ``a0 + q*a1``.  Two elements are equal iff their codes are,
+and x lies in GF(q) iff its code is < q.
 
-All arithmetic is table driven and exact.  ``FieldSpec`` instances are
+The construction is table driven and exact.  The default moduli are the
+first monic irreducibles in coefficient order.  GF(q)'s sum, product and
+negation tables give GF(q^2)'s sum, product and negation tables.  Then one
+power walk per candidate, the nonzero codes in coefficient order, finds the
+generator: the first whose powers come back to 1 only after q^2 - 1 steps
+(a supplied generator is checked by the same walk).  That walk is the
+exponent table, and with its inverse, the logarithms, it gives the
+inverses, both Frobenius maps and the norm.  ``FieldSpec`` instances are
 immutable after construction and safe to share between threads/processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -30,29 +37,39 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^m with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                raise ValueError(f"{q} is not a prime power")
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            if t != 1:
-                raise ValueError(f"{q} is not a prime power")
+    """Decompose q = p^m with p prime, or raise ValueError.  The smallest
+    divisor p of q is prime, and q is a power of p or of no prime."""
+    if q >= 2:
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        m = 1
+        while p**m < q:
+            m += 1
+        if p**m == q:
             return p, m
     raise ValueError(f"{q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficient vectors constant term first
+# the digit codec, and polynomials over GF(p) as coefficient vectors, constant
+# term first
 
 
-def _poly_mod(num: list[int], mod: tuple[int, ...], p: int) -> list[int]:
+def digits(code: int, width: int, p: int) -> tuple[int, ...]:
+    """The width base-p digits of code, units first: the coefficient vector
+    of the element or monic-polynomial tail with that code."""
+    out = []
+    for _ in range(width):
+        code, c = divmod(code, p)
+        out.append(c)
+    return tuple(out)
+
+
+def value(vec, p: int) -> int:
+    """The code of a coefficient vector: its base-p value, vec[0] the units."""
+    return sum(c * p**i for i, c in enumerate(vec))
+
+
+def _poly_mod(num, mod: tuple[int, ...], p: int) -> list[int]:
     num = list(num)
     deg = len(mod) - 1
     for i in range(len(num) - 1, deg - 1, -1):
@@ -78,45 +95,31 @@ def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Monic polynomial over GF(p), constant first.  Trial division by all
     monic polynomials of degree 1..deg//2 (fine at desk scale, deg <= 4)."""
     deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-    if coeffs[0] == 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for idx in range(p**d):
-            div = []
-            t = idx
-            for _ in range(d):
-                div.append(t % p)
-                t //= p
-            div.append(1)
-            # remainder of coeffs / div
-            rem = list(coeffs)
-            for i in range(len(rem) - 1, d - 1, -1):
-                c = rem[i]
-                if c:
-                    for j in range(d + 1):
-                        rem[i - d + j] = (rem[i - d + j] - c * div[j]) % p
-            if not any(rem[:d]):
-                return False
-    return True
+    return all(any(_poly_mod(coeffs, digits(idx, d, p) + (1,), p))
+               for d in range(1, deg // 2 + 1) for idx in range(p**d))
 
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over GF(p),
     coefficients ordered constant term first."""
-    if m == 1:
-        return (0, 1)
-    for idx in range(p**m):
-        coeffs = []
-        t = idx
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        cand = tuple(coeffs) + (1,)
-        if _poly_is_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")
+    return next(cand for cand in (digits(idx, m, p) + (1,) for idx in range(p**m))
+                if _poly_is_irreducible(cand, p))
+
+
+def _has_no_root(q_add, q_mul, c0: int, c1: int) -> bool:
+    """w^2 + c1 w + c0 has no root in GF(q), so it is irreducible there."""
+    return all(q_add[q_add[q_mul[x][x]][q_mul[c1][x]]][c0] for x in range(len(q_add)))
+
+
+def _power_walk(mul, order: int, g: int) -> list[int]:
+    """The powers 1, g, g^2, ... of a nonzero code g, up to the first
+    return to 1: their number is g's multiplicative order."""
+    exp = [1]
+    x = g
+    while x != 1:
+        exp.append(x)
+        x = mul[x * order + g]
+    return exp
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +147,8 @@ class FieldSpec:
     modulus_q : monic irreducible of degree m over GF(p) (constant first)
     modulus_q2 : monic irreducible (c0, c1, 1) over GF(q), as GF(q) codes
     generator : code of the chosen generator of GF(q^2)*
-    tables : the FieldTables every scalar method reads
+    tables : the FieldTables every scalar method reads, for kernels that
+        index them directly instead of calling the scalar methods
     """
 
     def __init__(self, p: int, m: int, modulus_q=None, modulus_q2=None,
@@ -158,80 +162,38 @@ class FieldSpec:
         self.q = q = p**m
         self.order = Q = q * q
 
-        self.modulus_q = tuple(modulus_q) if modulus_q else _smallest_irreducible(p, m)
-        if not all(0 <= c < p for c in self.modulus_q):
-            raise ValueError(f"modulus_q {list(self.modulus_q)} has a coefficient "
+        self.modulus_q = mod = tuple(modulus_q) if modulus_q else _smallest_irreducible(p, m)
+        if not all(0 <= c < p for c in mod):
+            raise ValueError(f"modulus_q {list(mod)} has a coefficient "
                              f"outside 0..{p - 1}")
-        if len(self.modulus_q) != m + 1 or self.modulus_q[-1] != 1:
+        if len(mod) != m + 1 or mod[-1] != 1:
             raise ValueError("modulus_q must be monic of degree m")
-        if not _poly_is_irreducible(self.modulus_q, p):
-            raise ValueError(f"modulus_q {self.modulus_q} is reducible over GF({p})")
+        if not _poly_is_irreducible(mod, p):
+            raise ValueError(f"modulus_q {mod} is reducible over GF({p})")
 
-        self._build_subfield_tables()
+        # GF(q): digit-wise sums, and products modulo modulus_q
+        vecs = [digits(a, m, p) for a in range(q)]
+        qa = [[value([(x + y) % p for x, y in zip(va, vb)], p) for vb in vecs]
+              for va in vecs]
+        qm = [[value(_poly_mul_mod(va, vb, mod, p), p) for vb in vecs] for va in vecs]
+        qn = [value([-x % p for x in va], p) for va in vecs]
 
         if modulus_q2 is not None:
             if len(modulus_q2) != 3 or not all(0 <= c < q for c in modulus_q2):
                 raise ValueError(f"modulus_q2 {list(modulus_q2)} is not 3 codes "
                                  f"in 0..{q - 1}")
             c0, c1, lead = modulus_q2
-            if lead != 1 or not self._q2_candidate_irreducible(c0, c1):
+            if lead != 1 or not _has_no_root(qa, qm, c0, c1):
                 raise ValueError("modulus_q2 must be monic irreducible over GF(q)")
-            self.modulus_q2 = (c0, c1, 1)
         else:
-            self.modulus_q2 = self._smallest_q2_modulus()
+            in_order = sorted(range(q), key=vecs.__getitem__)
+            c0, c1 = next((c0, c1) for c0 in in_order for c1 in in_order
+                          if _has_no_root(qa, qm, c0, c1))
+        self.modulus_q2 = (c0, c1, 1)
 
-        self._build_tables()
-
-        if generator is not None:
-            if self.mul_order(generator) != Q - 1:
-                raise ValueError(f"generator {generator} does not have order {Q - 1}")
-            self.generator = generator
-        else:
-            self.generator = self._find_generator()
-        self._build_logs()
-
-    # -- construction helpers ------------------------------------------------
-
-    def _build_subfield_tables(self):
-        p, m, q = self.p, self.m, self.q
-        mod = self.modulus_q
-        self._q_add = [[0] * q for _ in range(q)]
-        self._q_mul = [[0] * q for _ in range(q)]
-        self._q_neg = [0] * q
-        for a in range(q):
-            va = self.gfq_vec(a)
-            self._q_neg[a] = self._gfq_code([(-x) % p for x in va])
-            for b in range(q):
-                vb = self.gfq_vec(b)
-                self._q_add[a][b] = self._gfq_code([(x + y) % p for x, y in zip(va, vb)])
-                self._q_mul[a][b] = self._gfq_code(_poly_mul_mod(va, vb, mod, p))
-
-    def _q2_candidate_irreducible(self, c0, c1):
-        # w^2 + c1 w + c0 has no root in GF(q)
-        qm = self._q_mul
-        qa = self._q_add
-        for x in range(self.q):
-            if qa[qa[qm[x][x]][qm[c1][x]]][c0] == 0:
-                return False
-        return True
-
-    def _smallest_q2_modulus(self):
-        key = self.gfq_vec
-        codes = sorted(range(self.q), key=key)
-        for c0 in codes:
-            for c1 in codes:
-                if self._q2_candidate_irreducible(c0, c1):
-                    return (c0, c1, 1)
-        raise AssertionError("no irreducible quadratic over GF(q)")
-
-    def _build_tables(self):
-        q, Q = self.q, self.order
-        qa, qm, qn = self._q_add, self._q_mul, self._q_neg
-        c0, c1, _ = self.modulus_q2
         mul = [0] * (Q * Q)
         add = [0] * (Q * Q)
         neg = [0] * Q
-        inv = [0] * Q
         for a in range(Q):
             a0, a1 = a % q, a // q
             neg[a] = qn[a0] + q * qn[a1]
@@ -243,115 +205,63 @@ class FieldSpec:
                 t2 = qm[a1][b1]
                 r0 = qa[qm[a0][b0]][qn[qm[t2][c0]]]
                 r1 = qa[qa[qm[a0][b1]][qm[a1][b0]]][qn[qm[t2][c1]]]
-                mul[arow + b] = r = r0 + q * r1
-                if r == 1:
-                    inv[a] = b
-        # the Frobenius tables follow once the logarithms exist (_build_logs)
-        self._tables = FieldTables(Q, tuple(mul), tuple(add), tuple(neg), tuple(inv),
-                                   frob=(), frob_p=())
+                mul[arow + b] = r0 + q * r1
 
-    @property
-    def tables(self) -> FieldTables:
-        """The flat arithmetic tables of GF(q^2), for kernels that index
-        them directly instead of calling the scalar methods."""
-        return self._tables
-
-    def _find_generator(self):
-        target = self.order - 1
-        factors = set()
-        t = target
-        d = 2
-        while d * d <= t:
-            while t % d == 0:
-                factors.add(d)
-                t //= d
-            d += 1
-        if t > 1:
-            factors.add(t)
-        cofactors = [target // f for f in factors]
-        for code in self._codes_coeff_lex():
-            if code == 0:
-                continue
-            if all(self.pow_nolog(code, c) != 1 for c in cofactors):
-                return code
-        raise AssertionError("no generator found")
-
-    def _codes_coeff_lex(self):
-        # all GF(q^2) codes ordered by full coefficient vector, constant first
-        q = self.q
-        key = lambda x: self.gfq_vec(x % q) + self.gfq_vec(x // q)
-        return sorted(range(self.order), key=key)
-
-    def _build_logs(self):
-        Q = self.order
-        g = self.generator
-        exp = [1] * (Q - 1)
+        if generator is not None:
+            if generator == 0:
+                raise ValueError("0 has no multiplicative order")
+            exp = _power_walk(mul, Q, generator)
+            if len(exp) != Q - 1:
+                raise ValueError(f"generator {generator} does not have order {Q - 1}")
+        else:
+            candidates = sorted(range(1, Q), key=lambda x: digits(x, 2 * m, p))
+            exp = next(walk for walk in (_power_walk(mul, Q, g) for g in candidates)
+                       if len(walk) == Q - 1)
+        self.generator = exp[1]
         log = [0] * Q
-        x = 1
-        for k in range(Q - 1):
-            exp[k] = x
+        for k, x in enumerate(exp):
             log[x] = k
-            x = self.mul(x, g)
-        assert x == 1
-        self._exp = exp
-        self._log = log
-        q = self.q
-        frob = tuple(self.pow(x, q) if x else 0 for x in range(Q))
-        frob_p = tuple(self.pow(x, self.p) if x else 0 for x in range(Q))
-        self._tables = replace(self._tables, frob=frob, frob_p=frob_p)
-        self._norm = [self.mul(x, frob[x]) for x in range(Q)]
+        self._exp, self._log = exp, log
+
+        def power(e):
+            return tuple(exp[log[x] * e % (Q - 1)] if x else 0 for x in range(Q))
+
+        self.tables = FieldTables(Q, tuple(mul), tuple(add), tuple(neg), inv=power(-1),
+                                  frob=power(q), frob_p=power(p))
+        self._norm = power(q + 1)
 
     # -- element codecs ------------------------------------------------------
 
     def gfq_vec(self, code: int) -> tuple[int, ...]:
         """GF(q) code -> GF(p) coefficient tuple, constant first."""
-        v = []
-        for _ in range(self.m):
-            v.append(code % self.p)
-            code //= self.p
-        return tuple(v)
-
-    def _gfq_code(self, vec) -> int:
-        c = 0
-        for x in reversed(list(vec[: self.m])):
-            c = c * self.p + x
-        return c
-
-    def coeffs(self, x: int) -> tuple[int, int]:
-        """GF(q^2) code -> (a0, a1) pair of GF(q) codes, constant first."""
-        return x % self.q, x // self.q
-
-    def from_coeffs(self, a0: int, a1: int) -> int:
-        return a0 + self.q * a1
+        return digits(code, self.m, self.p)
 
     def elem_vec(self, x: int) -> tuple[int, ...]:
         """Flat GF(p)-coefficient vector of length 2m (a0 coeffs then a1)."""
-        a0, a1 = self.coeffs(x)
-        return self.gfq_vec(a0) + self.gfq_vec(a1)
+        return digits(x, 2 * self.m, self.p)
 
     def elem_from_vec(self, vec) -> int:
-        m = self.m
-        return self.from_coeffs(self._gfq_code(vec[:m]), self._gfq_code(vec[m:]))
+        return value(vec, self.p)
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        return self._tables.add[a * self.order + b]
+        return self.tables.add[a * self.order + b]
 
     def sub(self, a, b):
-        t = self._tables
+        t = self.tables
         return t.add[a * self.order + t.neg[b]]
 
     def neg(self, a):
-        return self._tables.neg[a]
+        return self.tables.neg[a]
 
     def mul(self, a, b):
-        return self._tables.mul[a * self.order + b]
+        return self.tables.mul[a * self.order + b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self._tables.inv[a]
+        return self.tables.inv[a]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -361,39 +271,15 @@ class FieldSpec:
             if e <= 0:
                 raise ZeroDivisionError("0 ** nonpositive")
             return 0
-        if hasattr(self, "_exp"):
-            n = self.order - 1
-            return self._exp[(self._log[a] * e) % n]
-        return self.pow_nolog(a, e)
-
-    def pow_nolog(self, a, e):
-        r = 1
-        b = a
-        e %= self.order - 1
-        while e:
-            if e & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return r
-
-    def mul_order(self, a):
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        o = 1
-        x = a
-        while x != 1:
-            x = self.mul(x, a)
-            o += 1
-        return o
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     def frobenius(self, x):
         """x -> x^q, the involutory automorphism fixing GF(q)."""
-        return self._tables.frob[x]
+        return self.tables.frob[x]
 
     def frobenius_p(self, x):
         """x -> x^p, generating the full automorphism group of GF(q^2)."""
-        return self._tables.frob_p[x]
+        return self.tables.frob_p[x]
 
     def norm(self, x):
         """x -> x^(q+1) in GF(q)."""
@@ -418,18 +304,11 @@ class FieldSpec:
     # -- distinguished subsets ----------------------------------------------
 
     def minus_one(self):
-        return self._tables.neg[1]
+        return self.tables.neg[1]
 
     def unit_circle(self) -> tuple[int, ...]:
         """The q+1 solutions of x^(q+1) = 1, as successive powers of g^(q-1)."""
-        w = self.pow(self.generator, self.q - 1)
-        out = [1]
-        x = w
-        while x != 1:
-            out.append(x)
-            x = self.mul(x, w)
-        assert len(out) == self.q + 1
-        return tuple(out)
+        return tuple(self._exp[::self.q - 1])
 
     def subfield_star_generator(self):
         """norm(g) = g^(q+1) generates GF(q)*."""

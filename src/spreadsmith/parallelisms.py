@@ -357,11 +357,13 @@ def characterize(geo: Geometry, par) -> CharacterizeResult:
     the unitriangular group) and read off the good set.
 
     The members are checked in order and the first failure is reported.
-    When the family is E-invariant, only the first member of each E-orbit
-    is checked, and the others take its label.  This gives what checking
-    every member gives, because each step of _hall_member_label is
-    E-equivariant, so the members of one orbit share label and error, and
-    the first member that fails is the first of its orbit:
+    The first member starts its own E-orbit, so it is checked before E's
+    permutations are derived.  When the family is E-invariant, only the
+    first member of each E-orbit is checked, and the others take its
+    label.  This gives what checking every member gives, because each
+    step of _hall_member_label is E-equivariant, so the members of one
+    orbit share label and error, and the first member that fails is the
+    first of its orbit:
     - E fixes r_U1 pointwise, D_eta, the subgeometry and every plane
       through r_U1, because xi_b changes only X1 and X3.
     - When two of the lines touching r_U1 meet, all of them have at most 2
@@ -382,12 +384,13 @@ def characterize(geo: Geometry, par) -> CharacterizeResult:
         return CharacterizeResult(False, reason="no Desarguesian member")
     if len(spreads) != q * q + q + 1 or len(rest) != len(spreads) - 1:
         return CharacterizeResult(False, reason="malformed family size")
-    # E fixes the Desarguesian member, which occurs once: the others decide
-    start = _E_orbit_starts(geo, rest)
-    invariant = start is not None
-    labels = []
+    labels, start = [], None
     for i, sp in enumerate(rest):
-        if invariant and start[i] < i:
+        if i == 1:
+            # rest[0] starts its own E-orbit and passed.  E fixes the
+            # Desarguesian member, which occurs once: the others decide
+            start = _E_orbit_starts(geo, rest)
+        if start is not None and start[i] < i:
             # the first member of the orbit passed, so this one does
             labels.append(labels[start[i]])
             continue
@@ -396,7 +399,7 @@ def characterize(geo: Geometry, par) -> CharacterizeResult:
             return CharacterizeResult(False, reason=f"regulus misses r_U1: {err}",
                                       labels=labels)
         labels.append(label)
-    if not invariant:
+    if start is None:
         return CharacterizeResult(False, reason="not E-invariant", labels=labels)
     distinct = sorted(set(labels))
     if len(distinct) != q + 1 or any(labels.count(l) != q for l in distinct):

@@ -3,6 +3,8 @@ Lambda system.  Oracles here are exhaustive scans of the small fields,
 independent of the table-driven fast paths they check; the field axioms
 are sampled with a generator seeded by q."""
 
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -190,9 +192,8 @@ def test_element_codecs_round_trip():
             vec = s.elem_vec(x)
             assert len(vec) == 2 * s.m and all(0 <= c < s.p for c in vec)
             assert s.elem_from_vec(list(vec)) == x
-            a0, a1 = s.coeffs(x)
-            assert s.from_coeffs(a0, a1) == x
-            assert s.in_subfield(x) == (a1 == 0) == (s.frobenius(x) == x)
+            # the subfield is where the w-coefficient a1 is 0
+            assert s.in_subfield(x) == (not any(vec[s.m:])) == (s.frobenius(x) == x)
 
 
 def test_modulus_choices_are_deterministic_and_irreducible():
@@ -223,4 +224,52 @@ def test_field_spec_rejects_coefficients_out_of_range(p, m, parts):
 def test_generator_order_is_full():
     for q in ALL_Q:
         s = field_for_q(q)
-        assert s.mul_order(s.generator) == s.order - 1
+        # oracle: repeated multiplication, no table of logarithms
+        powers, x = {1}, s.generator
+        while x != 1:
+            powers.add(x)
+            x = s.mul(x, s.generator)
+        assert len(powers) == s.order - 1
+
+
+def _field_digest(s):
+    """sha256 over everything a construction decides: the moduli, the
+    generator, every FieldTables field, the logarithms and the norms."""
+    t = s.tables
+    parts = (s.modulus_q, s.modulus_q2, s.generator,
+             *(getattr(t, f.name) for f in dataclasses.fields(t)),
+             tuple(s.dlog(x) for x in range(1, s.order)),
+             tuple(s.norm(x) for x in range(s.order)))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# the digests of the default construction at every supported q
+FIELD_DIGESTS = {
+    3: "69b6a1dbd692de6b505e8cf77a632e31b48a35b53f0ac9b9b62545e5046045ab",
+    4: "4291c94aefad723a84e08e06cacd8fe068c1b3d589b2a6c3523d59a028d14379",
+    5: "1c7972ee0ac28823bbbb2b1fd817a0f24612744100d10a445731664f967b8753",
+    7: "65607f6f7358bae99b33c8296e4b74aa7b5358d400b6f150a9a0094b36cfe5e6",
+    8: "2d2e87eb79fa234224fd08433678ce43e5cf364c11424eaca12aece38926a8b6",
+    9: "dd0ac82847231149d0a204ed637662c40613324b35c2c5489cc9d132904a1ebe",
+    11: "a87de5fa240655cfff81ee4b11ada2ec6faae4f4a25f522d061825fd30ed8ee5",
+    13: "79319969351c744559d0de4eba05251cf31fc0b729291a0334a735bc4c5224b5",
+    16: "415925e299c235f057583fbf397110a6f37e6e5e14be413d02fbc53c07dc17b6",
+}
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_default_construction_is_pinned(q):
+    p, m = prime_power(q)
+    assert _field_digest(FieldSpec(p, m)) == FIELD_DIGESTS[q]
+
+
+@pytest.mark.parametrize("p, m, parts, message", [
+    (3, 2, {"modulus_q": (0, 0, 1)}, "modulus_q (0, 0, 1) is reducible over GF(3)"),
+    (3, 1, {"modulus_q2": (0, 0, 1)}, "modulus_q2 must be monic irreducible over GF(q)"),
+    (2, 2, {"generator": 0}, "0 has no multiplicative order"),
+    (3, 2, {"generator": 1}, "generator 1 does not have order 80"),
+])
+def test_construction_errors_are_pinned(p, m, parts, message):
+    with pytest.raises(ValueError) as err:
+        FieldSpec(p, m, **parts)
+    assert str(err.value) == message

@@ -461,6 +461,27 @@ def test_characterize_matches_the_member_by_member_loop(q):
     assert reasons["one orbit twice"] == "pencil labels do not form q+1 full pencils"
 
 
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_characterize_reports_a_failing_first_member_before_deriving_E(q, monkeypatch):
+    """A line swapped between the first two Hall members makes the first
+    fail its member check, and characterize reports that failure, as the
+    member-by-member loop does, without deriving E's permutations."""
+    geo = geometry_for_q(q)
+    spreads = list(_seeded_parallelism(geo, "first member").spreads)
+    i, j = [k for k, sp in enumerate(spreads) if sp != geo.desarguesian_spread()][:2]
+    y = next(l for l in spreads[j] if l not in spreads[i])
+    family = spreads[:]
+    family[i] = (y,) + spreads[i][1:]
+    family[j] = tuple(spreads[i][0] if l == y else l for l in spreads[j])
+    expected = _characterize_member_by_member(geo, family)
+    assert expected.reason.startswith("regulus misses r_U1") and expected.labels == []
+    calls = []
+    monkeypatch.setattr(parallelisms, "E_generator_line_perms",
+                        lambda geo: calls.append(geo) or E_generator_line_perms(geo))
+    assert characterize(geo, family) == expected
+    assert calls == []
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_members_in_any_order_read_as_sorted(q):
     geo = geometry_for_q(q)

@@ -987,6 +987,21 @@ def test_a_bad_coefficient_vector_keeps_its_error(text, shown, tmp_path, capsys)
                                            f"{shown} is not 2 coefficients in 0..2\n")
 
 
+@pytest.mark.parametrize("vec, cause", [
+    ([0, 0], "0 has no multiplicative order"),
+    ([1, 0], "generator 1 does not have order 8"),
+    ([2, 0], "generator 2 does not have order 8")])     # -1, of order 2
+def test_a_header_generator_that_is_not_primitive_is_an_input_error(vec, cause, tmp_path,
+                                                                    capsys):
+    """The header's generator is checked by the field construction, and its
+    ValueError is the one error line of verify and characterize, exit 2."""
+    path, _ = _changed_rows(tmp_path, "generator", (0, ("field", "generator"), vec))
+    for sub in ("verify", "characterize"):
+        assert run_cli("parallelism", sub, path) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: malformed parallelism file: "
+                                           f"{cause}\n")
+
+
 # sha256 of the `parallelism build` file for a seeded good set, as written
 # before the subgeometry lines were indexed
 ROUND_TRIP_FILES = {
