@@ -540,7 +540,7 @@ def check_desarguesian_property(geo: Geometry, sample: int = 50, seed: int = 3) 
     rng = random.Random(seed)
     d = geo.desarguesian_spread()
     d_set = set(d)
-    universe = [k for k in range(len(geo.sigma_eta_lines())) if k not in d_set]
+    universe = [k for k in range(geo.line_count) if k not in d_set]
     probe = rng.sample(universe, min(sample, len(universe)))
     for l in probe:
         ids = set(geo.subline_ids(l))

@@ -29,7 +29,7 @@ import math
 
 from spreadsmith.goodsets import (Candidate, GoodSet, enumerate_good_sets, flip_canonical,
                                   flip_classes, is_good)
-from spreadsmith.proj_geometry import Collineation
+from spreadsmith.proj_geometry import Collineation, tau_point
 from spreadsmith.spreads import Geometry, memo
 
 
@@ -164,7 +164,8 @@ def label_action(geo: Geometry, psi: Collineation) -> tuple[int, ...]:
     for a, u, v in reps:
         P, Q = points[a, u], images[a, v]
         lab = (geo.pencil_label(P, geo.r_U1_plane(Q))
-               or geo.pencil_label(geo.tau_eta_point(P), geo.r_U1_plane(geo.tau_eta_point(Q))))
+               or geo.pencil_label(tau_point(geo.spec, geo.eta, P),
+                                   geo.r_U1_plane(tau_point(geo.spec, geo.eta, Q))))
         assert lab is not None, f"pencil at {P} through {Q} not in the I classes"
         out.append(number[lab])
     return tuple(out)

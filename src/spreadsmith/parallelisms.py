@@ -121,10 +121,10 @@ def family_checksum(geo: Geometry, spreads) -> str:
     digits = ["".join(map(str, v)) for v in coefficient_table(geo.spec).vectors]
     names = sorted(set(digits))
     rank = {d: r for r, d in enumerate(names)}
-    # element codes are below q^2 <= 256, so each line's 8 codes are bytes
+    # element codes are below q^2 <= 256, so each line's 8 codes are bytes,
+    # read off the line's code (Geometry.line_bytes)
     to_rank = bytes([rank[d] for d in digits]).ljust(256, b"\0")
-    keys = sorted([bytes(r + s).translate(to_rank)
-                   for sp in spreads for r, s in map(geo.line, sp)])
+    keys = sorted([b.translate(to_rank) for sp in spreads for b in map(geo.line_bytes, sp)])
     width = max(map(len, names))
     padded = [d.encode().ljust(width, b"\0") for d in names]
     # the j-th byte of each rank's padded string
@@ -155,7 +155,7 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
         if not rep.ok:
             failures.append((i, rep))
     # ids from n upward are lines outside the subgeometry
-    n = len(geo.sigma_eta_lines())
+    n = geo.line_count
     counts = [0] * max([n, *(max(sp) + 1 for sp in spreads if sp)])
     for sp in spreads:
         for k in sp:
@@ -179,7 +179,7 @@ def verify_parallelism(geo: Geometry, par) -> Certificate:
 def _cover_checksum(geo: Geometry) -> str:
     """family_checksum of every subgeometry line once: the checksum of every
     exact cover, so of every parallelism of the geometry."""
-    return family_checksum(geo, [range(len(geo.sigma_eta_lines()))])
+    return family_checksum(geo, [range(geo.line_count)])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def _E_orbit_starts(geo: Geometry, members) -> list[int] | None:
     onto itself, so a list holding a line outside it is not a list of its
     spreads and is reported as not invariant, before E's permutations are
     derived."""
-    n = len(geo.sigma_eta_lines())
+    n = geo.line_count
     if any(sp and sp[-1] >= n for sp in members):
         return None
     perms = E_generator_line_perms(geo)

@@ -5,14 +5,13 @@ and their opposites, and Hall spreads obtained by regulus switching.
 A line of the distinguished Baer subgeometry is its ambient extension in
 PG(3,q^2): the ambient line is stable under the involution and meets the
 subgeometry in q+1 points.  The subgeometry's points and lines are
-numbered once (SubgeometryIndex), lines in sorted order, so id order is
-coordinate order.  A spread or a regulus is a plain tuple, the sorted ids
-of its lines, held as the index's own int objects, and spread, cover and
-incidence checks run on ids.  Geometry.line_id and Geometry.line convert
-between a line and its id; any other line (only a file or a test holds
-one) gets an id from (q^2+1)(q^2+q+1) upward.  The point ids of all lines
-sit in one flat array, and a line is found from two of its points in flat
-arrays too.
+numbered once (SubgeometryIndex), a line by the place of its 8-byte code
+in one sorted array, so id order is coordinate order.  A spread or a
+regulus is a plain tuple, the sorted ids of its lines, held as the
+index's own int objects, and spread, cover and incidence checks run on
+ids.  Geometry.line_id and Geometry.line convert between a line and its
+id; any other line (only a file or a test holds one) gets an id from
+(q^2+1)(q^2+q+1) upward.
 
 A pencil is the sorted tuple of its q lines other than r_U1, written down
 from the closed form of its Baer subplane section, and the label of a
@@ -80,33 +79,43 @@ class SpreadReport:
 class SubgeometryIndex:
     """The points and lines of the distinguished subgeometry, each numbered
     by its position in sorted order, and the lines outside it that
-    Geometry.line_id numbered (strays), from len(lines) upward.  The q+1
-    point ids of line k are ids[k w : (k+1) w], w = q+1, of one flat
-    array('H'), in the order the index generated them (see
-    Geometry._index).  Reading an id above 256 makes an int object, so hot
-    readers hand whole slices, or the whole array, to C-level consumers
-    (set, map, zip, sorted)."""
+    Geometry.line_id numbered (strays), from len(codes) upward.  Line k is
+    codes[k], the big-endian integer of its 8 RREF coordinates (all below
+    q^2 <= 256, so code order is coordinate order), and ints[k] is k, the
+    one int object handed out for it.  Its q+1 point ids, in the order
+    Geometry._index generated them, are ids[k w : (k+1) w], w = q+1.
+    Reading an id above 256 from an array makes an int, so hot readers
+    hand whole slices to C-level consumers."""
 
     def __init__(self, points: list[Point], point_id: dict[Point, int],
-                 lines: list[Line], ids: array, width: int):
+                 codes: array, ids: array, width: int):
         self.points = points
         self.point_id = point_id
-        self.lines = lines
-        self.line_id = {l: k for k, l in enumerate(lines)}
+        self.codes = codes
+        self.ints = list(range(len(codes)))
         self.ids = ids
         self.width = width
-        self.stray_id: dict[Line, int] = {}
-        self.strays: list[Line] = []
+        self.stray_id, self.strays = {}, []
 
-    def point_ids(self, k: int) -> array:
-        """The point ids of line k."""
-        w = self.width
-        return self.ids[k * w:(k + 1) * w]
+    def find(self, l: Line) -> int | None:
+        """The id of l, given by its RREF rows, if it is a subgeometry line."""
+        codes, code = self.codes, int.from_bytes(bytes(l[0] + l[1]), "big")
+        k = bisect_left(codes, code)
+        if k < len(codes) and codes[k] == code:
+            return self.ints[k]
+
+    def line_bytes(self, k: int) -> bytes:
+        """The 8 RREF coordinates of the line of id k."""
+        n = len(self.codes)
+        if k < n:
+            return self.codes[k].to_bytes(8, "big")
+        r, s = self.strays[k - n]
+        return bytes(r + s)
 
     def line(self, k: int) -> Line:
         """The line of id k."""
-        n = len(self.lines)
-        return self.lines[k] if k < n else self.strays[k - n]
+        b = self.line_bytes(k)
+        return tuple(b[:4]), tuple(b[4:])
 
 
 class Geometry:
@@ -117,7 +126,8 @@ class Geometry:
         self.lam = lam
         self.spec: FieldSpec = lam.spec
         self.space = AmbientSpace(self.spec)
-        self.q = self.spec.q
+        self.q = q = self.spec.q
+        self.line_count = (q * q + 1) * (q * q + q + 1)     # the ids below it
         self.eta = lam.eta
         assert self.spec.norm(self.eta) == 1
         self.U = self.spec.unit_circle()
@@ -138,9 +148,6 @@ class Geometry:
     @property
     def sigma_eta(self) -> frozenset[Point]:
         return self.component(self.lam.eta_index)
-
-    def tau_eta_point(self, P: Point) -> Point:
-        return tau_point(self.spec, self.eta, P)
 
     def tau_eta_line(self, l: Line) -> Line:
         return tau_line(self.spec, self.eta, l)
@@ -174,9 +181,8 @@ class Geometry:
         scaled = [[mul[z * Q + c] for c in range(q)] for z in range(Q)]
         shifted = [add[z * Q:(z + 1) * Q] for z in range(Q)]
         width = q + 1
-        # imported here: the module loads a shared library, about 0.15 MB of
-        # a process's peak, and most processes that import spreads never
-        # build an index
+        # imported here: it loads a shared library (0.15 MB), and most
+        # processes that import spreads build no index
         from array import array
 
         found, flat = [], array("H")
@@ -194,62 +200,69 @@ class Geometry:
             if det:
                 d = mul[eta_row + t.inv[det]] * Q
                 x1q, y1q, x2q, y2q = f[x1], f[y1], f[x2], f[y2]
-                line = ((1, 0, mul[d + add[mul[y2r + x1q] * Q + neg[mul[y1r + x2q]]]],
-                         mul[d + add[mul[y2r + y1q] * Q + neg[mul[y1r + y2q]]]]),
-                        (0, 1, mul[d + add[mul[x1r + x2q] * Q + neg[mul[x2r + x1q]]]],
-                         mul[d + add[mul[x1r + y2q] * Q + neg[mul[x2r + y1q]]]]))
+                row = (1, 0, mul[d + add[mul[y2r + x1q] * Q + neg[mul[y1r + x2q]]]],
+                       mul[d + add[mul[y2r + y1q] * Q + neg[mul[y1r + y2q]]]],
+                       0, 1, mul[d + add[mul[x1r + x2q] * Q + neg[mul[x2r + x1q]]]],
+                       mul[d + add[mul[x1r + y2q] * Q + neg[mul[x2r + y1q]]]])
             else:
-                line = (normalize(spec, (x1, y1, 0, 0)), normalize(spec, (0, 0, f[x1], f[y1])))
-            found.append(line)
-        # number the lines in sorted order, each taking its ids along; the
-        # scratch goes before the index builds its line numbering, which
-        # keeps the peak near what the index holds
+                row = normalize(spec, (x1, y1, 0, 0)) + normalize(spec, (0, 0, f[x1], f[y1]))
+            # the code, and below it the line's place in this order (N < 2^17)
+            found.append(int.from_bytes(bytes(row), "big") << 17 | len(found))
+        # number the lines in code order, each taking its point ids along;
+        # the scratch goes first, and found shrinks as the index grows
         del pid, shifted
-        order = sorted(range(len(found)), key=found.__getitem__)
-        lines = [found[k] for k in order]
-        del found
-        ids = array("H")
-        for k in order:
-            ids.extend(flat[k * width:(k + 1) * width])
-        del flat, order
-        index = SubgeometryIndex(points, point_id, lines, ids, width)
-        assert len(index.line_id) == (q * q + 1) * (q * q + q + 1)
-        return index
+        found.sort(reverse=True)
+        codes, ids = array("Q"), array("H")
+        while found:
+            k = found.pop()
+            codes.append(k >> 17)
+            k = (k & 0x1FFFF) * width
+            ids += flat[k:k + width]
+        del flat
+        assert len(codes) == self.line_count and all(map(int.__lt__, codes, codes[1:]))
+        return SubgeometryIndex(points, point_id, codes, ids, width)
 
     def sigma_eta_lines(self) -> list[Line]:
-        """All (q^2+1)(q^2+q+1) lines of the subgeometry, sorted."""
-        return self._index().lines
+        """Every subgeometry line, in id order, decoded."""
+        rows = zip(*[iter(b"".join([c.to_bytes(8, "big") for c in self._index().codes]))] * 4)
+        return list(zip(rows, rows))
 
     def line_id(self, l: Line) -> int:
         """The id of a line given by two of its points: its position in
         sigma_eta_lines() for a subgeometry line, the index's own int
-        object; any other line gets the next id from (q^2+1)(q^2+q+1)
-        upward, the same one each time."""
+        object; any other line gets the next id from line_count upward,
+        the same one each time."""
         index = self._index()
-        try:
-            return index.line_id[l]
-        except KeyError:
+        k = index.find(l)
+        if k is None:
             l = line_through(self.spec, *l)
-        if l in index.line_id:
-            return index.line_id[l]
+            k = index.find(l)
+        if k is not None:
+            return k
         if l not in index.stray_id:
-            index.stray_id[l] = len(index.lines) + len(index.strays)
+            index.stray_id[l] = self.line_count + len(index.strays)
             index.strays.append(l)
         return index.stray_id[l]
 
     @property
     def line(self) -> Callable[[int], Line]:
-        """line(k) is the line of id k (see line_id).  It is the index's
-        own method, so map(geo.line, ids) looks the index up once."""
+        """line(k) is the line of id k (see line_id): the index's own
+        method, so map(geo.line, ids) looks the index up once."""
         return self._index().line
+
+    @property
+    def line_bytes(self) -> Callable[[int], bytes]:
+        """line_bytes(k) is its 8 RREF coordinates, the same way."""
+        return self._index().line_bytes
 
     def subline_ids(self, k: int) -> array | tuple[int, ...]:
         """The ids of the subgeometry points on the line of id k: q+1 of
         them on a subgeometry line, a slice of the index's array, and at
         most one on any other."""
         index = self._index()
-        if k < len(index.lines):
-            return index.point_ids(k)
+        if k < self.line_count:
+            w = index.width
+            return index.ids[k * w:(k + 1) * w]
         return tuple(index.point_id[P] for P in line_points(self.spec, self.line(k))
                      if P in index.point_id)
 
@@ -265,23 +278,20 @@ class Geometry:
 
     @memo
     def _line_by_pair(self) -> tuple[list[int], array, list[int]]:
-        """The lines grouped by their smallest point id a and sorted inside
-        a group by their second smallest b, in three flat sequences (start,
-        second, line): the lines of group a sit at positions start[a] to
-        start[a+1] - 1, second[j] is the b of the line at position j, an
-        array('H'), and line[j] its id.  So the line of (a, b) is
+        """The lines sorted by their two smallest point ids (a, b), in three
+        flat sequences: line[j] is the id at position j, second[j] (an
+        array('H')) its b, and the lines of a sit at start[a] to
+        start[a+1] - 1.  So the line of (a, b) is
         line[bisect_left(second, b, start[a], start[a + 1])].  start and
-        line hold the index's own int objects (the values of its line_id),
-        so that reading them makes none."""
+        line hold the index's own ints, so reading them makes none."""
         index = self._index()
         n, w = len(index.points), index.width
-        ints = list(index.line_id.values())
         keys = [s[0] * n + s[1] for s in map(sorted, zip(*[iter(index.ids)] * w))]
-        line = sorted(ints, key=keys.__getitem__)
+        line = sorted(index.ints, key=keys.__getitem__)
         keys.sort()
         second = index.ids[:0]      # an empty array('H')
         second.extend(k % n for k in keys)
-        ints.append(len(ints))      # and one past the last position
+        ints = [*index.ints, len(keys)]     # and one past the last position
         start = [ints[bisect_left(keys, a * n)] for a in range(n + 1)]
         return start, second, line
 
@@ -295,10 +305,13 @@ class Geometry:
         index = self._index()
         return tuple(index.point_id[psi.apply_point(P)] for P in index.points)
 
-    def _line_image(self, perm):
-        """The function taking a subgeometry line id to the id of its image
-        under a point permutation: the line whose two smallest point ids are
-        the two smallest images of its own."""
+    def spread_keys(self, line_sets, perm) -> list[tuple[int, ...]]:
+        """The images of sets of subgeometry line ids (spreads, or a single
+        line) under a point permutation, each as the sorted ids of its
+        lines' images, the list sorted: the form in which two sets of
+        spreads compare.  A line goes to the one whose two smallest point
+        ids are the two smallest images of its own.  An id outside
+        the subgeometry is an IndexError."""
         index = self._index()
         ids, w = index.ids, index.width
         start, second, line = self._line_by_pair()
@@ -307,22 +320,12 @@ class Geometry:
             s = sorted(map(perm.__getitem__, ids[k * w:(k + 1) * w]))
             return line[bisect_left(second, s[1], start[(a := s[0])], start[a + 1])]
 
-        return image
-
-    def spread_keys(self, line_sets, perm) -> list[tuple[int, ...]]:
-        """The images of sets of subgeometry line ids (spreads, or a single
-        line) under a point permutation, each as the sorted ids of its
-        lines' images, the list sorted: the form in which two sets of
-        spreads compare.  An id outside the subgeometry is an IndexError."""
-        image = self._line_image(perm)
         return sorted(tuple(sorted(map(image, lines))) for lines in line_sets)
 
     def line_permutation(self, psi: Collineation) -> list[int]:
         """The image id of every line under psi, read off its point
         permutation, which maps the whole flat id array at once.  Not kept:
-        the one caller that maps every line again and again, is_E_invariant,
-        keeps the permutations of E's generators, derived from two of these
-        (E_generator_line_perms)."""
+        E_generator_line_perms keeps those of E's generators."""
         perm = self.point_permutation(psi)
         start, second, line = self._line_by_pair()
         images = map(perm.__getitem__, self._index().ids)
@@ -389,7 +392,7 @@ class Geometry:
         r, s = l
         t = self.spec.tables
         n, mul, add, neg = t.order, t.mul, t.add, t.neg
-        if l in self._index().line_id or mul[r[1] * n + s[3]] != mul[r[3] * n + s[1]]:
+        if self._index().find(l) is not None or mul[r[1] * n + s[3]] != mul[r[3] * n + s[1]]:
             return None
         a, b = (s[1], neg[r[1]]) if r[1] or s[1] else (s[3], neg[r[3]])
         a, b = a * n, b * n
@@ -436,14 +439,17 @@ class Geometry:
 
     # -- spreads ---------------------------------------------------------------
 
+    def _tau_joins(self, pts) -> tuple[int, ...]:
+        """The sorted ids of the q^2+1 stable lines <P, P^tau>, P in pts."""
+        spec, eta, find = self.spec, self.eta, self._index().find
+        lines = {find(line_through(spec, P, tau_point(spec, eta, P))) for P in pts}
+        assert len(lines) == self.q**2 + 1
+        return tuple(sorted(lines))
+
     @memo
     def desarguesian_spread(self) -> tuple[int, ...]:
         """{ <P, P^tau> : P in t1 }, tau = tau_eta."""
-        spec, eta, line_id = self.spec, self.eta, self._index().line_id
-        lines = {line_id[line_through(spec, P, tau_point(spec, eta, P))]
-                 for P in line_points(spec, self.space.t1)}
-        assert len(lines) == self.q**2 + 1
-        return tuple(sorted(lines))
+        return self._tau_joins(line_points(self.spec, self.space.t1))
 
     def spread_from_transversal(self, l: Line) -> tuple[int, ...]:
         """The Desarguesian spread with director lines l, l^tau.  Not
@@ -452,9 +458,8 @@ class Geometry:
 
         The only genuine precondition is that l avoids the subgeometry: a
         stable line always meets it in a subline, and a meeting point of l
-        and its conjugate is fixed, hence in the subgeometry.  Violations
-        are still reported distinctly, and the skewness assertion guards
-        the derivation."""
+        and its conjugate is fixed, hence in the subgeometry.  Other
+        violations get errors of their own."""
         spec = self.spec
         lt = self.tau_eta_line(l)
         if lt == l:
@@ -464,11 +469,7 @@ class Geometry:
             raise ValueError("transversal meets the subgeometry")
         if lines_meet(spec, l, lt):
             raise ValueError("transversal and its conjugate are not skew")
-        # each <Q, Q^tau> is stable, so it is a line of the index
-        eta, line_id = self.eta, self._index().line_id
-        lines = {line_id[line_through(spec, Q, tau_point(spec, eta, Q))] for Q in pts}
-        assert len(lines) == self.q**2 + 1
-        return tuple(sorted(lines))
+        return self._tau_joins(pts)
 
     def _spread_and_regulus(self, l: Line) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """S_l and D_eta intersect S_l, q+1 lines through r_U1, for a pencil
@@ -496,17 +497,17 @@ class Geometry:
         lines_meet."""
         spec = self.spec
         index = self._index()
-        points, line_id, ids, w = index.points, index.line_id, index.ids, index.width
+        points, find, ids, w = index.points, index.find, index.ids, index.width
         first, second, *rest = list(lines)
         hits = [0] * len(points)
         full = 0
         ambient = []
         for r in rest:
-            if r >= len(index.lines):
+            if r >= self.line_count:
                 ambient.append(self.line(r))
                 continue
             bit = full + 1          # full is 2^i - 1 after i of them
-            for p in index.point_ids(r):
+            for p in self.subline_ids(r):
                 hits[p] |= bit
             full |= bit
         found = set()
@@ -514,11 +515,11 @@ class Geometry:
         for x in self.subline_ids(first):
             X = points[x]
             for Y in ys:
-                cand = line_id[line_through(spec, X, Y)]
+                cand = find(line_through(spec, X, Y))
                 mask = 0
                 for p in ids[cand * w:(cand + 1) * w]:
                     mask |= hits[p]
-                if mask == full and all(lines_meet(spec, index.lines[cand], r) for r in ambient):
+                if mask == full and all(lines_meet(spec, index.line(cand), r) for r in ambient):
                     found.add(cand)
         return sorted(found)
 
@@ -545,9 +546,9 @@ class Geometry:
         if len(lines) != q * q + 1:
             return SpreadReport(False, f"expected {q*q+1} lines, got {len(lines)}")
         index = self._index()
-        # a tau-stable line meets the subgeometry in a subline, so the index
-        # holds exactly the stable lines, the ids below its line count
-        if max(lines) >= len(index.lines):
+        # a tau-stable line meets the subgeometry in a subline, so the
+        # stable lines are exactly those of the index
+        if max(lines) >= self.line_count:
             return SpreadReport(False, "line is not stable under the involution")
         ids, w = index.ids, index.width
         on = ids[:0]                # an empty array('H')

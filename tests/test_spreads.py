@@ -85,6 +85,62 @@ def test_line_id_and_line_convert_both_ways(q):
         assert geo.is_spread(d[:-1] + [k]).reason == "line is not stable under the involution"
 
 
+def _blob(l):
+    """A line's 8 coordinates as bytes; its code is their big-endian value."""
+    return bytes(l[0] + l[1])
+
+
+def _code(l):
+    return int.from_bytes(_blob(l), "big")
+
+
+@pytest.mark.parametrize("q", [3, 4, 8])
+def test_line_id_finds_strays_at_both_ends_and_between_codes(q):
+    """Lines outside the subgeometry whose codes sort before the first
+    code, after the last and between two codes get stray ids, and keep
+    them when given by two other points; a subgeometry line given by two
+    of its points that are not its RREF rows gets its own id."""
+    geo = Geometry(lambda_for_q(q))
+    spec, Q, codes = geo.spec, geo.spec.order, geo._index().codes
+    n = geo.line_count
+    assert len(codes) == n and list(codes) == sorted(set(codes))
+    first = ((0, 0, 1, 0), (0, 0, 0, 1))            # X1 = X2 = 0
+    last = ((1, Q - 1, Q - 1, 0), (0, 0, 0, 1))     # the largest RREF code
+    rng = random.Random(f"between {q}")
+    while True:
+        P, R = (normalize(spec, [rng.randrange(Q) for _ in range(4)]) for _ in "PR")
+        if P != R and geo.tau_eta_line(between := line_through(spec, P, R)) != between:
+            break
+    assert _code(first) < codes[0] and _code(last) > codes[-1]
+    k = bisect_left(codes, _code(between))
+    assert 0 < k < n and codes[k - 1] < _code(between) < codes[k]
+    strays = [first, last, between]
+    assert [geo.line_id(l) for l in strays] == [n, n + 1, n + 2]
+    for i, l in enumerate(strays):
+        assert geo.line(n + i) == l and geo.line_bytes(n + i) == _blob(l)
+        R, S = [P for P in line_points(spec, l) if P not in l][:2]
+        assert geo.line_id((R, S)) == n + i
+    assert len(geo._index().strays) == 3
+    for k in random.Random(f"lines {q}").sample(range(n), 20):
+        P, R = geo.subline_points(k)[1:3]
+        assert (P, R) != geo.line(k) and geo.line_id((P, R)) is geo._index().ints[k]
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_every_id_handed_out_is_the_index_own_int(q):
+    """line_id(line(k)) is the index's own int object for every line at
+    q = 8 and for seeded lines at q = 16, and so are the ids the pair
+    lookup hands out."""
+    geo = Geometry(lambda_for_q(q))
+    index = geo._index()
+    ks = range(geo.line_count) if q == 8 else random.Random(q).sample(range(geo.line_count), 500)
+    assert all(geo.line_id(geo.line(k)) is index.ints[k] for k in ks)
+    assert all(geo.line_bytes(k) == _blob(geo.line(k)) for k in ks)
+    start, _, line = geo._line_by_pair()
+    assert all(k is index.ints[k] for k in line)
+    assert all(k is index.ints[k] for k in start if k < geo.line_count)
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_line_permutation_matches_apply_line(q):
     """The id action against apply_line for the E generators, the spread
@@ -217,21 +273,27 @@ def test_is_spread_reports_match_the_point_count_on_seeded_mutants(q):
 
 
 def test_index_and_pair_lookup_memory_q9():
-    """No Python object per line besides the line tuples: the index and the
-    pair lookup of a fresh q = 9 Geometry hold at most 2.5 MB (tracemalloc;
-    2.3 MB with the flat arrays, 3.9 MB with a tuple of point ids per line
-    and a dict of line pairs)."""
+    """One 8-byte code per line and no Python object per line besides its
+    id: _index() of a fresh q = 9 Geometry, its point set included, holds
+    at most 1.2 MB (tracemalloc; 0.69 MB with the code array, 2.35 MB with
+    a line tuple per line and a dict of them), and its traced peak is at
+    most 1.5 times what it holds, so no list of line tuples is built on
+    the way.  The pair lookup adds at most 0.2 MB (0.08 MB)."""
     geo = Geometry(lambda_for_q(9))
-    geo.spec.tables, geo.sigma_eta      # the field tables and the point set
+    geo.spec.tables                     # the field tables
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         geo._index()
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
         geo._line_by_pair()
-        held = tracemalloc.get_traced_memory()[0] - before
+        pairs = tracemalloc.get_traced_memory()[0] - before - held
     finally:
         tracemalloc.stop()
-    assert held < 2.5e6, held
+    assert held <= 1.2e6, held
+    assert peak <= 1.5 * held, (peak, held)
+    assert pairs <= 0.2e6, pairs
 
 
 def _transversals_by_brute_force(geo, lines):
