@@ -8,7 +8,8 @@ into 2 orbits: the one-plane family and its dual one-point family.  At
 q = 4 the 120 parallelisms split into 6 orbits.
 """
 
-from spreadsmith.equivalence import are_equivalent, classify, stabilizer_group
+from spreadsmith.equivalence import (are_equivalent, classify, stabilizer_group,
+                                     stabilizer_order)
 from spreadsmith.goodsets import count_good_sets, dual, fixed_plane_good_set
 from spreadsmith.spreads import geometry_for_q
 
@@ -18,7 +19,7 @@ for q in (3, 4):
     grp = stabilizer_group(geo)
     rep = classify(geo)
     print(f"=== q = {q}: group order {grp.order} "
-          f"(formula {grp.formula_order}), {count_good_sets(lam)} good sets, "
+          f"(formula {stabilizer_order(geo)}), {count_good_sets(lam)} good sets, "
           f"{rep.family_size} distinct parallelisms")
     for i, orbit in enumerate(rep.orbits):
         print(f"  orbit {i}: size {orbit.size:>3}  stabilizer "

@@ -13,10 +13,11 @@ those permutations (Geometry.spread_keys); only the generators have
 theirs memoised by Geometry.point_permutation.
 
 The equivalence questions are answered on the flip classes of
-goodsets.flip_classes, numbered in sorted order (flip_numbering).
-label_action makes a collineation a permutation of the numbers, read off
-point images, and label_group is G', the line stabilizer on the numbers,
-closed once per Geometry by the loop that closes point permutations.
+goodsets.flip_classes, numbered in the sorted order of their
+representatives.  label_action makes a collineation a permutation of the
+numbers, read off point images, and label_group is G', the line
+stabilizer on the numbers, closed once per Geometry by the loop that
+closes point permutations.
 orbit_of maps each image of a good set to the first element of G' that
 reaches it: the witness of are_equivalent and the orbits of classify.
 """
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from spreadsmith.goodsets import (Candidate, GoodSet, enumerate_good_sets, flip_canonical,
-                                  flip_classes, is_good)
+from spreadsmith.goodsets import (GoodSet, enumerate_good_sets, flip_canonical, flip_classes,
+                                  is_good)
 from spreadsmith.proj_geometry import Collineation, tau_point
 from spreadsmith.spreads import Geometry, memo
 
@@ -81,7 +82,6 @@ class StabilizerGroup:
     generators: list[Collineation]
     elements: list[Collineation]          # one ambient representative per induced map
     perms: list[tuple[int, ...]]          # the point permutation of each element
-    formula_order: int
 
     @property
     def order(self) -> int:
@@ -109,9 +109,9 @@ def close_group(geo: Geometry, gens) -> list[tuple[Collineation, tuple[int, ...]
     return _close(geo, gens, [geo.point_permutation(g) for g in gens])
 
 
-def _closed_group(geo: Geometry, gens, formula_order: int) -> StabilizerGroup:
+def _closed_group(geo: Geometry, gens) -> StabilizerGroup:
     elements, perms = zip(*close_group(geo, gens))
-    return StabilizerGroup(gens, list(elements), list(perms), formula_order)
+    return StabilizerGroup(gens, list(elements), list(perms))
 
 
 def stabilizer_order(geo: Geometry) -> int:
@@ -123,29 +123,18 @@ def stabilizer_order(geo: Geometry) -> int:
 def stabilizer_group(geo: Geometry) -> StabilizerGroup:
     """Closure of the line-stabilizer generators; its order must equal
     stabilizer_order."""
-    return _closed_group(geo, stabilizer_gens(geo), stabilizer_order(geo))
+    return _closed_group(geo, stabilizer_gens(geo))
 
 
 @memo
 def full_stabilizer_group(geo: Geometry) -> StabilizerGroup:
-    """The full spread stabilizer: q^2+1 times the line stabilizer."""
-    return _closed_group(geo, full_stabilizer_gens(geo),
-                         stabilizer_order(geo) * (geo.q**2 + 1))
+    """The full spread stabilizer, of q^2+1 times the line stabilizer's
+    order."""
+    return _closed_group(geo, full_stabilizer_gens(geo))
 
 
 # ---------------------------------------------------------------------------
 # induced action on pencil labels
-
-
-@memo
-def flip_numbering(geo: Geometry) -> tuple[tuple[Candidate, ...], dict[Candidate, int]]:
-    """The flip-class representatives in sorted order, and every candidate
-    mapped to the position of its class's.  A numbered good set is the
-    sorted tuple of its candidates' numbers."""
-    classes = flip_classes(geo.lam)
-    reps = tuple(sorted(set(classes.values())))
-    number = {rep: i for i, rep in enumerate(reps)}
-    return reps, {c: number[rep] for c, rep in classes.items()}
 
 
 def label_action(geo: Geometry, psi: Collineation) -> tuple[int, ...]:
@@ -156,7 +145,7 @@ def label_action(geo: Geometry, psi: Collineation) -> tuple[int, ...]:
     outside the I classes is read off through the subgeometry involution,
     which fixes r_U1 and maps the pencil to the same pencil of the
     distinguished subgeometry."""
-    reps, number = flip_numbering(geo)
+    reps, number = flip_classes(geo.lam)
     n = geo.q + 1
     points = {(a, u): psi.apply_point(geo.point_P(a, u)) for a in geo.lam.I for u in range(n)}
     images = {(a, v): psi.apply_point(geo.plane_point(a, v)) for a in geo.lam.I for v in range(n)}
@@ -189,7 +178,7 @@ def orbit_of(geo: Geometry, gs) -> dict[GoodSet, Collineation]:
     """The orbit of a good set under the line stabilizer: each
     flip-canonical image mapped to the first element of label_group that
     carries gs to it, gs itself to the identity."""
-    reps, number = flip_numbering(geo)
+    reps, number = flip_classes(geo.lam)
     start = tuple(sorted(map(number.__getitem__, gs)))
     orbit = {}
     for psi, perm in label_group(geo):

@@ -240,9 +240,6 @@ class FieldSpec:
         """Flat GF(p)-coefficient vector of length 2m (a0 coeffs then a1)."""
         return digits(x, 2 * self.m, self.p)
 
-    def elem_from_vec(self, vec) -> int:
-        return value(vec, self.p)
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):

@@ -321,7 +321,6 @@ def count_formula_even_simplified(q: int) -> Fraction:
 @dataclass
 class CountCensus:
     q: int
-    exclude_norm_minus_one: bool
     oracle: int
     formulas: dict[str, object]     # int, or Fraction for the flagged form
     formula_conflict: bool          # even q: the two printed forms disagree
@@ -344,8 +343,7 @@ def census(lam: LambdaSystem, exclude_norm_minus_one: bool = False) -> CountCens
     conflict = (q % 2 == 0 and
                 formulas["all_even"] != formulas["all_even_simplified"])
     matches = {k: v == oracle for k, v in formulas.items()}
-    return CountCensus(q=q, exclude_norm_minus_one=exclude_norm_minus_one,
-                       oracle=oracle, formulas=formulas,
+    return CountCensus(q=q, oracle=oracle, formulas=formulas,
                        formula_conflict=conflict, oracle_matches=matches)
 
 
@@ -400,22 +398,30 @@ def apply_G1(lam: LambdaSystem, gs, g: G1Element) -> GoodSet:
 
 
 @lru_cache(maxsize=None)
-def flip_classes(lam: LambdaSystem) -> dict[Candidate, Candidate]:
-    """Every candidate mapped to the least member of its flip class, in one
-    table per Lambda system that all callers share.  For odd q, the
-    substitution (u, v) -> (-u, -v), a shift of both exponents by (q+1)/2,
-    on a candidate whose alpha has norm -1 replaces its pencil by the
-    conjugate under the subgeometry involution and leaves the assembled
+def flip_classes(lam: LambdaSystem) -> tuple[tuple[Candidate, ...], dict[Candidate, int]]:
+    """The flip classes, one table per Lambda system: reps, the least
+    member of each class in sorted order, and number, every candidate (in
+    candidate order) mapped to the position of its class's rep.  For odd
+    q, the substitution (u, v) -> (-u, -v), a shift of both exponents by
+    (q+1)/2, on a candidate whose alpha has norm -1 replaces its pencil by
+    the conjugate under the subgeometry involution and leaves the assembled
     spread family unchanged; every other class has one member."""
     n = lam.spec.q + 1
-    classes = {}
-    for c in candidate_universe(lam):
+    reps, number = [], {}
+    for c in candidate_universe(lam):       # sorted: a class's rep comes first
         a, u, v = c
         h = n // 2 if n % 2 == 0 and lam.norm_of(a) == lam.spec.minus_one() else 0
-        classes[c] = min(c, Candidate(a, (u + h) % n, (v + h) % n))
-    return classes
+        partner = Candidate(a, (u + h) % n, (v + h) % n)
+        if partner < c:
+            number[c] = number[partner]
+        else:
+            number[c] = len(reps)
+            reps.append(c)
+    return tuple(reps), number
 
 
 def flip_canonical(lam: LambdaSystem, gs) -> GoodSet:
-    """The sorted flip-class representatives of the candidates of gs."""
-    return tuple(sorted(map(flip_classes(lam).__getitem__, gs)))
+    """The sorted flip-class representatives of the candidates of gs, the
+    table's own Candidate objects."""
+    reps, number = flip_classes(lam)
+    return tuple(map(reps.__getitem__, sorted(map(number.__getitem__, gs))))

@@ -22,7 +22,6 @@ through r_U1.  No table over the whole pencil line family is needed.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import TYPE_CHECKING
@@ -73,7 +72,6 @@ def memo(fn):
 class SpreadReport:
     ok: bool
     reason: str | None = None
-    multiply_covered: Point | None = None
 
 
 class SubgeometryIndex:
@@ -133,17 +131,13 @@ class Geometry:
         self.U = self.spec.unit_circle()
         self._cache: dict[tuple, object] = {}     # see memo
 
-    @classmethod
-    def from_q(cls, q: int) -> "Geometry":
-        return cls(lambda_for_q(q))
-
     # -- the distinguished subgeometry ----------------------------------------
 
     @memo
     def component(self, alpha_idx: int) -> frozenset[Point]:
         """The points of the Baer subgeometry fixed by tau_alpha, alpha the
         Lambda element of the given index."""
-        return self.space.sigma_points(self.alpha_of(alpha_idx))
+        return self.space.sigma_points(self.lam.alpha(alpha_idx))
 
     @property
     def sigma_eta(self) -> frozenset[Point]:
@@ -266,16 +260,6 @@ class Geometry:
         return tuple(index.point_id[P] for P in line_points(self.spec, self.line(k))
                      if P in index.point_id)
 
-    def subline_points(self, k: int) -> tuple[Point, ...]:
-        """The subgeometry points of the line of id k, in line_points order:
-        its second RREF row first, then the others by their coordinate in
-        that row's pivot column."""
-        s = self.line(k)[1]
-        j = next(c for c, x in enumerate(s) if x)
-        points = self._index().points
-        return tuple(sorted((points[p] for p in self.subline_ids(k)),
-                            key=lambda P: -1 if P == s else P[j]))
-
     @memo
     def _line_by_pair(self) -> tuple[list[int], array, list[int]]:
         """The lines sorted by their two smallest point ids (a, b), in three
@@ -334,18 +318,15 @@ class Geometry:
 
     # -- distinguished points, planes, pencils --------------------------------
 
-    def alpha_of(self, alpha_idx: int) -> int:
-        return self.lam.alpha(alpha_idx)
-
     def point_P(self, alpha_idx: int, u_pow: int) -> Point:
         """(1, 0, alpha*u, 0) on r_U1."""
         s = self.spec
-        c = s.mul(self.alpha_of(alpha_idx), self.U[u_pow % (self.q + 1)])
+        c = s.mul(self.lam.alpha(alpha_idx), self.U[u_pow % (self.q + 1)])
         return (1, 0, c, 0)
 
     def plane_point(self, alpha_idx: int, v_pow: int) -> Point:
         """(0, 1, 0, alpha*v), the point of plane_pi off r_U1 on X1 = X3 = 0."""
-        c = self.spec.mul(self.alpha_of(alpha_idx), self.U[v_pow % (self.q + 1)])
+        c = self.spec.mul(self.lam.alpha(alpha_idx), self.U[v_pow % (self.q + 1)])
         return (0, 1, 0, c)
 
     def plane_pi(self, alpha_idx: int, v_pow: int) -> Plane:
@@ -379,10 +360,10 @@ class Geometry:
 
     def pencil_label_of(self, l: Line) -> Candidate | None:
         """The label whose point_P is the point where l meets r_U1 and whose
-        plane_pi is the plane <l, r_U1>.  None when l is a subgeometry line
-        (r_U1 among them), when it misses r_U1, or when no I-class label has
-        both.  A subgeometry line meets r_U1 only in a subgeometry point
-        (1, 0, c, 0), c of norm 1, and no point_P is one: no I-class alpha
+        plane_pi is the plane <l, r_U1>.  None when l is r_U1, when it misses
+        r_U1, or when no I-class label has both.  So it is None on every
+        subgeometry line: one meets r_U1 only in a subgeometry point
+        (1, 0, c, 0), c of norm 1, and no point_P is one, as no I-class alpha
         has norm 1.
 
         r_U1 is X2 = X4 = 0, so a r + b s lies on it exactly when
@@ -392,7 +373,7 @@ class Geometry:
         r, s = l
         t = self.spec.tables
         n, mul, add, neg = t.order, t.mul, t.add, t.neg
-        if self._index().find(l) is not None or mul[r[1] * n + s[3]] != mul[r[3] * n + s[1]]:
+        if l == self.space.r_U1 or mul[r[1] * n + s[3]] != mul[r[3] * n + s[1]]:
             return None
         a, b = (s[1], neg[r[1]]) if r[1] or s[1] else (s[3], neg[r[3]])
         a, b = a * n, b * n
@@ -402,7 +383,7 @@ class Geometry:
     def _pencil_line(self, alpha_idx: int, u_pow: int, v_pow: int, s: int) -> Line:
         """The line through point_P and (x, 1, c x^q, c), x = s w (see pencil)."""
         spec = self.spec
-        c = spec.mul(self.alpha_of(alpha_idx), self.U[v_pow])
+        c = spec.mul(self.lam.alpha(alpha_idx), self.U[v_pow])
         x = s if u_pow != v_pow else spec.mul(s, spec.generator)
         return line_through(spec, self.point_P(alpha_idx, u_pow),
                             (x, 1, spec.mul(c, spec.frobenius(x)), c))
@@ -439,22 +420,16 @@ class Geometry:
 
     # -- spreads ---------------------------------------------------------------
 
-    def _tau_joins(self, pts) -> tuple[int, ...]:
-        """The sorted ids of the q^2+1 stable lines <P, P^tau>, P in pts."""
-        spec, eta, find = self.spec, self.eta, self._index().find
-        lines = {find(line_through(spec, P, tau_point(spec, eta, P))) for P in pts}
-        assert len(lines) == self.q**2 + 1
-        return tuple(sorted(lines))
-
     @memo
     def desarguesian_spread(self) -> tuple[int, ...]:
-        """{ <P, P^tau> : P in t1 }, tau = tau_eta."""
-        return self._tau_joins(line_points(self.spec, self.space.t1))
+        """D_eta, the spread S_t1 with director lines t1 and t2 = t1^tau."""
+        return self.spread_from_transversal(self.space.t1)
 
     def spread_from_transversal(self, l: Line) -> tuple[int, ...]:
-        """The Desarguesian spread with director lines l, l^tau.  Not
-        memoised: hall_spread and regulus_of derive it once per line and
-        keep only what they return.
+        """S_l, the sorted ids of the q^2+1 stable lines <P, P^tau>, P on l,
+        tau = tau_eta: the Desarguesian spread with director lines l, l^tau.
+        Not memoised: hall_spread and regulus_of derive it once per line
+        and keep only what they return.
 
         The only genuine precondition is that l avoids the subgeometry: a
         stable line always meets it in a subline, and a meeting point of l
@@ -469,7 +444,10 @@ class Geometry:
             raise ValueError("transversal meets the subgeometry")
         if lines_meet(spec, l, lt):
             raise ValueError("transversal and its conjugate are not skew")
-        return self._tau_joins(pts)
+        eta, find = self.eta, self._index().find
+        lines = {find(line_through(spec, P, tau_point(spec, eta, P))) for P in pts}
+        assert len(lines) == self.q**2 + 1
+        return tuple(sorted(lines))
 
     def _spread_and_regulus(self, l: Line) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """S_l and D_eta intersect S_l, q+1 lines through r_U1, for a pencil
@@ -555,13 +533,10 @@ class Geometry:
         for k in lines:
             on += ids[k * w:(k + 1) * w]
         # q^2+1 sublines of q+1 points cover all (q+1)(q^2+1) points exactly
-        # when they are pairwise disjoint; otherwise name the first point, in
-        # line order, that two of them share
+        # when they are pairwise disjoint
         if len(set(on)) == len(index.points):
             return SpreadReport(True)
-        counts = Counter(P for k in lines for P in self.subline_points(k))
-        return SpreadReport(False, "point covered more than once",
-                            multiply_covered=next(P for P, c in counts.items() if c > 1))
+        return SpreadReport(False, "point covered more than once")
 
     # -- collineations --------------------------------------------------------
 
@@ -589,4 +564,4 @@ class Geometry:
 
 @lru_cache(maxsize=None)
 def geometry_for_q(q: int) -> Geometry:
-    return Geometry.from_q(q)
+    return Geometry(lambda_for_q(q))

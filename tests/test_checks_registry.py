@@ -14,6 +14,7 @@ from spreadsmith.checks import (
     check_regulus_transversal_classification,
     run_selftest,
 )
+from spreadsmith.field_tower import lambda_for_q
 from spreadsmith.spreads import Geometry, geometry_for_q
 
 
@@ -136,7 +137,7 @@ def test_subgeometry_lines_meet_on_shared_point_ids(q, monkeypatch):
     """Two subgeometry lines meet exactly when they share a point id, so no
     suite and no regulus search row-reduces such a pair: here lines_meet and
     line_intersection raise when both of their lines are subgeometry lines."""
-    geo = Geometry.from_q(q)
+    geo = Geometry(lambda_for_q(q))
     index = set(geo.sigma_eta_lines())
 
     def ambient_only(fn):

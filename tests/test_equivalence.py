@@ -17,6 +17,7 @@ from spreadsmith.equivalence import (
     orbit_of,
     stabilizer_gens,
     stabilizer_group,
+    stabilizer_order,
 )
 from spreadsmith.field_tower import lambda_for_q
 from spreadsmith.goodsets import (
@@ -67,13 +68,14 @@ def test_close_group_composes_each_product_once(monkeypatch):
 
 def test_stabilizer_orders_match_formula():
     for q, want in ((3, 576), (4, 4800), (5, 7200)):
-        grp = stabilizer_group(geometry_for_q(q))
-        assert grp.order == want == grp.formula_order
+        geo = geometry_for_q(q)
+        assert stabilizer_group(geo).order == want == stabilizer_order(geo)
 
 
 def test_full_stabilizer_order_q3():
-    grp = full_stabilizer_group(geometry_for_q(3))
-    assert grp.order == 5760 == grp.formula_order
+    geo = geometry_for_q(3)
+    grp = full_stabilizer_group(geo)
+    assert grp.order == 5760 == stabilizer_order(geo) * (geo.q**2 + 1)
 
 
 def test_generators_stabilize_spread_and_line():
@@ -86,12 +88,12 @@ def test_generators_stabilize_spread_and_line():
 
 
 def _numbered(geo, gs):
-    _, number = equivalence.flip_numbering(geo)
+    _, number = flip_classes(geo.lam)
     return tuple(sorted(number[c] for c in gs))
 
 
 def _candidates(geo, numbered):
-    reps, _ = equivalence.flip_numbering(geo)
+    reps, _ = flip_classes(geo.lam)
     return tuple(reps[i] for i in numbered)
 
 
@@ -119,10 +121,9 @@ def test_label_actions_permute_the_flip_classes(q):
     # the classes are numbered by their sorted representatives, and each
     # generator's images are the numbers, each once
     geo = geometry_for_q(q)
-    classes = flip_classes(geo.lam)
-    reps, number = equivalence.flip_numbering(geo)
-    assert list(reps) == sorted(set(classes.values()))
-    assert all(reps[number[c]] == rep for c, rep in classes.items())
+    reps, number = flip_classes(geo.lam)
+    assert list(reps) == sorted(set(reps)) == sorted(reps[i] for i in set(number.values()))
+    assert all(number[rep] == i for i, rep in enumerate(reps))
     for psi in stabilizer_gens(geo):
         assert sorted(label_action(geo, psi)) == list(range(len(reps)))
 

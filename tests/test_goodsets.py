@@ -260,4 +260,7 @@ def test_flip_classes_match_the_norm_arithmetic(q):
             want[c] = min(c, Candidate(a, (u + n // 2) % n, (v + n // 2) % n))
         else:
             want[c] = c
-    assert flip_classes(lam) == want
+    reps, number = flip_classes(lam)
+    assert list(reps) == sorted(set(want.values()))
+    assert list(number) == candidate_universe(lam)
+    assert {c: reps[i] for c, i in number.items()} == want

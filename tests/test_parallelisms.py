@@ -284,9 +284,9 @@ def test_characterize_failure_reasons():
 
     # a Hall member whose second line meeting r_U1 is a copy of the first:
     # the transversal search then meets two equal lines
-    r_pts = set(geo.subline_points(r_U1))
+    r_pts = set(geo.subline_ids(r_U1))
     hall = spreads[0]
-    touching = [l for l in hall if r_pts & set(geo.subline_points(l))]
+    touching = [l for l in hall if not r_pts.isdisjoint(geo.subline_ids(l))]
     tampered = [touching[0] if l == touching[1] else l for l in hall]
     mutated = spreads[:]
     mutated[0] = tuple(sorted(tampered))

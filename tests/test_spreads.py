@@ -51,10 +51,11 @@ def test_sigma_eta_lines_match_the_pairwise_sweep(q):
     pts = sorted(sig)
     sweep = sorted({rref(spec, [P, Q]) for i, P in enumerate(pts) for Q in pts[i + 1:]})
     assert geo.sigma_eta_lines() == sweep
+    points = geo._index().points
     for k, l in enumerate(sweep):
         assert geo.line_id(l) == k and geo.line(k) == l
-        on_line = tuple(P for P in line_points(spec, l) if P in sig)
-        assert geo.subline_points(k) == on_line
+        on_line = sorted(P for P in line_points(spec, l) if P in sig)
+        assert sorted(map(points.__getitem__, geo.subline_ids(k))) == on_line
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
@@ -121,9 +122,10 @@ def test_line_id_finds_strays_at_both_ends_and_between_codes(q):
         R, S = [P for P in line_points(spec, l) if P not in l][:2]
         assert geo.line_id((R, S)) == n + i
     assert len(geo._index().strays) == 3
+    points = geo._index().points
     for k in random.Random(f"lines {q}").sample(range(n), 20):
-        P, R = geo.subline_points(k)[1:3]
-        assert (P, R) != geo.line(k) and geo.line_id((P, R)) is geo._index().ints[k]
+        P, R = [P for P in map(points.__getitem__, geo.subline_ids(k)) if P not in geo.line(k)][:2]
+        assert geo.line_id((P, R)) is geo._index().ints[k]
 
 
 @pytest.mark.parametrize("q", [8, 16])
@@ -412,6 +414,17 @@ def test_pencil_label_of_matches_line_intersection_through_r_U1(q):
     assert all(lab is not None for lab in got[:len(geo.line_set_L())])
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_pencil_label_of_is_none_on_every_subgeometry_line(q):
+    """pencil_label_of tells r_U1 apart by equality alone: every other
+    subgeometry line gets None from the label lookup, since it meets r_U1
+    only in a point (1, 0, c, 0) with N(c) = 1, which is no point_P."""
+    geo = Geometry(lambda_for_q(q))
+    lines = geo.sigma_eta_lines()
+    assert geo.space.r_U1 in lines
+    assert all(geo.pencil_label_of(l) is None for l in lines)
+
+
 def test_spreads_hold_the_index_lines():
     """Spreads and reguli hold the index's own int objects as line ids."""
     geo = geometry_for_q(4)
@@ -438,9 +451,8 @@ def _is_spread_by_point_count(geo, lines) -> SpreadReport:
             return SpreadReport(False, "line does not meet the subgeometry in a subline")
         for P in pts:
             counts[P] = counts.get(P, 0) + 1
-    for P, c in counts.items():
-        if c > 1:
-            return SpreadReport(False, "point covered more than once", multiply_covered=P)
+    if any(c > 1 for c in counts.values()):
+        return SpreadReport(False, "point covered more than once")
     for P in sig:
         if P not in counts:
             return SpreadReport(False, "point not covered")
@@ -568,9 +580,14 @@ def test_spread_from_transversal_preconditions():
 
 
 def test_transversal_of_t1_rebuilds_desarguesian():
-    for q in (3, 4):
-        geo = geometry_for_q(q)
-        assert geo.spread_from_transversal(geo.space.t1) == geo.desarguesian_spread()
+    """D_eta is S_t1, so both are checked at every q against the joins
+    <P, P^tau_eta>, P on t1, that checks.desarguesian_lines computes on
+    ambient lines: the same q^2+1 lines, all of them subgeometry lines."""
+    for q in (3, 4, 5, 7, 8, 9, 11, 13, 16):
+        geo = Geometry(lambda_for_q(q))
+        want = tuple(sorted(map(geo.line_id, checks.desarguesian_lines(geo, geo.lam.eta_index))))
+        assert geo.desarguesian_spread() == want == geo.spread_from_transversal(geo.space.t1)
+        assert len(want) == q * q + 1 and want[-1] < geo.line_count, q
 
 
 def test_conjugate_transversal_derives_its_own_spread():
@@ -609,7 +626,7 @@ def test_is_spread_negative_report():
     mutated = d[:-1] + [other]
     rep = geo.is_spread(mutated)
     assert not rep.ok
-    assert rep.multiply_covered is not None
+    assert rep.reason == "point covered more than once"
     assert not geo.is_spread(d[:-1]).ok
 
 

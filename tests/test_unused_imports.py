@@ -1,9 +1,11 @@
 """Every name a module of the package imports is used in that module.  A
 name imported only for re-export is listed in ``__all__``, or its import
-line carries ``# noqa: F401``.  Standard library only: the modules are
-parsed with ast, never imported."""
+line carries ``# noqa: F401``.  And the runtime is standard library only:
+every absolute import names spreadsmith or a standard-library module.
+Standard library only: the modules are parsed with ast, never imported."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,83 @@ def test_a_computed_all_names_nothing():
 def test_every_imported_name_is_used(path):
     unused = unused_imports(path.read_text())
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+def _modules(node) -> list[str]:
+    """The top-level modules an absolute import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name.partition(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module.partition(".")[0]]
+    return []
+
+
+def _is_import_chain(node) -> bool:
+    return isinstance(node, ast.Try) and any(
+        isinstance(h.type, ast.Name) and h.type.id in ("ImportError", "ModuleNotFoundError")
+        for h in node.handlers)
+
+
+def _alternatives(chain) -> list[list[str]]:
+    """The modules each branch of a try/except ImportError chain imports:
+    its try body, then each handler, a chain nested in a handler giving
+    its own branches."""
+    branches = [chain.body] + [h.body for h in chain.handlers]
+    out = []
+    for body in branches:
+        out.append([m for stmt in body for m in _modules(stmt)])
+        for stmt in body:
+            if _is_import_chain(stmt):
+                out += _alternatives(stmt)
+    return out
+
+
+def _allowed(module: str) -> bool:
+    return module == "spreadsmith" or module in sys.stdlib_module_names
+
+
+def non_stdlib_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of each absolute import outside spreadsmith and the
+    standard library.  A try/except ImportError chain passes when one of its
+    branches imports only allowed modules, since the others may name
+    modules of other Python versions (_sha2 is 3.12+)."""
+    tree = ast.parse(source)
+    chained, found = set(), []
+    for node in ast.walk(tree):
+        if id(node) in chained:
+            continue
+        if _is_import_chain(node):
+            chained.update(map(id, ast.walk(node)))
+            alternatives = _alternatives(node)
+            if not any(all(map(_allowed, alt)) for alt in alternatives):
+                found.append((node.lineno, " | ".join(m for alt in alternatives for m in alt)))
+        else:
+            found += [(node.lineno, m) for m in _modules(node) if not _allowed(m)]
+    return sorted(found)
+
+
+def test_the_stdlib_check_sees_foreign_modules_and_reads_chains():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy\n"
+              "from spreadsmith.goodsets import canonical\n"
+              "from . import spreads\n"
+              "try:\n"
+              "    from _no_such_module import sha256\n"
+              "except ImportError:\n"
+              "    try:\n"
+              "        from sympy import sha256\n"
+              "    except ImportError:\n"
+              "        from hashlib import sha256\n"
+              "try:\n"
+              "    import numpy as np\n"
+              "except ModuleNotFoundError:\n"
+              "    import sympy\n"
+              "def f():\n"
+              "    import pytest\n")
+    assert non_stdlib_imports(source) == [(2, "numpy"), (12, "numpy | sympy"), (17, "pytest")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    foreign = non_stdlib_imports(path.read_text())
+    assert not foreign, ", ".join(f"{path.name}:{line} {name}" for line, name in foreign)
